@@ -96,6 +96,11 @@ def _family_from(args):
     return SpinFamily(args.s, args.hbar)
 
 
+def _check_stride(args):
+    if args.stride < 1:
+        raise ValueError(f"stride must be at least 1, got {args.stride}")
+
+
 # ---------------------------------------------------------------- subcommands
 
 
@@ -154,6 +159,7 @@ def _cmd_wcp(args, out_base, t0):
 def _cmd_dynamics(args, out_base, t0):
     from .dynamics import IntegratorControls, integrate, oscillator_flow, toy_gravity_flow
 
+    _check_stride(args)
     if args.model == "oscillator":
         flow = oscillator_flow()
     else:
@@ -181,15 +187,18 @@ def _cmd_dynamics(args, out_base, t0):
 
 
 def _cmd_rotsym(args, out_base, t0):
-    from .dynamics import rotsym_integrate
+    from .dynamics import integrate, rotsym_flow
 
+    _check_stride(args)
     rng = np.random.default_rng(args.seed)
     scale = 0.5 / np.sqrt(args.N)
     p0 = scale * rng.normal(size=args.N)
     q0 = scale * rng.normal(size=args.N)
     perm = rng.permutation(args.N)
-    traj = rotsym_integrate(args.N, args.m0, args.g0, p0, q0, args.t_end)
-    shuffled = rotsym_integrate(args.N, args.m0, args.g0, p0[perm], q0[perm], args.t_end)
+    # base and shuffled runs step together as the two rows of one batch
+    pair = integrate(rotsym_flow(args.N, args.m0, args.g0),
+                     (np.stack([p0, p0[perm]]), np.stack([q0, q0[perm]])), args.t_end)
+    traj, shuffled = pair.row(0), pair.row(1)
     dev = max(
         float(np.max(np.abs(traj.ps[:, perm] - shuffled.ps))),
         float(np.max(np.abs(traj.qs[:, perm] - shuffled.qs))),

@@ -30,6 +30,32 @@ class TestExitCodes:
         assert code == 0
 
 
+class TestBadControls:
+    @pytest.mark.parametrize("argv", [
+        ["dynamics", "--dt=-1"],
+        ["dynamics", "--t-end", "nan"],
+        ["rotsym", "--t-end", "nan"],
+        ["dynamics", "--stride", "0"],
+        ["dynamics", "--stride", "-1"],
+        ["rotsym", "--stride", "0"],
+        ["rotsym", "--stride", "-1"],
+    ])
+    def test_flag_rejected(self, tmp_path, capsys, argv):
+        assert run(["--out", str(tmp_path)] + argv) == 1
+        assert "invalid configuration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,cfg", [
+        ("dynamics", {"dt": 0}),
+        ("dynamics", {"stride": 0}),
+        ("rotsym", {"stride": -1}),
+    ])
+    def test_config_value_rejected(self, tmp_path, capsys, command, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["--out", str(tmp_path), "--config", str(path), command]) == 1
+        assert "invalid configuration" in capsys.readouterr().err
+
+
 class TestArtifacts:
     def test_metric_outputs(self, tmp_path, capsys):
         assert run(["--out", str(tmp_path), "metric", "--family", "canonical",

@@ -1,5 +1,7 @@
 """Integrator and flow checks against closed-form solutions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,21 @@ class TestClosedForm:
             status="completed", hit_time=None, method="closed-form", dt=0.0,
         )
         assert energy_drift(traj, flow) < 1e-12
+
+
+class TestControls:
+    @pytest.mark.parametrize("bad", [
+        {"dt": 0.0}, {"dt": -1.0}, {"dt": float("nan")}, {"dt": float("inf")},
+        {"fp_tol": 0.0}, {"max_fp_iter": 0}, {"q_floor": -1e-12},
+    ])
+    def test_bad_controls_rejected(self, bad):
+        with pytest.raises(ValueError):
+            IntegratorControls(**bad)
+
+    @pytest.mark.parametrize("t_end", [float("nan"), float("inf"), 0.0])
+    def test_bad_horizon_rejected(self, t_end):
+        with pytest.raises(ValueError):
+            integrate(oscillator_flow(), (1.0, 0.0), t_end)
 
 
 class TestOscillator:
@@ -182,3 +199,72 @@ class TestRotsym:
         b = rotsym_integrate(n, 1.0, 1.0, hi_p, hi_q, 1.0)
         assert np.max(np.abs(a.qs[:, :3] - b.qs[:, 3:])) < 1e-9
         assert np.max(np.abs(a.ps[:, :3] - b.ps[:, 3:])) < 1e-9
+
+
+def _random_batch(rng, b, n, amp=1.0):
+    return amp * rng.normal(size=(b, n)), amp * rng.normal(size=(b, n))
+
+
+class TestRadialMidpoint:
+    """The exact midpoint solver of rotsym_flow against its defining equations."""
+
+    @pytest.mark.parametrize("g0", [0.0, 1.0, 100.0])
+    @pytest.mark.parametrize("dt", [1e-4, 0.5])
+    def test_midpoint_residuals_at_roundoff(self, g0, dt):
+        flow = rotsym_flow(8, 1.0, g0)
+        p, q = _random_batch(np.random.default_rng(3), 5, 8)
+        p1, q1, ok = flow.midpoint(p, q, dt, 1e-13, 100)
+        assert ok
+        pm, qm = 0.5 * (p + p1), 0.5 * (q + q1)
+        kick, drift = dt * flow.dH_dq(pm, qm), dt * flow.dH_dp(pm, qm)
+        res_p = np.max(np.abs(p1 - p + kick))
+        res_q = np.max(np.abs(q1 - q - drift))
+        assert res_p <= 1e-14 * (np.max(np.abs(p)) + np.max(np.abs(kick)))
+        assert res_q <= 1e-14 * (np.max(np.abs(q)) + np.max(np.abs(drift)))
+
+    def test_batch_rows_equal_single_runs(self):
+        # rows of different amplitude need different Newton iteration counts
+        # at this step size; each row must still match its own run bit for bit
+        flow = rotsym_flow(6, 1.0, 1.0)
+        p, q = _random_batch(np.random.default_rng(11), 3, 6)
+        amp = np.array([[0.01], [0.3], [3.0]])
+        p, q = amp * p, amp * q
+        controls = IntegratorControls(dt=0.05)
+        batch = integrate(flow, (p, q), 1.0, controls)
+        assert batch.ps.shape == (batch.times.size, 3, 6)
+        assert batch.energies.shape == (batch.times.size, 3)
+        singles = [integrate(flow, (p[b], q[b]), 1.0, controls) for b in range(3)]
+        for b, single in enumerate(singles):
+            assert np.array_equal(batch.ps[:, b], single.ps)
+            assert np.array_equal(batch.qs[:, b], single.qs)
+            assert np.array_equal(batch.energies[:, b], single.energies)
+        assert batch.drift == max(s.drift for s in singles)
+        assert batch.row(1).drift == singles[1].drift
+
+    def test_exact_solver_matches_fixed_point(self):
+        rng = np.random.default_rng(5)
+        amp = 0.5 / np.sqrt(6)
+        p0, q0 = amp * rng.normal(size=6), amp * rng.normal(size=6)
+        flow = rotsym_flow(6, 1.0, 1.0)
+        exact = integrate(flow, (p0, q0), 1.0)
+        fixed = integrate(dataclasses.replace(flow, midpoint=None), (p0, q0), 1.0)
+        assert np.array_equal(exact.times, fixed.times)
+        assert np.max(np.abs(exact.ps - fixed.ps)) < 1e-12
+        assert np.max(np.abs(exact.qs - fixed.qs)) < 1e-12
+
+    def test_linear_flow_drift(self):
+        # g0 = 0: the midpoint rule conserves the quadratic H up to roundoff
+        p, q = _random_batch(np.random.default_rng(2), 2, 32, 0.5 / np.sqrt(32))
+        traj = integrate(rotsym_flow(32, 1.0, 0.0), (p, q), 2.0)
+        assert traj.times.size > 20_000
+        assert traj.drift <= 1e-12
+
+    def test_batched_cross_check(self):
+        p, q = _random_batch(np.random.default_rng(4), 2, 3, 0.3)
+        traj = integrate(rotsym_flow(3, 1.0, 1.0), (p, q), 0.5,
+                         IntegratorControls(dt=1e-3, cross_check=True))
+        assert traj.meta["cross_check_error"] < 1e-5
+
+    def test_initial_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            integrate(rotsym_flow(3, 1.0, 1.0), (np.zeros((2, 3)), np.zeros(3)), 1.0)
