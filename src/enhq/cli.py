@@ -109,7 +109,7 @@ def _cmd_metric(args, out_base, t0):
 
     family = _family_from(args)
     pts = [(p, q) for p in args.p for q in args.q]
-    chart = "pq" if args.family != "spin" else "angles"
+    chart = family.default_chart
 
     def cell(pt):
         m = fs_metric(family, pt)
@@ -328,28 +328,49 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config_file(ap: argparse.ArgumentParser, args, argv) -> list[str]:
-    """Validate and fold a JSON config in under the explicit flags."""
+def _flag_value(action: argparse.Action, value):
+    """A config value as its flag would parse it; a list reads as a comma list."""
+    if action.nargs == 0:  # a switch such as --cross-check
+        if not isinstance(value, bool):
+            raise ValueError(f"expected true or false, got {value!r}")
+        return value
+    if value is None and action.default is None:
+        return None
+    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    out = action.type(text) if action.type else text
+    if action.choices is not None and out not in action.choices:
+        raise ValueError(f"{out!r} is not one of {', '.join(action.choices)}")
+    return out
+
+
+def _apply_config_file(ap: argparse.ArgumentParser, args, argv) -> None:
+    """Validate and fold a JSON config in under the explicit flags.
+
+    Each value goes through its flag's `type` and `choices`, so a config
+    holds nothing the command line would refuse.
+    """
     with open(args.config) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object of flag defaults")
+    sub = next(a for a in ap._actions if a.dest == "command")
+    actions = {a.dest: a for parser in (ap, sub.choices[args.command])
+               for a in parser._actions if a.option_strings and a.dest != "help"}
     problems = []
     for key, value in cfg.items():
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             problems.append(f"unknown config key {key!r}")
             continue
-        flag = "--" + key.replace("_", "-")
-        explicit = any(a == flag or a.startswith(flag + "=") for a in argv)
-        if not explicit:
-            current = getattr(args, dest)
-            if isinstance(value, str) and isinstance(current, list):
-                value = _floats(value)
-            setattr(args, dest, value)
+        try:
+            value = _flag_value(action, value)
+        except ValueError as exc:
+            problems.append(f"config key {key!r}: {exc}")
+            continue
+        if not any(a.split("=", 1)[0] in action.option_strings for a in argv):
+            setattr(args, action.dest, value)
     if problems:
         raise ValueError("; ".join(problems))
-    return problems
 
 
 def run(argv=None) -> int:
@@ -368,13 +389,9 @@ def run(argv=None) -> int:
             args.hamiltonian = ("0.5*P.P + 0.5*Q.Q" if args.family == "canonical"
                                 else "D.Qinv.D")
         os.makedirs(args.out, exist_ok=True)
-        out_base = os.path.join(args.out, args.command)
         fn = args.fn
-        cfg = {k: v for k, v in vars(args).items() if k != "fn"}
-        args.fn = None
-        ns = argparse.Namespace(**cfg)
-        ns.fn = fn
-        return fn(ns, out_base, t0)
+        del args.fn  # the summaries echo vars(args) as the config
+        return fn(args, os.path.join(args.out, args.command), t0)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 1

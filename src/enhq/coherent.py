@@ -1,14 +1,20 @@
-"""The three coherent-state families and their overlaps and moments.
+"""The three coherent-state families, their charts, overlaps and moments.
 
 Canonical states live in a truncated Fock basis, spin states in a
 (2s+1)-dimensional multiplet, and affine states as sampled wavefunctions
 on a half-line quadrature grid tuned to the Gamma-type fiducial weight.
+
+Coordinates only label the states, so each family owns its charts:
+`family.chart(point, margin, name)` checks that a stencil of extent
+`margin` around `point` stays inside chart `name` (`ChartBoundaryError`
+otherwise) and returns `(vec, inner)`, the raw state map
+(u, v) -> ndarray and the inner product on those raw arrays.
+`family.default_chart` names the chart used when none is given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -26,7 +32,7 @@ from .hilbert import (
 )
 
 __all__ = [
-    "PhasePoint",
+    "ChartBoundaryError",
     "CanonicalFamily",
     "AffineFamily",
     "AffineState",
@@ -37,9 +43,17 @@ __all__ = [
 ]
 
 
-class PhasePoint(NamedTuple):
-    p: float
-    q: float
+class ChartBoundaryError(ValueError):
+    """Stencil would cross the edge of the family's chart."""
+
+
+def _vdot(x: np.ndarray, y: np.ndarray) -> complex:
+    return complex(np.vdot(x, y))
+
+
+def _check_chart(family, name: str, names: tuple[str, ...]) -> None:
+    if name not in names:
+        raise ValueError(f"unknown {family.kind} chart {name!r}; expected one of {names}")
 
 
 def hermite_functions(n_max: int, x: np.ndarray, hbar: float) -> np.ndarray:
@@ -67,6 +81,7 @@ class CanonicalFamily:
     """Canonical coherent states exp(-iqP/h) exp(ipQ/h) |fiducial>."""
 
     kind = "canonical"
+    default_chart = "pq"
 
     def __init__(self, space: HilbertSpace | None = None, fiducial: StateVector | None = None,
                  N: int = 100, hbar: float = 1.0):
@@ -88,7 +103,9 @@ class CanonicalFamily:
         return self.space.hbar
 
     def with_hbar(self, hbar: float) -> "CanonicalFamily":
-        return CanonicalFamily(make_fock_space(self.space.dim, hbar))
+        """Same fiducial Fock coefficients on a space with the new hbar."""
+        space = make_fock_space(self.space.dim, hbar)
+        return CanonicalFamily(space, StateVector(self.fiducial.coeffs, space))
 
     def state(self, p: float, q: float) -> StateVector:
         h = self.space.hbar
@@ -99,8 +116,10 @@ class CanonicalFamily:
         c = vp @ (np.exp(-1j * q * wp / h) * (vp.conj().T @ c))
         return StateVector(c / np.linalg.norm(c), self.space)
 
-    def inner(self, a: StateVector, b: StateVector) -> complex:
-        return complex(np.vdot(a.coeffs, b.coeffs))
+    def chart(self, point, margin: float, name: str):
+        """(vec, inner) of the (p, q) chart, which covers the whole plane."""
+        _check_chart(self, name, ("pq",))
+        return (lambda p, q: self.state(p, q).coeffs), _vdot
 
     def xrep(self, p: float, q: float, xgrid: np.ndarray) -> np.ndarray:
         """Position-space samples e^{ip(x-q)/h} eta(x-q) of the coherent state.
@@ -156,6 +175,7 @@ class AffineFamily:
     """
 
     kind = "affine"
+    default_chart = "pq"
 
     def __init__(self, beta: float = 1.0, hbar: float = 1.0, n_nodes: int = 400,
                  center: float = 1.0):
@@ -210,10 +230,22 @@ class AffineFamily:
         samples = np.exp(log_amp + 1j * p * x / self.hbar)
         return AffineState(g, samples, self.beta, self.hbar, float(p), float(q))
 
-    def inner(self, a: AffineState, b: AffineState) -> complex:
-        if not a.grid.same_as(b.grid):
-            raise ValueError("affine states sampled on different grids")
-        return complex(a.grid.integrate(np.conj(a.samples) * b.samples))
+    def chart(self, point, margin: float, name: str):
+        """(vec, inner) of the (p, q) chart on q > 0.
+
+        The quadrature grid is rebased on the stencil center, so every
+        stencil state shares one grid and one set of weights.
+        """
+        _check_chart(self, name, ("pq",))
+        q0 = point[1]
+        if q0 - margin <= 0:
+            raise ChartBoundaryError(
+                f"affine stencil at q = {q0} with extent {margin} crosses q = 0"
+            )
+        local = self.centered(q0)
+        w = local.grid.weights
+        return ((lambda p, q: local.state(p, q).samples),
+                (lambda x, y: complex(np.sum(w * np.conj(x) * y))))
 
     def _log_pdf(self, x: np.ndarray, q: float) -> np.ndarray:
         rate = self.k / q
@@ -271,6 +303,7 @@ class SpinFamily:
     """Spin coherent states e^(-i phi S3/h) e^(-i theta S2/h) |s,s>."""
 
     kind = "spin"
+    default_chart = "angles"
 
     def __init__(self, s: float, hbar: float = 1.0):
         self.s = float(s)
@@ -311,8 +344,25 @@ class SpinFamily:
         phi = float(np.mod(q / r, 2.0 * np.pi))
         return self._state_unchecked(theta, phi)
 
-    def inner(self, a: StateVector, b: StateVector) -> complex:
-        return complex(np.vdot(a.coeffs, b.coeffs))
+    def chart(self, point, margin: float, name: str):
+        """(vec, inner) of the (theta, phi) "angles" chart or the "pq" chart.
+
+        Neither chart covers the poles; phi is not reduced mod 2*pi.
+        """
+        _check_chart(self, name, ("angles", "pq"))
+        u = point[0]
+        if name == "angles":
+            if not margin < u < np.pi - margin:
+                raise ChartBoundaryError(
+                    f"spin stencil at theta = {u} with extent {margin} crosses a pole"
+                )
+            return (lambda a, b: self._state_unchecked(a, b).coeffs), _vdot
+        r = np.sqrt(self.s * self.hbar)
+        if not -r + margin < u < r - margin:
+            raise ChartBoundaryError(
+                f"spin pq-chart stencil at p = {u} crosses |p| = sqrt(s*hbar)"
+            )
+        return (lambda a, b: self._state_unchecked(float(np.arccos(a / r)), b / r).coeffs), _vdot
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +373,7 @@ def overlap(a, b) -> complex:
     if isinstance(a, StateVector) and isinstance(b, StateVector):
         if a.space != b.space:
             raise ValueError("states live on different spaces")
-        return complex(np.vdot(a.coeffs, b.coeffs))
+        return _vdot(a.coeffs, b.coeffs)
     if isinstance(a, AffineState) and isinstance(b, AffineState):
         if not a.grid.same_as(b.grid):
             raise ValueError("affine states sampled on different grids")

@@ -221,30 +221,23 @@ def rotsym_flow(N: int, m0: float, g0: float) -> FlowSpec:
     )
 
 
-def _midpoint_step_scalar(flow, p, q, dt, tol, max_iter):
+def _midpoint_step(flow, p, q, dt, tol, max_iter, change):
+    """Fixed-point implicit midpoint step; `change` sizes one sweep's update:
+    builtin `abs` for Python floats, `_max_abs` for arrays."""
     fp, fq = flow.dH_dp, flow.dH_dq
     p1, q1 = p - dt * fq(p, q), q + dt * fp(p, q)
     for _ in range(max_iter):
         pm, qm = 0.5 * (p + p1), 0.5 * (q + q1)
         p2 = p - dt * fq(pm, qm)
         q2 = q + dt * fp(pm, qm)
-        if abs(p2 - p1) + abs(q2 - q1) < tol:
+        if change(p2 - p1) + change(q2 - q1) < tol:
             return p2, q2, True
         p1, q1 = p2, q2
     return p1, q1, False
 
 
-def _midpoint_step_vector(flow, p, q, dt, tol, max_iter):
-    fp, fq = flow.dH_dp, flow.dH_dq
-    p1, q1 = p - dt * fq(p, q), q + dt * fp(p, q)
-    for _ in range(max_iter):
-        pm, qm = 0.5 * (p + p1), 0.5 * (q + q1)
-        p2 = p - dt * fq(pm, qm)
-        q2 = q + dt * fp(pm, qm)
-        if np.max(np.abs(p2 - p1)) + np.max(np.abs(q2 - q1)) < tol:
-            return p2, q2, True
-        p1, q1 = p2, q2
-    return p1, q1, False
+def _max_abs(x):
+    return np.max(np.abs(x))
 
 
 def integrate(flow: FlowSpec, initial, t_end: float,
@@ -290,8 +283,8 @@ def _run_scalar(flow, initial, t_end, controls):
             qdot = flow.dH_dp(p, q)
             if qdot < 0:
                 dt = min(dt, max(5e-5 * q / -qdot, 1e-12))
-        p1, q1, ok = _midpoint_step_scalar(flow, p, q, dt, controls.fp_tol,
-                                           controls.max_fp_iter)
+        p1, q1, ok = _midpoint_step(flow, p, q, dt, controls.fp_tol,
+                                    controls.max_fp_iter, abs)
         t += dt
         if flow.positive_q and (not ok or not math.isfinite(q1) or q1 <= controls.q_floor):
             status, hit = "singularity", t
@@ -324,7 +317,7 @@ def _run_vector(flow, initial, t_end, controls):
     # step every run as rows of one (B, N) array; an (N,) run is one row
     rows_p = ps.reshape(len(times), -1, p0.shape[-1])
     rows_q = qs.reshape(rows_p.shape)
-    solve = flow.midpoint or partial(_midpoint_step_vector, flow)
+    solve = flow.midpoint or partial(_midpoint_step, flow, change=_max_abs)
     p, q = rows_p[0], rows_q[0]
     for i, dt in enumerate(steps, 1):
         p, q, ok = solve(p, q, dt, controls.fp_tol, controls.max_fp_iter)

@@ -12,21 +12,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import AffineFamily, CanonicalFamily, SpinFamily
+from .coherent import ChartBoundaryError
 
 __all__ = [
     "Metric2D",
     "CurvatureReport",
     "ChartBoundaryError",
-    "chart_adapter",
     "fs_metric",
     "fiducial_metric_coeffs",
     "gaussian_curvature",
 ]
-
-
-class ChartBoundaryError(ValueError):
-    """Stencil would cross the edge of the family's chart."""
 
 
 @dataclass(frozen=True)
@@ -63,73 +58,6 @@ class CurvatureReport:
     chart: str
 
 
-class _Adapter:
-    """Raw state vectors plus the matching inner product for one chart."""
-
-    def __init__(self, vec, inner, hbar, chart):
-        self.vec = vec
-        self.inner = inner
-        self.hbar = hbar
-        self.chart = chart
-
-
-def chart_adapter(family, point, chart: str | None = None, margin: float = 0.0) -> _Adapter:
-    """Build the (u, v) -> vector map used by the metric differences.
-
-    For affine families the quadrature grid is rebased on the stencil
-    center so every stencil state shares one grid; `margin` is the
-    largest chart offset the caller will request.
-    """
-    u, v = point
-    if isinstance(family, CanonicalFamily):
-        return _Adapter(
-            vec=lambda a, b: family.state(a, b).coeffs,
-            inner=lambda x, y: complex(np.vdot(x, y)),
-            hbar=family.hbar,
-            chart=chart or "pq",
-        )
-    if isinstance(family, AffineFamily):
-        if v - margin <= 0:
-            raise ChartBoundaryError(
-                f"affine stencil at q = {v} with extent {margin} crosses q = 0"
-            )
-        local = family.centered(v)
-        w = local.grid.weights
-        return _Adapter(
-            vec=lambda a, b: local.state(a, b).samples,
-            inner=lambda x, y: complex(np.sum(w * np.conj(x) * y)),
-            hbar=family.hbar,
-            chart=chart or "pq",
-        )
-    if isinstance(family, SpinFamily):
-        name = chart or "angles"
-        if name == "angles":
-            if not margin < u < np.pi - margin:
-                raise ChartBoundaryError(
-                    f"spin stencil at theta = {u} with extent {margin} crosses a pole"
-                )
-            vec = lambda a, b: family._state_unchecked(a, b).coeffs
-        elif name == "pq":
-            r = np.sqrt(family.s * family.hbar)
-            if not -r + margin < u < r - margin:
-                raise ChartBoundaryError(
-                    f"spin pq-chart stencil at p = {u} crosses |p| = sqrt(s*hbar)"
-                )
-            vec = lambda a, b: family._state_unchecked(float(np.arccos(a / r)), b / r).coeffs
-        else:
-            raise ValueError(f"unknown spin chart {name!r}")
-        return _Adapter(
-            vec=vec,
-            inner=lambda x, y: complex(np.vdot(x, y)),
-            hbar=family.hbar,
-            chart=name,
-        )
-    # duck-typed families (used by the phase-invariance property test)
-    return _Adapter(
-        vec=family.vec, inner=family.inner, hbar=family.hbar, chart=chart or "uv"
-    )
-
-
 def _fourth_order_diff(f, u, v, h, axis):
     if axis == 0:
         vals = [f(u + s * h, v) for s in (-2, -1, 1, 2)]
@@ -139,29 +67,31 @@ def _fourth_order_diff(f, u, v, h, axis):
 
 
 def fs_metric(family, point, step: float = 1e-3, chart: str | None = None) -> Metric2D:
-    """Scaled Fubini-Study metric at a chart point.
+    """Scaled Fubini-Study metric at a point of the family's chart.
 
     2*hbar*Re[<d_i psi|d_j psi> - <d_i psi|psi><psi|d_j psi>] from
-    fourth-order central differences of the state map.
+    fourth-order central differences of the state map; `chart` defaults
+    to `family.default_chart`.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    ad = chart_adapter(family, point, chart, margin=2.0 * step)
+    name = chart or family.default_chart
+    vec, inner = family.chart(point, 2.0 * step, name)
     u, v = point
-    psi = ad.vec(u, v)
-    du = _fourth_order_diff(ad.vec, u, v, step, axis=0)
-    dv = _fourth_order_diff(ad.vec, u, v, step, axis=1)
-    n0 = ad.inner(psi, psi).real
+    psi = vec(u, v)
+    du = _fourth_order_diff(vec, u, v, step, axis=0)
+    dv = _fourth_order_diff(vec, u, v, step, axis=1)
+    n0 = inner(psi, psi).real
     if abs(n0 - 1.0) > 1e-6:
         raise ValueError(f"stencil states lose norm: <psi|psi> = {n0}")
 
     def g(di, dj):
-        corr = ad.inner(di, psi) * ad.inner(psi, dj) / n0
-        return 2.0 * ad.hbar * float((ad.inner(di, dj) - corr).real)
+        corr = inner(di, psi) * inner(psi, dj) / n0
+        return 2.0 * family.hbar * float((inner(di, dj) - corr).real)
 
     return Metric2D(
         g_pp=g(du, du), g_pq=g(du, dv), g_qq=g(dv, dv),
-        point=(float(u), float(v)), chart=ad.chart,
+        point=(float(u), float(v)), chart=name,
     )
 
 
@@ -220,13 +150,11 @@ def gaussian_curvature(family, point, step: float = 1e-2, chart: str | None = No
     rejects stencils crossing the chart boundary.
     """
     u, v = point
-    extent = 2.0 * step + 2.0 * state_step
-    chart_adapter(family, point, chart, margin=extent)  # boundary check
-    if isinstance(family, SpinFamily) and (chart or "angles") == "angles":
-        if not 0.2 <= u <= np.pi - 0.2:
-            raise ChartBoundaryError(
-                "spin curvature restricted to theta in [0.2, pi - 0.2]"
-            )
+    name = chart or family.default_chart
+    family.chart(point, 2.0 * step + 2.0 * state_step, name)  # boundary check
+    # the spin angles chart degenerates at the poles, where g_vv -> 0
+    if name == "angles" and not 0.2 <= u <= np.pi - 0.2:
+        raise ChartBoundaryError("spin curvature restricted to theta in [0.2, pi - 0.2]")
 
     def k_at(h):
         e = [[0.0] * 3 for _ in range(3)]
@@ -234,7 +162,7 @@ def gaussian_curvature(family, point, step: float = 1e-2, chart: str | None = No
         g = [[0.0] * 3 for _ in range(3)]
         for i, su in enumerate((-1, 0, 1)):
             for j, sv in enumerate((-1, 0, 1)):
-                m = fs_metric(family, (u + su * h, v + sv * h), state_step, chart)
+                m = fs_metric(family, (u + su * h, v + sv * h), state_step, name)
                 if not m.is_positive_definite():
                     raise ValueError(f"metric not positive-definite at {m.point}")
                 e[i][j], f[i][j], g[i][j] = m.g_pp, m.g_pq, m.g_qq
@@ -245,5 +173,5 @@ def gaussian_curvature(family, point, step: float = 1e-2, chart: str | None = No
     k = (4.0 * k_h2 - k_h) / 3.0  # second-order differences: h^2 Richardson
     return CurvatureReport(
         K=float(k), point=(float(u), float(v)), step=float(step),
-        error=float(abs(k_h2 - k_h) / 3.0), chart=chart or ("angles" if isinstance(family, SpinFamily) else "pq"),
+        error=float(abs(k_h2 - k_h) / 3.0), chart=name,
     )

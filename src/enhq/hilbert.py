@@ -46,18 +46,18 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HilbertSpace:
-    """A finite basis: Fock truncation, spin multiplet, or half-line grid."""
+    """A finite basis: Fock truncation or spin multiplet."""
 
     dim: int
     hbar: float
-    kind: str  # "fock" | "spin" | "halfline-grid"
+    kind: str  # "fock" | "spin"
 
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError(f"dim must be >= 2, got {self.dim}")
         if self.hbar <= 0:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
-        if self.kind not in ("fock", "spin", "halfline-grid"):
+        if self.kind not in ("fock", "spin"):
             raise ValueError(f"unknown space kind {self.kind!r}")
 
 

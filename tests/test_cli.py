@@ -48,6 +48,11 @@ class TestBadControls:
         ("dynamics", {"dt": 0}),
         ("dynamics", {"stride": 0}),
         ("rotsym", {"stride": -1}),
+        ("dynamics", {"stride": 2.5}),
+        ("metric", {"family": "nonsense"}),
+        ("dynamics", {"cross_check": "yes"}),
+        ("inequality", {"alphas": [0.3, "x"]}),
+        ("inequality", {"command": "metric"}),
     ])
     def test_config_value_rejected(self, tmp_path, capsys, command, cfg):
         path = tmp_path / "cfg.json"
@@ -138,6 +143,15 @@ class TestConfigFile:
         summary = json.loads(_read(tmp_path / "inequality_summary.json"))
         assert summary["config"]["n"] == 3  # flag wins
         assert summary["config"]["m0"] == 2.0  # file fills the gap
+
+    def test_values_parse_like_flags(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alphas": [0.1, 0.3], "n": "3", "m0": 2, "eps": None}))
+        assert run(["--out", str(tmp_path), "--config", str(cfg), "inequality"]) == 0
+        config = json.loads(_read(tmp_path / "inequality_summary.json"))["config"]
+        assert config["alphas"] == [0.1, 0.3]
+        assert config["n"] == 3 and config["m0"] == 2.0 and config["eps"] is None
+        assert "fn" not in config
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -10,7 +10,7 @@ from enhq.coherent import (
     affine_moment,
     overlap,
 )
-from enhq.hilbert import basis_state, expectation, make_fock_space
+from enhq.hilbert import basis_state, expectation, make_fock_space, squeezed_ground_state
 
 
 # ---------------------------------------------------------------- canonical
@@ -57,6 +57,18 @@ class TestCanonical:
         for delta in (1e-3, 1e-4):
             dists.append(np.linalg.norm(fam.state(0.5 + delta, 0.5).coeffs - base))
         assert dists[0] / dists[1] == pytest.approx(10.0, rel=0.05)
+
+    def test_with_hbar_keeps_custom_fiducial(self):
+        # the squeezed ground state has hbar-independent Fock coefficients
+        sp = make_fock_space(40, 1.0)
+        fam = CanonicalFamily(space=sp, fiducial=squeezed_ground_state(sp, 1.3))
+        moved = fam.with_hbar(0.25)
+        assert moved.hbar == 0.25
+        assert np.array_equal(moved.fiducial.coeffs, fam.fiducial.coeffs)
+        ref = squeezed_ground_state(make_fock_space(40, 0.25), 1.3)
+        assert abs(abs(overlap(moved.fiducial, ref)) - 1.0) < 1e-10
+        assert expectation(moved.fiducial, moved.Q @ moved.Q).real == pytest.approx(
+            1.3**2 * 0.25 / 2, abs=1e-8)
 
     def test_xrep_ground_state(self):
         fam = CanonicalFamily(N=100)

@@ -98,6 +98,31 @@ class TestSpinMetric:
             gaussian_curvature(fam, (0.1, 0.0))
 
 
+class TestCharts:
+    @pytest.mark.parametrize("family,name", [
+        (CanonicalFamily(N=20), "angles"), (AffineFamily(1.0, 1.0), "angles"),
+        (CanonicalFamily(N=20), "polar"), (AffineFamily(1.0, 1.0), "polar"),
+        (SpinFamily(1.0, 1.0), "polar"),
+    ], ids=lambda x: getattr(x, "kind", x))
+    def test_unknown_chart_rejected(self, family, name):
+        point = (1.0, 1.0)
+        with pytest.raises(ValueError, match="unknown"):
+            family.chart(point, 0.0, name)
+        with pytest.raises(ValueError, match="unknown"):
+            fs_metric(family, point, chart=name)
+        with pytest.raises(ValueError, match="unknown"):
+            gaussian_curvature(family, point, chart=name)
+
+    @pytest.mark.parametrize("family,chart", [
+        (CanonicalFamily(N=20), "pq"), (AffineFamily(1.0, 1.0), "pq"),
+        (SpinFamily(1.0, 1.0), "angles"),
+    ], ids=lambda x: getattr(x, "kind", x))
+    def test_default_chart_labels_results(self, family, chart):
+        assert family.default_chart == chart
+        assert fs_metric(family, (1.0, 1.0)).chart == chart
+        assert gaussian_curvature(family, (1.0, 1.0)).chart == chart
+
+
 class TestPhaseInvariance:
     def test_synthetic_phase_change(self):
         # multiplying the state map by exp(i alpha(p, q)) must not move the metric
@@ -105,14 +130,12 @@ class TestPhaseInvariance:
 
         class Rephased:
             hbar = base.hbar
+            default_chart = "pq"
 
             @staticmethod
-            def vec(p, q):
-                return np.exp(1j * (0.7 * p * q + 0.3 * p)) * base.state(p, q).coeffs
-
-            @staticmethod
-            def inner(x, y):
-                return complex(np.vdot(x, y))
+            def chart(point, margin, name):
+                vec, inner = base.chart(point, margin, name)
+                return (lambda p, q: np.exp(1j * (0.7 * p * q + 0.3 * p)) * vec(p, q)), inner
 
         plain = fs_metric(base, (0.4, 0.9)).as_matrix()
         rephased = fs_metric(Rephased(), (0.4, 0.9)).as_matrix()
