@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from importlib import metadata
 
 import numpy as np
@@ -257,18 +258,32 @@ def _cmd_selftest(args, out_base, t0):
 # ------------------------------------------------------------------- parsing
 
 
+# argparse reads a bare "-1,0" as a flag; the "=" form keeps it a value
+_LIST_HELP = "{} as a comma list; one that starts negative needs the = form, --{}=-1,0"
+
+
 def _floats(text: str):
     return [float(x) for x in text.split(",") if x.strip()]
 
 
+def _shared_flags(parser, defaults=("enhq_out", "csv", None)):
+    out, fmt, config = defaults
+    parser.add_argument("--out", default=out, help="output directory")
+    parser.add_argument("--format", choices=("csv", "json"), default=fmt,
+                        help="data table format (JSON summary is always written)")
+    parser.add_argument("--config", default=config,
+                        help="JSON file of defaults; explicit flags override it")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="enhq", description=__doc__.splitlines()[0])
-    ap.add_argument("--out", default="enhq_out", help="output directory")
-    ap.add_argument("--format", choices=("csv", "json"), default="csv",
-                    help="data table format (JSON summary is always written)")
-    ap.add_argument("--config", default=None,
-                    help="JSON file of defaults; explicit flags override it")
+    _shared_flags(ap)
+    # the shared flags also parse after the subcommand; there they default
+    # to SUPPRESS, so a flag given before the subcommand is kept
+    shared = argparse.ArgumentParser(add_help=False)
+    _shared_flags(shared, defaults=(argparse.SUPPRESS,) * 3)
     sub = ap.add_subparsers(dest="command", required=True)
+    add = partial(sub.add_parser, parents=[shared])
 
     def fam(p, kinds=("canonical", "affine", "spin")):
         p.add_argument("--family", choices=kinds, default=kinds[0])
@@ -277,22 +292,26 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--s", type=float, default=0.5)
         p.add_argument("--N", type=int, default=100)
 
-    p = sub.add_parser("metric", help="metric and curvature sweep")
+    p = add("metric", help="metric and curvature sweep")
     fam(p)
-    p.add_argument("--p", type=_floats, default=[0.0], help="comma list of first coords")
-    p.add_argument("--q", type=_floats, default=[1.0], help="comma list of second coords")
+    p.add_argument("--p", type=_floats, default=[0.0],
+                   help=_LIST_HELP.format("first coords", "p"))
+    p.add_argument("--q", type=_floats, default=[1.0],
+                   help=_LIST_HELP.format("second coords", "q"))
     p.set_defaults(fn=_cmd_metric)
 
-    p = sub.add_parser("wcp", help="enhanced Hamiltonian surface and hbar scaling")
+    p = add("wcp", help="enhanced Hamiltonian surface and hbar scaling")
     fam(p, kinds=("canonical", "affine"))
     p.add_argument("--hamiltonian", default=None,
                    help="term list, e.g. '0.5*P.P + 0.5*Q.Q' or 'D.Qinv.D'")
-    p.add_argument("--p", type=_floats, default=[0.0, 0.5, 1.0])
-    p.add_argument("--q", type=_floats, default=[1.0, 2.0])
+    p.add_argument("--p", type=_floats, default=[0.0, 0.5, 1.0],
+                   help=_LIST_HELP.format("p values", "p"))
+    p.add_argument("--q", type=_floats, default=[1.0, 2.0],
+                   help=_LIST_HELP.format("q values", "q"))
     p.add_argument("--hbar-sweep", type=_floats, default=[1.0, 0.5, 0.25, 0.1, 0.05])
     p.set_defaults(fn=_cmd_wcp)
 
-    p = sub.add_parser("dynamics", help="classical vs enhanced trajectories")
+    p = add("dynamics", help="classical vs enhanced trajectories")
     p.add_argument("--model", choices=("oscillator", "toygravity"), default="toygravity")
     p.add_argument("--hbar", type=float, default=0.0)
     p.add_argument("--beta", type=float, default=1.0)
@@ -305,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="adaptive Runge-Kutta endpoint comparison")
     p.set_defaults(fn=_cmd_dynamics)
 
-    p = sub.add_parser("rotsym", help="shuffle-symmetry demonstration")
+    p = add("rotsym", help="shuffle-symmetry demonstration")
     p.add_argument("--N", type=int, default=6)
     p.add_argument("--m0", type=float, default=1.0)
     p.add_argument("--g0", type=float, default=1.0)
@@ -314,15 +333,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stride", type=int, default=100)
     p.set_defaults(fn=_cmd_rotsym)
 
-    p = sub.add_parser("inequality", help="cutoff sweep of the radial inequality")
+    p = add("inequality", help="cutoff sweep of the radial inequality")
     p.add_argument("--n", type=int, default=5)
-    p.add_argument("--alphas", type=_floats, default=[0.0, 0.8, 1.3])
+    p.add_argument("--alphas", type=_floats, default=[0.0, 0.8, 1.3],
+                   help=_LIST_HELP.format("exponents", "alphas"))
     p.add_argument("--m0", type=float, default=1.0)
     p.add_argument("--eps", type=_floats, default=None,
                    help="decreasing cutoff list (default geometric 1e-2..1e-7)")
     p.set_defaults(fn=_cmd_inequality)
 
-    p = sub.add_parser("selftest", help="run the module invariant suite")
+    p = add("selftest", help="run the module invariant suite")
     p.set_defaults(fn=_cmd_selftest)
 
     return ap
@@ -354,7 +374,8 @@ def _apply_config_file(ap: argparse.ArgumentParser, args, argv) -> None:
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object of flag defaults")
     sub = next(a for a in ap._actions if a.dest == "command")
-    actions = {a.dest: a for parser in (ap, sub.choices[args.command])
+    # the top-level shared flags come last, so their defaults are the ones read
+    actions = {a.dest: a for parser in (sub.choices[args.command], ap)
                for a in parser._actions if a.option_strings and a.dest != "help"}
     problems = []
     for key, value in cfg.items():

@@ -3,23 +3,28 @@
 The integrator is the implicit midpoint rule (symmetric, symplectic); an
 adaptive Runge-Kutta shadow run is available as a cross-check.
 
-Scalar flows step on Python floats with a fixed-point inner iteration.
-Toy-gravity flows live on q > 0 and terminate with a "singularity" status
-when q reaches the chart floor; near the floor the step size is throttled
-so the hit time is resolved far below the reporting tolerance.
+A flow may supply an exact midpoint solver, `FlowSpec.midpoint`;
+otherwise the midpoint equations are solved by fixed-point iteration
+(Hairer, Lubich and Wanner, Geometric Numerical Integration, ch. VI).
+
+Scalar flows step on Python floats.  Toy-gravity flows live on q > 0 and
+terminate with a "singularity" status when q reaches the chart floor or a
+step has no midpoint solution; near the floor the step size is throttled
+so the hit time is resolved far below the reporting tolerance.  Their
+exact solver reduces the midpoint equations to one quadratic in p; the
+oscillator keeps the fixed-point iteration.
 
 Vector flows step a batch of B trajectories, initial arrays of shape
-(B, N), as one array; an (N,) initial state is a batch of one.  A flow
-may supply an exact midpoint solver, `FlowSpec.midpoint`; otherwise the
-fixed-point iteration runs on the whole batch.  The rotationally symmetric
-quartic flow supplies one: its midpoint equations reduce to one scalar
-equation per row for the radial factor kappa, solved by Newton's method
-(Hairer, Lubich and Wanner, Geometric Numerical Integration, ch. VI).
+(B, N), as one array; an (N,) initial state is a batch of one.  The
+rotationally symmetric quartic flow's exact solver reduces its midpoint
+equations to one scalar equation per row for the radial factor kappa,
+solved by Newton's method.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -51,8 +56,9 @@ class FlowSpec:
     positive_q: bool = False
     vector: bool = False
     params: dict = field(default_factory=dict)
-    # exact step of a vector flow: (p, q, dt, tol, max_iter) -> (p1, q1, ok)
-    # on (B, N) arrays; None falls back to fixed-point iteration
+    # exact midpoint step (p, q, dt, tol, max_iter) -> (p1, q1, ok) on Python
+    # floats, or on (B, N) arrays for a vector flow; None falls back to
+    # fixed-point iteration
     midpoint: object = None
 
 
@@ -148,6 +154,7 @@ def toy_gravity_flow(hbar: float = 0.0, cprime: float | None = None,
             dH_dq=lambda p, q: p * p,
             positive_q=True,
             params={"hbar": hbar, "barrier": 0.0},
+            midpoint=_toy_gravity_midpoint(0.0),
         )
     return FlowSpec(
         name="toygravity-enhanced",
@@ -156,7 +163,35 @@ def toy_gravity_flow(hbar: float = 0.0, cprime: float | None = None,
         dH_dq=lambda p, q: p * p - c / (q * q),
         positive_q=True,
         params={"hbar": hbar, "barrier": c},
+        midpoint=_toy_gravity_midpoint(c),
     )
+
+
+def _toy_gravity_midpoint(c: float):
+    """Exact midpoint step of H = q p^2 + c / q on Python floats."""
+
+    def midpoint(p, q, dt, tol, max_iter):
+        # The q-equation qm = q + dt qm pm gives qm = q / (1 - dt pm).  With
+        # r = c / q^2 the p-equation pm = p - (dt/2)(pm^2 - c / qm^2) becomes
+        #   (dt/2)(1 - r dt^2) pm^2 + (1 + r dt^2) pm - (p + dt r / 2) = 0,
+        # and its root that tends to p as dt -> 0 is 2k / (b + sqrt(b^2 + 4ak)),
+        # free of cancellation.  A negative discriminant or 1 - dt pm <= 0
+        # leaves the step without a midpoint solution.
+        r = c / q / q
+        rdt2 = r * dt * dt
+        a = 0.5 * dt * (1.0 - rdt2)
+        b = 1.0 + rdt2
+        k = p + 0.5 * dt * r
+        disc = b * b + 4.0 * a * k
+        if disc < 0.0:
+            return p, q, False
+        pm = 2.0 * k / (b + math.sqrt(disc))
+        u = 1.0 - dt * pm
+        if u <= 0.0:
+            return p, q, False
+        return 2.0 * pm - p, 2.0 * q / u - q, True
+
+    return midpoint
 
 
 def _sumsq(x):
@@ -270,33 +305,48 @@ def integrate(flow: FlowSpec, initial, t_end: float,
 
 def _run_scalar(flow, initial, t_end, controls):
     p, q = (float(x) for x in initial)
-    if flow.positive_q and q <= 0:
+    positive = flow.positive_q
+    if positive and q <= 0:
         raise ValueError("initial q must be positive on this chart")
-    times, ps, qs, es = [0.0], [p], [q], [flow.hamiltonian(p, q)]
-    t = 0.0
+    solve = flow.midpoint or partial(_midpoint_step, flow, change=abs)
+    qdot = flow.dH_dp
+    h, tol, max_iter, floor = controls.dt, controls.fp_tol, controls.max_fp_iter, controls.q_floor
+    h_last = h * (1.0 + 1e-9)  # a remainder under 1e-9 h joins the last step
+    times, ps, qs = array("d", [0.0]), array("d", [p]), array("d", [q])
+    t = lost = 0.0
     status, hit = "completed", None
     while t < t_end - 1e-15:
-        dt = min(controls.dt, t_end - t)
-        if flow.positive_q:
+        rest = t_end - t
+        dt = h if rest > h_last else rest
+        if positive:
             # keep the relative shrink of q modest so the floor crossing
             # is localized to ~sqrt(q_floor/E) in time
-            qdot = flow.dH_dp(p, q)
-            if qdot < 0:
-                dt = min(dt, max(5e-5 * q / -qdot, 1e-12))
-        p1, q1, ok = _midpoint_step(flow, p, q, dt, controls.fp_tol,
-                                    controls.max_fp_iter, abs)
-        t += dt
-        if flow.positive_q and (not ok or not math.isfinite(q1) or q1 <= controls.q_floor):
+            v = qdot(p, q)
+            if v < 0:
+                dt = min(dt, max(5e-5 * q / -v, 1e-12))
+        p1, q1, ok = solve(p, q, dt, tol, max_iter)
+        if dt == rest:
+            t = t_end
+        else:
+            # compensated (Kahan) sum: a plain running sum of 20,000 steps
+            # of 1e-4 ends 2e-13 short of 2, too far for the fold above
+            y = dt - lost
+            s = t + y
+            lost = (s - t) - y
+            t = s
+        if positive and (not ok or not math.isfinite(q1) or q1 <= floor):
             status, hit = "singularity", t
             break
         if not ok:
-            raise RuntimeError(f"fixed-point iteration failed at t = {t}")
+            raise RuntimeError(f"implicit midpoint solve failed at t = {t}")
         p, q = p1, q1
         times.append(t)
         ps.append(p)
         qs.append(q)
-        es.append(flow.hamiltonian(p, q))
-    return times, ps, qs, es, status, hit
+    # H on the stored arrays applies the per-step float operations in the
+    # same order, so each energy is bit-identical to a per-step evaluation
+    times, ps, qs = np.asarray(times), np.asarray(ps), np.asarray(qs)
+    return times, ps, qs, flow.hamiltonian(ps, qs), status, hit
 
 
 def _run_vector(flow, initial, t_end, controls):
@@ -304,22 +354,20 @@ def _run_vector(flow, initial, t_end, controls):
     if p0.shape != q0.shape or p0.ndim not in (1, 2):
         raise ValueError("initial p and q must share a shape (N,) or (B, N), "
                          f"got {p0.shape} and {q0.shape}")
-    times, steps = [0.0], []
-    t = 0.0
-    while t < t_end - 1e-15:
-        dt = min(controls.dt, t_end - t)
-        t += dt
-        steps.append(dt)
-        times.append(t)
-    ps = np.empty((len(times),) + p0.shape)
+    # n equal steps, t_k = t_end k / n: no roundoff-length last step
+    n = max(1, math.ceil(t_end / controls.dt - 1e-9))
+    times = t_end * np.arange(n + 1) / n
+    times[-1] = t_end
+    dt = t_end / n
+    ps = np.empty((n + 1,) + p0.shape)
     qs = np.empty_like(ps)
     ps[0], qs[0] = p0, q0
     # step every run as rows of one (B, N) array; an (N,) run is one row
-    rows_p = ps.reshape(len(times), -1, p0.shape[-1])
+    rows_p = ps.reshape(n + 1, -1, p0.shape[-1])
     rows_q = qs.reshape(rows_p.shape)
     solve = flow.midpoint or partial(_midpoint_step, flow, change=_max_abs)
     p, q = rows_p[0], rows_q[0]
-    for i, dt in enumerate(steps, 1):
+    for i in range(1, n + 1):
         p, q, ok = solve(p, q, dt, controls.fp_tol, controls.max_fp_iter)
         if not ok:
             raise RuntimeError(f"implicit midpoint solve failed at t = {times[i]}")

@@ -118,6 +118,39 @@ class TestArtifacts:
         assert "invariants pass" in out
 
 
+class TestSharedFlags:
+    @pytest.mark.parametrize("flag", [["--format", "json"], ["--format=json"]])
+    def test_either_side_of_the_subcommand(self, tmp_path, capsys, flag):
+        argv = ["metric", "--family", "affine", "--p=-0.5,0", "--q", "1"]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(["--out", str(a)] + flag + argv) == 0
+        assert run(argv + ["--out", str(b)] + flag) == 0
+        assert (a / "metric.json").read_bytes() == (b / "metric.json").read_bytes()
+
+    def test_config_after_the_subcommand(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alphas": "0.3"}))
+        assert run(["inequality", "--n", "3", "--config", str(cfg),
+                    "--out", str(tmp_path)]) == 0
+        summary = json.loads(_read(tmp_path / "inequality_summary.json"))
+        assert summary["config"]["alphas"] == [0.3]
+        assert summary["config"]["format"] == "csv"
+
+
+class TestNegativeLists:
+    def test_equals_form_runs(self, tmp_path, capsys):
+        assert run(["--out", str(tmp_path), "metric", "--p=-1,0", "--q=-0.5"]) == 0
+        rows = _read(tmp_path / "metric.csv").splitlines()[1:]
+        assert [tuple(r.split(",")[:2]) for r in rows] == [("-1", "-0.5"), ("0", "-0.5")]
+
+    def test_bare_form_is_a_usage_error(self, tmp_path, capsys):
+        assert run(["--out", str(tmp_path), "metric", "--p", "-1,0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: enhq metric")
+        assert "--p: expected one argument" in err
+        assert "Traceback" not in err
+
+
 class TestDeterminism:
     def test_identical_configs_byte_identical_csv(self, tmp_path, capsys):
         argv = ["inequality", "--n", "5", "--alphas", "0.5,1.3"]

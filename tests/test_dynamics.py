@@ -81,6 +81,12 @@ class TestOscillator:
         fine = integrate(flow, (1.0, 0.0), 10.0, IntegratorControls(dt=1e-3))
         assert coarse.drift > fine.drift
 
+    def test_time_grid_ends_on_t_end(self):
+        # a plain running sum of 1e-4 steps leaves a 2e-13 step at the end
+        traj = integrate(oscillator_flow(), (1.0, 0.0), 2.0)
+        assert traj.times.size == 20_001
+        assert traj.times[-1] == 2.0
+
     def test_rk_cross_check(self):
         flow = oscillator_flow()
         traj = integrate(flow, (1.0, 0.0), 5.0,
@@ -265,6 +271,71 @@ class TestRadialMidpoint:
                          IntegratorControls(dt=1e-3, cross_check=True))
         assert traj.meta["cross_check_error"] < 1e-5
 
+    def test_time_grid_ends_on_t_end(self):
+        p, q = _random_batch(np.random.default_rng(6), 2, 6, 0.2)
+        traj = integrate(rotsym_flow(6, 1.0, 1.0), (p, q), 2.0, IntegratorControls(dt=1e-4))
+        assert traj.times.size == 20_001
+        assert traj.times[-1] == 2.0
+        assert np.array_equal(traj.times, 2.0 * np.arange(20_001) / 20_000)
+
     def test_initial_shape_mismatch(self):
         with pytest.raises(ValueError):
             integrate(rotsym_flow(3, 1.0, 1.0), (np.zeros((2, 3)), np.zeros(3)), 1.0)
+
+
+class TestToyGravityMidpoint:
+    """The exact midpoint solver of toy_gravity_flow against its defining
+    equations; the enhanced flow's barrier is c = C'(2, 1) at hbar = 1."""
+
+    @pytest.mark.parametrize("flow", [
+        toy_gravity_flow(hbar=0.0), toy_gravity_flow(hbar=1.0, beta=2.0),
+    ], ids=["classical", "enhanced"])
+    @pytest.mark.parametrize("dt", [5e-5, 1e-4, 0.1])
+    def test_midpoint_residuals_at_roundoff(self, flow, dt):
+        rng = np.random.default_rng(8)
+        for p, q in zip(rng.uniform(-2.0, 2.0, 200), rng.uniform(0.5, 2.0, 200)):
+            p1, q1, ok = flow.midpoint(float(p), float(q), dt, 1e-13, 100)
+            assert ok
+            pm, qm = 0.5 * (p + p1), 0.5 * (q + q1)
+            kick, drift = dt * flow.dH_dq(pm, qm), dt * flow.dH_dp(pm, qm)
+            assert abs(p1 - p + kick) <= 1e-15 * (abs(p) + abs(p1) + abs(kick))
+            assert abs(q1 - q - drift) <= 1e-15 * (abs(q) + abs(q1) + abs(drift))
+
+    @pytest.mark.parametrize("flow,initial,t_end,dt", [
+        (toy_gravity_flow(hbar=0.0), (-1.0, 1.0), 0.9, 1e-4),
+        (toy_gravity_flow(hbar=1.0, beta=2.0), (-1.5, 1.0), 4.0, 5e-5),
+    ], ids=["classical", "enhanced"])
+    def test_exact_solver_matches_fixed_point(self, flow, initial, t_end, dt):
+        controls = IntegratorControls(dt=dt)
+        exact = integrate(flow, initial, t_end, controls)
+        fixed = integrate(dataclasses.replace(flow, midpoint=None), initial, t_end, controls)
+        assert exact.status == fixed.status == "completed"
+        assert exact.times.size == fixed.times.size
+        for a, b in ((exact.ps, fixed.ps), (exact.qs, fixed.qs), (exact.times, fixed.times)):
+            assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b))
+
+    @pytest.mark.parametrize("flow,p,q,dt", [
+        (toy_gravity_flow(hbar=0.0), -10.0, 1.0, 0.1),  # 1 + 2 dt p < 0
+        (toy_gravity_flow(hbar=1.0, beta=2.0), 20.0, 0.01, 0.1),
+    ], ids=["classical", "enhanced"])
+    def test_no_real_root_fails_the_step(self, flow, p, q, dt):
+        assert flow.midpoint(p, q, dt, 1e-13, 100) == (p, q, False)
+
+    def test_failed_step_is_the_singularity(self):
+        # the throttle's 1e-12 step floor leaves 1 + 2 dt p = -1 at p = -1e12
+        flow = toy_gravity_flow(hbar=0.0)
+        assert not flow.midpoint(-1e12, 1.0, 1e-12, 1e-13, 100)[2]
+        traj = integrate(flow, (-1e12, 1.0), 1.0)
+        assert traj.status == "singularity"
+        assert traj.hit_time == 1e-12
+        assert traj.times.size == 1
+
+    @pytest.mark.parametrize("flow,initial,t_end", [
+        (toy_gravity_flow(hbar=0.0), (-1.0, 1.0), 0.5),
+        (toy_gravity_flow(hbar=1.0, beta=2.0), (-1.5, 1.0), 2.0),
+        (oscillator_flow(), (1.0, 0.0), 1.0),
+    ], ids=["classical", "enhanced", "oscillator"])
+    def test_energies_equal_per_step_evaluation(self, flow, initial, t_end):
+        traj = integrate(flow, initial, t_end)
+        per_step = [flow.hamiltonian(p, q) for p, q in zip(traj.ps.tolist(), traj.qs.tolist())]
+        assert traj.energies.tolist() == per_step
