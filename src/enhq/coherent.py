@@ -43,6 +43,12 @@ __all__ = [
 ]
 
 
+# largest share of a canonical state's norm allowed in the top TAIL_LEVELS
+# Fock levels; more means the truncation has cut off part of the state
+TAIL_MASS_MAX = 1e-10
+TAIL_LEVELS = 5
+
+
 class ChartBoundaryError(ValueError):
     """Stencil would cross the edge of the family's chart."""
 
@@ -78,7 +84,11 @@ def hermite_functions(n_max: int, x: np.ndarray, hbar: float) -> np.ndarray:
 
 
 class CanonicalFamily:
-    """Canonical coherent states exp(-iqP/h) exp(ipQ/h) |fiducial>."""
+    """Canonical coherent states exp(-iqP/h) exp(ipQ/h) |fiducial>.
+
+    `state` raises ValueError when the truncated state holds more than
+    TAIL_MASS_MAX of its norm in the top TAIL_LEVELS Fock levels.
+    """
 
     kind = "canonical"
     default_chart = "pq"
@@ -114,7 +124,16 @@ class CanonicalFamily:
         c = vq @ (np.exp(1j * p * wq / h) * (vq.conj().T @ c))
         wp, vp = self._ep
         c = vp @ (np.exp(-1j * q * wp / h) * (vp.conj().T @ c))
-        return StateVector(c / np.linalg.norm(c), self.space)
+        norm = np.linalg.norm(c)
+        top = c[-TAIL_LEVELS:]
+        tail = np.vdot(top, top).real / (norm * norm)
+        if tail > TAIL_MASS_MAX:
+            raise ValueError(
+                f"canonical state at (p, q) = ({p}, {q}) holds {tail:.2g} of its norm in the "
+                f"top {TAIL_LEVELS} of {c.size} Fock levels (limit {TAIL_MASS_MAX:g}); "
+                "use a larger truncation"
+            )
+        return StateVector(c / norm, self.space)
 
     def chart(self, point, margin: float, name: str):
         """(vec, inner) of the (p, q) chart, which covers the whole plane."""

@@ -12,12 +12,22 @@ terminate with a "singularity" status when q reaches the chart floor or a
 step has no midpoint solution; near the floor the step size is throttled
 so the hit time is resolved far below the reporting tolerance.  Their
 exact solver reduces the midpoint equations to one quadratic in p; the
-oscillator keeps the fixed-point iteration.
+oscillator keeps the fixed-point iteration.  The classical flow H = q p^2
+is invariant under (p, q) -> (lam p, q / lam^2), so once the throttle
+binds every step is the same map (p, q) -> (rho p, sigma q): that stretch
+is written in closed form, and the stepping loop takes the first steps,
+the last steps before the floor and any step near t_end.
 
-Vector flows step a batch of B trajectories, initial arrays of shape
-(B, N), as one array; an (N,) initial state is a batch of one.  The
-rotationally symmetric quartic flow's exact solver reduces its midpoint
-equations to one scalar equation per row for the radial factor kappa,
+Vector flows are O(N)-invariant: H depends on p and q only through
+|p|^2, p.q and |q|^2, so both gradients lie in span{p, q} and the
+midpoint rule keeps every iterate in the plane span{p0, q0} (it conserves
+the quadratic invariant p ^ q; Hairer, Lubich and Wanner, ch. IV).  A
+batch of B trajectories, initial arrays of shape (B, N), is stepped row
+by row on the four coefficients of p and q on (p0, q0), with the row's
+2x2 Gram matrix of (p0, q0) supplying the inner products; the (T, B, N)
+states are expanded once at the end.  An (N,) initial state is a batch
+of one.  The rotationally symmetric quartic flow's plane step reduces the
+midpoint equations to one scalar equation for the radial factor kappa,
 solved by Newton's method.
 """
 
@@ -40,8 +50,6 @@ __all__ = [
     "integrate",
     "rotsym_integrate",
     "classical_toy_solution",
-    "singularity_report",
-    "energy_drift",
 ]
 
 Q_FLOOR = 1e-12
@@ -57,9 +65,14 @@ class FlowSpec:
     vector: bool = False
     params: dict = field(default_factory=dict)
     # exact midpoint step (p, q, dt, tol, max_iter) -> (p1, q1, ok) on Python
-    # floats, or on (B, N) arrays for a vector flow; None falls back to
-    # fixed-point iteration
+    # floats, None falling back to fixed-point iteration; a vector flow must
+    # supply its plane step (c, gram, dt, tol, max_iter) -> (c1, ok) on the
+    # coefficients c of p = c0 p0 + c1 q0, q = c2 p0 + c3 q0, with
+    # gram = (p0.p0, p0.q0, q0.q0)
     midpoint: object = None
+    # H = q p^2: invariant under (p, q) -> (lam p, q / lam^2), so every
+    # throttled step is one map and runs of them are taken in closed form
+    self_similar: bool = False
 
 
 @dataclass(frozen=True)
@@ -155,6 +168,7 @@ def toy_gravity_flow(hbar: float = 0.0, cprime: float | None = None,
             positive_q=True,
             params={"hbar": hbar, "barrier": 0.0},
             midpoint=_toy_gravity_midpoint(0.0),
+            self_similar=True,
         )
     return FlowSpec(
         name="toygravity-enhanced",
@@ -215,35 +229,37 @@ def rotsym_flow(N: int, m0: float, g0: float) -> FlowSpec:
         s2 = _sumsq(q)
         return _sumsq(p) + m0**2 * s2 + g0 * s2 * s2
 
-    def midpoint(p, q, dt, tol, max_iter):
+    def midpoint(c, gram, dt, tol, max_iter):
         # With a = q + dt p the midpoint equations give qm = a / (1 + kappa),
-        # kappa = dt^2 (m0^2 + 2 g0 |qm|^2): one scalar equation per row,
-        #   f(kappa) = kappa - k0 - A / (1 + kappa)^2 = 0,
+        # kappa = dt^2 (m0^2 + 2 g0 |qm|^2): one scalar equation,
+        #   F(kappa) = kappa - k0 - A / (1 + kappa)^2 = 0,
         # k0 = dt^2 m0^2, A = 2 dt^2 g0 |a|^2, with one root in [k0, k0 + A].
-        # f is increasing and concave, so Newton started below the root
+        # F is increasing and concave, so Newton started below the root
         # climbs to it monotonically and never leaves that bracket; the start
         # is the fixed-point map k0 + A / (1 + kappa)^2 at the upper end.
         # kappa itself is the unknown: recovering it as (1 + kappa) - 1
-        # would lose the digits of kappa ~ dt^2.
+        # would lose the digits of kappa ~ dt^2.  The step is
+        # p1 = p - 2 f a, q1 = q + 2 dt (p - f a), f = kappa / (dt (1 + kappa)),
+        # on plane coefficients: a = ap p0 + aq q0, |a|^2 from the Gram matrix.
+        pp, pq, qp, qq = c
+        gpp, gpq, gqq = gram
+        ap, aq = qp + dt * pp, qq + dt * pq
         k0 = dt * dt * m0 * m0
-        a = q + dt * p
-        A = (2.0 * dt * dt * g0) * _sumsq(a)
+        A = (2.0 * dt * dt * g0) * (ap * ap * gpp + 2.0 * ap * aq * gpq + aq * aq * gqq)
         kappa = k0 + A / (1.0 + k0 + A) ** 2
-        active = True
         for _ in range(max_iter):
-            c = 1.0 + kappa
-            g = A / (c * c)
-            step = active * (kappa - k0 - g) / (1.0 + 2.0 * g / c)
-            kappa = kappa - step
-            # converged rows stay put, so each row is its own single-row run
-            active = np.abs(step) > tol * kappa
-            if not active.any():
+            s = 1.0 + kappa
+            g = A / (s * s)
+            step = (kappa - k0 - g) / (1.0 + 2.0 * g / s)
+            kappa -= step
+            if abs(step) <= tol * kappa:
                 break
         else:
-            return p, q, False
-        qm = a / (1.0 + kappa)[..., None]
-        wq = (kappa / dt)[..., None] * qm  # dt/2 dH/dq(qm), so pm = p - wq
-        return p - 2.0 * wq, q + (2.0 * dt) * (p - wq), True
+            return c, False
+        f = kappa / (dt * (1.0 + kappa))
+        fp, fq = f * ap, f * aq
+        return (pp - 2.0 * fp, pq - 2.0 * fq,
+                qp + 2.0 * dt * (pp - fp), qq + 2.0 * dt * (pq - fq)), True
 
     return FlowSpec(
         name="rotsym",
@@ -256,33 +272,28 @@ def rotsym_flow(N: int, m0: float, g0: float) -> FlowSpec:
     )
 
 
-def _midpoint_step(flow, p, q, dt, tol, max_iter, change):
-    """Fixed-point implicit midpoint step; `change` sizes one sweep's update:
-    builtin `abs` for Python floats, `_max_abs` for arrays."""
+def _midpoint_step(flow, p, q, dt, tol, max_iter):
+    """Fixed-point implicit midpoint step on Python floats."""
     fp, fq = flow.dH_dp, flow.dH_dq
     p1, q1 = p - dt * fq(p, q), q + dt * fp(p, q)
     for _ in range(max_iter):
         pm, qm = 0.5 * (p + p1), 0.5 * (q + q1)
         p2 = p - dt * fq(pm, qm)
         q2 = q + dt * fp(pm, qm)
-        if change(p2 - p1) + change(q2 - q1) < tol:
+        if abs(p2 - p1) + abs(q2 - q1) < tol:
             return p2, q2, True
         p1, q1 = p2, q2
     return p1, q1, False
-
-
-def _max_abs(x):
-    return np.max(np.abs(x))
 
 
 def integrate(flow: FlowSpec, initial, t_end: float,
               controls: IntegratorControls = IntegratorControls()) -> Trajectory:
     """Implicit-midpoint trajectory of q' = dH/dp, p' = -dH/dq.
 
-    Vector flows take initial arrays of shape (N,) or (B, N); B rows are
-    stepped together and stored as (T, B, N).  Positive-chart scalar flows
-    throttle the step once q heads for the floor, and stop with status
-    "singularity" and the crossing time.
+    Vector flows take initial arrays of shape (N,) or (B, N); each row is
+    stepped in its plane span{p0, q0}, and the B rows are stored as
+    (T, B, N).  Positive-chart scalar flows throttle the step once q heads
+    for the floor, and stop with status "singularity" and the crossing time.
     """
     if not 0 < t_end < math.inf:
         raise ValueError(f"t_end must be finite and positive, got {t_end}")
@@ -308,45 +319,102 @@ def _run_scalar(flow, initial, t_end, controls):
     positive = flow.positive_q
     if positive and q <= 0:
         raise ValueError("initial q must be positive on this chart")
-    solve = flow.midpoint or partial(_midpoint_step, flow, change=abs)
+    solve = flow.midpoint or partial(_midpoint_step, flow)
     qdot = flow.dH_dp
     h, tol, max_iter, floor = controls.dt, controls.fp_tol, controls.max_fp_iter, controls.q_floor
     h_last = h * (1.0 + 1e-9)  # a remainder under 1e-9 h joins the last step
     times, ps, qs = array("d", [0.0]), array("d", [p]), array("d", [q])
     t = lost = 0.0
     status, hit = "completed", None
-    while t < t_end - 1e-15:
-        rest = t_end - t
-        dt = h if rest > h_last else rest
-        if positive:
-            # keep the relative shrink of q modest so the floor crossing
-            # is localized to ~sqrt(q_floor/E) in time
-            v = qdot(p, q)
-            if v < 0:
-                dt = min(dt, max(5e-5 * q / -v, 1e-12))
-        p1, q1, ok = solve(p, q, dt, tol, max_iter)
-        if dt == rest:
-            t = t_end
-        else:
-            # compensated (Kahan) sum: a plain running sum of 20,000 steps
-            # of 1e-4 ends 2e-13 short of 2, too far for the fold above
-            y = dt - lost
-            s = t + y
-            lost = (s - t) - y
-            t = s
-        if positive and (not ok or not math.isfinite(q1) or q1 <= floor):
-            status, hit = "singularity", t
+    end = t_end - 1e-15
+    # a contracting self-similar run steps until the throttle binds, where
+    # the exact flow p0 / (1 + p0 t) passes |p| = 2.5e-5 / h (a little past
+    # it), takes the throttled steps in closed form, and steps again
+    tail = flow.self_similar and p < 0
+    stop = min(1.0 / -p - h / 2.5e-5 / 1.001, end) if tail else end
+    while True:
+        while t < stop:
+            rest = t_end - t
+            dt = h if rest > h_last else rest
+            if positive:
+                # keep the relative shrink of q modest so the floor crossing
+                # is localized to ~sqrt(q_floor/E) in time
+                v = qdot(p, q)
+                if v < 0:
+                    dt = min(dt, max(5e-5 * q / -v, 1e-12))
+            p1, q1, ok = solve(p, q, dt, tol, max_iter)
+            if dt == rest:
+                t = t_end
+            else:
+                # compensated (Kahan) sum: a plain running sum of 20,000 steps
+                # of 1e-4 ends 2e-13 short of 2, too far for the fold above
+                y = dt - lost
+                s = t + y
+                lost = (s - t) - y
+                t = s
+            if positive and (not ok or not math.isfinite(q1) or q1 <= floor):
+                status, hit = "singularity", t
+                break
+            if not ok:
+                raise RuntimeError(f"implicit midpoint solve failed at t = {t}")
+            p, q = p1, q1
+            times.append(t)
+            ps.append(p)
+            qs.append(q)
+        if not tail or hit is not None:
             break
-        if not ok:
-            raise RuntimeError(f"implicit midpoint solve failed at t = {t}")
-        p, q = p1, q1
-        times.append(t)
-        ps.append(p)
-        qs.append(q)
+        p, q, t = _self_similar_run(p, q, t, 5e-5 * q / -qdot(p, q), h, t_end, floor,
+                                    times, ps, qs)
+        tail, lost, stop = False, 0.0, end
     # H on the stored arrays applies the per-step float operations in the
     # same order, so each energy is bit-identical to a per-step evaluation
     times, ps, qs = np.asarray(times), np.asarray(ps), np.asarray(qs)
     return times, ps, qs, flow.hamiltonian(ps, qs), status, hit
+
+
+def _self_similar_run(p, q, t, dt, h, t_end, floor, times, ps, qs):
+    """Throttled steps of H = q p^2 from (p, q) at time t, in closed form.
+
+    dt is the throttled step 5e-5 q / |qdot| = 2.5e-5 / |p|.  Every such
+    step has dt p = -2.5e-5, so it maps (p, q) to (rho p, sigma q) with
+    fixed rho, sigma from one quadratic solve (`_toy_gravity_midpoint` at
+    c = 0), and the step lengths fall geometrically by 1 / rho.  Appends
+    steps 1..K to the buffers and returns the state after them; K stops
+    8 steps short of where the q floor, the 1e-12 step clamp or the
+    t_end landing could act, so the stepping loop handles all three.
+    """
+    if not dt < h:
+        return p, q, t
+    # rho - 1 = 2 (2 - D) / D and sigma - 1 = 2 (1 - u) / u, free of
+    # cancellation, from the floats D = 1 + sqrt(1 + 2 dt p) and
+    # u = 1 - dt pm, which every stepped throttled step rounds alike
+    x = -2.5e-5
+    D = 1.0 + math.sqrt(1.0 + 2.0 * x)  # pm = 2 p / D
+    u = 1.0 - x * (2.0 / D)
+    lr = math.log1p(2.0 * (2.0 - D) / D)  # log rho
+    ls = math.log1p(2.0 * (1.0 - u) / u)  # log sigma
+    k_floor = math.ceil((math.log(floor) - math.log(q)) / ls) if floor > 0 else math.inf
+    k_clamp = math.log(dt / 1e-12) / lr
+    # t_k = t + dt (1 - rho^-k) / (1 - rho^-1) stays 2h short of t_end
+    room = (t_end - 2.0 * h - t) * -math.expm1(-lr) / dt
+    k_land = -math.log1p(-room) / lr if room < 1.0 else math.inf
+    K = int(min(k_floor, k_clamp, k_land)) - 8
+    if K < 1:
+        return p, q, t
+
+    def stretch(rate, scale, shift=0.0, fn=np.exp):
+        # bytes of shift + scale fn(k rate), k = 1..K, built in one array
+        k = np.arange(1.0, K + 1)
+        k *= rate
+        fn(k, out=k)
+        k *= scale
+        k += shift
+        return k.view(np.uint8)
+
+    ps.frombytes(stretch(lr, p))
+    qs.frombytes(stretch(ls, q))
+    times.frombytes(stretch(-lr, dt / math.expm1(-lr), t, np.expm1))
+    return ps[-1], qs[-1], times[-1]
 
 
 def _run_vector(flow, initial, t_end, controls):
@@ -354,6 +422,8 @@ def _run_vector(flow, initial, t_end, controls):
     if p0.shape != q0.shape or p0.ndim not in (1, 2):
         raise ValueError("initial p and q must share a shape (N,) or (B, N), "
                          f"got {p0.shape} and {q0.shape}")
+    if flow.midpoint is None:
+        raise ValueError(f"vector flow {flow.name!r} has no plane midpoint step")
     # n equal steps, t_k = t_end k / n: no roundoff-length last step
     n = max(1, math.ceil(t_end / controls.dt - 1e-9))
     times = t_end * np.arange(n + 1) / n
@@ -361,17 +431,30 @@ def _run_vector(flow, initial, t_end, controls):
     dt = t_end / n
     ps = np.empty((n + 1,) + p0.shape)
     qs = np.empty_like(ps)
-    ps[0], qs[0] = p0, q0
-    # step every run as rows of one (B, N) array; an (N,) run is one row
+    # each run is a row and stays in the plane of its (p0, q0): step the
+    # coefficients of p and q on (p0, q0) with the plane's Gram matrix, then
+    # expand them into the row's states
     rows_p = ps.reshape(n + 1, -1, p0.shape[-1])
     rows_q = qs.reshape(rows_p.shape)
-    solve = flow.midpoint or partial(_midpoint_step, flow, change=_max_abs)
-    p, q = rows_p[0], rows_q[0]
-    for i in range(1, n + 1):
-        p, q, ok = solve(p, q, dt, controls.fp_tol, controls.max_fp_iter)
-        if not ok:
-            raise RuntimeError(f"implicit midpoint solve failed at t = {times[i]}")
-        rows_p[i], rows_q[i] = p, q
+    bases = np.stack([p0.reshape(rows_p.shape[1:]), q0.reshape(rows_p.shape[1:])], axis=1)
+    step, tol, max_iter = flow.midpoint, controls.fp_tol, controls.max_fp_iter
+    start = (1.0, 0.0, 0.0, 1.0)  # p = p0, q = q0
+    coefs = array("d", start) * (n + 1)  # one buffer, reused by each row
+    plane = np.frombuffer(coefs).reshape(n + 1, 2, 2)  # [k, (p, q), (p0, q0)]
+    for b, basis in enumerate(bases):
+        gram = basis @ basis.T
+        gram = (float(gram[0, 0]), float(gram[0, 1]), float(gram[1, 1]))
+        c = start
+        for i in range(4, 4 * n + 4, 4):
+            c, ok = step(c, gram, dt, tol, max_iter)
+            if not ok:
+                raise RuntimeError(f"implicit midpoint solve failed at t = {times[i // 4]}")
+            coefs[i], coefs[i + 1], coefs[i + 2], coefs[i + 3] = c
+        np.einsum("tk,kn->tn", plane[:, 0], basis, out=rows_p[:, b])
+        np.einsum("tk,kn->tn", plane[:, 1], basis, out=rows_q[:, b])
+    # freed before H allocates its temporaries, so the heap can reuse it
+    # instead of holding it resident beneath them (peak RSS)
+    del coefs, plane
     return times, ps, qs, flow.hamiltonian(ps, qs), "completed", None
 
 
@@ -413,26 +496,3 @@ def classical_toy_solution(p0: float, q0: float, t):
     if t.ndim == 0:
         return float(p), float(q)
     return p, q
-
-
-def singularity_report(flow: FlowSpec, initial, t_end: float,
-                       controls: IntegratorControls = IntegratorControls()) -> dict:
-    """Min-q statistic and floor-crossing time of a toy-gravity run."""
-    if not flow.positive_q:
-        raise ValueError("singularity report applies to positive-chart flows")
-    traj = integrate(flow, initial, t_end, controls)
-    return {
-        "status": traj.status,
-        "min_q": traj.min_q,
-        "hit_time": traj.hit_time,
-        "drift": traj.drift,
-        "method": traj.method,
-        "dt": traj.dt,
-    }
-
-
-def energy_drift(traj: Trajectory, flow: FlowSpec) -> float:
-    """Max relative |H(t) - H(0)| along the trajectory (absolute if H(0) = 0)."""
-    if traj.times.size == 0:
-        raise ValueError("empty trajectory")
-    return _relative_drift(np.array([flow.hamiltonian(p, q) for p, q in zip(traj.ps, traj.qs)]))

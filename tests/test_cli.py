@@ -21,6 +21,12 @@ class TestExitCodes:
         assert code == 1
         assert "invalid configuration" in capsys.readouterr().err
 
+    def test_truncated_canonical_state(self, tmp_path, capsys):
+        code = run(["--out", str(tmp_path), "metric", "--family", "canonical",
+                    "--N", "40", "--p", "6", "--q", "6"])
+        assert code == 1
+        assert "Fock levels" in capsys.readouterr().err
+
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
 

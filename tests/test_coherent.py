@@ -22,6 +22,23 @@ class TestCanonical:
         st = fam.state(0.0, 0.0)
         assert np.allclose(st.coeffs, basis_state(fam.space, 0).coeffs)
 
+    @pytest.mark.parametrize("point", [(6.0, 6.0), (4.0, 4.0)])
+    def test_truncated_tail_rejected(self, point):
+        # at N = 40 the top 5 Fock levels hold 0.49 of the norm at (6, 6),
+        # where <Q> reads 3 instead of 6, and 2.7e-5 at (4, 4)
+        with pytest.raises(ValueError, match="top 5 of 40 Fock levels"):
+            CanonicalFamily(N=40).state(*point)
+
+    def test_tail_guard_passes_resolved_states(self):
+        # 4e-11 at (3, 3) for N = 40; about 1e-32 over the benchmark's
+        # N = 100 points and their stencils
+        CanonicalFamily(N=40).state(3.0, 3.0)
+        for hbar in (1.0, 0.5, 0.25):
+            fam = CanonicalFamily(N=100, hbar=hbar)
+            for p in np.linspace(-1.5, 1.5, 7):
+                for q in np.linspace(-1.5, 1.5, 7):
+                    fam.state(p, q)
+
     def test_normalized_everywhere(self):
         fam = CanonicalFamily(N=100)
         for p, q in ((0.3, -1.2), (2.0, 2.0), (-1.5, 0.4)):

@@ -90,6 +90,23 @@ class TestSpinMetric:
         assert abs(m.g_qq - w) < 1e-5
         assert abs(m.g_pq) < 1e-6
 
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("theta,phi", [(np.pi / 3, 0.8), (np.pi / 2, 2.0), (2.2, 4.5)])
+    def test_chart_covariance(self, s, theta, phi):
+        # a change of chart relabels the same states: with p = r cos(theta),
+        # q = r phi, r = sqrt(s hbar), the metrics are related by the
+        # Jacobian J = d(theta, phi)/d(p, q) and the curvature is a scalar
+        fam = SpinFamily(s, 1.0)
+        r = np.sqrt(s * fam.hbar)
+        angles, pq = (theta, phi), (r * np.cos(theta), r * phi)
+        jac = np.diag([-1.0 / (r * np.sin(theta)), 1.0 / r])
+        g_angles = fs_metric(fam, angles, chart="angles").as_matrix()
+        g_pq = fs_metric(fam, pq, chart="pq").as_matrix()
+        assert np.max(np.abs(g_pq - jac.T @ g_angles @ jac)) < 1e-6
+        k_angles = gaussian_curvature(fam, angles, chart="angles").K
+        k_pq = gaussian_curvature(fam, pq, chart="pq").K
+        assert abs(k_pq - k_angles) < 1e-3
+
     def test_pole_rejected(self):
         fam = SpinFamily(1.0, 1.0)
         with pytest.raises(ChartBoundaryError):
