@@ -156,10 +156,6 @@ class CanonicalFamily:
             )
         return samples
 
-    def fock_to_x(self, psi: StateVector, xgrid: np.ndarray) -> np.ndarray:
-        """Basis change of Fock coefficients to position-space samples."""
-        return psi.coeffs @ hermite_functions(self.space.dim, np.asarray(xgrid, float), self.space.hbar)
-
 
 # ---------------------------------------------------------------------------
 # affine family
@@ -353,15 +349,6 @@ class SpinFamily:
         m = np.arange(self.s, -self.s - 1e-9, -1.0)
         c = np.exp(-1j * phi * m) * c  # S3 is diagonal: e^(-i phi S3/h)
         return StateVector(c / np.linalg.norm(c), self.space)
-
-    def pq_state(self, p: float, q: float) -> StateVector:
-        """The same states in the chart p = sqrt(s*h) cos(theta), q = sqrt(s*h) phi."""
-        r = np.sqrt(self.s * self.space.hbar)
-        if not -r <= p <= r:
-            raise ValueError(f"spin chart requires |p| <= sqrt(s*hbar), got {p}")
-        theta = float(np.arccos(p / r))
-        phi = float(np.mod(q / r, 2.0 * np.pi))
-        return self._state_unchecked(theta, phi)
 
     def chart(self, point, margin: float, name: str):
         """(vec, inner) of the (theta, phi) "angles" chart or the "pq" chart.

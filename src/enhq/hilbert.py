@@ -29,7 +29,6 @@ __all__ = [
     "spin_space",
     "unitary_from_hermitian",
     "expectation",
-    "apply",
     "basis_state",
     "squeezed_ground_state",
 ]
@@ -79,9 +78,6 @@ class Operator:
         return bool(
             np.max(np.abs(self.matrix - self.matrix.conj().T)) < HERMITIAN_TOL * max(1.0, float(np.max(np.abs(self.matrix))))
         )
-
-    def dagger(self) -> "Operator":
-        return Operator(self.matrix.conj().T, self.space)
 
     def __matmul__(self, other: "Operator") -> "Operator":
         if other.space != self.space:
@@ -177,15 +173,6 @@ def unitary_from_hermitian(A: Operator, c: float) -> Operator:
     w, v = np.linalg.eigh(A.matrix)
     u = (v * np.exp(1j * c * w)) @ v.conj().T
     return Operator(u, A.space)
-
-
-def apply(A: Operator, psi: StateVector, *, normalize: bool = True) -> StateVector:
-    if A.space != psi.space:
-        raise ValueError("operator and state live on different spaces")
-    c = A.matrix @ psi.coeffs
-    if normalize:
-        c = c / np.linalg.norm(c)
-    return StateVector(c, psi.space)
 
 
 def expectation(psi: StateVector, A: Operator) -> complex:

@@ -1,18 +1,18 @@
-"""Radial quadrature of the quartic-vs-gradient multiplicative inequality.
+"""Closed-form radial integrals of the quartic-vs-gradient multiplicative inequality.
 
-The witness family is phi(r) = r^(-alpha) exp(-r^2) in n space
-dimensions.  Both sides are reduced to one-dimensional radial integrals
-with an inner cutoff eps; sweeping eps down exposes whether the quartic
-side diverges while the gradient side stays finite.
+The witness family is phi(r) = r^(-alpha) exp(-r^2) in n space dimensions.
+Both sides are sums of int_eps^inf r^(s-1) e^(-c r^2) dr = 1/2 c^(-s/2)
+Gamma(s/2, c eps^2) with an inner cutoff eps; sweeping eps down exposes
+whether the quartic side diverges while the gradient side stays finite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.special import exp1, gamma, gammaincc, gammaln
 
 __all__ = [
     "RadialField",
@@ -24,8 +24,6 @@ __all__ = [
     "lhs_slope_expected",
     "rhs_slope_expected",
 ]
-
-_R_MAX = 30.0  # exp(-2 r^2) is below 1e-300 well before this
 
 
 def sphere_area(n: int) -> float:
@@ -42,14 +40,14 @@ class RadialField:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if self.n < 2:
+        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
             raise ValueError(f"need an integer dimension n >= 2, got n = {self.n}")
         if not 0.0 <= self.alpha < (self.n - 2) / 2.0:
             raise ValueError(
                 f"alpha must lie in [0, (n-2)/2) = [0, {(self.n - 2) / 2}), got {self.alpha}"
             )
-        if self.amplitude <= 0:
-            raise ValueError("amplitude must be positive")
+        if not 0.0 < self.amplitude < math.inf:
+            raise ValueError(f"amplitude must be positive and finite, got {self.amplitude}")
 
     def profile(self, r):
         r = np.asarray(r, dtype=float)
@@ -60,30 +58,54 @@ class RadialField:
         return -(self.alpha / r + 2.0 * r) * self.profile(r)
 
 
-def _radial_integral(f, eps: float) -> float:
-    """int_eps^inf f(r) dr via the substitution r = e^u (adaptive quad)."""
-    if eps <= 0:
-        raise ValueError("inner cutoff eps must be positive")
-    g = lambda u: f(np.exp(u)) * np.exp(u)
-    val, err = quad(g, np.log(eps), np.log(_R_MAX), limit=500, epsabs=0.0, epsrel=1e-11)
-    if not np.isfinite(val) or (val != 0 and err / abs(val) > 1e-8):
-        raise RuntimeError(f"radial quadrature did not converge (value {val}, err {err})")
-    return float(val)
+def _upper_gamma(a: float, x: float) -> float:
+    """Gamma(a, x) for real a and x > 0.
+
+    gamma * gammaincc for a > 0 and E1 at a = 0; below zero, Gamma(a, x) =
+    (Gamma(a+1, x) - x^a e^(-x)) / a runs down from the first a + k >= 0.
+    For x < 1 the subtracted term is the larger one, so only a step through
+    0 < |a + j| << 1 cancels, losing about log10(1/|a + j|) digits.
+    """
+    k = max(0, math.ceil(-a))
+    b = a + k
+    g = float(exp1(x)) if b == 0 else float(gamma(b) * gammaincc(b, x))
+    for j in range(k - 1, -1, -1):
+        g = (g - x ** (a + j) * math.exp(-x)) / (a + j)
+    return g
+
+
+def _radial(s: float, c: float, eps: float) -> float:
+    """int_eps^inf r^(s-1) e^(-c r^2) dr."""
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"inner cutoff eps must be positive and finite, got {eps}")
+    return 0.5 * c ** (-0.5 * s) * _upper_gamma(0.5 * s, c * eps * eps)
+
+
+def _in_range(v: float, side: str, field: RadialField, eps: float) -> float:
+    """v, a positive integral; 0, inf or nan means it over- or underflowed."""
+    if not 0.0 < v < math.inf:
+        raise ArithmeticError(f"{side} = {v} left the float range at {field}, eps = {eps}")
+    return v
 
 
 def lhs(field: RadialField, m0: float, eps: float) -> float:
     """{ omega_n int_eps^inf phi^4 r^(n-1) dr }^(1/2)."""
-    v = _radial_integral(lambda r: field.profile(r) ** 4 * r ** (field.n - 1), eps)
-    return float(np.sqrt(sphere_area(field.n) * v))
+    v = sphere_area(field.n) * field.amplitude**4 * _radial(field.n - 4.0 * field.alpha, 4.0, eps)
+    return math.sqrt(_in_range(v, "lhs", field, eps))
 
 
 def rhs(field: RadialField, m0: float, eps: float) -> float:
-    """omega_n int_eps^inf [phi'(r)^2 + m0^2 phi(r)^2] r^(n-1) dr."""
-    v = _radial_integral(
-        lambda r: (field.dprofile(r) ** 2 + m0**2 * field.profile(r) ** 2) * r ** (field.n - 1),
-        eps,
-    )
-    return float(sphere_area(field.n) * v)
+    """omega_n int_eps^inf [phi'(r)^2 + m0^2 phi(r)^2] r^(n-1) dr.
+
+    phi'^2 + m0^2 phi^2 = (alpha^2/r^2 + 4 alpha + 4 r^2 + m0^2) phi^2.
+    """
+    if not math.isfinite(m0):
+        raise ValueError(f"mass m0 must be finite, got {m0}")
+    n, a = field.n, field.alpha
+    v = (a * a * _radial(n - 2.0 - 2.0 * a, 2.0, eps)
+         + (4.0 * a + m0 * m0) * _radial(n - 2.0 * a, 2.0, eps)
+         + 4.0 * _radial(n + 2.0 - 2.0 * a, 2.0, eps))
+    return _in_range(sphere_area(n) * field.amplitude**2 * v, "rhs", field, eps)
 
 
 def lhs_slope_expected(field: RadialField) -> float:
@@ -128,6 +150,8 @@ def scan(n: int, alpha_grid, eps_sequence=DEFAULT_EPS, m0: float = 1.0) -> Inequ
     is below -0.05 with R^2 > 0.99.
     """
     eps_sequence = tuple(float(e) for e in eps_sequence)
+    if not all(map(math.isfinite, eps_sequence)):
+        raise ValueError(f"eps_sequence entries must be finite, got {eps_sequence}")
     if len(eps_sequence) < 2 or any(
         b >= a for a, b in zip(eps_sequence, eps_sequence[1:])
     ):

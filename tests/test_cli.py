@@ -45,10 +45,19 @@ class TestBadControls:
         ["dynamics", "--stride", "-1"],
         ["rotsym", "--stride", "0"],
         ["rotsym", "--stride", "-1"],
+        ["inequality", "--eps=1e-2,nan,1e-4"],
+        ["inequality", "--m0", "nan"],
     ])
     def test_flag_rejected(self, tmp_path, capsys, argv):
         assert run(["--out", str(tmp_path)] + argv) == 1
         assert "invalid configuration" in capsys.readouterr().err
+
+    def test_out_of_range_inequality_is_numerical_failure(self, tmp_path, capsys):
+        # n = 400 overflows Gamma(200); the run stops instead of writing NaN
+        assert run(["--out", str(tmp_path), "inequality", "--n", "400", "--alphas", "0"]) == 2
+        assert "numerical failure" in capsys.readouterr().err
+        assert json.loads(_read(tmp_path / "failure.json"))["type"] == "ArithmeticError"
+        assert not (tmp_path / "inequality.csv").exists()
 
     @pytest.mark.parametrize("command,cfg", [
         ("dynamics", {"dt": 0}),

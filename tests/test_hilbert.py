@@ -7,7 +7,6 @@ from enhq.hilbert import (
     Operator,
     StateVector,
     annihilation_operator,
-    apply,
     basis_state,
     dilation_operator,
     expectation,
@@ -165,7 +164,7 @@ def test_state_norm_enforced():
         StateVector(np.array([1.0, 1.0, 0.0, 0.0]), sp)
 
 
-def test_apply_and_squeezed_ground_state():
+def test_squeezed_ground_state():
     sp = make_fock_space(80, 1.0)
     lam = 1.5
     psi = squeezed_ground_state(sp, lam)
@@ -175,5 +174,3 @@ def test_apply_and_squeezed_ground_state():
     var_p = expectation(psi, p @ p).real - expectation(psi, p).real ** 2
     assert abs(var_q - lam**2 / 2) < 1e-8
     assert abs(var_p - 1 / (2 * lam**2)) < 1e-8
-    shifted = apply(unitary_from_hermitian(q, 2.0), psi)
-    assert abs(np.linalg.norm(shifted.coeffs) - 1.0) < 1e-10

@@ -1,7 +1,10 @@
-"""Radial inequality quadrature against Gaussian and power-counting oracles."""
+"""Closed-form radial inequality against quadrature, Gaussian and power-counting oracles."""
+
+import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import gamma
 
 from enhq.inequality import (
@@ -34,6 +37,91 @@ class TestValidation:
             scan(5, [0.5], eps_sequence=(1e-2, 1e-9))
         with pytest.raises(ValueError):
             lhs(RadialField(alpha=0.0, n=3), 1.0, 0.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"alpha": 0.5, "n": 5.5},
+        {"alpha": 0.5, "n": 5.0},
+        {"alpha": 0.5, "n": True},
+        {"alpha": 0.5, "n": 5, "amplitude": math.nan},
+        {"alpha": 0.5, "n": 5, "amplitude": math.inf},
+    ])
+    def test_field_rejects_bad_parameters(self, kwargs):
+        with pytest.raises(ValueError):
+            RadialField(**kwargs)
+
+    @pytest.mark.parametrize("side", [lhs, rhs])
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -1e-3])
+    def test_bad_cutoff_rejected(self, side, eps):
+        with pytest.raises(ValueError, match="eps"):
+            side(RadialField(alpha=0.5, n=5), 1.0, eps)
+
+    @pytest.mark.parametrize("m0", [math.nan, math.inf])
+    def test_non_finite_mass_rejected(self, m0):
+        with pytest.raises(ValueError, match="m0"):
+            rhs(RadialField(alpha=0.5, n=5), m0, 1e-3)
+
+    def test_scan_rejects_non_finite(self):
+        # NaN compares false both ways, so it used to pass the decrease check
+        with pytest.raises(ValueError, match="finite"):
+            scan(5, [0.5], eps_sequence=(1e-2, math.nan, 1e-4))
+        with pytest.raises(ValueError, match="finite"):
+            scan(5, [0.5], eps_sequence=(math.inf, 1e-2, 1e-4))
+        with pytest.raises(ValueError, match="finite"):
+            scan(5, [0.5], m0=math.nan)
+
+    def test_out_of_range_result_raises(self):
+        # n = 400: Gamma(200) overflows and omega_400 underflows to 0
+        with pytest.raises(ArithmeticError):
+            lhs(RadialField(alpha=0.0, n=400), 1.0, 1e-3)
+        with pytest.raises(ArithmeticError):
+            rhs(RadialField(alpha=0.0, n=400), 1.0, 1e-3)
+        with pytest.raises(ArithmeticError):
+            lhs(RadialField(alpha=0.5, n=5, amplitude=1e100), 1.0, 1e-3)
+
+
+def _quad_radial(f, eps):
+    """int_eps^inf f(r) dr by adaptive quadrature in u = log r, cut at r = 30."""
+    g = lambda u: f(np.exp(u)) * np.exp(u)
+    val, err = quad(g, np.log(eps), np.log(30.0), limit=500, epsabs=0.0, epsrel=1e-11)
+    assert err <= 1e-8 * abs(val)
+    return val
+
+
+def _oracle_cells():
+    """Seeded (field, m0, eps) cells for n = 3..8.
+
+    The pinned alphas put the lhs Gamma order a = (n - 4 alpha)/2 at 0
+    (n = 5), -0.8 (n = 6), -1 (n = 7) and -1.8 (n = 8).
+    """
+    rng = np.random.default_rng(20171)
+    pinned = {5: [1.25], 6: [1.9], 7: [2.25], 8: [2.9]}
+    cells = []
+    for n in range(3, 9):
+        for alpha in [*rng.uniform(0.0, (n - 2) / 2, 3), *pinned.get(n, [])]:
+            field = RadialField(alpha=float(alpha), n=n, amplitude=float(rng.uniform(0.5, 3.0)))
+            for eps in 10.0 ** rng.uniform(-8.0, -2.0, 2):
+                for m0 in (1.0, 0.3):
+                    cells.append((field, m0, float(eps)))
+    return cells
+
+
+class TestQuadratureOracle:
+    def test_grid_covers_every_gamma_branch(self):
+        orders = {(f.n - 4.0 * f.alpha) / 2.0 for f, _, _ in _oracle_cells()}
+        assert any(a > 0 for a in orders)
+        assert 0.0 in orders and -1.0 in orders
+        assert any(a < 0 and a != round(a) for a in orders)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_matches_adaptive_quadrature(self, n):
+        w = sphere_area(n)
+        for field, m0, eps in (c for c in _oracle_cells() if c[0].n == n):
+            quartic = lambda r: field.profile(r) ** 4 * r ** (n - 1)
+            gradient = lambda r: (field.dprofile(r) ** 2 + m0**2 * field.profile(r) ** 2) * r ** (n - 1)
+            l_ref = np.sqrt(w * _quad_radial(quartic, eps))
+            r_ref = w * _quad_radial(gradient, eps)
+            assert lhs(field, m0, eps) == pytest.approx(l_ref, rel=1e-10, abs=0.0)
+            assert rhs(field, m0, eps) == pytest.approx(r_ref, rel=1e-10, abs=0.0)
 
 
 class TestGaussianOracles:
