@@ -1,45 +1,10 @@
 """Coherent-state workbench: finite-dimensional operator algebra, three
 coherent-state families, enhanced classical Hamiltonians, phase-space
-geometry, symplectic dynamics and a radial inequality explorer."""
+geometry, symplectic dynamics and a radial inequality explorer.
+
+Names are imported from their modules (`from enhq.coherent import
+CanonicalFamily`); the package itself holds only `__version__`, so
+`import enhq.cli` loads numpy and nothing heavier.
+"""
 
 __version__ = "0.1.0"
-
-from .hilbert import (
-    HilbertSpace,
-    Operator,
-    StateVector,
-    make_fock_space,
-    position_operator,
-    momentum_operator,
-    dilation_operator,
-    spin_operators,
-    unitary_from_hermitian,
-    expectation,
-)
-from .coherent import (
-    CanonicalFamily,
-    AffineFamily,
-    SpinFamily,
-    AffineState,
-    affine_moment,
-    overlap,
-)
-
-__all__ = [
-    "HilbertSpace",
-    "Operator",
-    "StateVector",
-    "make_fock_space",
-    "position_operator",
-    "momentum_operator",
-    "dilation_operator",
-    "spin_operators",
-    "unitary_from_hermitian",
-    "expectation",
-    "CanonicalFamily",
-    "AffineFamily",
-    "SpinFamily",
-    "AffineState",
-    "affine_moment",
-    "overlap",
-]

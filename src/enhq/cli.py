@@ -102,6 +102,20 @@ def _check_stride(args):
         raise ValueError(f"stride must be at least 1, got {args.stride}")
 
 
+def _write_trajectory(path_base: str, traj, stride: int, fmt: str) -> str:
+    """Every stride-th stored step as t, p, q, H and its relative drift;
+    a vector trajectory spreads p and q over columns p_1..p_N, q_1..q_N."""
+    k = slice(None, None, stride)
+    ps, qs = traj.ps[k], traj.qs[k]
+    if ps.ndim == 1:
+        names, cols = ["p", "q"], [ps, qs]
+    else:
+        names = [f"{c}_{i + 1}" for c in "pq" for i in range(ps.shape[1])]
+        cols = [*ps.T, *qs.T]
+    rows = list(zip(traj.times[k], *cols, traj.energies[k], traj.drifts[k]))
+    return _write_table(path_base, ["t", *names, "H", "drift"], rows, fmt)
+
+
 # ---------------------------------------------------------------- subcommands
 
 
@@ -167,13 +181,7 @@ def _cmd_dynamics(args, out_base, t0):
         flow = toy_gravity_flow(hbar=args.hbar, beta=args.beta)
     controls = IntegratorControls(dt=args.dt, cross_check=args.cross_check)
     traj = integrate(flow, (args.p0, args.q0), args.t_end, controls)
-    e0 = traj.energies[0]
-    rows = [
-        (t, p, q, e, abs(e - e0) / abs(e0) if e0 else abs(e - e0))
-        for t, p, q, e in zip(traj.times[::args.stride], traj.ps[::args.stride],
-                              traj.qs[::args.stride], traj.energies[::args.stride])
-    ]
-    table = _write_table(out_base, ("t", "p", "q", "H", "drift"), rows, args.format)
+    table = _write_trajectory(out_base, traj, args.stride, args.format)
     summary = _write_summary(out_base, vars(args), {
         "status": traj.status, "hit_time": traj.hit_time, "min_q": traj.min_q,
         "drift": traj.drift, "method": traj.method, "dt": traj.dt,
@@ -204,15 +212,7 @@ def _cmd_rotsym(args, out_base, t0):
         float(np.max(np.abs(traj.ps[:, perm] - shuffled.ps))),
         float(np.max(np.abs(traj.qs[:, perm] - shuffled.qs))),
     )
-    header = (["t"] + [f"p_{i + 1}" for i in range(args.N)]
-              + [f"q_{i + 1}" for i in range(args.N)] + ["H", "drift"])
-    e0 = traj.energies[0]
-    rows = [
-        (t, *p, *q, e, abs(e - e0) / abs(e0) if e0 else abs(e - e0))
-        for t, p, q, e in zip(traj.times[::args.stride], traj.ps[::args.stride],
-                              traj.qs[::args.stride], traj.energies[::args.stride])
-    ]
-    table = _write_table(out_base, header, rows, args.format)
+    table = _write_trajectory(out_base, traj, args.stride, args.format)
     summary = _write_summary(out_base, vars(args), {
         "shuffle_deviation": dev, "drift": traj.drift,
         "permutation": perm.tolist(), "table": table,

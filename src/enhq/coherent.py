@@ -22,7 +22,6 @@ from scipy.special import gammaln
 from ._quadrature import HalfLineGrid, gauss_gamma_grid
 from .hilbert import (
     HilbertSpace,
-    Operator,
     StateVector,
     basis_state,
     make_fock_space,
@@ -47,6 +46,9 @@ __all__ = [
 # Fock levels; more means the truncation has cut off part of the state
 TAIL_MASS_MAX = 1e-10
 TAIL_LEVELS = 5
+# largest |<psi|psi> - 1| allowed for an affine state on its quadrature
+# grid; more means the grid, tuned to one q, does not resolve the state
+AFFINE_NORM_TOL = 1e-6
 
 
 class ChartBoundaryError(ValueError):
@@ -184,6 +186,10 @@ class AffineState:
 class AffineFamily:
     """Affine coherent states exp(ipQ/h) exp(-i ln(q) D/h) |beta>.
 
+    `state` raises ValueError when the sampled state's quadrature norm^2
+    is off by more than AFFINE_NORM_TOL: a grid centred at q0 resolves
+    states up to about q = 1.08 q0.
+
     The fiducial is the Gamma-type wavefunction
     M x^((k-1)/2) exp(-beta x / hbar), k = 2 beta / hbar, which solves
     [(Q - 1) + i D / beta] |beta> = 0 and has <Q> = 1, <D> = 0.
@@ -243,6 +249,13 @@ class AffineFamily:
             - 0.5 * np.log(q)
         )
         samples = np.exp(log_amp + 1j * p * x / self.hbar)
+        norm2 = np.vdot(samples, g.weights * samples).real
+        if not abs(norm2 - 1.0) <= AFFINE_NORM_TOL:
+            raise ValueError(
+                f"affine state at (p, q) = ({p}, {q}) has quadrature norm^2 {norm2:.6g}, "
+                f"off by more than {AFFINE_NORM_TOL:g}: its grid does not resolve it; "
+                f"sample it on family.centered({q})"
+            )
         return AffineState(g, samples, self.beta, self.hbar, float(p), float(q))
 
     def chart(self, point, margin: float, name: str):
@@ -325,6 +338,7 @@ class SpinFamily:
         self.S1, self.S2, self.S3 = spin_operators(s, hbar)
         self.space = self.S3.space
         self._e2 = np.linalg.eigh(self.S2.matrix)
+        self._m = np.arange(self.s, -self.s - 1e-9, -1.0)  # S3 eigenvalues / hbar
         self.fiducial = basis_state(self.space, 0)  # m = s is first
 
     @property
@@ -346,8 +360,7 @@ class SpinFamily:
         w2, v2 = self._e2
         c = self.fiducial.coeffs
         c = v2 @ (np.exp(-1j * theta * w2 / h) * (v2.conj().T @ c))
-        m = np.arange(self.s, -self.s - 1e-9, -1.0)
-        c = np.exp(-1j * phi * m) * c  # S3 is diagonal: e^(-i phi S3/h)
+        c = np.exp(-1j * phi * self._m) * c  # S3 is diagonal: e^(-i phi S3/h)
         return StateVector(c / np.linalg.norm(c), self.space)
 
     def chart(self, point, margin: float, name: str):

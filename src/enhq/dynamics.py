@@ -116,20 +116,20 @@ class Trajectory:
         return float(np.min(self.qs))
 
     @property
+    def drifts(self) -> np.ndarray:
+        """|H(t) - H(0)| / |H(0)| at each stored step, per row (absolute where H(0) = 0)."""
+        e0 = self.energies[0]
+        return np.abs(self.energies - e0) / np.where(e0 != 0, np.abs(e0), 1.0)
+
+    @property
     def drift(self) -> float:
-        return _relative_drift(self.energies)
+        """Largest relative drift over steps and rows."""
+        return float(np.max(self.drifts))
 
     def row(self, b: int) -> "Trajectory":
         """Trajectory b of a batched run."""
         return Trajectory(self.times, self.ps[:, b], self.qs[:, b], self.energies[:, b],
                           self.status, self.hit_time, self.method, self.dt, dict(self.meta))
-
-
-def _relative_drift(energies) -> float:
-    """Max |H(t) - H(0)| / |H(0)| over times and rows (absolute where H(0) = 0)."""
-    e0 = energies[0]
-    dev = np.max(np.abs(energies - e0), axis=0)
-    return float(np.max(dev / np.where(e0 != 0, np.abs(e0), 1.0)))
 
 
 def oscillator_flow() -> FlowSpec:

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherent import ChartBoundaryError
+from .hilbert import Operator, expectation, momentum_operator, position_operator
 
 __all__ = [
     "Metric2D",
     "CurvatureReport",
-    "ChartBoundaryError",
     "fs_metric",
     "fiducial_metric_coeffs",
     "gaussian_curvature",
@@ -101,8 +101,6 @@ def fiducial_metric_coeffs(fiducial) -> tuple[float, float, float]:
     A = <(dQ)^2>, B = <dQ dP + dP dQ>, C = <(dP)^2>; the family metric
     is then (2/hbar) [A dp^2 + B dp dq + C dq^2].
     """
-    from .hilbert import expectation, momentum_operator, position_operator, Operator
-
     space = fiducial.space
     if space.kind != "fock":
         raise ValueError("fiducial metric coefficients need a fock-kind fiducial")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import AffineFamily, CanonicalFamily, SpinFamily
+from .coherent import AffineFamily
 
 __all__ = [
     "HamiltonianSpec",

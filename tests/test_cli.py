@@ -27,6 +27,14 @@ class TestExitCodes:
         assert code == 1
         assert "Fock levels" in capsys.readouterr().err
 
+    def test_unresolved_affine_state(self, tmp_path, capsys):
+        # the curvature stencil's metric at q = 0.015 samples q +- 0.002 on a
+        # grid centred at 0.015; unchecked, those states give K = 3.57e6 (true -1)
+        code = run(["--out", str(tmp_path), "metric", "--family", "affine", "--q", "0.025"])
+        assert code == 1
+        assert "does not resolve" in capsys.readouterr().err
+        assert not (tmp_path / "metric.csv").exists()
+
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
 

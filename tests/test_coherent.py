@@ -174,6 +174,13 @@ class TestAffine:
         fam = AffineFamily(1.0, 1.0)
         assert abs(fam.centered(0.2).state(3.0, 0.2).norm() - 1.0) < 1e-8
 
+    def test_unresolved_state_rejected(self):
+        # the grid centred at q = 1 under-resolves q = 1.2, where norm() would read 2.8e11
+        fam = AffineFamily(1.0, 1.0)
+        with pytest.raises(ValueError, match="does not resolve"):
+            fam.state(0.3, 1.2)
+        assert abs(fam.centered(1.2).state(0.3, 1.2).norm() - 1.0) < 1e-8
+
     def test_coherent_expectations(self):
         from enhq.wcp import enhanced_hamiltonian, parse_hamiltonian
 
@@ -273,7 +280,8 @@ class TestOverlap:
         assert abs(overlap(a, b)) <= 1.0 + 1e-10
 
     def test_affine_overlap(self):
-        fam = AffineFamily(1.0, 1.0)
+        # a grid centred at q = 1.2 resolves both states
+        fam = AffineFamily(1.0, 1.0).centered(1.2)
         a, b = fam.fiducial(), fam.state(0.5, 1.2)
         assert overlap(a, a).real == pytest.approx(1.0, abs=1e-8)
         assert abs(overlap(a, b)) <= 1.0 + 1e-10

@@ -47,6 +47,17 @@ class TestClosedForm:
         )
         assert traj.drift < 1e-12
 
+    def test_drifts_per_step(self):
+        # per-step |H - H0| / |H0|, absolute where H0 = 0; the max of the
+        # quotients is the max deviation over |H0| bit for bit
+        for h0 in (1.0, 0.0):
+            e = h0 + np.array([0.0, 3e-9, -7e-9, 1e-12])
+            traj = Trajectory(times=np.arange(4.0), ps=e, qs=e, energies=e, status="completed",
+                              hit_time=None, method="test", dt=1.0)
+            ref = [abs(x - e[0]) / abs(e[0]) if e[0] else abs(x - e[0]) for x in e]
+            assert traj.drifts.tolist() == ref
+            assert traj.drift == (max(abs(x - e[0]) for x in e) / (abs(e[0]) or 1.0))
+
 
 class TestControls:
     @pytest.mark.parametrize("bad", [

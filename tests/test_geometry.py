@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from enhq.coherent import AffineFamily, CanonicalFamily, SpinFamily
-from enhq.geometry import (
-    ChartBoundaryError,
-    fiducial_metric_coeffs,
-    fs_metric,
-    gaussian_curvature,
-)
+from enhq.coherent import AffineFamily, CanonicalFamily, ChartBoundaryError, SpinFamily
+from enhq.geometry import fiducial_metric_coeffs, fs_metric, gaussian_curvature
 from enhq.hilbert import basis_state, make_fock_space, squeezed_ground_state
 
 
@@ -62,6 +57,12 @@ class TestAffineMetric:
         fam = AffineFamily(1.0, 1.0)
         with pytest.raises(ChartBoundaryError):
             fs_metric(fam, (0.0, 1e-4))
+
+    def test_unresolved_stencil_rejected(self):
+        # stencil states at q = 0.01 +- 0.002 on a grid centred at 0.01;
+        # unchecked, g_qq comes out 1e23 relative off
+        with pytest.raises(ValueError, match="does not resolve"):
+            fs_metric(AffineFamily(1.0, 1.0), (0.0, 0.01))
 
 
 class TestSpinMetric:

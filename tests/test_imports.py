@@ -1,0 +1,59 @@
+"""Import graph: the CLI starts on numpy alone, and no module imports a name it never uses."""
+
+import ast
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def _scipy_modules(code: str, cwd) -> list[str]:
+    """scipy modules loaded after running `code` in a fresh interpreter."""
+    probe = code + ("\nimport json, sys\n"
+                    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", probe], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    assert _scipy_modules("import enhq.cli", tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["rotsym", "--N", "6", "--t-end", "0.01"],
+    ["dynamics", "--hbar", "0", "--t-end", "0.5"],
+])
+def test_scipy_free_subcommands(tmp_path, argv):
+    code = f"from enhq.cli import run\nassert run({argv!r}) == 0"
+    assert _scipy_modules(code, tmp_path) == []
+
+
+def _unused_imports(path: pathlib.Path) -> list[str]:
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:  # names listed in __all__ are exported, so used
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    unused = [u for path in sorted((SRC / "enhq").glob("*.py")) for u in _unused_imports(path)]
+    assert unused == []
