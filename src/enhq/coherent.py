@@ -14,6 +14,7 @@ otherwise) and returns `(vec, inner)`, the raw state map
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,11 @@ class ChartBoundaryError(ValueError):
     """Stencil would cross the edge of the family's chart."""
 
 
+def _check_affine_point(p: float, q: float) -> None:
+    if not (math.isfinite(p) and 0 < q < math.inf):
+        raise ValueError(f"affine chart requires finite p and 0 < q < inf, got ({p}, {q})")
+
+
 def _vdot(x: np.ndarray, y: np.ndarray) -> complex:
     return complex(np.vdot(x, y))
 
@@ -88,8 +94,8 @@ def hermite_functions(n_max: int, x: np.ndarray, hbar: float) -> np.ndarray:
 class CanonicalFamily:
     """Canonical coherent states exp(-iqP/h) exp(ipQ/h) |fiducial>.
 
-    `state` raises ValueError when the truncated state holds more than
-    TAIL_MASS_MAX of its norm in the top TAIL_LEVELS Fock levels.
+    `state` raises ValueError at a non-finite (p, q), or when more than
+    TAIL_MASS_MAX of the norm sits in the top TAIL_LEVELS Fock levels.
     """
 
     kind = "canonical"
@@ -120,6 +126,8 @@ class CanonicalFamily:
         return CanonicalFamily(space, StateVector(self.fiducial.coeffs, space))
 
     def state(self, p: float, q: float) -> StateVector:
+        if not (math.isfinite(p) and math.isfinite(q)):
+            raise ValueError(f"canonical chart requires finite p and q, got ({p}, {q})")
         h = self.space.hbar
         c = self.fiducial.coeffs
         wq, vq = self._eq
@@ -129,7 +137,7 @@ class CanonicalFamily:
         norm = np.linalg.norm(c)
         top = c[-TAIL_LEVELS:]
         tail = np.vdot(top, top).real / (norm * norm)
-        if tail > TAIL_MASS_MAX:
+        if not tail <= TAIL_MASS_MAX:
             raise ValueError(
                 f"canonical state at (p, q) = ({p}, {q}) holds {tail:.2g} of its norm in the "
                 f"top {TAIL_LEVELS} of {c.size} Fock levels (limit {TAIL_MASS_MAX:g}); "
@@ -198,31 +206,29 @@ class AffineFamily:
     kind = "affine"
     default_chart = "pq"
 
-    def __init__(self, beta: float = 1.0, hbar: float = 1.0, n_nodes: int = 400,
-                 center: float = 1.0):
-        if beta <= 0 or hbar <= 0:
-            raise ValueError("beta and hbar must be positive")
+    def __init__(self, beta: float = 1.0, hbar: float = 1.0, center: float = 1.0):
+        if not (0 < beta < math.inf and 0 < hbar < math.inf):
+            raise ValueError(f"beta and hbar must be positive and finite, got {beta}, {hbar}")
         if beta / hbar <= 0.5:
             raise ValueError(
                 f"beta/hbar = {beta / hbar} <= 1/2: fiducial not normalizable"
             )
-        if center <= 0:
-            raise ValueError("grid center must be positive")
+        if not 0 < center < math.inf:
+            raise ValueError(f"grid center must be positive and finite, got {center}")
         self.beta = float(beta)
         self.hbar = float(hbar)
-        self.n_nodes = int(n_nodes)
         self.center = float(center)
         self.k = 2.0 * beta / hbar  # Gamma shape = rate of |fiducial|^2
-        self.grid = gauss_gamma_grid(self.k - 1.0, self.k / self.center, n_nodes)
+        self.grid = gauss_gamma_grid(self.k - 1.0, self.k / self.center)
         # normalization of the fiducial: M^2 = k^k / Gamma(k)
         self._log_m = 0.5 * (self.k * np.log(self.k) - gammaln(self.k))
 
     def with_hbar(self, hbar: float) -> "AffineFamily":
-        return AffineFamily(self.beta, hbar, self.n_nodes, self.center)
+        return AffineFamily(self.beta, hbar, self.center)
 
     def centered(self, q0: float) -> "AffineFamily":
         """Same family with the quadrature grid rescaled around q = q0."""
-        return AffineFamily(self.beta, self.hbar, self.n_nodes, q0)
+        return AffineFamily(self.beta, self.hbar, q0)
 
     def fiducial_wavefunction(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -232,14 +238,13 @@ class AffineFamily:
     def fiducial(self) -> AffineState:
         return self.state(0.0, 1.0)
 
-    def state(self, p: float, q: float, grid: HalfLineGrid | None = None) -> AffineState:
+    def state(self, p: float, q: float) -> AffineState:
         """q^(-1/2) e^(ipx/hbar) fiducial(x/q) on the family grid.
 
         The dilation carries the unitary q^(-1/2) prefactor.
         """
-        if q <= 0:
-            raise ValueError(f"affine chart requires q > 0, got {q}")
-        g = grid if grid is not None else self.grid
+        _check_affine_point(p, q)
+        g = self.grid
         x = g.nodes
         gamma = 0.5 * (self.k - 1.0)
         log_amp = (
@@ -287,8 +292,7 @@ class AffineFamily:
         caller.  Negative exponents shift the quadrature weight so every
         term with e >= -(k-1) is integrated exactly.
         """
-        if q <= 0:
-            raise ValueError(f"affine chart requires q > 0, got {q}")
+        _check_affine_point(p, q)
         e_min = min(coeffs)
         shift = min(0, e_min)
         alpha = self.k - 1.0 + shift
@@ -296,7 +300,7 @@ class AffineFamily:
             raise ValueError(
                 f"moment x^{e_min} diverges for shape k = {self.k}"
             )
-        g = gauss_gamma_grid(alpha, self.k / q, self.n_nodes)
+        g = gauss_gamma_grid(alpha, self.k / q)
         pdf = np.exp(self._log_pdf(g.nodes, q))
         total = 0.0 + 0.0j
         for e, c in coeffs.items():

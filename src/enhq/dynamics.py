@@ -1,34 +1,33 @@
 """Classical and enhanced classical Hamiltonian flows.
 
-The integrator is the implicit midpoint rule (symmetric, symplectic); an
+The integrator is the implicit midpoint rule (symmetric, symplectic), and
+every flow supplies its exact midpoint step, `FlowSpec.midpoint`; an
 adaptive Runge-Kutta shadow run is available as a cross-check.
 
-A flow may supply an exact midpoint solver, `FlowSpec.midpoint`;
-otherwise the midpoint equations are solved by fixed-point iteration
-(Hairer, Lubich and Wanner, Geometric Numerical Integration, ch. VI).
-
-Scalar flows step on Python floats.  Toy-gravity flows live on q > 0 and
-terminate with a "singularity" status when q reaches the chart floor or a
-step has no midpoint solution; near the floor the step size is throttled
-so the hit time is resolved far below the reporting tolerance.  Their
-exact solver reduces the midpoint equations to one quadratic in p; the
-oscillator keeps the fixed-point iteration.  The classical flow H = q p^2
-is invariant under (p, q) -> (lam p, q / lam^2), so once the throttle
-binds every step is the same map (p, q) -> (rho p, sigma q): that stretch
-is written in closed form, and the stepping loop takes the first steps,
-the last steps before the floor and any step near t_end.
+Scalar flows step on Python floats.  The oscillator's midpoint equations
+are linear and solved directly.  Toy-gravity flows live on q > 0 and
+terminate with a "singularity" status when q reaches the chart floor
+Q_FLOOR or a step has no midpoint solution; near the floor the step size
+is throttled so the hit time is resolved far below the reporting
+tolerance.  Their exact step reduces the midpoint equations to one
+quadratic in p.  The classical flow H = q p^2 is invariant under
+(p, q) -> (lam p, q / lam^2), so once the throttle binds every step is
+the same map (p, q) -> (rho p, sigma q): that stretch is written in
+closed form, and the stepping loop takes the first steps, the last steps
+before the floor and any step near t_end.
 
 Vector flows are O(N)-invariant: H depends on p and q only through
 |p|^2, p.q and |q|^2, so both gradients lie in span{p, q} and the
 midpoint rule keeps every iterate in the plane span{p0, q0} (it conserves
-the quadratic invariant p ^ q; Hairer, Lubich and Wanner, ch. IV).  A
-batch of B trajectories, initial arrays of shape (B, N), is stepped row
-by row on the four coefficients of p and q on (p0, q0), with the row's
-2x2 Gram matrix of (p0, q0) supplying the inner products; the (T, B, N)
-states are expanded once at the end.  An (N,) initial state is a batch
-of one.  The rotationally symmetric quartic flow's plane step reduces the
-midpoint equations to one scalar equation for the radial factor kappa,
-solved by Newton's method.
+the quadratic invariant p ^ q; Hairer, Lubich and Wanner, Geometric
+Numerical Integration, ch. IV).  A batch of B trajectories, initial
+arrays of shape (B, N), is stepped row by row on the four coefficients
+of p and q on (p0, q0), with the row's 2x2 Gram matrix of (p0, q0)
+supplying the inner products; the (T, B, N) states are expanded once at
+the end.  An (N,) initial state is a batch of one.  The rotationally
+symmetric quartic flow's plane step reduces the midpoint equations to
+one scalar equation for the radial factor kappa, solved by Newton's
+method.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -53,6 +51,10 @@ __all__ = [
 ]
 
 Q_FLOOR = 1e-12
+# rotsym's Newton solve for kappa stops once its last step is below
+# NEWTON_TOL relative, and fails after NEWTON_MAX_ITER steps
+NEWTON_TOL = 1e-13
+NEWTON_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -61,15 +63,14 @@ class FlowSpec:
     hamiltonian: object  # H(p, q) -> float (row-wise over the last axis for vector flows)
     dH_dp: object
     dH_dq: object
+    # exact midpoint step (p, q, dt) -> (p1, q1, ok) on Python floats; a
+    # vector flow's is its plane step (c, gram, dt) -> (c1, ok) on the
+    # coefficients c of p = c0 p0 + c1 q0, q = c2 p0 + c3 q0, with
+    # gram = (p0.p0, p0.q0, q0.q0)
+    midpoint: object
     positive_q: bool = False
     vector: bool = False
     params: dict = field(default_factory=dict)
-    # exact midpoint step (p, q, dt, tol, max_iter) -> (p1, q1, ok) on Python
-    # floats, None falling back to fixed-point iteration; a vector flow must
-    # supply its plane step (c, gram, dt, tol, max_iter) -> (c1, ok) on the
-    # coefficients c of p = c0 p0 + c1 q0, q = c2 p0 + c3 q0, with
-    # gram = (p0.p0, p0.q0, q0.q0)
-    midpoint: object = None
     # H = q p^2: invariant under (p, q) -> (lam p, q / lam^2), so every
     # throttled step is one map and runs of them are taken in closed form
     self_similar: bool = False
@@ -78,22 +79,11 @@ class FlowSpec:
 @dataclass(frozen=True)
 class IntegratorControls:
     dt: float = 1e-4
-    # fixed-point iteration: absolute change per sweep; an exact midpoint
-    # solver reads it as the relative size of its last Newton step
-    fp_tol: float = 1e-13
-    max_fp_iter: int = 100
-    q_floor: float = Q_FLOOR
     cross_check: bool = False
 
     def __post_init__(self):
         if not 0 < self.dt < math.inf:
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
-        if not self.fp_tol > 0:
-            raise ValueError(f"fp_tol must be positive, got {self.fp_tol}")
-        if not self.max_fp_iter >= 1:
-            raise ValueError(f"max_fp_iter must be at least 1, got {self.max_fp_iter}")
-        if not self.q_floor >= 0:
-            raise ValueError(f"q_floor must be nonnegative, got {self.q_floor}")
 
 
 @dataclass
@@ -138,8 +128,22 @@ def oscillator_flow() -> FlowSpec:
         hamiltonian=lambda p, q: 0.5 * (p * p + q * q),
         dH_dp=lambda p, q: p,
         dH_dq=lambda p, q: q,
-        params={},
+        midpoint=_oscillator_midpoint,
     )
+
+
+def _oscillator_midpoint(p, q, dt):
+    """Exact midpoint step of H = (p^2 + q^2) / 2 on Python floats.
+
+    pm = p - a qm and qm = q + a pm, a = dt/2, are linear.  The step is
+    taken as increments p - dt qm, q + dt pm: the Cayley form
+    ((1 - a^2) p - dt q) / (1 + a^2) drifts 1.4e-11 in H over 1e5 steps of 1e-3.
+    """
+    a = 0.5 * dt
+    d = 1.0 + a * a
+    pm = (p - a * q) / d
+    qm = (q + a * p) / d
+    return p - dt * qm, q + dt * pm, True
 
 
 def toy_gravity_flow(hbar: float = 0.0, cprime: float | None = None,
@@ -184,7 +188,7 @@ def toy_gravity_flow(hbar: float = 0.0, cprime: float | None = None,
 def _toy_gravity_midpoint(c: float):
     """Exact midpoint step of H = q p^2 + c / q on Python floats."""
 
-    def midpoint(p, q, dt, tol, max_iter):
+    def midpoint(p, q, dt):
         # The q-equation qm = q + dt qm pm gives qm = q / (1 - dt pm).  With
         # r = c / q^2 the p-equation pm = p - (dt/2)(pm^2 - c / qm^2) becomes
         #   (dt/2)(1 - r dt^2) pm^2 + (1 + r dt^2) pm - (p + dt r / 2) = 0,
@@ -222,14 +226,14 @@ def rotsym_flow(N: int, m0: float, g0: float) -> FlowSpec:
     """
     if not 1 <= N <= 64:
         raise ValueError(f"N must lie in [1, 64], got {N}")
-    if m0 <= 0 or g0 < 0:
-        raise ValueError("need m0 > 0 and g0 >= 0")
+    if not (0 < m0 < math.inf and 0 <= g0 < math.inf):
+        raise ValueError(f"need finite m0 > 0 and g0 >= 0, got m0 = {m0}, g0 = {g0}")
 
     def ham(p, q):
         s2 = _sumsq(q)
         return _sumsq(p) + m0**2 * s2 + g0 * s2 * s2
 
-    def midpoint(c, gram, dt, tol, max_iter):
+    def midpoint(c, gram, dt):
         # With a = q + dt p the midpoint equations give qm = a / (1 + kappa),
         # kappa = dt^2 (m0^2 + 2 g0 |qm|^2): one scalar equation,
         #   F(kappa) = kappa - k0 - A / (1 + kappa)^2 = 0,
@@ -247,12 +251,12 @@ def rotsym_flow(N: int, m0: float, g0: float) -> FlowSpec:
         k0 = dt * dt * m0 * m0
         A = (2.0 * dt * dt * g0) * (ap * ap * gpp + 2.0 * ap * aq * gpq + aq * aq * gqq)
         kappa = k0 + A / (1.0 + k0 + A) ** 2
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             s = 1.0 + kappa
             g = A / (s * s)
             step = (kappa - k0 - g) / (1.0 + 2.0 * g / s)
             kappa -= step
-            if abs(step) <= tol * kappa:
+            if abs(step) <= NEWTON_TOL * kappa:
                 break
         else:
             return c, False
@@ -272,20 +276,6 @@ def rotsym_flow(N: int, m0: float, g0: float) -> FlowSpec:
     )
 
 
-def _midpoint_step(flow, p, q, dt, tol, max_iter):
-    """Fixed-point implicit midpoint step on Python floats."""
-    fp, fq = flow.dH_dp, flow.dH_dq
-    p1, q1 = p - dt * fq(p, q), q + dt * fp(p, q)
-    for _ in range(max_iter):
-        pm, qm = 0.5 * (p + p1), 0.5 * (q + q1)
-        p2 = p - dt * fq(pm, qm)
-        q2 = q + dt * fp(pm, qm)
-        if abs(p2 - p1) + abs(q2 - q1) < tol:
-            return p2, q2, True
-        p1, q1 = p2, q2
-    return p1, q1, False
-
-
 def integrate(flow: FlowSpec, initial, t_end: float,
               controls: IntegratorControls = IntegratorControls()) -> Trajectory:
     """Implicit-midpoint trajectory of q' = dH/dp, p' = -dH/dq.
@@ -294,9 +284,15 @@ def integrate(flow: FlowSpec, initial, t_end: float,
     stepped in its plane span{p0, q0}, and the B rows are stored as
     (T, B, N).  Positive-chart scalar flows throttle the step once q heads
     for the floor, and stop with status "singularity" and the crossing time.
+    A flow without a midpoint step, or a non-finite initial state, raises
+    ValueError.
     """
     if not 0 < t_end < math.inf:
         raise ValueError(f"t_end must be finite and positive, got {t_end}")
+    if flow.midpoint is None:
+        raise ValueError(f"flow {flow.name!r} has no midpoint step")
+    if not all(np.isfinite(x).all() for x in initial):
+        raise ValueError("initial p and q must be finite")
     run = _run_vector if flow.vector else _run_scalar
     times, ps, qs, es, status, hit = run(flow, initial, t_end, controls)
     traj = Trajectory(
@@ -319,9 +315,8 @@ def _run_scalar(flow, initial, t_end, controls):
     positive = flow.positive_q
     if positive and q <= 0:
         raise ValueError("initial q must be positive on this chart")
-    solve = flow.midpoint or partial(_midpoint_step, flow)
-    qdot = flow.dH_dp
-    h, tol, max_iter, floor = controls.dt, controls.fp_tol, controls.max_fp_iter, controls.q_floor
+    solve, qdot = flow.midpoint, flow.dH_dp
+    h, floor = controls.dt, Q_FLOOR
     h_last = h * (1.0 + 1e-9)  # a remainder under 1e-9 h joins the last step
     times, ps, qs = array("d", [0.0]), array("d", [p]), array("d", [q])
     t = lost = 0.0
@@ -338,11 +333,11 @@ def _run_scalar(flow, initial, t_end, controls):
             dt = h if rest > h_last else rest
             if positive:
                 # keep the relative shrink of q modest so the floor crossing
-                # is localized to ~sqrt(q_floor/E) in time
+                # is localized to ~sqrt(Q_FLOOR/E) in time
                 v = qdot(p, q)
                 if v < 0:
                     dt = min(dt, max(5e-5 * q / -v, 1e-12))
-            p1, q1, ok = solve(p, q, dt, tol, max_iter)
+            p1, q1, ok = solve(p, q, dt)
             if dt == rest:
                 t = t_end
             else:
@@ -422,8 +417,6 @@ def _run_vector(flow, initial, t_end, controls):
     if p0.shape != q0.shape or p0.ndim not in (1, 2):
         raise ValueError("initial p and q must share a shape (N,) or (B, N), "
                          f"got {p0.shape} and {q0.shape}")
-    if flow.midpoint is None:
-        raise ValueError(f"vector flow {flow.name!r} has no plane midpoint step")
     # n equal steps, t_k = t_end k / n: no roundoff-length last step
     n = max(1, math.ceil(t_end / controls.dt - 1e-9))
     times = t_end * np.arange(n + 1) / n
@@ -437,7 +430,7 @@ def _run_vector(flow, initial, t_end, controls):
     rows_p = ps.reshape(n + 1, -1, p0.shape[-1])
     rows_q = qs.reshape(rows_p.shape)
     bases = np.stack([p0.reshape(rows_p.shape[1:]), q0.reshape(rows_p.shape[1:])], axis=1)
-    step, tol, max_iter = flow.midpoint, controls.fp_tol, controls.max_fp_iter
+    step = flow.midpoint
     start = (1.0, 0.0, 0.0, 1.0)  # p = p0, q = q0
     coefs = array("d", start) * (n + 1)  # one buffer, reused by each row
     plane = np.frombuffer(coefs).reshape(n + 1, 2, 2)  # [k, (p, q), (p0, q0)]
@@ -446,7 +439,7 @@ def _run_vector(flow, initial, t_end, controls):
         gram = (float(gram[0, 0]), float(gram[0, 1]), float(gram[1, 1]))
         c = start
         for i in range(4, 4 * n + 4, 4):
-            c, ok = step(c, gram, dt, tol, max_iter)
+            c, ok = step(c, gram, dt)
             if not ok:
                 raise RuntimeError(f"implicit midpoint solve failed at t = {times[i // 4]}")
             coefs[i], coefs[i + 1], coefs[i + 2], coefs[i + 3] = c

@@ -23,6 +23,9 @@ __all__ = [
     "gaussian_curvature",
 ]
 
+METRIC_STEP = 1e-3  # difference step of the state map in fs_metric
+CURVATURE_STEP = 1e-2  # metric-stencil spacing in gaussian_curvature, then halved
+
 
 @dataclass(frozen=True)
 class Metric2D:
@@ -53,7 +56,6 @@ class CurvatureReport:
 
     K: float
     point: tuple
-    step: float
     error: float
     chart: str
 
@@ -66,21 +68,19 @@ def _fourth_order_diff(f, u, v, h, axis):
     return (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12.0 * h)
 
 
-def fs_metric(family, point, step: float = 1e-3, chart: str | None = None) -> Metric2D:
+def fs_metric(family, point, chart: str | None = None) -> Metric2D:
     """Scaled Fubini-Study metric at a point of the family's chart.
 
     2*hbar*Re[<d_i psi|d_j psi> - <d_i psi|psi><psi|d_j psi>] from
-    fourth-order central differences of the state map; `chart` defaults
-    to `family.default_chart`.
+    fourth-order central differences of the state map at step
+    METRIC_STEP; `chart` defaults to `family.default_chart`.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
     name = chart or family.default_chart
-    vec, inner = family.chart(point, 2.0 * step, name)
+    vec, inner = family.chart(point, 2.0 * METRIC_STEP, name)
     u, v = point
     psi = vec(u, v)
-    du = _fourth_order_diff(vec, u, v, step, axis=0)
-    dv = _fourth_order_diff(vec, u, v, step, axis=1)
+    du = _fourth_order_diff(vec, u, v, METRIC_STEP, axis=0)
+    dv = _fourth_order_diff(vec, u, v, METRIC_STEP, axis=1)
     n0 = inner(psi, psi).real
     if abs(n0 - 1.0) > 1e-6:
         raise ValueError(f"stencil states lose norm: <psi|psi> = {n0}")
@@ -138,18 +138,17 @@ def _brioschi(e, f, g, h):
     return (np.linalg.det(m1) - np.linalg.det(m2)) / denom
 
 
-def gaussian_curvature(family, point, step: float = 1e-2, chart: str | None = None,
-                       state_step: float = 1e-3) -> CurvatureReport:
+def gaussian_curvature(family, point, chart: str | None = None) -> CurvatureReport:
     """Brioschi-formula curvature with a step-halving error estimate.
 
     Returns the Gaussian curvature K; the scalar curvature is R = 2K
     (affine family: K = -1/beta, R = -2/beta).  Needs the metric on a
-    5x5 neighborhood (3x3 stencils at spacings `step` and `step/2`);
-    rejects stencils crossing the chart boundary.
+    5x5 neighborhood (3x3 stencils at spacings CURVATURE_STEP and half
+    of it); rejects stencils crossing the chart boundary.
     """
     u, v = point
     name = chart or family.default_chart
-    family.chart(point, 2.0 * step + 2.0 * state_step, name)  # boundary check
+    family.chart(point, 2.0 * CURVATURE_STEP + 2.0 * METRIC_STEP, name)  # boundary check
     # the spin angles chart degenerates at the poles, where g_vv -> 0
     if name == "angles" and not 0.2 <= u <= np.pi - 0.2:
         raise ChartBoundaryError("spin curvature restricted to theta in [0.2, pi - 0.2]")
@@ -160,16 +159,16 @@ def gaussian_curvature(family, point, step: float = 1e-2, chart: str | None = No
         g = [[0.0] * 3 for _ in range(3)]
         for i, su in enumerate((-1, 0, 1)):
             for j, sv in enumerate((-1, 0, 1)):
-                m = fs_metric(family, (u + su * h, v + sv * h), state_step, name)
+                m = fs_metric(family, (u + su * h, v + sv * h), name)
                 if not m.is_positive_definite():
                     raise ValueError(f"metric not positive-definite at {m.point}")
                 e[i][j], f[i][j], g[i][j] = m.g_pp, m.g_pq, m.g_qq
         return _brioschi(e, f, g, h)
 
-    k_h = k_at(step)
-    k_h2 = k_at(step / 2.0)
+    k_h = k_at(CURVATURE_STEP)
+    k_h2 = k_at(CURVATURE_STEP / 2.0)
     k = (4.0 * k_h2 - k_h) / 3.0  # second-order differences: h^2 Richardson
     return CurvatureReport(
-        K=float(k), point=(float(u), float(v)), step=float(step),
+        K=float(k), point=(float(u), float(v)),
         error=float(abs(k_h2 - k_h) / 3.0), chart=name,
     )

@@ -34,7 +34,6 @@ __all__ = [
 ]
 
 HERMITIAN_TOL = 1e-12
-UNITARY_TOL = 1e-10
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -54,8 +53,8 @@ class HilbertSpace:
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError(f"dim must be >= 2, got {self.dim}")
-        if self.hbar <= 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
+        if not 0 < self.hbar < np.inf:
+            raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
         if self.kind not in ("fock", "spin"):
             raise ValueError(f"unknown space kind {self.kind!r}")
 
@@ -97,7 +96,7 @@ class StateVector:
                 f"coefficient length {c.shape} does not match dim {self.space.dim}"
             )
         n = np.linalg.norm(c)
-        if abs(n - 1.0) > 1e-10:
+        if not abs(n - 1.0) <= 1e-10:
             raise ValueError(f"state not normalized: |norm - 1| = {abs(n - 1.0):.3e}")
         object.__setattr__(self, "coeffs", _frozen(c))
 

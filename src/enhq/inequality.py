@@ -27,8 +27,9 @@ __all__ = [
 
 
 def sphere_area(n: int) -> float:
-    """Area of the unit (n-1)-sphere in R^n."""
-    return float(2.0 * np.pi ** (n / 2.0) / np.exp(gammaln(n / 2.0)))
+    """Area of the unit (n-1)-sphere in R^n; 0 once Gamma(n/2) overflows."""
+    with np.errstate(over="ignore"):
+        return float(2.0 * np.pi ** (n / 2.0) / np.exp(gammaln(n / 2.0)))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import AffineFamily
+from .coherent import AffineFamily, _check_affine_point
 
 __all__ = [
     "HamiltonianSpec",
@@ -135,8 +135,7 @@ def enhanced_hamiltonian(spec: HamiltonianSpec, family, p: float, q: float) -> f
     if spec.kind != family.kind:
         raise ValueError(f"{spec.kind} spec applied to a {family.kind} family")
     if spec.kind == "affine":
-        if q <= 0:
-            raise ValueError(f"affine chart requires q > 0, got {q}")
+        _check_affine_point(p, q)  # before _affine_laurent divides by q
         val = family.expect_laurent(_affine_laurent(spec, family, p, q), p, q)
     else:
         mat = _matrix_for(spec, family)
@@ -150,9 +149,9 @@ def enhanced_hamiltonian(spec: HamiltonianSpec, family, p: float, q: float) -> f
 _DQID = HamiltonianSpec(kind="affine", terms=((1.0, ("D", "Qinv", "D")),))
 
 
-def cprime(beta: float, hbar: float, n_nodes: int = 400) -> float:
+def cprime(beta: float, hbar: float) -> float:
     """C' with <beta| D Q^-1 D |beta> = hbar^2 C', by quadrature."""
-    family = AffineFamily(beta, hbar, n_nodes=n_nodes)
+    family = AffineFamily(beta, hbar)
     val = enhanced_hamiltonian(_DQID, family, 0.0, 1.0)
     c = val / hbar**2
     if c <= 0:

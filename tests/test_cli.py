@@ -55,6 +55,15 @@ class TestBadControls:
         ["rotsym", "--stride", "-1"],
         ["inequality", "--eps=1e-2,nan,1e-4"],
         ["inequality", "--m0", "nan"],
+        # non-finite initial states, parameters, chart points and hbar
+        ["dynamics", "--q0", "nan"],
+        ["dynamics", "--hbar", "1", "--beta", "2", "--p0", "nan"],
+        ["dynamics", "--model", "oscillator", "--p0", "nan"],
+        ["rotsym", "--m0", "nan"],
+        ["wcp", "--hbar", "nan"],
+        ["wcp", "--p", "nan"],
+        ["wcp", "--q", "inf"],
+        ["wcp", "--family", "affine", "--p", "nan"],
     ])
     def test_flag_rejected(self, tmp_path, capsys, argv):
         assert run(["--out", str(tmp_path)] + argv) == 1

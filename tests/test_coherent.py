@@ -40,6 +40,11 @@ class TestCanonical:
                 for q in np.linspace(-1.5, 1.5, 7):
                     fam.state(p, q)
 
+    @pytest.mark.parametrize("point", [(np.nan, 0.0), (0.0, np.inf)])
+    def test_non_finite_point_rejected(self, point):
+        with pytest.raises(ValueError, match="finite"):
+            CanonicalFamily(N=20).state(*point)
+
     def test_normalized_everywhere(self):
         fam = CanonicalFamily(N=100)
         for p, q in ((0.3, -1.2), (2.0, 2.0), (-1.5, 0.4)):
@@ -127,6 +132,9 @@ class TestAffine:
             AffineFamily(0.5, 1.0)
         with pytest.raises(ValueError):
             AffineFamily(-1.0, 1.0)
+        for beta, hbar in ((np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                AffineFamily(beta, hbar)
 
     def test_fiducial_normalized_with_unit_mean(self):
         fam = AffineFamily(1.0, 1.0)
@@ -193,8 +201,13 @@ class TestAffine:
 
     def test_chart_boundary_rejected(self):
         fam = AffineFamily(1.0, 1.0)
-        with pytest.raises(ValueError):
-            fam.state(0.0, -1.0)
+        for p, q in ((0.0, -1.0), (np.nan, 1.0), (0.0, np.nan), (0.0, np.inf)):
+            with pytest.raises(ValueError, match="affine chart"):
+                fam.state(p, q)
+            with pytest.raises(ValueError, match="affine chart"):
+                fam.expect_laurent({1: 1.0}, p, q)
+        with pytest.raises(ValueError, match="finite"):
+            fam.centered(np.nan)
 
     @pytest.mark.parametrize("beta,hbar", [(1.0, 1.0), (1.0, 0.25), (2.0, 0.5)])
     def test_moments_match_gamma_oracle(self, beta, hbar):

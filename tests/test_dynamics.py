@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from enhq import dynamics
 from enhq.dynamics import (
     Q_FLOOR,
     IntegratorControls,
@@ -62,7 +63,6 @@ class TestClosedForm:
 class TestControls:
     @pytest.mark.parametrize("bad", [
         {"dt": 0.0}, {"dt": -1.0}, {"dt": float("nan")}, {"dt": float("inf")},
-        {"fp_tol": 0.0}, {"max_fp_iter": 0}, {"q_floor": -1e-12},
     ])
     def test_bad_controls_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -87,10 +87,18 @@ class TestOscillator:
         assert traj.drift < 1e-8
 
     def test_coarse_run_drifts_more(self):
+        # the exact midpoint step keeps H to roundoff at any dt, so the
+        # coarse run drifts in phase: O(dt^2) against (cos t, sin t)
         flow = oscillator_flow()
-        coarse = integrate(flow, (1.0, 0.0), 10.0, IntegratorControls(dt=0.1))
-        fine = integrate(flow, (1.0, 0.0), 10.0, IntegratorControls(dt=1e-3))
-        assert coarse.drift > fine.drift
+
+        def phase_error(dt):
+            traj = integrate(flow, (1.0, 0.0), 10.0, IntegratorControls(dt=dt))
+            return max(np.max(np.abs(traj.ps - np.cos(traj.times))),
+                       np.max(np.abs(traj.qs - np.sin(traj.times))))
+
+        coarse, fine = phase_error(0.1), phase_error(1e-3)
+        assert coarse > fine
+        assert coarse / fine == pytest.approx((0.1 / 1e-3) ** 2, rel=0.01)
 
     def test_time_grid_ends_on_t_end(self):
         # a plain running sum of 1e-4 steps leaves a 2e-13 step at the end
@@ -249,13 +257,13 @@ def _kappa_step(flow, p, q, dt, tol, max_iter):
 
 
 def _fixed_point_step(flow, p, q, dt, tol, max_iter):
-    """Fixed-point implicit midpoint step on arrays."""
+    """Fixed-point implicit midpoint step on arrays or Python floats."""
     fp, fq = flow.dH_dp, flow.dH_dq
     p1, q1 = p - dt * fq(p, q), q + dt * fp(p, q)
     for _ in range(max_iter):
         pm, qm = 0.5 * (p + p1), 0.5 * (q + q1)
         p2, q2 = p - dt * fq(pm, qm), q + dt * fp(pm, qm)
-        if np.max(np.abs(p2 - p1)) + np.max(np.abs(q2 - q1)) < tol:
+        if np.abs(p2 - p1).max() + np.abs(q2 - q1).max() < tol:
             return p2, q2, True
         p1, q1 = p2, q2
     return p1, q1, False
@@ -275,7 +283,7 @@ def _reference_run(flow, p0, q0, t_end, step=_kappa_step, dt=1e-4):
 
 def _plane_step(flow, p, q, dt):
     """One production plane step from (p, q), expanded to vectors."""
-    c, ok = flow.midpoint((1.0, 0.0, 0.0, 1.0), (p @ p, p @ q, q @ q), dt, 1e-13, 100)
+    c, ok = flow.midpoint((1.0, 0.0, 0.0, 1.0), (p @ p, p @ q, q @ q), dt)
     assert ok
     return c[0] * p + c[1] * q, c[2] * p + c[3] * q
 
@@ -356,9 +364,11 @@ class TestRadialMidpoint:
             integrate(rotsym_flow(3, 1.0, 1.0), (np.zeros((2, 3)), np.zeros(3)), 1.0)
 
     def test_vector_flow_needs_a_plane_step(self):
-        flow = dataclasses.replace(rotsym_flow(3, 1.0, 1.0), midpoint=None)
-        with pytest.raises(ValueError, match="plane midpoint step"):
-            integrate(flow, (np.zeros(3), np.ones(3)), 1.0)
+        # one check serves vector and scalar flows alike
+        for flow, initial in ((rotsym_flow(3, 1.0, 1.0), (np.zeros(3), np.ones(3))),
+                              (oscillator_flow(), (1.0, 0.0))):
+            with pytest.raises(ValueError, match="has no midpoint step"):
+                integrate(dataclasses.replace(flow, midpoint=None), initial, 1.0)
 
 
 class TestPlaneReduction:
@@ -412,17 +422,18 @@ class TestPlaneReduction:
 
 
 class TestToyGravityMidpoint:
-    """The exact midpoint solver of toy_gravity_flow against its defining
-    equations; the enhanced flow's barrier is c = C'(2, 1) at hbar = 1."""
+    """The exact midpoint steps of toy_gravity_flow (and of the oscillator)
+    against their defining equations; the enhanced flow's barrier is
+    c = C'(2, 1) at hbar = 1."""
 
     @pytest.mark.parametrize("flow", [
-        toy_gravity_flow(hbar=0.0), toy_gravity_flow(hbar=1.0, beta=2.0),
-    ], ids=["classical", "enhanced"])
+        toy_gravity_flow(hbar=0.0), toy_gravity_flow(hbar=1.0, beta=2.0), oscillator_flow(),
+    ], ids=["classical", "enhanced", "oscillator"])
     @pytest.mark.parametrize("dt", [5e-5, 1e-4, 0.1])
     def test_midpoint_residuals_at_roundoff(self, flow, dt):
         rng = np.random.default_rng(8)
         for p, q in zip(rng.uniform(-2.0, 2.0, 200), rng.uniform(0.5, 2.0, 200)):
-            p1, q1, ok = flow.midpoint(float(p), float(q), dt, 1e-13, 100)
+            p1, q1, ok = flow.midpoint(float(p), float(q), dt)
             assert ok
             pm, qm = 0.5 * (p + p1), 0.5 * (q + q1)
             kick, drift = dt * flow.dH_dq(pm, qm), dt * flow.dH_dp(pm, qm)
@@ -436,7 +447,11 @@ class TestToyGravityMidpoint:
     def test_exact_solver_matches_fixed_point(self, flow, initial, t_end, dt):
         controls = IntegratorControls(dt=dt)
         exact = integrate(flow, initial, t_end, controls)
-        fixed = integrate(dataclasses.replace(flow, midpoint=None, self_similar=False),
+
+        def fixed_point(p, q, h):
+            return _fixed_point_step(flow, p, q, h, 1e-13, 100)
+
+        fixed = integrate(dataclasses.replace(flow, midpoint=fixed_point, self_similar=False),
                           initial, t_end, controls)
         assert exact.status == fixed.status == "completed"
         assert exact.times.size == fixed.times.size
@@ -448,12 +463,12 @@ class TestToyGravityMidpoint:
         (toy_gravity_flow(hbar=1.0, beta=2.0), 20.0, 0.01, 0.1),
     ], ids=["classical", "enhanced"])
     def test_no_real_root_fails_the_step(self, flow, p, q, dt):
-        assert flow.midpoint(p, q, dt, 1e-13, 100) == (p, q, False)
+        assert flow.midpoint(p, q, dt) == (p, q, False)
 
     def test_failed_step_is_the_singularity(self):
         # the throttle's 1e-12 step floor leaves 1 + 2 dt p = -1 at p = -1e12
         flow = toy_gravity_flow(hbar=0.0)
-        assert not flow.midpoint(-1e12, 1.0, 1e-12, 1e-13, 100)[2]
+        assert not flow.midpoint(-1e12, 1.0, 1e-12)[2]
         traj = integrate(flow, (-1e12, 1.0), 1.0)
         assert traj.status == "singularity"
         assert traj.hit_time == 1e-12
@@ -498,15 +513,15 @@ class TestSelfSimilarTail:
         assert fast.status == "singularity"
         _assert_same_run(fast, integrate(_stepped(flow), (p0, 1.0), 3.0))
 
-    def test_seeded_hits_match_loop(self):
+    def test_seeded_hits_match_loop(self, monkeypatch):
         # a higher floor keeps the stepped runs short; -0.2 starts unthrottled
+        monkeypatch.setattr(dynamics, "Q_FLOOR", 1e-3)
         flow = toy_gravity_flow(hbar=0.0)
-        controls = IntegratorControls(q_floor=1e-3)
         p0s = [-0.2] + list(np.random.default_rng(21).uniform(-2.5, -0.2, 6))
         for p0 in p0s:
-            fast = integrate(flow, (p0, 1.0), 6.0, controls)
-            assert fast.status == "singularity"
-            _assert_same_run(fast, integrate(_stepped(flow), (p0, 1.0), 6.0, controls))
+            fast = integrate(flow, (p0, 1.0), 6.0)
+            assert fast.status == "singularity" and fast.qs[-1] > 1e-3
+            _assert_same_run(fast, integrate(_stepped(flow), (p0, 1.0), 6.0))
 
     def test_landing_before_the_floor(self):
         flow = toy_gravity_flow(hbar=0.0)

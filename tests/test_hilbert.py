@@ -30,8 +30,9 @@ def test_smallest_ladder():
 def test_space_validation(bad_n):
     with pytest.raises(ValueError):
         make_fock_space(bad_n, 1.0)
-    with pytest.raises(ValueError):
-        make_fock_space(10, 0.0)
+    for hbar in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            make_fock_space(10, hbar)
 
 
 @pytest.mark.parametrize("N", [20, 50, 100])
@@ -160,8 +161,9 @@ def test_expectation_space_mismatch():
 
 def test_state_norm_enforced():
     sp = make_fock_space(4, 1.0)
-    with pytest.raises(ValueError):
-        StateVector(np.array([1.0, 1.0, 0.0, 0.0]), sp)
+    for c in ([1.0, 1.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError):
+            StateVector(np.array(c), sp)
 
 
 def test_squeezed_ground_state():

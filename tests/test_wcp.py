@@ -119,6 +119,10 @@ class TestAffine:
         fam = AffineFamily(1.0, 1.0)
         with pytest.raises(ValueError):
             enhanced_hamiltonian(parse_hamiltonian("Q", "affine"), fam, 0.0, -1.0)
+        # D.Qinv.D builds its Laurent multiplier from (p, q) before any state
+        for p, q in ((np.nan, 1.0), (0.0, np.nan), (0.0, np.inf)):
+            with pytest.raises(ValueError, match="affine chart"):
+                enhanced_hamiltonian(parse_hamiltonian("D.Qinv.D", "affine"), fam, p, q)
 
 
 class TestCprime:
