@@ -199,14 +199,14 @@ def _cmd_rotsym(args, out_base, t0):
     from .dynamics import integrate, rotsym_flow
 
     _check_stride(args)
+    flow = rotsym_flow(args.N, args.m0, args.g0)  # validates N before the draw
     rng = np.random.default_rng(args.seed)
     scale = 0.5 / np.sqrt(args.N)
     p0 = scale * rng.normal(size=args.N)
     q0 = scale * rng.normal(size=args.N)
     perm = rng.permutation(args.N)
     # base and shuffled runs step together as the two rows of one batch
-    pair = integrate(rotsym_flow(args.N, args.m0, args.g0),
-                     (np.stack([p0, p0[perm]]), np.stack([q0, q0[perm]])), args.t_end)
+    pair = integrate(flow, (np.stack([p0, p0[perm]]), np.stack([q0, q0[perm]])), args.t_end)
     traj, shuffled = pair.row(0), pair.row(1)
     dev = max(
         float(np.max(np.abs(traj.ps[:, perm] - shuffled.ps))),
@@ -406,6 +406,9 @@ def run(argv=None) -> int:
     try:
         if args.config:
             _apply_config_file(ap, args, argv)
+        empty = [f"--{k.replace('_', '-')}" for k, v in vars(args).items() if v == []]
+        if empty:
+            raise ValueError(f"empty list for {', '.join(empty)}")
         if getattr(args, "hamiltonian", "") is None:
             args.hamiltonian = ("0.5*P.P + 0.5*Q.Q" if args.family == "canonical"
                                 else "D.Qinv.D")

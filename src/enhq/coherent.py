@@ -3,6 +3,10 @@
 Canonical states live in a truncated Fock basis, spin states in a
 (2s+1)-dimensional multiplet, and affine states as sampled wavefunctions
 on a half-line quadrature grid tuned to the Gamma-type fiducial weight.
+Canonical and spin states step on one cached eigensystem per dimension,
+of the real tridiagonal Q/sqrt(hbar) or S1/hbar, since P and S2 are
+phase-rotated copies of Q and S1; `with_hbar` and every later family of
+that size reuse it.
 
 Coordinates only label the states, so each family owns its charts:
 `family.chart(point, margin, name)` checks that a stencil of extent
@@ -16,8 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
 from ._quadrature import HalfLineGrid, gauss_gamma_grid
@@ -70,6 +76,16 @@ def _check_chart(family, name: str, names: tuple[str, ...]) -> None:
         raise ValueError(f"unknown {family.kind} chart {name!r}; expected one of {names}")
 
 
+@lru_cache(maxsize=64)
+def _ladder_spectrum(kind: str, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenpairs (w, v) of X = Q/sqrt(hbar) (fock) or S1/hbar (spin), and u_n = i^n:
+    P or S2 is -U^dag X U, U = diag(u).  v is complex, so products need no cast."""
+    j = np.arange(1.0, dim)
+    off = np.sqrt(j / 2.0) if kind == "fock" else 0.5 * np.sqrt(j * (dim - j))
+    w, v = eigh_tridiagonal(np.zeros(dim), off)
+    return w, v.astype(complex), np.array([1, 1j, -1, -1j])[np.arange(dim) % 4]
+
+
 def hermite_functions(n_max: int, x: np.ndarray, hbar: float) -> np.ndarray:
     """Harmonic-oscillator eigenfunctions phi_0..phi_{n_max-1} at points x.
 
@@ -113,8 +129,8 @@ class CanonicalFamily:
             raise ValueError("fiducial lives on a different space")
         self.Q = position_operator(space)
         self.P = momentum_operator(space)
-        self._eq = np.linalg.eigh(self.Q.matrix)
-        self._ep = np.linalg.eigh(self.P.matrix)
+        w, self._v, self._u = _ladder_spectrum(space.kind, space.dim)
+        self._x = w / math.sqrt(space.hbar)  # eigenvalues of Q / hbar
 
     @property
     def hbar(self) -> float:
@@ -128,12 +144,10 @@ class CanonicalFamily:
     def state(self, p: float, q: float) -> StateVector:
         if not (math.isfinite(p) and math.isfinite(q)):
             raise ValueError(f"canonical chart requires finite p and q, got ({p}, {q})")
-        h = self.space.hbar
-        c = self.fiducial.coeffs
-        wq, vq = self._eq
-        c = vq @ (np.exp(1j * p * wq / h) * (vq.conj().T @ c))
-        wp, vp = self._ep
-        c = vp @ (np.exp(-1j * q * wp / h) * (vp.conj().T @ c))
+        v, u, x = self._v, self._u, self._x
+        c = v @ (np.exp(1j * p * x) * (v.T @ self.fiducial.coeffs))
+        # e^(-iqP/h) = U^dag e^(iqQ/h) U
+        c = u.conj() * (v @ (np.exp(1j * q * x) * (v.T @ (u * c))))
         norm = np.linalg.norm(c)
         top = c[-TAIL_LEVELS:]
         tail = np.vdot(top, top).real / (norm * norm)
@@ -317,8 +331,8 @@ def affine_moment(beta: float, hbar: float, n: int) -> float:
 
     Serves as the closed-form oracle for the quadrature moments.
     """
-    if beta <= 0 or hbar <= 0:
-        raise ValueError("beta and hbar must be positive")
+    if not (0 < beta < math.inf and 0 < hbar < math.inf):
+        raise ValueError(f"beta and hbar must be positive and finite, got {beta}, {hbar}")
     k = 2.0 * beta / hbar
     if n < -1:
         raise ValueError("moments below n = -1 are not supported")
@@ -341,7 +355,7 @@ class SpinFamily:
         self.s = float(s)
         self.S1, self.S2, self.S3 = spin_operators(s, hbar)
         self.space = self.S3.space
-        self._e2 = np.linalg.eigh(self.S2.matrix)
+        self._w, self._v, self._u = _ladder_spectrum(self.space.kind, self.space.dim)
         self._m = np.arange(self.s, -self.s - 1e-9, -1.0)  # S3 eigenvalues / hbar
         self.fiducial = basis_state(self.space, 0)  # m = s is first
 
@@ -360,10 +374,9 @@ class SpinFamily:
         return self._state_unchecked(theta, phi)
 
     def _state_unchecked(self, theta: float, phi: float) -> StateVector:
-        h = self.space.hbar
-        w2, v2 = self._e2
-        c = self.fiducial.coeffs
-        c = v2 @ (np.exp(-1j * theta * w2 / h) * (v2.conj().T @ c))
+        v, u = self._v, self._u
+        # e^(-i theta S2/h) = U^dag e^(i theta S1/h) U, and V^T U |s,s> = V[0]
+        c = u.conj() * (v @ (np.exp(1j * theta * self._w) * v[0]))
         c = np.exp(-1j * phi * self._m) * c  # S3 is diagonal: e^(-i phi S3/h)
         return StateVector(c / np.linalg.norm(c), self.space)
 

@@ -153,8 +153,10 @@ def toy_gravity_flow(hbar: float = 0.0, cprime: float | None = None,
     hbar = 0 gives the classical flow; hbar > 0 the enhanced flow, with
     C' taken from the weak-correspondence evaluator unless supplied.
     """
-    if hbar < 0:
-        raise ValueError("hbar must be nonnegative")
+    if not 0 <= hbar < math.inf:
+        raise ValueError(f"hbar must be finite and nonnegative, got {hbar}")
+    if cprime is not None and not 0 < cprime < math.inf:
+        raise ValueError(f"C' must be finite and positive, got {cprime}")
     if hbar == 0.0:
         c = 0.0
     elif cprime is None:

@@ -64,6 +64,14 @@ class TestBadControls:
         ["wcp", "--p", "nan"],
         ["wcp", "--q", "inf"],
         ["wcp", "--family", "affine", "--p", "nan"],
+        # empty lists
+        ["wcp", "--p=,"],
+        ["metric", "--p=,"],
+        ["inequality", "--alphas=,"],
+        ["inequality", "--eps=,"],
+        # N is checked before the initial state is drawn
+        ["rotsym", "--N", "0"],
+        ["rotsym", "--N=-3"],
     ])
     def test_flag_rejected(self, tmp_path, capsys, argv):
         assert run(["--out", str(tmp_path)] + argv) == 1
@@ -85,6 +93,8 @@ class TestBadControls:
         ("dynamics", {"cross_check": "yes"}),
         ("inequality", {"alphas": [0.3, "x"]}),
         ("inequality", {"command": "metric"}),
+        ("inequality", {"eps": []}),
+        ("wcp", {"p": []}),
     ])
     def test_config_value_rejected(self, tmp_path, capsys, command, cfg):
         path = tmp_path / "cfg.json"

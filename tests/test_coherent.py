@@ -3,15 +3,23 @@
 import numpy as np
 import pytest
 
+import enhq.coherent
 from enhq.coherent import (
     AffineFamily,
     CanonicalFamily,
     SpinFamily,
     affine_moment,
+    _ladder_spectrum,
     hermite_functions,
     overlap,
 )
-from enhq.hilbert import basis_state, expectation, make_fock_space, squeezed_ground_state
+from enhq.hilbert import (
+    basis_state,
+    expectation,
+    make_fock_space,
+    squeezed_ground_state,
+    unitary_from_hermitian,
+)
 
 
 # ---------------------------------------------------------------- canonical
@@ -227,6 +235,9 @@ class TestAffine:
             affine_moment(1.0, 1.0, -2)
         with pytest.raises(ValueError):
             affine_moment(-1.0, 1.0, 1)
+        for beta, hbar in ((np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                affine_moment(beta, hbar, 1)
 
 
 # --------------------------------------------------------------------- spin
@@ -279,6 +290,68 @@ class TestSpin:
         vec, _ = fam.chart(point, 0.0, "pq")
         a = fam.state(theta, phi).coeffs
         assert abs(abs(np.vdot(a, vec(*point))) - 1.0) < 1e-12
+
+
+# ---------------------------------------------------------- ladder spectrum
+
+
+class TestLadderSpectrum:
+    """Both families step on the cached spectrum of one real generator."""
+
+    @staticmethod
+    def _rotated(op, u):
+        # -U^dag A U with U = diag(u)
+        return -(u.conj()[:, None] * op.matrix * u[None, :])
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.25, 0.05])
+    def test_partner_is_phase_rotated_copy(self, hbar):
+        for N in (2, 7, 100):
+            fam = CanonicalFamily(N=N, hbar=hbar)
+            u = _ladder_spectrum("fock", N)[2]
+            assert [complex(x) for x in u] == [1j ** n for n in range(N)]
+            assert np.array_equal(fam.P.matrix, self._rotated(fam.Q, u))
+        for s in (0.5, 1.0, 1.5, 3.0):
+            fam = SpinFamily(s, hbar)
+            u = _ladder_spectrum("spin", fam.space.dim)[2]
+            assert np.array_equal(fam.S2.matrix, self._rotated(fam.S1, u))
+
+    @pytest.mark.parametrize("N", [2, 100])
+    @pytest.mark.parametrize("hbar", [1.0, 0.25, 0.05])
+    def test_canonical_state_matches_dense_reference(self, N, hbar, monkeypatch):
+        # at N = 2 every state lies in the top Fock levels; lift the tail
+        # guard to reach the map itself
+        if N == 2:
+            monkeypatch.setattr(enhq.coherent, "TAIL_MASS_MAX", np.inf)
+        fam = CanonicalFamily(N=N, hbar=hbar)
+        rng = np.random.default_rng(N + int(100 * hbar))
+        for p, q in rng.uniform(-1.0, 1.0, size=(8, 2)):
+            ref = (unitary_from_hermitian(fam.P, -q / hbar).matrix
+                   @ unitary_from_hermitian(fam.Q, p / hbar).matrix @ fam.fiducial.coeffs)
+            assert np.max(np.abs(fam.state(p, q).coeffs - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("hbar", [1.0, 0.25, 0.05])
+    def test_spin_state_matches_dense_reference(self, s, hbar):
+        fam = SpinFamily(s, hbar)
+        rng = np.random.default_rng(int(10 * s) + int(100 * hbar))
+        for theta, phi in rng.uniform(0.0, 1.0, size=(8, 2)) * (np.pi, 2.0 * np.pi):
+            ref = (unitary_from_hermitian(fam.S3, -phi / hbar).matrix
+                   @ unitary_from_hermitian(fam.S2, -theta / hbar).matrix @ fam.fiducial.coeffs)
+            assert np.max(np.abs(fam.state(theta, phi).coeffs - ref)) <= 1e-12
+
+    def test_families_share_one_spectrum_per_size(self, monkeypatch):
+        canonical, spin = CanonicalFamily(N=37), SpinFamily(18.0)  # both dim 37
+        misses = _ladder_spectrum.cache_info().misses
+
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("eigendecomposition after the spectrum was cached")
+
+        monkeypatch.setattr(enhq.coherent, "eigh_tridiagonal", no_eigensolve)
+        monkeypatch.setattr(np.linalg, "eigh", no_eigensolve)
+        for fam in (canonical.with_hbar(0.25), CanonicalFamily(N=37, hbar=0.5),
+                    spin.with_hbar(0.25), SpinFamily(18.0, 0.5)):
+            fam.state(0.5, 0.5)
+        assert _ladder_spectrum.cache_info().misses == misses
 
 
 # ------------------------------------------------------------------ overlap

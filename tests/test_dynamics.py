@@ -73,6 +73,16 @@ class TestControls:
         with pytest.raises(ValueError):
             integrate(oscillator_flow(), (1.0, 0.0), t_end)
 
+    @pytest.mark.parametrize("bad", [
+        {"hbar": float("nan")}, {"hbar": float("inf")},
+        {"hbar": float("nan"), "cprime": 1.0},
+        {"hbar": 1.0, "cprime": float("nan")}, {"hbar": 1.0, "cprime": -5.0},
+    ])
+    def test_bad_toy_gravity_parameters_rejected(self, bad):
+        # these used to integrate to a "singularity" at t = 2.5e-5 or 0.309
+        with pytest.raises(ValueError):
+            toy_gravity_flow(**bad)
+
 
 class TestOscillator:
     def test_period_return(self):
