@@ -3,7 +3,9 @@
 Generalized Gauss-Laguerre rules built by Golub-Welsch on the analytic
 Jacobi recurrence; this stays finite for large node counts where the
 library routine overflows.  Nodes whose weights underflow to zero are
-dropped (their integrand contribution is below 1e-300).
+dropped (their integrand contribution is below 1e-300).  The affine
+family samples its states on one such grid; its expectations are exact
+Gamma moments and need no grid.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ class HalfLineGrid:
 
     nodes: np.ndarray
     weights: np.ndarray
-    alpha: float
-    rate: float
 
     def __post_init__(self):
         for name in ("nodes", "weights"):
@@ -35,13 +35,6 @@ class HalfLineGrid:
 
     def integrate(self, values: np.ndarray) -> complex:
         return np.sum(self.weights * values)
-
-    def same_as(self, other: "HalfLineGrid") -> bool:
-        return (
-            self.nodes.shape == other.nodes.shape
-            and np.array_equal(self.nodes, other.nodes)
-            and np.array_equal(self.weights, other.weights)
-        )
 
 
 @lru_cache(maxsize=64)
@@ -72,6 +65,4 @@ def gauss_gamma_grid(alpha: float, rate: float, n_nodes: int = 400) -> HalfLineG
     # undo the weight: W_i = w_i * e^t * t^-alpha, then rescale x = t/rate
     log_true = log_w + t - alpha * np.log(t) - np.log(rate)
     keep = log_true < 700.0  # guard; never triggered for sane alpha
-    return HalfLineGrid(
-        nodes=t[keep] / rate, weights=np.exp(log_true[keep]), alpha=alpha, rate=rate
-    )
+    return HalfLineGrid(nodes=t[keep] / rate, weights=np.exp(log_true[keep]))

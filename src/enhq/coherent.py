@@ -1,8 +1,9 @@
-"""The three coherent-state families, their charts, overlaps and moments.
+"""The three coherent-state families, their charts and moments.
 
 Canonical states live in a truncated Fock basis, spin states in a
 (2s+1)-dimensional multiplet, and affine states as sampled wavefunctions
-on a half-line quadrature grid tuned to the Gamma-type fiducial weight.
+on a half-line quadrature grid tuned to the Gamma-type fiducial weight;
+affine expectations of Laurent words are exact sums of Gamma moments.
 Canonical and spin states step on one cached eigensystem per dimension,
 of the real tridiagonal Q/sqrt(hbar) or S1/hbar, since P and S2 are
 phase-rotated copies of Q and S1; `with_hbar` and every later family of
@@ -44,8 +45,6 @@ __all__ = [
     "AffineState",
     "SpinFamily",
     "affine_moment",
-    "overlap",
-    "hermite_functions",
 ]
 
 
@@ -84,23 +83,6 @@ def _ladder_spectrum(kind: str, dim: int) -> tuple[np.ndarray, np.ndarray, np.nd
     off = np.sqrt(j / 2.0) if kind == "fock" else 0.5 * np.sqrt(j * (dim - j))
     w, v = eigh_tridiagonal(np.zeros(dim), off)
     return w, v.astype(complex), np.array([1, 1j, -1, -1j])[np.arange(dim) % 4]
-
-
-def hermite_functions(n_max: int, x: np.ndarray, hbar: float) -> np.ndarray:
-    """Harmonic-oscillator eigenfunctions phi_0..phi_{n_max-1} at points x.
-
-    Stable normalized recurrence in the scaled variable x/sqrt(hbar);
-    returns an array of shape (n_max, len(x)).
-    """
-    x = np.asarray(x, dtype=float)
-    xi = x / np.sqrt(hbar)
-    out = np.zeros((n_max, x.size))
-    out[0] = (np.pi * hbar) ** -0.25 * np.exp(-0.5 * xi * xi)
-    if n_max > 1:
-        out[1] = np.sqrt(2.0) * xi * out[0]
-    for n in range(1, n_max - 1):
-        out[n + 1] = np.sqrt(2.0 / (n + 1)) * xi * out[n] - np.sqrt(n / (n + 1.0)) * out[n - 1]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +135,9 @@ class CanonicalFamily:
         tail = np.vdot(top, top).real / (norm * norm)
         if not tail <= TAIL_MASS_MAX:
             raise ValueError(
-                f"canonical state at (p, q) = ({p}, {q}) holds {tail:.2g} of its norm in the "
-                f"top {TAIL_LEVELS} of {c.size} Fock levels (limit {TAIL_MASS_MAX:g}); "
-                "use a larger truncation"
+                f"canonical state at (p, q) = ({p}, {q}), hbar = {self.hbar}, holds {tail:.2g} "
+                f"of its norm in the top {TAIL_LEVELS} of {c.size} Fock levels "
+                f"(limit {TAIL_MASS_MAX:g}); use a larger truncation"
             )
         return StateVector(c / norm, self.space)
 
@@ -163,22 +145,6 @@ class CanonicalFamily:
         """(vec, inner) of the (p, q) chart, which covers the whole plane."""
         _check_chart(self, name, ("pq",))
         return (lambda p, q: self.state(p, q).coeffs), _vdot
-
-    def xrep(self, p: float, q: float, xgrid: np.ndarray) -> np.ndarray:
-        """Position-space samples e^{ip(x-q)/h} eta(x-q) of the coherent state.
-
-        Raises if the grid loses more than 1e-3 of the norm.
-        """
-        xgrid = np.asarray(xgrid, dtype=float)
-        h = self.space.hbar
-        eta = self.fiducial.coeffs @ hermite_functions(self.space.dim, xgrid - q, h)
-        samples = np.exp(1j * p * (xgrid - q) / h) * eta
-        norm2 = np.trapezoid(np.abs(samples) ** 2, xgrid)
-        if abs(norm2 - 1.0) > 1e-3:
-            raise ValueError(
-                f"x-grid does not cover the state support (norm^2 = {norm2:.6f})"
-            )
-        return samples
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +157,6 @@ class AffineState:
 
     grid: HalfLineGrid
     samples: np.ndarray
-    beta: float
-    hbar: float
-    p: float
-    q: float
 
     def __post_init__(self):
         s = np.ascontiguousarray(self.samples, dtype=complex)
@@ -244,11 +206,6 @@ class AffineFamily:
         """Same family with the quadrature grid rescaled around q = q0."""
         return AffineFamily(self.beta, self.hbar, q0)
 
-    def fiducial_wavefunction(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        gamma = 0.5 * (self.k - 1.0)
-        return np.exp(self._log_m + gamma * np.log(x) - self.beta * x / self.hbar)
-
     def fiducial(self) -> AffineState:
         return self.state(0.0, 1.0)
 
@@ -275,7 +232,7 @@ class AffineFamily:
                 f"off by more than {AFFINE_NORM_TOL:g}: its grid does not resolve it; "
                 f"sample it on family.centered({q})"
             )
-        return AffineState(g, samples, self.beta, self.hbar, float(p), float(q))
+        return AffineState(g, samples)
 
     def chart(self, point, margin: float, name: str):
         """(vec, inner) of the (p, q) chart on q > 0.
@@ -294,42 +251,39 @@ class AffineFamily:
         return ((lambda p, q: local.state(p, q).samples),
                 (lambda x, y: complex(np.sum(w * np.conj(x) * y))))
 
-    def _log_pdf(self, x: np.ndarray, q: float) -> np.ndarray:
-        rate = self.k / q
-        return self.k * np.log(rate) - gammaln(self.k) + (self.k - 1.0) * np.log(x) - rate * x
-
     def expect_laurent(self, coeffs: dict[int, complex], p: float, q: float) -> complex:
-        """Quadrature expectation of sum_e c_e x^e in the state at (p, q).
+        """Exact expectation of sum_e c_e x^e in the state at (p, q).
 
-        The probability density |psi_{p,q}|^2 carries no p dependence;
-        p enters only through the (complex) coefficients supplied by the
-        caller.  Negative exponents shift the quadrature weight so every
-        term with e >= -(k-1) is integrated exactly.
+        |psi_{p,q}|^2 is the Gamma density of shape k and rate k/q, so
+        <x^e> = (q/k)^e Gamma(k+e)/Gamma(k), and the ratio is a product of
+        |e| factors: k(k+1)... for e > 0, 1/((k-1)(k-2)...) for e < 0.
+        The density carries no p dependence; p enters only through the
+        (complex) coefficients supplied by the caller.
         """
         _check_affine_point(p, q)
+        k = self.k
         e_min = min(coeffs)
-        shift = min(0, e_min)
-        alpha = self.k - 1.0 + shift
-        if alpha <= -1.0:
-            raise ValueError(
-                f"moment x^{e_min} diverges for shape k = {self.k}"
-            )
-        g = gauss_gamma_grid(alpha, self.k / q)
-        pdf = np.exp(self._log_pdf(g.nodes, q))
+        if k + e_min <= 0:
+            raise ValueError(f"moment x^{e_min} diverges for shape k = {k}")
         total = 0.0 + 0.0j
         for e, c in coeffs.items():
-            total += c * g.integrate(pdf * g.nodes ** float(e))
+            if e >= 0:
+                ratio = math.prod(k + i for i in range(e))
+            else:
+                ratio = 1.0 / math.prod(k - i for i in range(1, 1 - e))
+            total += c * (q / k) ** e * ratio
         return complex(total)
 
     def expect_power(self, n: int, p: float = 0.0, q: float = 1.0) -> float:
-        """<Q^n> by quadrature in the coherent state at (p, q)."""
+        """<Q^n> in the coherent state at (p, q), as an exact Gamma moment."""
         return float(np.real(self.expect_laurent({int(n): 1.0}, p, q)))
 
 
 def affine_moment(beta: float, hbar: float, n: int) -> float:
     """Analytic fiducial moment <Q^n> = Gamma(k+n) / (Gamma(k) k^n), k = 2 beta/hbar.
 
-    Serves as the closed-form oracle for the quadrature moments.
+    Independent of `expect_laurent` (log-Gamma, not a product of factors), it
+    serves as the oracle for the moments on the state grid and for those sums.
     """
     if not (0 < beta < math.inf and 0 < hbar < math.inf):
         raise ValueError(f"beta and hbar must be positive and finite, got {beta}, {hbar}")
@@ -399,19 +353,3 @@ class SpinFamily:
                 f"spin pq-chart stencil at p = {u} crosses |p| = sqrt(s*hbar)"
             )
         return (lambda a, b: self._state_unchecked(float(np.arccos(a / r)), b / r).coeffs), _vdot
-
-
-# ---------------------------------------------------------------------------
-
-
-def overlap(a, b) -> complex:
-    """Inner product <a|b> for states of a common family representation."""
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        if a.space != b.space:
-            raise ValueError("states live on different spaces")
-        return _vdot(a.coeffs, b.coeffs)
-    if isinstance(a, AffineState) and isinstance(b, AffineState):
-        if not a.grid.same_as(b.grid):
-            raise ValueError("affine states sampled on different grids")
-        return complex(a.grid.integrate(np.conj(a.samples) * b.samples))
-    raise TypeError(f"cannot overlap {type(a).__name__} with {type(b).__name__}")

@@ -46,7 +46,6 @@ __all__ = [
     "toy_gravity_flow",
     "rotsym_flow",
     "integrate",
-    "rotsym_integrate",
     "classical_toy_solution",
 ]
 
@@ -469,15 +468,6 @@ def _rk_shadow_error(flow, initial, traj: Trajectory) -> float:
     sol = solve_ivp(rhs, (0.0, t_final), y0, method="RK45", rtol=1e-10, atol=1e-12)
     end = np.concatenate([np.ravel(traj.ps[-1]), np.ravel(traj.qs[-1])])
     return float(np.max(np.abs(end - sol.y[:, -1])))
-
-
-def rotsym_integrate(N: int, m0: float, g0: float, p0, q0, t_end: float,
-                     controls: IntegratorControls = IntegratorControls(dt=1e-4)) -> Trajectory:
-    p0 = np.asarray(p0, dtype=float)
-    q0 = np.asarray(q0, dtype=float)
-    if p0.shape != (N,) or q0.shape != (N,):
-        raise ValueError(f"initial vectors must have shape ({N},)")
-    return integrate(rotsym_flow(N, m0, g0), (p0, q0), t_end, controls)
 
 
 def classical_toy_solution(p0: float, q0: float, t):

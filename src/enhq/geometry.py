@@ -13,13 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherent import ChartBoundaryError
-from .hilbert import Operator, expectation, momentum_operator, position_operator
 
 __all__ = [
     "Metric2D",
     "CurvatureReport",
     "fs_metric",
-    "fiducial_metric_coeffs",
     "gaussian_curvature",
 ]
 
@@ -38,12 +36,8 @@ class Metric2D:
     def as_matrix(self) -> np.ndarray:
         return np.array([[self.g_pp, self.g_pq], [self.g_pq, self.g_qq]])
 
-    @property
-    def det(self) -> float:
-        return self.g_pp * self.g_qq - self.g_pq**2
-
     def is_positive_definite(self) -> bool:
-        return self.det > 0 and self.g_pp + self.g_qq > 0
+        return self.g_pp * self.g_qq - self.g_pq**2 > 0 and self.g_pp + self.g_qq > 0
 
 
 @dataclass(frozen=True)
@@ -93,27 +87,6 @@ def fs_metric(family, point, chart: str | None = None) -> Metric2D:
         g_pp=g(du, du), g_pq=g(du, dv), g_qq=g(dv, dv),
         point=(float(u), float(v)), chart=name,
     )
-
-
-def fiducial_metric_coeffs(fiducial) -> tuple[float, float, float]:
-    """Variance coefficients (A, B, C) of a canonical fiducial vector.
-
-    A = <(dQ)^2>, B = <dQ dP + dP dQ>, C = <(dP)^2>; the family metric
-    is then (2/hbar) [A dp^2 + B dp dq + C dq^2].
-    """
-    space = fiducial.space
-    if space.kind != "fock":
-        raise ValueError("fiducial metric coefficients need a fock-kind fiducial")
-    q = position_operator(space)
-    p = momentum_operator(space)
-    qm = expectation(fiducial, q).real
-    pm = expectation(fiducial, p).real
-    dq = Operator(q.matrix - qm * np.eye(space.dim), space)
-    dp = Operator(p.matrix - pm * np.eye(space.dim), space)
-    a = expectation(fiducial, dq @ dq).real
-    c = expectation(fiducial, dp @ dp).real
-    b = expectation(fiducial, Operator(dq.matrix @ dp.matrix + dp.matrix @ dq.matrix, space)).real
-    return (float(a), float(b), float(c))
 
 
 def _brioschi(e, f, g, h):

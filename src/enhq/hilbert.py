@@ -1,9 +1,8 @@
 """Finite-dimensional Hilbert-space engine.
 
 Builds truncated Fock spaces and spin spaces, the basic Hermitian
-operators living on them, unitaries generated by those operators, and
-expectation values.  Everything is a dense complex matrix; all values
-are immutable after construction.
+operators living on them, and expectation values.  Everything is a
+dense complex matrix; all values are immutable after construction.
 
 Conventions: the ladder operator is a = (Q + iP) / sqrt(2*hbar), so the
 Fock ground state is annihilated by Q + iP and has
@@ -27,13 +26,9 @@ __all__ = [
     "dilation_operator",
     "spin_operators",
     "spin_space",
-    "unitary_from_hermitian",
     "expectation",
     "basis_state",
-    "squeezed_ground_state",
 ]
-
-HERMITIAN_TOL = 1e-12
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -71,12 +66,6 @@ class Operator:
                 f"matrix shape {m.shape} does not match dim {self.space.dim}"
             )
         object.__setattr__(self, "matrix", _frozen(m))
-
-    @property
-    def is_hermitian(self) -> bool:
-        return bool(
-            np.max(np.abs(self.matrix - self.matrix.conj().T)) < HERMITIAN_TOL * max(1.0, float(np.max(np.abs(self.matrix))))
-        )
 
     def __matmul__(self, other: "Operator") -> "Operator":
         if other.space != self.space:
@@ -165,15 +154,6 @@ def spin_operators(s: float, hbar: float) -> tuple[Operator, Operator, Operator]
     return (Operator(s1, space), Operator(s2, space), Operator(s3, space))
 
 
-def unitary_from_hermitian(A: Operator, c: float) -> Operator:
-    """exp(i*c*A) via eigendecomposition of the Hermitian A."""
-    if not A.is_hermitian:
-        raise ValueError("operator is not Hermitian; cannot exponentiate unitarily")
-    w, v = np.linalg.eigh(A.matrix)
-    u = (v * np.exp(1j * c * w)) @ v.conj().T
-    return Operator(u, A.space)
-
-
 def expectation(psi: StateVector, A: Operator) -> complex:
     """<psi|A|psi>."""
     if A.space != psi.space:
@@ -187,23 +167,3 @@ def basis_state(space: HilbertSpace, n: int) -> StateVector:
     c = np.zeros(space.dim, dtype=complex)
     c[n] = 1.0
     return StateVector(c, space)
-
-
-def squeezed_ground_state(space: HilbertSpace, lam: float) -> StateVector:
-    """Normalized kernel vector of (Q/lam + i*lam*P).
-
-    Found as the lowest eigenvector of b^dag b, where b is the
-    squeezed annihilator; reduces to the Fock ground state at lam = 1.
-    """
-    _check_fock(space)
-    if lam <= 0:
-        raise ValueError("squeeze parameter must be positive")
-    q = position_operator(space).matrix
-    p = momentum_operator(space).matrix
-    b = (q / lam + 1j * lam * p) / np.sqrt(2.0 * space.hbar)
-    w, v = np.linalg.eigh(b.conj().T @ b)
-    c = v[:, np.argmin(w)]
-    # fix the overall phase so the |0> component is real positive
-    k = int(np.argmax(np.abs(c)))
-    c = c * np.exp(-1j * np.angle(c[k]))
-    return StateVector(c / np.linalg.norm(c), space)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1, gamma, gammaincc, gammaln
+from scipy.special import exp1, gamma, gammaincc, gammaln, zeta
 
 __all__ = [
     "RadialField",
@@ -50,28 +50,50 @@ class RadialField:
         if not 0.0 < self.amplitude < math.inf:
             raise ValueError(f"amplitude must be positive and finite, got {self.amplitude}")
 
-    def profile(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.amplitude * r ** (-self.alpha) * np.exp(-r * r)
 
-    def dprofile(self, r):
-        r = np.asarray(r, dtype=float)
-        return -(self.alpha / r + 2.0 * r) * self.profile(r)
+# zeta(k)/k, k = 63 down to 2 (Horner order), of ln Gamma(1 + b) =
+# -euler_gamma b + sum_k zeta(k)/k (-b)^k, whose terms are below 2^-k at |b| < 1/2
+_ZETA_OVER_K = tuple(float(zeta(k)) / k for k in range(63, 1, -1))
+
+
+def _small_order_gamma(b: float, x: float) -> float:
+    """Gamma(b, x) for 0 < |b| < 1/2 and 0 < x < 1 (Gautschi, ACM TOMS 5 (1979) 466).
+
+    (Gamma(1+b) - 1)/b - expm1(b ln x)/b - x^b sum_{k>=1} (-x)^k / (k! (b+k)),
+    with Gamma(1+b) from its zeta series, since 1 + b itself rounds.
+    """
+    s = 0.0
+    for c in _ZETA_OVER_K:
+        s = c - b * s
+    ln_g1 = b * (b * s - np.euler_gamma)
+    term, tail, k = 1.0, 0.0, 0
+    while abs(term) > 1e-17:  # |term| <= x^k / k!, and x < 1
+        k += 1
+        term *= -x / k
+        tail += term / (b + k)
+    return (math.expm1(ln_g1) - math.expm1(b * math.log(x))) / b - x**b * tail
 
 
 def _upper_gamma(a: float, x: float) -> float:
     """Gamma(a, x) for real a and x > 0.
 
-    gamma * gammaincc for a > 0 and E1 at a = 0; below zero, Gamma(a, x) =
-    (Gamma(a+1, x) - x^a e^(-x)) / a runs down from the first a + k >= 0.
-    For x < 1 the subtracted term is the larger one, so only a step through
-    0 < |a + j| << 1 cancels, losing about log10(1/|a + j|) digits.
+    Gamma(a, x) = (Gamma(a+1, x) - x^a e^(-x)) / a runs down from a start
+    order a + j, j >= 0.  For x < 1 the subtracted term is the larger one,
+    so a step through an order 0 < |a + j| << 1 would cancel digits: there
+    the start is the order a + j nearest 0 when 0 < |a + j| < 1/2, by the
+    small-order series.  Otherwise it is the first a + j >= 0, by
+    gamma * gammaincc, or E1 at 0.
     """
-    k = max(0, math.ceil(-a))
-    b = a + k
-    g = float(exp1(x)) if b == 0 else float(gamma(b) * gammaincc(b, x))
-    for j in range(k - 1, -1, -1):
-        g = (g - x ** (a + j) * math.exp(-x)) / (a + j)
+    j = max(0, round(-a))
+    b = a + j
+    if x < 1.0 and 0.0 < abs(b) < 0.5:
+        g = _small_order_gamma(b, x)
+    else:
+        j = max(0, math.ceil(-a))
+        b = a + j
+        g = float(exp1(x)) if b == 0 else float(gamma(b) * gammaincc(b, x))
+    for i in range(j - 1, -1, -1):
+        g = (g - x ** (a + i) * math.exp(-x)) / (a + i)
     return g
 
 
@@ -122,9 +144,6 @@ def rhs_slope_expected(field: RadialField) -> float:
 
 @dataclass(frozen=True)
 class InequalityReport:
-    n: int
-    m0: float
-    eps_sequence: tuple
     rows: tuple  # (alpha, eps, lhs, rhs, ratio) per cell
     verdicts: tuple  # per alpha: dict with slopes and divergence flags
     max_ratio: float
@@ -184,7 +203,4 @@ def scan(n: int, alpha_grid, eps_sequence=DEFAULT_EPS, m0: float = 1.0) -> Inequ
             "rhs_divergent": bool(r_slope < -0.05 and r_r2 > 0.99),
             "ratio_growth": (ls[-1] / rs[-1]) / (ls[0] / rs[0]),
         })
-    return InequalityReport(
-        n=n, m0=m0, eps_sequence=eps_sequence,
-        rows=tuple(rows), verdicts=tuple(verdicts), max_ratio=float(max_ratio),
-    )
+    return InequalityReport(rows=tuple(rows), verdicts=tuple(verdicts), max_ratio=float(max_ratio))

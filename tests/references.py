@@ -1,0 +1,98 @@
+"""Reference constructions the tests check the program against.
+
+None of these is reached by an `enhq` subcommand, so they live beside the
+tests rather than in the package: dense unitaries, squeezed fiducials,
+position-space wavefunctions, overlaps, the fiducial variance
+coefficients and the Gauss-Gamma quadrature of affine expectations.
+"""
+
+import numpy as np
+from scipy.special import gammaln
+
+from enhq._quadrature import gauss_gamma_grid
+from enhq.coherent import AffineState
+from enhq.hilbert import Operator, StateVector, expectation, momentum_operator, position_operator
+
+
+def unitary_from_hermitian(A: Operator, c: float) -> Operator:
+    """exp(i*c*A) via dense eigendecomposition of the Hermitian A."""
+    w, v = np.linalg.eigh(A.matrix)
+    return Operator((v * np.exp(1j * c * w)) @ v.conj().T, A.space)
+
+
+def squeezed_ground_state(space, lam: float) -> StateVector:
+    """Normalized kernel vector of (Q/lam + i*lam*P), phase-fixed at its largest entry.
+
+    The lowest eigenvector of b^dag b for the squeezed annihilator b;
+    the Fock ground state at lam = 1.
+    """
+    q = position_operator(space).matrix
+    p = momentum_operator(space).matrix
+    b = (q / lam + 1j * lam * p) / np.sqrt(2.0 * space.hbar)
+    w, v = np.linalg.eigh(b.conj().T @ b)
+    c = v[:, np.argmin(w)]
+    c = c * np.exp(-1j * np.angle(c[np.argmax(np.abs(c))]))
+    return StateVector(c / np.linalg.norm(c), space)
+
+
+def hermite_functions(n_max: int, x: np.ndarray, hbar: float) -> np.ndarray:
+    """Oscillator eigenfunctions phi_0..phi_{n_max-1} at x, shape (n_max, len(x)).
+
+    Stable normalized recurrence in the scaled variable x/sqrt(hbar).
+    """
+    xi = np.asarray(x, dtype=float) / np.sqrt(hbar)
+    out = np.zeros((n_max, xi.size))
+    out[0] = (np.pi * hbar) ** -0.25 * np.exp(-0.5 * xi * xi)
+    if n_max > 1:
+        out[1] = np.sqrt(2.0) * xi * out[0]
+    for n in range(1, n_max - 1):
+        out[n + 1] = np.sqrt(2.0 / (n + 1)) * xi * out[n] - np.sqrt(n / (n + 1.0)) * out[n - 1]
+    return out
+
+
+def xrep(family, p: float, q: float, x: np.ndarray) -> np.ndarray:
+    """Position samples e^{ip(x-q)/h} eta(x-q) of a canonical coherent state."""
+    h = family.hbar
+    eta = family.fiducial.coeffs @ hermite_functions(family.space.dim, x - q, h)
+    return np.exp(1j * p * (x - q) / h) * eta
+
+
+def overlap(a, b) -> complex:
+    """<a|b> for two state vectors, or two affine states on one grid."""
+    if isinstance(a, AffineState):
+        return complex(a.grid.integrate(np.conj(a.samples) * b.samples))
+    return complex(np.vdot(a.coeffs, b.coeffs))
+
+
+def affine_fiducial_wavefunction(beta: float, hbar: float, x: np.ndarray) -> np.ndarray:
+    """M x^((k-1)/2) e^(-beta x/hbar), k = 2 beta/hbar, M^2 = k^k / Gamma(k)."""
+    k = 2.0 * beta / hbar
+    log_m = 0.5 * (k * np.log(k) - gammaln(k))
+    return np.exp(log_m + 0.5 * (k - 1.0) * np.log(x) - beta * x / hbar)
+
+
+def fiducial_metric_coeffs(fiducial) -> tuple[float, float, float]:
+    """Variance coefficients (A, B, C) of a canonical fiducial vector.
+
+    A = <(dQ)^2>, B = <dQ dP + dP dQ>, C = <(dP)^2>; the family metric
+    is then (2/hbar) [A dp^2 + B dp dq + C dq^2].
+    """
+    space = fiducial.space
+    eye = np.eye(space.dim)
+    q, p = position_operator(space), momentum_operator(space)
+    dq = q.matrix - expectation(fiducial, q).real * eye
+    dp = p.matrix - expectation(fiducial, p).real * eye
+    ev = lambda m: expectation(fiducial, Operator(m, space)).real
+    return (float(ev(dq @ dq)), float(ev(dq @ dp + dp @ dq)), float(ev(dp @ dp)))
+
+
+def quadrature_expect_laurent(family, coeffs: dict, p: float, q: float) -> complex:
+    """<p,q| sum_e c_e x^e |p,q> by 400-node Gauss-Gamma quadrature of the Gamma density.
+
+    Negative exponents shift the quadrature weight, so every term with
+    e >= -(k-1) is integrated exactly up to rounding.
+    """
+    k, rate = family.k, family.k / q
+    g = gauss_gamma_grid(k - 1.0 + min(0, min(coeffs)), rate)
+    pdf = np.exp(k * np.log(rate) - gammaln(k) + (k - 1.0) * np.log(g.nodes) - rate * g.nodes)
+    return complex(sum(c * g.integrate(pdf * g.nodes ** float(e)) for e, c in coeffs.items()))

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from enhq.coherent import AffineFamily, CanonicalFamily, SpinFamily, affine_moment
-from enhq.dynamics import IntegratorControls, integrate, rotsym_integrate, toy_gravity_flow
+from enhq.dynamics import IntegratorControls, integrate, rotsym_flow, toy_gravity_flow
 from enhq.dynamics import classical_toy_solution
 from enhq.geometry import fs_metric, gaussian_curvature
 from enhq.inequality import DEFAULT_EPS, RadialField, lhs, lhs_slope_expected, rhs, scan
@@ -172,8 +172,8 @@ def test_criterion_6_shuffle_symmetry():
             p0 = amp * rng.normal(size=n)
             q0 = amp * rng.normal(size=n)
             perm = rng.permutation(n)
-            base = rotsym_integrate(n, 1.0, g0, p0, q0, 2.0)
-            shuffled = rotsym_integrate(n, 1.0, g0, p0[perm], q0[perm], 2.0)
+            base = integrate(rotsym_flow(n, 1.0, g0), (p0, q0), 2.0)
+            shuffled = integrate(rotsym_flow(n, 1.0, g0), (p0[perm], q0[perm]), 2.0)
             dev = max(
                 float(np.max(np.abs(base.ps[:, perm] - shuffled.ps))),
                 float(np.max(np.abs(base.qs[:, perm] - shuffled.qs))),

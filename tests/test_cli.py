@@ -27,6 +27,14 @@ class TestExitCodes:
         assert code == 1
         assert "Fock levels" in capsys.readouterr().err
 
+    def test_tail_guard_names_hbar(self, tmp_path, capsys):
+        # (0, 1) is resolved at the run's hbar = 1; the hbar fit's sweep
+        # reaches hbar = 0.05, where N = 40 truncates the state
+        code = run(["--out", str(tmp_path), "wcp", "--N", "40"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "hbar = 0.05" in err and "Fock levels" in err
+
     def test_unresolved_affine_state(self, tmp_path, capsys):
         # the curvature stencil's metric at q = 0.015 samples q +- 0.002 on a
         # grid centred at 0.015; unchecked, those states give K = 3.57e6 (true -1)

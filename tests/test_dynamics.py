@@ -15,7 +15,6 @@ from enhq.dynamics import (
     integrate,
     oscillator_flow,
     rotsym_flow,
-    rotsym_integrate,
     toy_gravity_flow,
 )
 from enhq.wcp import cprime_closed_form
@@ -194,14 +193,14 @@ class TestRotsym:
         with pytest.raises(ValueError):
             rotsym_flow(6, -1.0, 0.0)
         with pytest.raises(ValueError):
-            rotsym_integrate(6, 1.0, 0.0, np.zeros(5), np.zeros(6), 1.0)
+            integrate(rotsym_flow(6, 1.0, 0.0), (np.zeros(5), np.zeros(6)), 1.0)
 
     def test_decoupled_frequency(self):
         # the Hamiltonian carries no 1/2 factors: qdot = 2p, so omega = 2 m0
         m0 = 1.3
         n = 3
         q0 = np.array([1.0, -0.5, 0.2])
-        traj = rotsym_integrate(n, m0, 0.0, np.zeros(n), q0, 2.0)
+        traj = integrate(rotsym_flow(n, m0, 0.0), (np.zeros(n), q0), 2.0)
         ref = q0[None, :] * np.cos(2.0 * m0 * traj.times)[:, None]
         assert np.max(np.abs(traj.qs - ref)) < 1e-6
 
@@ -212,8 +211,8 @@ class TestRotsym:
         p0 = amp * rng.normal(size=n)
         q0 = amp * rng.normal(size=n)
         perm = rng.permutation(n)
-        base = rotsym_integrate(n, 1.0, g0, p0, q0, 2.0)
-        shuffled = rotsym_integrate(n, 1.0, g0, p0[perm], q0[perm], 2.0)
+        base = integrate(rotsym_flow(n, 1.0, g0), (p0, q0), 2.0)
+        shuffled = integrate(rotsym_flow(n, 1.0, g0), (p0[perm], q0[perm]), 2.0)
         dev = max(
             float(np.max(np.abs(base.ps[:, perm] - shuffled.ps))),
             float(np.max(np.abs(base.qs[:, perm] - shuffled.qs))),
@@ -230,8 +229,8 @@ class TestRotsym:
         lo_p[:3], lo_q[:3] = vals_p, vals_q
         hi_p, hi_q = np.zeros(n), np.zeros(n)
         hi_p[3:], hi_q[3:] = vals_p, vals_q
-        a = rotsym_integrate(n, 1.0, 1.0, lo_p, lo_q, 1.0)
-        b = rotsym_integrate(n, 1.0, 1.0, hi_p, hi_q, 1.0)
+        a = integrate(rotsym_flow(n, 1.0, 1.0), (lo_p, lo_q), 1.0)
+        b = integrate(rotsym_flow(n, 1.0, 1.0), (hi_p, hi_q), 1.0)
         assert np.max(np.abs(a.qs[:, :3] - b.qs[:, 3:])) < 1e-9
         assert np.max(np.abs(a.ps[:, :3] - b.ps[:, 3:])) < 1e-9
 

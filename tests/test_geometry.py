@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from references import fiducial_metric_coeffs, squeezed_ground_state
 
 from enhq.coherent import AffineFamily, CanonicalFamily, ChartBoundaryError, SpinFamily
-from enhq.geometry import fiducial_metric_coeffs, fs_metric, gaussian_curvature
-from enhq.hilbert import basis_state, make_fock_space, squeezed_ground_state
+from enhq.geometry import fs_metric, gaussian_curvature
+from enhq.hilbert import basis_state, make_fock_space
 
 
 class TestCanonicalMetric:

@@ -1,7 +1,9 @@
 """Closed-form radial inequality against quadrature, Gaussian and power-counting oracles."""
 
 import math
+from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -9,6 +11,7 @@ from scipy.special import gamma
 
 from enhq.inequality import (
     RadialField,
+    _upper_gamma,
     lhs,
     lhs_slope_expected,
     rhs,
@@ -79,6 +82,15 @@ class TestValidation:
             lhs(RadialField(alpha=0.5, n=5, amplitude=1e100), 1.0, 1e-3)
 
 
+def _profile(field, r):
+    """phi(r) = amplitude r^(-alpha) e^(-r^2)."""
+    return field.amplitude * r ** (-field.alpha) * np.exp(-r * r)
+
+
+def _dprofile(field, r):
+    return -(field.alpha / r + 2.0 * r) * _profile(field, r)
+
+
 def _quad_radial(f, eps):
     """int_eps^inf f(r) dr by adaptive quadrature in u = log r, cut at r = 30."""
     g = lambda u: f(np.exp(u)) * np.exp(u)
@@ -116,12 +128,35 @@ class TestQuadratureOracle:
     def test_matches_adaptive_quadrature(self, n):
         w = sphere_area(n)
         for field, m0, eps in (c for c in _oracle_cells() if c[0].n == n):
-            quartic = lambda r: field.profile(r) ** 4 * r ** (n - 1)
-            gradient = lambda r: (field.dprofile(r) ** 2 + m0**2 * field.profile(r) ** 2) * r ** (n - 1)
+            phi, dphi = partial(_profile, field), partial(_dprofile, field)
+            quartic = lambda r: phi(r) ** 4 * r ** (n - 1)
+            gradient = lambda r: (dphi(r) ** 2 + m0**2 * phi(r) ** 2) * r ** (n - 1)
             l_ref = np.sqrt(w * _quad_radial(quartic, eps))
             r_ref = w * _quad_radial(gradient, eps)
             assert lhs(field, m0, eps) == pytest.approx(l_ref, rel=1e-10, abs=0.0)
             assert rhs(field, m0, eps) == pytest.approx(r_ref, rel=1e-10, abs=0.0)
+
+
+class TestSmallOrderGamma:
+    @pytest.mark.parametrize("delta", [1e-3, 1e-6])
+    def test_orders_near_non_positive_integers(self, delta):
+        # a recurrence step through an order 0 < |a + j| = delta cancelled
+        # about log10(1/delta) digits: 1.2e-10 at a = -1e-6, x = 0.04
+        with mpmath.workdps(40):
+            for m in (0, 1, 2):
+                for a in (-m - delta, -m + delta):
+                    for x in (1e-16, 1e-8, 4e-4, 0.04, 0.5, 0.99):
+                        ref = mpmath.gammainc(a, x)
+                        assert abs(_upper_gamma(a, x) - ref) <= 1e-14 * abs(ref), (a, x)
+
+    def test_both_sides_of_the_series_window(self):
+        # for x < 1 the start order is the one nearest 0 when it lies within
+        # 1/2 of it (series), else the first a + j >= 0 (gammaincc or E1)
+        with mpmath.workdps(40):
+            for a in (-2.7, -2.0, -1.5, -0.5001, -0.4999, -0.3, 0.2, 0.4999, 0.5, 1.3):
+                for x in (1e-10, 0.3, 0.999):
+                    ref = mpmath.gammainc(a, x)
+                    assert abs(_upper_gamma(a, x) - ref) <= 1e-13 * abs(ref), (a, x)
 
 
 class TestGaussianOracles:

@@ -133,6 +133,13 @@ class TestCprime:
         for beta, hbar in ((1.0, 0.25), (1.0, 1.0), (2.0, 0.5)):
             assert abs(cprime(beta, hbar) - cprime_closed_form(beta, hbar)) < 1e-8
 
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 3.7])
+    def test_word_algebra_matches_closed_form(self, beta):
+        # exact Gamma moments: C' differs from the closed form by rounding only
+        for hbar in np.linspace(0.05, 0.9, 18):
+            ref = cprime_closed_form(beta, hbar)
+            assert cprime(beta, hbar) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
     def test_barrier_vanishes_classically(self):
         hbars = (1.0, 0.5, 0.25, 0.125, 0.0625)
         vals = [h**2 * cprime(1.0, h) for h in hbars]
