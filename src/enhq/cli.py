@@ -33,17 +33,19 @@ def _version() -> str:
 
 
 def _worker_count() -> int:
-    raw = os.environ.get("ENHQ_THREADS", "")
+    """Sweep workers: 1 unless ENHQ_THREADS asks for more."""
     try:
-        n = int(raw)
+        return max(1, int(os.environ.get("ENHQ_THREADS", "")))
     except ValueError:
-        n = 0
-    return max(1, n) if n > 0 else min(4, os.cpu_count() or 1)
+        return 1
 
 
 def _fan_out(fn, cells):
-    """Evaluate sweep cells on a worker pool; results stay in config order."""
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+    """Evaluate sweep cells in config order, on a worker pool if ENHQ_THREADS asks."""
+    workers = _worker_count()
+    if workers == 1:
+        return [fn(c) for c in cells]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, cells))
 
 

@@ -4,10 +4,11 @@ Canonical states live in a truncated Fock basis, spin states in a
 (2s+1)-dimensional multiplet, and affine states as sampled wavefunctions
 on a half-line quadrature grid tuned to the Gamma-type fiducial weight;
 affine expectations of Laurent words are exact sums of Gamma moments.
-Canonical and spin states step on one cached eigensystem per dimension,
-of the real tridiagonal Q/sqrt(hbar) or S1/hbar, since P and S2 are
-phase-rotated copies of Q and S1; `with_hbar` and every later family of
-that size reuse it.
+Canonical and spin states step on one cached eigensystem (x, V) per
+dimension, of the real tridiagonal Q/sqrt(hbar) or S1/hbar, since P and S2
+are phase-rotated copies: P = -U^dag Q U, U = diag(i^n).  With it are cached
+vu = U^dag V and w = V^T U V, so a canonical state is two dense products,
+vu e^(iqx) w e^(ipx) V^T fiducial; `with_hbar` and later families reuse it.
 
 Coordinates only label the states, so each family owns its charts:
 `family.chart(point, margin, name)` checks that a stencil of extent
@@ -76,13 +77,20 @@ def _check_chart(family, name: str, names: tuple[str, ...]) -> None:
 
 
 @lru_cache(maxsize=64)
-def _ladder_spectrum(kind: str, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenpairs (w, v) of X = Q/sqrt(hbar) (fock) or S1/hbar (spin), and u_n = i^n:
-    P or S2 is -U^dag X U, U = diag(u).  v is complex, so products need no cast."""
+def _ladder_spectrum(kind: str, dim: int) -> tuple[np.ndarray, ...]:
+    """Eigenpairs (x, v) of X = Q/sqrt(hbar) (fock) or S1/hbar (spin), with
+    vu = U^dag V and w = V^T U V, U = diag(i^n): P or S2 is -U^dag X U.
+    v is complex, so products need no cast; every family of this size shares
+    the arrays, so they are read-only."""
     j = np.arange(1.0, dim)
     off = np.sqrt(j / 2.0) if kind == "fock" else 0.5 * np.sqrt(j * (dim - j))
-    w, v = eigh_tridiagonal(np.zeros(dim), off)
-    return w, v.astype(complex), np.array([1, 1j, -1, -1j])[np.arange(dim) % 4]
+    x, v = eigh_tridiagonal(np.zeros(dim), off)
+    v = v.astype(complex)
+    u = np.array([1, 1j, -1, -1j])[np.arange(dim) % 4]
+    spectrum = x, v, u.conj()[:, None] * v, v.T @ (u[:, None] * v)
+    for a in spectrum:
+        a.setflags(write=False)
+    return spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +100,9 @@ def _ladder_spectrum(kind: str, dim: int) -> tuple[np.ndarray, np.ndarray, np.nd
 class CanonicalFamily:
     """Canonical coherent states exp(-iqP/h) exp(ipQ/h) |fiducial>.
 
-    `state` raises ValueError at a non-finite (p, q), or when more than
-    TAIL_MASS_MAX of the norm sits in the top TAIL_LEVELS Fock levels.
+    N must exceed TAIL_LEVELS.  `state` raises ValueError at a non-finite
+    (p, q), or when more than TAIL_MASS_MAX of the norm sits in the top
+    TAIL_LEVELS Fock levels.
     """
 
     kind = "canonical"
@@ -105,14 +114,17 @@ class CanonicalFamily:
             space = make_fock_space(N, hbar)
         if space.kind != "fock":
             raise ValueError("canonical family needs a fock-kind space")
+        if space.dim <= TAIL_LEVELS:
+            raise ValueError(f"canonical family needs N > {TAIL_LEVELS} levels, got {space.dim}")
         self.space = space
         self.fiducial = fiducial if fiducial is not None else basis_state(space, 0)
         if self.fiducial.space != space:
             raise ValueError("fiducial lives on a different space")
         self.Q = position_operator(space)
         self.P = momentum_operator(space)
-        w, self._v, self._u = _ladder_spectrum(space.kind, space.dim)
-        self._x = w / math.sqrt(space.hbar)  # eigenvalues of Q / hbar
+        x, v, self._vu, self._w = _ladder_spectrum(space.kind, space.dim)
+        self._x = x / math.sqrt(space.hbar)  # eigenvalues of Q / hbar
+        self._a = v.T @ self.fiducial.coeffs
 
     @property
     def hbar(self) -> float:
@@ -126,10 +138,9 @@ class CanonicalFamily:
     def state(self, p: float, q: float) -> StateVector:
         if not (math.isfinite(p) and math.isfinite(q)):
             raise ValueError(f"canonical chart requires finite p and q, got ({p}, {q})")
-        v, u, x = self._v, self._u, self._x
-        c = v @ (np.exp(1j * p * x) * (v.T @ self.fiducial.coeffs))
-        # e^(-iqP/h) = U^dag e^(iqQ/h) U
-        c = u.conj() * (v @ (np.exp(1j * q * x) * (v.T @ (u * c))))
+        x = self._x
+        # e^(ipQ/h) = V e^(ipx) V^T and e^(-iqP/h) = U^dag V e^(iqx) V^T U
+        c = self._vu @ (np.exp(1j * q * x) * (self._w @ (np.exp(1j * p * x) * self._a)))
         norm = np.linalg.norm(c)
         top = c[-TAIL_LEVELS:]
         tail = np.vdot(top, top).real / (norm * norm)
@@ -196,8 +207,11 @@ class AffineFamily:
         self.center = float(center)
         self.k = 2.0 * beta / hbar  # Gamma shape = rate of |fiducial|^2
         self.grid = gauss_gamma_grid(self.k - 1.0, self.k / self.center)
-        # normalization of the fiducial: M^2 = k^k / Gamma(k)
-        self._log_m = 0.5 * (self.k * np.log(self.k) - gammaln(self.k))
+        x = self.grid.nodes
+        # q-free parts of the states' log amplitudes; M^2 = k^k / Gamma(k)
+        log_m = 0.5 * (self.k * np.log(self.k) - gammaln(self.k))
+        self._log_base = log_m + 0.5 * (self.k - 1.0) * np.log(x)
+        self._bx, self._xh = self.beta * x / self.hbar, x / self.hbar
 
     def with_hbar(self, hbar: float) -> "AffineFamily":
         return AffineFamily(self.beta, hbar, self.center)
@@ -212,27 +226,20 @@ class AffineFamily:
     def state(self, p: float, q: float) -> AffineState:
         """q^(-1/2) e^(ipx/hbar) fiducial(x/q) on the family grid.
 
-        The dilation carries the unitary q^(-1/2) prefactor.
+        The dilation carries the unitary q^(-1/2) prefactor, so the log
+        amplitude is log M + (k-1)/2 log x - beta x / (q hbar) - k/2 log q.
         """
         _check_affine_point(p, q)
-        g = self.grid
-        x = g.nodes
-        gamma = 0.5 * (self.k - 1.0)
-        log_amp = (
-            self._log_m
-            + gamma * (np.log(x) - np.log(q))
-            - self.beta * x / (q * self.hbar)
-            - 0.5 * np.log(q)
-        )
-        samples = np.exp(log_amp + 1j * p * x / self.hbar)
-        norm2 = np.vdot(samples, g.weights * samples).real
+        log_amp = self._log_base - self._bx / q - 0.5 * self.k * math.log(q)
+        samples = np.exp(log_amp + 1j * p * self._xh)
+        norm2 = np.vdot(samples, self.grid.weights * samples).real
         if not abs(norm2 - 1.0) <= AFFINE_NORM_TOL:
             raise ValueError(
                 f"affine state at (p, q) = ({p}, {q}) has quadrature norm^2 {norm2:.6g}, "
                 f"off by more than {AFFINE_NORM_TOL:g}: its grid does not resolve it; "
                 f"sample it on family.centered({q})"
             )
-        return AffineState(g, samples)
+        return AffineState(self.grid, samples)
 
     def chart(self, point, margin: float, name: str):
         """(vec, inner) of the (p, q) chart on q > 0.
@@ -309,7 +316,8 @@ class SpinFamily:
         self.s = float(s)
         self.S1, self.S2, self.S3 = spin_operators(s, hbar)
         self.space = self.S3.space
-        self._w, self._v, self._u = _ladder_spectrum(self.space.kind, self.space.dim)
+        self._x, v, self._vu, _ = _ladder_spectrum(self.space.kind, self.space.dim)
+        self._v0 = v[0]
         self._m = np.arange(self.s, -self.s - 1e-9, -1.0)  # S3 eigenvalues / hbar
         self.fiducial = basis_state(self.space, 0)  # m = s is first
 
@@ -328,9 +336,8 @@ class SpinFamily:
         return self._state_unchecked(theta, phi)
 
     def _state_unchecked(self, theta: float, phi: float) -> StateVector:
-        v, u = self._v, self._u
-        # e^(-i theta S2/h) = U^dag e^(i theta S1/h) U, and V^T U |s,s> = V[0]
-        c = u.conj() * (v @ (np.exp(1j * theta * self._w) * v[0]))
+        # e^(-i theta S2/h) = U^dag V e^(i theta x) V^T U, and V^T U |s,s> = V[0]
+        c = self._vu @ (np.exp(1j * theta * self._x) * self._v0)
         c = np.exp(-1j * phi * self._m) * c  # S3 is diagonal: e^(-i phi S3/h)
         return StateVector(c / np.linalg.norm(c), self.space)
 

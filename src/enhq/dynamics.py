@@ -69,7 +69,7 @@ class FlowSpec:
     midpoint: object
     positive_q: bool = False
     vector: bool = False
-    params: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)  # a vector flow's holds its length "N"
     # H = q p^2: invariant under (p, q) -> (lam p, q / lam^2), so every
     # throttled step is one map and runs of them are taken in closed form
     self_similar: bool = False
@@ -281,12 +281,12 @@ def integrate(flow: FlowSpec, initial, t_end: float,
               controls: IntegratorControls = IntegratorControls()) -> Trajectory:
     """Implicit-midpoint trajectory of q' = dH/dp, p' = -dH/dq.
 
-    Vector flows take initial arrays of shape (N,) or (B, N); each row is
-    stepped in its plane span{p0, q0}, and the B rows are stored as
-    (T, B, N).  Positive-chart scalar flows throttle the step once q heads
-    for the floor, and stop with status "singularity" and the crossing time.
-    A flow without a midpoint step, or a non-finite initial state, raises
-    ValueError.
+    Vector flows take initial arrays of shape (N,) or (B, N), N the flow's
+    params["N"]; each row is stepped in its plane span{p0, q0}, and the B
+    rows are stored as (T, B, N).  Positive-chart scalar flows throttle the
+    step once q heads for the floor, and stop with status "singularity" and
+    the crossing time.  A flow without a midpoint step, a non-finite initial
+    state, or initial rows of another length than N raise ValueError.
     """
     if not 0 < t_end < math.inf:
         raise ValueError(f"t_end must be finite and positive, got {t_end}")
@@ -418,6 +418,9 @@ def _run_vector(flow, initial, t_end, controls):
     if p0.shape != q0.shape or p0.ndim not in (1, 2):
         raise ValueError("initial p and q must share a shape (N,) or (B, N), "
                          f"got {p0.shape} and {q0.shape}")
+    if p0.shape[-1] != flow.params["N"]:
+        raise ValueError(f"initial rows have {p0.shape[-1]} components, "
+                         f"but the flow has N = {flow.params['N']}")
     # n equal steps, t_k = t_end k / n: no roundoff-length last step
     n = max(1, math.ceil(t_end / controls.dt - 1e-9))
     times = t_end * np.arange(n + 1) / n

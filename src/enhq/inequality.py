@@ -77,6 +77,7 @@ def _small_order_gamma(b: float, x: float) -> float:
 def _upper_gamma(a: float, x: float) -> float:
     """Gamma(a, x) for real a and x > 0.
 
+    For x >= 1 and a < 1/2 it is Legendre's continued fraction.  Otherwise
     Gamma(a, x) = (Gamma(a+1, x) - x^a e^(-x)) / a runs down from a start
     order a + j, j >= 0.  For x < 1 the subtracted term is the larger one,
     so a step through an order 0 < |a + j| << 1 would cancel digits: there
@@ -84,6 +85,21 @@ def _upper_gamma(a: float, x: float) -> float:
     small-order series.  Otherwise it is the first a + j >= 0, by
     gamma * gammaincc, or E1 at 0.
     """
+    if x >= 1.0 and a < 0.5:
+        # x^a e^(-x) / (x + 1 - a - 1 (1 - a) / (x + 3 - a - 2 (2 - a) / ...)) by
+        # the modified Lentz method (Numerical Recipes, sec. 6.2); by induction
+        # its denominators 1/d and c stay >= i + 1 at step i
+        b = x + 1.0 - a
+        f = d = 1.0 / b
+        c = math.inf
+        for i in range(1, 1000):
+            an, b = -i * (i - a), b + 2.0
+            d = 1.0 / (b + an * d)
+            c = b + an / c
+            f *= c * d
+            if abs(c * d - 1.0) <= math.ulp(1.0):
+                return math.exp(a * math.log(x) - x) * f
+        raise ArithmeticError(f"continued fraction for Gamma({a}, {x}) did not converge")
     j = max(0, round(-a))
     b = a + j
     if x < 1.0 and 0.0 < abs(b) < 0.5:

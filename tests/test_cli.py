@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from enhq import cli
 from enhq.cli import run
 
 
@@ -80,6 +81,8 @@ class TestBadControls:
         # N is checked before the initial state is drawn
         ["rotsym", "--N", "0"],
         ["rotsym", "--N=-3"],
+        # the canonical tail guard needs more than its 5 top levels
+        ["metric", "--family", "canonical", "--N", "5"],
     ])
     def test_flag_rejected(self, tmp_path, capsys, argv):
         assert run(["--out", str(tmp_path)] + argv) == 1
@@ -208,6 +211,22 @@ class TestDeterminism:
         assert run(["--out", str(a)] + argv) == 0
         assert run(["--out", str(b)] + argv) == 0
         assert (a / "inequality.csv").read_bytes() == (b / "inequality.csv").read_bytes()
+
+    def test_sweeps_run_serially_by_default(self, monkeypatch):
+        monkeypatch.delenv("ENHQ_THREADS", raising=False)
+        assert cli._worker_count() == 1
+        for raw, workers in (("2", 2), ("0", 1), ("many", 1)):
+            monkeypatch.setenv("ENHQ_THREADS", raw)
+            assert cli._worker_count() == workers
+
+    def test_thread_pool_writes_the_serial_table(self, tmp_path, capsys, monkeypatch):
+        argv = ["metric", "--family", "canonical", "--N", "40", "--p=-0.5,0.5", "--q=0,0.7"]
+        tables = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("ENHQ_THREADS", threads)
+            assert run(["--out", str(tmp_path / threads)] + argv) == 0
+            tables.append((tmp_path / threads / "metric.csv").read_bytes())
+        assert tables[0] == tables[1]
 
     def test_rotsym_seeded(self, tmp_path, capsys):
         argv = ["rotsym", "--N", "3", "--t-end", "0.2", "--seed", "5"]

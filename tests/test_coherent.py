@@ -3,6 +3,7 @@
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import gammaln
 from references import (
     affine_fiducial_wavefunction,
     hermite_functions,
@@ -39,6 +40,13 @@ class TestCanonical:
         # where <Q> reads 3 instead of 6, and 2.7e-5 at (4, 4)
         with pytest.raises(ValueError, match="top 5 of 40 Fock levels"):
             CanonicalFamily(N=40).state(*point)
+
+    @pytest.mark.parametrize("N", [2, 5])
+    def test_truncation_must_exceed_tail_levels(self, N):
+        # at N <= 5 the guard counted the whole space, fiducial included
+        with pytest.raises(ValueError, match="N > 5"):
+            CanonicalFamily(N=N)
+        CanonicalFamily(N=6).state(0.0, 0.0)
 
     def test_tail_guard_passes_resolved_states(self):
         # 4e-11 at (3, 3) for N = 40; about 1e-32 over the benchmark's
@@ -140,6 +148,20 @@ class TestAffine:
         for beta, hbar in ((np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)):
             with pytest.raises(ValueError, match="finite"):
                 AffineFamily(beta, hbar)
+
+    def test_state_matches_log_amplitude_formula(self):
+        # the cached node arrays give the state's log amplitude
+        # log M + (k-1)/2 (log x - log q) - beta x / (q hbar) - 1/2 log q
+        for beta, hbar in ((1.0, 1.0), (2.0, 0.5), (0.5, 0.25)):
+            k = 2.0 * beta / hbar
+            log_m = 0.5 * (k * np.log(k) - gammaln(k))
+            for p, q in ((0.0, 1.0), (0.7, 0.6), (-1.3, 2.5)):
+                local = AffineFamily(beta, hbar).centered(q)
+                x = local.grid.nodes
+                ref = np.exp(log_m + 0.5 * (k - 1.0) * (np.log(x) - np.log(q))
+                             - beta * x / (q * hbar) - 0.5 * np.log(q) + 1j * p * x / hbar)
+                got = local.state(p, q).samples
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), (beta, p, q)
 
     def test_fiducial_normalized_with_unit_mean(self):
         fam = AffineFamily(1.0, 1.0)
@@ -333,29 +355,49 @@ class TestLadderSpectrum:
 
     @pytest.mark.parametrize("hbar", [1.0, 0.25, 0.05])
     def test_partner_is_phase_rotated_copy(self, hbar):
-        for N in (2, 7, 100):
+        def phases(dim):
+            return np.array([1j ** n for n in range(dim)])
+
+        for N in (6, 7, 100):
             fam = CanonicalFamily(N=N, hbar=hbar)
-            u = _ladder_spectrum("fock", N)[2]
-            assert [complex(x) for x in u] == [1j ** n for n in range(N)]
+            u = phases(N)
             assert np.array_equal(fam.P.matrix, self._rotated(fam.Q, u))
+            # the cached U^dag V is V with its rows multiplied by conj(u), exactly
+            v, vu = _ladder_spectrum("fock", N)[1:3]
+            assert np.array_equal(vu, u.conj()[:, None] * v)
         for s in (0.5, 1.0, 1.5, 3.0):
             fam = SpinFamily(s, hbar)
-            u = _ladder_spectrum("spin", fam.space.dim)[2]
+            u = phases(fam.space.dim)
             assert np.array_equal(fam.S2.matrix, self._rotated(fam.S1, u))
 
-    @pytest.mark.parametrize("N", [2, 100])
+    @staticmethod
+    def _dense_state(fam, p, q):
+        hbar = fam.hbar
+        return (unitary_from_hermitian(fam.P, -q / hbar).matrix
+                @ unitary_from_hermitian(fam.Q, p / hbar).matrix @ fam.fiducial.coeffs)
+
+    @pytest.mark.parametrize("N", [6, 100])
     @pytest.mark.parametrize("hbar", [1.0, 0.25, 0.05])
     def test_canonical_state_matches_dense_reference(self, N, hbar, monkeypatch):
-        # at N = 2 every state lies in the top Fock levels; lift the tail
+        # at N = 6 most states reach the top Fock levels; lift the tail
         # guard to reach the map itself
-        if N == 2:
+        if N == 6:
             monkeypatch.setattr(enhq.coherent, "TAIL_MASS_MAX", np.inf)
         fam = CanonicalFamily(N=N, hbar=hbar)
         rng = np.random.default_rng(N + int(100 * hbar))
         for p, q in rng.uniform(-1.0, 1.0, size=(8, 2)):
-            ref = (unitary_from_hermitian(fam.P, -q / hbar).matrix
-                   @ unitary_from_hermitian(fam.Q, p / hbar).matrix @ fam.fiducial.coeffs)
-            assert np.max(np.abs(fam.state(p, q).coeffs - ref)) <= 1e-12
+            assert np.max(np.abs(fam.state(p, q).coeffs - self._dense_state(fam, p, q))) <= 1e-12
+
+    @pytest.mark.parametrize("fiducial", ["squeezed", "excited"])
+    def test_custom_fiducial_state_matches_dense_reference(self, fiducial):
+        # V^T fiducial is cached per family; with_hbar must rebuild it
+        sp = make_fock_space(60, 1.0)
+        fid = squeezed_ground_state(sp, 1.3) if fiducial == "squeezed" else basis_state(sp, 1)
+        fam = CanonicalFamily(space=sp, fiducial=fid)
+        rng = np.random.default_rng(7)
+        for f in (fam, fam.with_hbar(0.25)):
+            for p, q in rng.uniform(-1.0, 1.0, size=(6, 2)):
+                assert np.max(np.abs(f.state(p, q).coeffs - self._dense_state(f, p, q))) <= 1e-12
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 1.5, 3.0])
     @pytest.mark.parametrize("hbar", [1.0, 0.25, 0.05])
@@ -370,6 +412,9 @@ class TestLadderSpectrum:
     def test_families_share_one_spectrum_per_size(self, monkeypatch):
         canonical, spin = CanonicalFamily(N=37), SpinFamily(18.0)  # both dim 37
         misses = _ladder_spectrum.cache_info().misses
+        # shared by every family of the size, so no caller may write to it
+        assert not any(a.flags.writeable for kind in ("fock", "spin")
+                       for a in _ladder_spectrum(kind, 37))
 
         def no_eigensolve(*args, **kwargs):
             raise AssertionError("eigendecomposition after the spectrum was cached")

@@ -372,6 +372,12 @@ class TestRadialMidpoint:
         with pytest.raises(ValueError):
             integrate(rotsym_flow(3, 1.0, 1.0), (np.zeros((2, 3)), np.zeros(3)), 1.0)
 
+    @pytest.mark.parametrize("shape", [(5,), (2, 5), (7,)])
+    def test_initial_length_must_match_flow(self, shape):
+        # a 5-vector under rotsym_flow(6, ...) used to run to "completed"
+        with pytest.raises(ValueError, match="the flow has N = 6"):
+            integrate(rotsym_flow(6, 1.0, 0.0), (np.zeros(shape), np.ones(shape)), 0.01)
+
     def test_vector_flow_needs_a_plane_step(self):
         # one check serves vector and scalar flows alike
         for flow, initial in ((rotsym_flow(3, 1.0, 1.0), (np.zeros(3), np.ones(3))),

@@ -158,6 +158,23 @@ class TestSmallOrderGamma:
                     ref = mpmath.gammainc(a, x)
                     assert abs(_upper_gamma(a, x) - ref) <= 1e-13 * abs(ref), (a, x)
 
+    @pytest.mark.parametrize("a,x", [(-1e-6, 1.5), (-2.0 - 1e-6, 1.5), (-1e-6, 4.0)])
+    def test_small_orders_past_x_one(self, a, x):
+        # a recurrence through the order -1e-6 was off by 2.9e-9, 5.0e-9
+        # and 1.1e-10 here; for x >= 1 the continued fraction takes a < 1/2
+        with mpmath.workdps(40):
+            ref = mpmath.gammainc(a, x)
+            assert abs(_upper_gamma(a, x) - ref) <= 1e-13 * abs(ref)
+
+    def test_continued_fraction_range(self):
+        # from the x = 1 edge, where the fraction converges slowest, to a
+        # deep recurrence at x = 100 that lost 5% (a = -9.75)
+        with mpmath.workdps(40):
+            for a in (-9.75, -4.5, -2.0, -0.5, -0.1, 0.0, 0.3, 0.4999):
+                for x in (1.0, 1.2, 4.0, 30.0, 100.0):
+                    ref = mpmath.gammainc(a, x)
+                    assert abs(_upper_gamma(a, x) - ref) <= 1e-13 * abs(ref), (a, x)
+
 
 class TestGaussianOracles:
     def test_lhs_closed_form_n3(self):
