@@ -183,9 +183,14 @@ def _cmd_dynamics(args, out_base, t0):
         flow = toy_gravity_flow(hbar=args.hbar, beta=args.beta)
     controls = IntegratorControls(dt=args.dt, cross_check=args.cross_check)
     traj = integrate(flow, (args.p0, args.q0), args.t_end, controls)
+    # toy gravity's exact turning point: t* = -q0 p0 / E, q(t*) = c / E
+    energy = traj.energies[0]
+    turns = args.model == "toygravity" and energy != 0
     table = _write_trajectory(out_base, traj, args.stride, args.format)
     summary = _write_summary(out_base, vars(args), {
         "status": traj.status, "hit_time": traj.hit_time, "min_q": traj.min_q,
+        "t_star": float(-args.q0 * args.p0 / energy) if turns else None,
+        "q_min_exact": float(flow.params["barrier"] / energy) if turns else None,
         "drift": traj.drift, "method": traj.method, "dt": traj.dt,
         "cross_check_error": traj.meta.get("cross_check_error"), "table": table,
     }, t0)

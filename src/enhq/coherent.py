@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -120,11 +120,17 @@ class CanonicalFamily:
         self.fiducial = fiducial if fiducial is not None else basis_state(space, 0)
         if self.fiducial.space != space:
             raise ValueError("fiducial lives on a different space")
-        self.Q = position_operator(space)
-        self.P = momentum_operator(space)
         x, v, self._vu, self._w = _ladder_spectrum(space.kind, space.dim)
         self._x = x / math.sqrt(space.hbar)  # eigenvalues of Q / hbar
         self._a = v.T @ self.fiducial.coeffs
+
+    @cached_property
+    def Q(self):
+        return position_operator(self.space)
+
+    @cached_property
+    def P(self):
+        return momentum_operator(self.space)
 
     @property
     def hbar(self) -> float:

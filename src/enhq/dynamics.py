@@ -46,7 +46,7 @@ __all__ = [
     "toy_gravity_flow",
     "rotsym_flow",
     "integrate",
-    "classical_toy_solution",
+    "toy_gravity_solution",
 ]
 
 Q_FLOOR = 1e-12
@@ -473,14 +473,26 @@ def _rk_shadow_error(flow, initial, traj: Trajectory) -> float:
     return float(np.max(np.abs(end - sol.y[:, -1])))
 
 
-def classical_toy_solution(p0: float, q0: float, t):
-    """Closed form p = p0/(1 + p0 t), q = q0 (1 + p0 t)^2 of H = q p^2."""
+def toy_gravity_solution(p0: float, q0: float, c: float, t):
+    """Exact flow of H = q p^2 + c / q from (p0, q0), c >= 0.
+
+    The dilation symbol m = pq grows as dm/dt = {pq, H} = H = E, and H = E
+    reads m^2 + c = E q, so q = (m^2 + c) / E = q0 + 2 q0 p0 t + E t^2 and
+    p = m / q, with m = q0 p0 + E t.  For c > 0, q turns at t* = -q0 p0 / E
+    with q = c / E; for c = 0, q reaches the pole q = 0 at t = -1/p0.
+    """
+    if not (q0 > 0 and c >= 0):
+        raise ValueError(f"need q0 > 0 and c >= 0, got q0 = {q0}, c = {c}")
     t = np.asarray(t, dtype=float)
-    u = 1.0 + p0 * t
-    if np.any(np.abs(u) < 1e-12):
-        raise ValueError(f"solution pole at t = {-1.0 / p0}")
-    p = p0 / u
-    q = q0 * u * u
+    e = q0 * p0 * p0 + c / q0
+    if e == 0.0:  # p0 = c = 0: at rest
+        p, q = np.zeros_like(t), np.full_like(t, q0)
+    else:
+        m = q0 * p0 + e * t
+        q = (m * m + c) / e
+        if np.any(q < 1e-24 * q0):
+            raise ValueError(f"solution pole at t = {-1.0 / p0}")
+        p = m / q
     if t.ndim == 0:
         return float(p), float(q)
     return p, q

@@ -3,7 +3,10 @@
 A Hamiltonian is specified as a sum of coefficient-weighted operator
 words, e.g. ``0.5*P.P + 0.5*Q.Q`` or ``D.Qinv.D``.  Words are evaluated
 literally, in the written order; specs must be self-adjoint as written.
-Canonical and spin words become dense matrix products; affine words act
+Canonical and spin letters carry exact powers of hbar (Q = sqrt(hbar) X,
+S_i = hbar s_i), so a word of length d scales as h^d, h = sqrt(hbar) or
+hbar: the spec's words are summed once per length into cached hbar-free
+matrices T_d, and H(p, q) = sum_d h^d <psi|T_d psi>.  Affine words act
 on the half-line representation, where D maps a state multiplied by a
 Laurent polynomial R(x) to one multiplied by
 -i*hbar*x*R'(x) + m(x)*R(x), with m the linear multiplier that D
@@ -15,10 +18,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .coherent import AffineFamily, _check_affine_point
+from .hilbert import make_fock_space, momentum_operator, position_operator, spin_operators
 
 __all__ = [
     "HamiltonianSpec",
@@ -56,7 +61,7 @@ def parse_hamiltonian(text: str, kind: str) -> HamiltonianSpec:
         raise ValueError(f"unknown family kind {kind!r}")
     letters = _ALPHABET[kind]
     terms = []
-    for raw in text.split("+"):
+    for raw in re.split(r"(?<![\d.][eE])\+", text):  # not an exponent's sign
         raw = raw.strip()
         if not raw:
             raise ValueError(f"empty term in {text!r}")
@@ -85,21 +90,28 @@ def _formally_self_adjoint(spec: HamiltonianSpec) -> bool:
     return fwd == rev
 
 
-def _matrix_for(spec: HamiltonianSpec, family) -> np.ndarray:
+@lru_cache(maxsize=64)
+def _word_sums(spec: HamiltonianSpec, dim: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """(d, T_d) pairs: the sum of the spec's words of length d, over the
+    hbar = 1 letters.  Each degree scales on its own with hbar, so each must
+    be Hermitian; every family of this size shares the arrays, so they are
+    read-only."""
     if spec.kind == "canonical":
-        ops = {"P": family.P.matrix, "Q": family.Q.matrix}
+        space = make_fock_space(dim, 1.0)
+        ops = {"P": momentum_operator(space).matrix, "Q": position_operator(space).matrix}
     else:
-        ops = {"S1": family.S1.matrix, "S2": family.S2.matrix, "S3": family.S3.matrix}
-    total = np.zeros((family.space.dim, family.space.dim), dtype=complex)
+        ops = dict(zip(("S1", "S2", "S3"), (o.matrix for o in spin_operators((dim - 1) / 2, 1.0))))
+    sums: dict[int, np.ndarray] = {}
     for coeff, word in spec.terms:
-        m = np.eye(family.space.dim, dtype=complex)
+        m = np.eye(dim, dtype=complex)
         for tok in word:
             m = m @ ops[tok]
-        total += coeff * m
-    scale = max(1.0, float(np.max(np.abs(total))))
-    if np.max(np.abs(total - total.conj().T)) > 1e-10 * scale:
-        raise ValueError(f"spec {spec} is not Hermitian as written")
-    return total
+        sums[len(word)] = sums.get(len(word), 0.0) + coeff * m
+    for t in sums.values():
+        if np.max(np.abs(t - t.conj().T)) > 1e-10 * max(1.0, float(np.max(np.abs(t)))):
+            raise ValueError(f"spec {spec} is not Hermitian as written")
+        t.setflags(write=False)
+    return tuple(sorted(sums.items()))
 
 
 def _affine_laurent(spec: HamiltonianSpec, family: AffineFamily, p: float, q: float) -> dict:
@@ -139,9 +151,10 @@ def enhanced_hamiltonian(spec: HamiltonianSpec, family, p: float, q: float) -> f
         _check_affine_point(p, q)  # before _affine_laurent divides by q
         val = family.expect_laurent(_affine_laurent(spec, family, p, q), p, q)
     else:
-        mat = _matrix_for(spec, family)
+        sums = _word_sums(spec, family.space.dim)
+        e = 0.5 if spec.kind == "canonical" else 1.0  # hbar^(d/2) or hbar^d
         psi = family.state(p, q).coeffs
-        val = complex(np.vdot(psi, mat @ psi))
+        val = sum(family.hbar ** (e * d) * complex(np.vdot(psi, t @ psi)) for d, t in sums)
     if abs(val.imag) > 1e-10 * (1.0 + abs(val)):
         raise ValueError(f"expectation of {spec} is not real: {val}")
     return float(val.real)

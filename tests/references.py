@@ -3,7 +3,8 @@
 None of these is reached by an `enhq` subcommand, so they live beside the
 tests rather than in the package: dense unitaries, squeezed fiducials,
 position-space wavefunctions, overlaps, the fiducial variance
-coefficients and the Gauss-Gamma quadrature of affine expectations.
+coefficients, the Gauss-Gamma quadrature of affine expectations and the
+dense per-call word matrix of canonical and spin Hamiltonians.
 """
 
 import numpy as np
@@ -96,3 +97,19 @@ def quadrature_expect_laurent(family, coeffs: dict, p: float, q: float) -> compl
     g = gauss_gamma_grid(k - 1.0 + min(0, min(coeffs)), rate)
     pdf = np.exp(k * np.log(rate) - gammaln(k) + (k - 1.0) * np.log(g.nodes) - rate * g.nodes)
     return complex(sum(c * g.integrate(pdf * g.nodes ** float(e)) for e, c in coeffs.items()))
+
+
+def dense_enhanced_hamiltonian(spec, family, p: float, q: float) -> complex:
+    """<p,q|H|p,q> with H built from the family's own letters, word by word."""
+    if spec.kind == "canonical":
+        ops = {"P": family.P.matrix, "Q": family.Q.matrix}
+    else:
+        ops = {"S1": family.S1.matrix, "S2": family.S2.matrix, "S3": family.S3.matrix}
+    total = np.zeros((family.space.dim, family.space.dim), dtype=complex)
+    for coeff, word in spec.terms:
+        m = np.eye(family.space.dim, dtype=complex)
+        for tok in word:
+            m = m @ ops[tok]
+        total += coeff * m
+    psi = family.state(p, q).coeffs
+    return complex(np.vdot(psi, total @ psi))

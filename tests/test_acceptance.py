@@ -11,7 +11,7 @@ import numpy as np
 
 from enhq.coherent import AffineFamily, CanonicalFamily, SpinFamily, affine_moment
 from enhq.dynamics import IntegratorControls, integrate, rotsym_flow, toy_gravity_flow
-from enhq.dynamics import classical_toy_solution
+from enhq.dynamics import toy_gravity_solution
 from enhq.geometry import fs_metric, gaussian_curvature
 from enhq.inequality import DEFAULT_EPS, RadialField, lhs, lhs_slope_expected, rhs, scan
 from enhq.wcp import (
@@ -238,7 +238,7 @@ def test_criterion_9_integrator_quality():
 
     def max_error(dt):
         traj = integrate(flow, (0.5, 1.0), 1.8, IntegratorControls(dt=dt))
-        p_ref, q_ref = classical_toy_solution(0.5, 1.0, traj.times)
+        p_ref, q_ref = toy_gravity_solution(0.5, 1.0, 0.0, traj.times)
         return max(np.max(np.abs(traj.ps - p_ref)), np.max(np.abs(traj.qs - q_ref)))
 
     factor = max_error(2e-3) / max_error(1e-3)

@@ -6,6 +6,7 @@ import pytest
 
 from enhq import cli
 from enhq.cli import run
+from enhq.wcp import _word_sums, cprime_closed_form
 
 
 def _read(path):
@@ -143,6 +144,20 @@ class TestArtifacts:
         summary = json.loads(_read(tmp_path / "dynamics_summary.json"))
         assert summary["status"] == "singularity"
         assert abs(summary["hit_time"] - 1.0) < 1e-4
+        assert (summary["t_star"], summary["q_min_exact"]) == (1.0, 0.0)
+
+    def test_dynamics_reports_the_exact_bounce(self, tmp_path, capsys):
+        assert run(["--out", str(tmp_path), "dynamics", "--hbar", "0.5", "--beta", "2",
+                    "--p0", "-2", "--q0", "1.5", "--t-end", "3"]) == 0
+        summary = json.loads(_read(tmp_path / "dynamics_summary.json"))
+        c = 0.25 * cprime_closed_form(2.0, 0.5)
+        energy = 1.5 * 4.0 + c / 1.5
+        assert summary["t_star"] == pytest.approx(3.0 / energy, rel=1e-14)
+        assert summary["q_min_exact"] == pytest.approx(c / energy, rel=1e-13)
+        assert summary["min_q"] == pytest.approx(summary["q_min_exact"], rel=1e-6)
+        assert run(["--out", str(tmp_path), "dynamics", "--model", "oscillator"]) == 0
+        summary = json.loads(_read(tmp_path / "dynamics_summary.json"))
+        assert summary["t_star"] is None and summary["q_min_exact"] is None
 
     def test_rotsym_artifacts(self, tmp_path, capsys):
         assert run(["--out", str(tmp_path), "rotsym", "--N", "3",
@@ -220,13 +235,18 @@ class TestDeterminism:
             assert cli._worker_count() == workers
 
     def test_thread_pool_writes_the_serial_table(self, tmp_path, capsys, monkeypatch):
-        argv = ["metric", "--family", "canonical", "--N", "40", "--p=-0.5,0.5", "--q=0,0.7"]
-        tables = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("ENHQ_THREADS", threads)
-            assert run(["--out", str(tmp_path / threads)] + argv) == 0
-            tables.append((tmp_path / threads / "metric.csv").read_bytes())
-        assert tables[0] == tables[1]
+        # wcp's threads fill an empty word-sum cache at once
+        for argv in (["metric", "--family", "canonical", "--N", "40", "--p=-0.5,0.5", "--q=0,0.7"],
+                     ["wcp", "--family", "canonical", "--hbar", "0.5", "--p=-0.5,0.5",
+                      "--q=0,0.7"]):
+            tables = []
+            for threads in ("1", "2"):
+                _word_sums.cache_clear()
+                monkeypatch.setenv("ENHQ_THREADS", threads)
+                out = tmp_path / argv[0] / threads
+                assert run(["--out", str(out)] + argv) == 0
+                tables.append((out / f"{argv[0]}.csv").read_bytes())
+            assert tables[0] == tables[1]
 
     def test_rotsym_seeded(self, tmp_path, capsys):
         argv = ["rotsym", "--N", "3", "--t-end", "0.2", "--seed", "5"]

@@ -11,36 +11,49 @@ from enhq.dynamics import (
     Q_FLOOR,
     IntegratorControls,
     Trajectory,
-    classical_toy_solution,
     integrate,
     oscillator_flow,
     rotsym_flow,
     toy_gravity_flow,
+    toy_gravity_solution,
 )
 from enhq.wcp import cprime_closed_form
+
+# (hbar, p0) of enhanced toy-gravity runs at beta = 2, q0 = 1
+ENHANCED_RUNS = [(0.5, -1.0), (1.0, -1.5), (2.0, -2.0)]
 
 
 class TestClosedForm:
     def test_initial_point(self):
-        assert classical_toy_solution(-1.0, 1.0, 0.0) == (-1.0, 1.0)
+        assert toy_gravity_solution(-1.0, 1.0, 0.0, 0.0) == (-1.0, 1.0)
 
     def test_half_way(self):
-        p, q = classical_toy_solution(-1.0, 1.0, 0.5)
+        p, q = toy_gravity_solution(-1.0, 1.0, 0.0, 0.5)
         assert (p, q) == pytest.approx((-2.0, 0.25))
 
     def test_energy_constant(self):
         t = np.linspace(0.0, 0.9, 50)
-        p, q = classical_toy_solution(-1.0, 1.0, t)
+        p, q = toy_gravity_solution(-1.0, 1.0, 0.0, t)
         assert np.max(np.abs(q * p * p - 1.0)) < 1e-12
+
+    def test_enhanced_bounce(self):
+        # H = q p^2 + c/q is conserved, and q turns at t* = -q0 p0/E with q = c/E
+        p0, q0, c = -1.5, 2.0, 0.4
+        e = q0 * p0 * p0 + c / q0
+        t = np.linspace(0.0, 4.0, 101)
+        p, q = toy_gravity_solution(p0, q0, c, t)
+        assert np.max(np.abs(q * p * p + c / q - e)) < 1e-12 * e
+        assert toy_gravity_solution(p0, q0, c, -q0 * p0 / e) == pytest.approx((0.0, c / e))
+        assert q.min() >= c / e
 
     def test_pole_rejected(self):
         with pytest.raises(ValueError):
-            classical_toy_solution(-1.0, 1.0, 1.0)
+            toy_gravity_solution(-1.0, 1.0, 0.0, 1.0)
 
     def test_sampled_solution_has_no_drift(self):
         flow = toy_gravity_flow(hbar=0.0)
         t = np.linspace(0.0, 0.9, 200)
-        p, q = classical_toy_solution(-1.0, 1.0, t)
+        p, q = toy_gravity_solution(-1.0, 1.0, 0.0, t)
         traj = Trajectory(
             times=t, ps=p, qs=q, energies=flow.hamiltonian(p, q),
             status="completed", hit_time=None, method="closed-form", dt=0.0,
@@ -132,7 +145,7 @@ class TestToyGravity:
     def test_classical_tracks_closed_form(self):
         flow = toy_gravity_flow(hbar=0.0)
         traj = integrate(flow, (-1.0, 1.0), 0.9)
-        p_ref, q_ref = classical_toy_solution(-1.0, 1.0, traj.times)
+        p_ref, q_ref = toy_gravity_solution(-1.0, 1.0, 0.0, traj.times)
         assert np.max(np.abs(traj.qs - q_ref)) < 1e-6
         assert np.max(np.abs(traj.ps - p_ref)) < 1e-6
 
@@ -162,6 +175,15 @@ class TestToyGravity:
                 assert abs(traj.min_q * energy - c) < 1e-6
                 assert traj.drift < 1e-8
 
+    @pytest.mark.parametrize("hbar, p0", ENHANCED_RUNS)
+    def test_enhanced_tracks_closed_form(self, hbar, p0):
+        # the whole bounce, infall and rebound, at the default step
+        c = hbar**2 * cprime_closed_form(2.0, hbar)
+        traj = integrate(toy_gravity_flow(hbar=hbar, beta=2.0), (p0, 1.0), 4.0)
+        p_ref, q_ref = toy_gravity_solution(p0, 1.0, c, traj.times)
+        assert np.max(np.abs(traj.qs - q_ref) / q_ref) < 1e-6
+        assert np.max(np.abs(traj.ps - p_ref)) < 1e-6 * np.max(np.abs(p_ref))
+
     def test_initial_chart_violation(self):
         with pytest.raises(ValueError):
             integrate(toy_gravity_flow(hbar=0.0), (-1.0, -1.0), 1.0)
@@ -176,12 +198,25 @@ class TestConvergenceOrder:
 
         def max_error(dt):
             traj = integrate(flow, (0.5, 1.0), t_end, IntegratorControls(dt=dt))
-            p_ref, q_ref = classical_toy_solution(0.5, 1.0, traj.times)
+            p_ref, q_ref = toy_gravity_solution(0.5, 1.0, 0.0, traj.times)
             return max(np.max(np.abs(traj.ps - p_ref)), np.max(np.abs(traj.qs - q_ref)))
 
         e1 = max_error(2e-3)
         e2 = max_error(1e-3)
         assert e1 / e2 == pytest.approx(4.0, abs=0.3)
+
+    @pytest.mark.parametrize("hbar, p0", ENHANCED_RUNS)
+    def test_enhanced_second_order_factor(self, hbar, p0):
+        # relative error in q, which stays positive; p changes sign at the bounce
+        flow = toy_gravity_flow(hbar=hbar, beta=2.0)
+        c = hbar**2 * cprime_closed_form(2.0, hbar)
+
+        def max_error(dt):
+            traj = integrate(flow, (p0, 1.0), 4.0, IntegratorControls(dt=dt))
+            q_ref = toy_gravity_solution(p0, 1.0, c, traj.times)[1]
+            return np.max(np.abs(traj.qs - q_ref) / q_ref)
+
+        assert 3.7 <= max_error(1e-3) / max_error(5e-4) <= 4.3
 
 
 class TestRotsym:

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from references import dense_enhanced_hamiltonian
 
+from enhq import coherent
 from enhq.coherent import AffineFamily, CanonicalFamily, SpinFamily
 from enhq.hilbert import Operator, basis_state, expectation
 from enhq.wcp import (
+    _word_sums,
     classical_limit,
     cprime,
     cprime_closed_form,
@@ -15,6 +18,7 @@ from enhq.wcp import (
 )
 
 OSC = "0.5*P.P + 0.5*Q.Q"
+HBARS = (1.0, 0.5, 0.1)
 
 
 class TestParsing:
@@ -22,6 +26,10 @@ class TestParsing:
         spec = parse_hamiltonian(OSC, "canonical")
         assert spec.terms == ((0.5, ("P", "P")), (0.5, ("Q", "Q")))
         assert parse_hamiltonian("D.Qinv.D", "affine").terms == ((1.0, ("D", "Qinv", "D")),)
+
+    def test_exponent_sign_is_not_a_term_break(self):
+        got = parse_hamiltonian("1e+3*Q.Q + 2.5E+1*P.P", "canonical")
+        assert got == parse_hamiltonian("1000*Q.Q + 25*P.P", "canonical")
 
     def test_rejections(self):
         with pytest.raises(ValueError):
@@ -53,9 +61,32 @@ class TestCanonical:
             assert abs(enhanced_hamiltonian(spec, fam, p, q) - q) < 1e-8
 
     def test_non_hermitian_spec_rejected(self):
+        # Q + Q.P: each degree scales on its own with hbar, so each is checked;
+        # a rejection is not cached, so a second call raises again
         fam = CanonicalFamily(N=50)
-        with pytest.raises(ValueError):
-            enhanced_hamiltonian(parse_hamiltonian("Q.P", "canonical"), fam, 0.0, 0.0)
+        for text in ("Q.P", "Q + Q.P"):
+            for _ in range(2):
+                with pytest.raises(ValueError, match="not Hermitian as written"):
+                    enhanced_hamiltonian(parse_hamiltonian(text, "canonical"), fam, 0.0, 0.0)
+
+    @pytest.mark.parametrize("hbar", HBARS)
+    @pytest.mark.parametrize("text", [OSC, "Q.Q.Q.Q + 0.3*P.Q.Q.P + 2*Q"])
+    def test_matches_dense_word_matrix(self, text, hbar):
+        fam = CanonicalFamily(N=100, hbar=hbar)
+        spec = parse_hamiltonian(text, "canonical")
+        for p, q in ((0.0, 0.0), (-1.0, 0.5), (1.2, 1.0), (0.7, -1.3)):
+            ref = dense_enhanced_hamiltonian(spec, fam, p, q).real
+            assert enhanced_hamiltonian(spec, fam, p, q) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    def test_family_builds_operators_on_first_read(self, monkeypatch):
+        calls = []
+        real = coherent.position_operator
+        monkeypatch.setattr(coherent, "position_operator",
+                            lambda space: calls.append(space) or real(space))
+        fam = CanonicalFamily(N=20).with_hbar(0.5)
+        assert calls == []
+        assert fam.Q is fam.Q
+        assert calls == [fam.space]
 
     def test_kind_mismatch_rejected(self):
         fam = CanonicalFamily(N=50)
@@ -177,6 +208,32 @@ class TestSpin:
             got = enhanced_hamiltonian(spec, fam, theta, 0.4)
             assert abs(got - s * hbar * np.cos(theta)) < 1e-10
 
+    @pytest.mark.parametrize("hbar", HBARS)
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
+    def test_matches_dense_word_matrix(self, s, hbar):
+        fam = SpinFamily(s, hbar)
+        for text in ("S3", "2*S1 + S1.S1 + S2.S3.S3.S2 + 0.3*S1.S3 + 0.3*S3.S1"):
+            spec = parse_hamiltonian(text, "spin")
+            for theta, phi in ((0.3, 0.4), (1.5, 2.0), (2.8, 5.0)):
+                ref = dense_enhanced_hamiltonian(spec, fam, theta, phi).real
+                got = enhanced_hamiltonian(spec, fam, theta, phi)
+                assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("hbar", HBARS)
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
+    def test_casimir(self, s, hbar):
+        fam = SpinFamily(s, hbar)
+        spec = parse_hamiltonian("S1.S1 + S2.S2 + S3.S3", "spin")
+        for theta, phi in ((0.3, 0.4), (1.5, 2.0), (2.8, 5.0)):
+            got = enhanced_hamiltonian(spec, fam, theta, phi)
+            assert got == pytest.approx(hbar**2 * s * (s + 1), rel=1e-13, abs=0.0)
+
+    def test_non_hermitian_spec_rejected(self):
+        fam = SpinFamily(1.0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not Hermitian as written"):
+                enhanced_hamiltonian(parse_hamiltonian("S1.S2", "spin"), fam, 0.5, 0.5)
+
 
 class TestScaling:
     def test_oscillator_exponent(self):
@@ -186,6 +243,13 @@ class TestScaling:
         assert not rep.exact
         assert abs(rep.exponent - 1.0) < 0.02
         assert abs(rep.prefactor - 0.5) < 0.01
+
+    def test_word_sums_built_once_per_fit(self):
+        _word_sums.cache_clear()
+        fam = CanonicalFamily(N=100)
+        hbar_scaling_fit(parse_hamiltonian(OSC, "canonical"), fam, (0.5, 0.5),
+                         [1.0, 0.5, 0.25, 0.1, 0.05])
+        assert _word_sums.cache_info().misses == 1
 
     def test_position_word_exact(self):
         fam = CanonicalFamily(N=100)
