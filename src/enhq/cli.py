@@ -49,29 +49,49 @@ def _fan_out(fn, cells):
         return list(pool.map(fn, cells))
 
 
-def _write_table(path_base: str, header, rows, fmt: str) -> str:
-    def render(x):
-        if isinstance(x, float):
-            return _FMT % x
-        s = str(x)
-        if "," in s or '"' in s:
-            s = '"' + s.replace('"', '""') + '"'
-        return s
+def _render(x) -> str:
+    """A cell that is not a float: its str, quoted if it holds a comma or a quote."""
+    s = str(x)
+    if "," in s or '"' in s:
+        s = '"' + s.replace('"', '""') + '"'
+    return s
 
+
+def _templated(rows):
+    """Each row as (template, row): one % of the template on the row prints
+    its float cells at 17 significant digits and its other cells, rendered
+    into the row first, as they are."""
+    templates = {}
+    for r in rows:
+        kinds = tuple(map(type, r))
+        t = templates.get(kinds)
+        if t is None:
+            other = {i for i, k in enumerate(kinds) if not issubclass(k, float)}
+            t = ",".join("%s" if i in other else _FMT for i in range(len(kinds))), other
+            templates[kinds] = t
+        text, other = t
+        if other:
+            r = tuple(_render(x) if i in other else x for i, x in enumerate(r))
+        yield text, r
+
+
+def _write_table(path_base: str, header, rows, fmt: str) -> str:
+    """Write rows (tuples) under header as CSV or JSON."""
     if fmt == "json":
+        # a rendered cell may hold a comma, so only a row of floats splits its line
+        cells = [(text % r).split(",") if "%s" not in text else
+                 [_FMT % x if isinstance(x, float) else x for x in r]
+                 for text, r in _templated(rows)]
         path = path_base + ".json"
         with open(path, "w") as fh:
-            json.dump(
-                {"columns": list(header), "rows": [[render(x) for x in r] for r in rows]},
-                fh, indent=2,
-            )
+            json.dump({"columns": list(header), "rows": cells}, fh, indent=2)
             fh.write("\n")
     else:
         path = path_base + ".csv"
         with open(path, "w") as fh:
             fh.write(",".join(header) + "\n")
-            for r in rows:
-                fh.write(",".join(render(x) for x in r) + "\n")
+            for text, r in _templated(rows):
+                fh.write(text % r + "\n")
     return path
 
 
@@ -108,13 +128,14 @@ def _write_trajectory(path_base: str, traj, stride: int, fmt: str) -> str:
     """Every stride-th stored step as t, p, q, H and its relative drift;
     a vector trajectory spreads p and q over columns p_1..p_N, q_1..q_N."""
     k = slice(None, None, stride)
-    ps, qs = traj.ps[k], traj.qs[k]
+    ps, qs = traj.states(k)
     if ps.ndim == 1:
         names, cols = ["p", "q"], [ps, qs]
     else:
         names = [f"{c}_{i + 1}" for c in "pq" for i in range(ps.shape[1])]
         cols = [*ps.T, *qs.T]
-    rows = list(zip(traj.times[k], *cols, traj.energies[k], traj.drifts[k]))
+    cols = [traj.times[k], *cols, traj.energies[k], traj.drifts[k]]
+    rows = zip(*(c.tolist() for c in cols))
     return _write_table(path_base, ["t", *names, "H", "drift"], rows, fmt)
 
 
@@ -214,11 +235,16 @@ def _cmd_rotsym(args, out_base, t0):
     perm = rng.permutation(args.N)
     # base and shuffled runs step together as the two rows of one batch
     pair = integrate(flow, (np.stack([p0, p0[perm]]), np.stack([q0, q0[perm]])), args.t_end)
-    traj, shuffled = pair.row(0), pair.row(1)
-    dev = max(
-        float(np.max(np.abs(traj.ps[:, perm] - shuffled.ps))),
-        float(np.max(np.abs(traj.qs[:, perm] - shuffled.qs))),
-    )
+    traj = pair.row(0)
+    # the shuffled row's basis is the base row's with its columns permuted,
+    # so the permuted base states less the shuffled ones are the rows'
+    # coefficient difference expanded on that basis
+    c, basis = pair.coefs, pair.bases[1]
+    diff = np.empty((c.shape[0], args.N))
+    dev = 0.0
+    for side in (0, 1):
+        np.einsum("tk,kn->tn", c[:, 0, side] - c[:, 1, side], basis, out=diff)
+        dev = max(dev, float(np.max(np.abs(diff, out=diff))))
     table = _write_trajectory(out_base, traj, args.stride, args.format)
     summary = _write_summary(out_base, vars(args), {
         "shuffle_deviation": dev, "drift": traj.drift,
@@ -251,11 +277,12 @@ def _cmd_selftest(args, out_base, t0):
     from . import selftest
 
     results = selftest.run_all()
-    rows = [(name, "pass" if ok else "FAIL", detail) for name, ok, detail in results]
+    rows = [(name, "pass" if ok else "FAIL", detail) for name, ok, detail, _ in results]
     table = _write_table(out_base, ("check", "status", "detail"), rows, args.format)
-    failed = [name for name, ok, _ in results if not ok]
+    failed = [name for name, ok, _, _ in results if not ok]
     summary = _write_summary(out_base, vars(args), {
-        "passed": len(results) - len(failed), "failed": failed, "table": table,
+        "passed": len(results) - len(failed), "failed": failed,
+        "residuals": {name: residuals for name, _, _, residuals in results}, "table": table,
     }, t0)
     print(f"selftest: {len(results) - len(failed)}/{len(results)} invariants pass "
           f"-> {table}, {summary}")

@@ -37,6 +37,7 @@ from .hilbert import (
     momentum_operator,
     position_operator,
     spin_operators,
+    spin_space,
 )
 
 __all__ = [
@@ -320,12 +321,23 @@ class SpinFamily:
 
     def __init__(self, s: float, hbar: float = 1.0):
         self.s = float(s)
-        self.S1, self.S2, self.S3 = spin_operators(s, hbar)
-        self.space = self.S3.space
+        self.space = spin_space(s, hbar)
         self._x, v, self._vu, _ = _ladder_spectrum(self.space.kind, self.space.dim)
         self._v0 = v[0]
         self._m = np.arange(self.s, -self.s - 1e-9, -1.0)  # S3 eigenvalues / hbar
         self.fiducial = basis_state(self.space, 0)  # m = s is first
+
+    @cached_property
+    def S1(self):
+        return spin_operators(self.s, self.hbar)[0]
+
+    @cached_property
+    def S2(self):
+        return spin_operators(self.s, self.hbar)[1]
+
+    @cached_property
+    def S3(self):
+        return spin_operators(self.s, self.hbar)[2]
 
     @property
     def hbar(self) -> float:

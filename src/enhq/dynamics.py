@@ -23,11 +23,12 @@ the quadratic invariant p ^ q; Hairer, Lubich and Wanner, Geometric
 Numerical Integration, ch. IV).  A batch of B trajectories, initial
 arrays of shape (B, N), is stepped row by row on the four coefficients
 of p and q on (p0, q0), with the row's 2x2 Gram matrix of (p0, q0)
-supplying the inner products; the (T, B, N) states are expanded once at
-the end.  An (N,) initial state is a batch of one.  The rotationally
-symmetric quartic flow's plane step reduces the midpoint equations to
-one scalar equation for the radial factor kappa, solved by Newton's
-method.
+supplying the inner products.  The run stores those coefficients, not
+the (T, B, N) states: H is read on each row's isometric image of its
+plane in R^2, and states are expanded only at the steps that are read.
+An (N,) initial state is a batch of one.  The rotationally symmetric
+quartic flow's plane step reduces the midpoint equations to one scalar
+equation for the radial factor kappa, solved by Newton's method.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,7 +61,9 @@ NEWTON_MAX_ITER = 100
 @dataclass(frozen=True)
 class FlowSpec:
     name: str
-    hamiltonian: object  # H(p, q) -> float (row-wise over the last axis for vector flows)
+    # H(p, q) -> float; a vector flow's acts row-wise over the last axis, of
+    # any length, since runs evaluate it on 2-D images of their planes
+    hamiltonian: object
     dH_dp: object
     dH_dq: object
     # exact midpoint step (p, q, dt) -> (p1, q1, ok) on Python floats; a
@@ -85,26 +89,66 @@ class IntegratorControls:
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
 
 
-@dataclass
 class Trajectory:
-    """Stored steps of one run; a batched run has ps, qs of shape (T, B, N)
-    and energies of shape (T, B)."""
+    """Stored steps of one run.
 
-    times: np.ndarray
-    ps: np.ndarray
-    qs: np.ndarray
-    energies: np.ndarray
-    status: str  # "completed" | "singularity"
-    hit_time: float | None
-    method: str
-    dt: float
-    meta: dict = field(default_factory=dict)
+    A scalar run holds its states ps, qs as arrays of shape (T,).  A vector
+    run holds its plane instead: `coefs` of shape (T, B, 2, 2), indexed
+    [step, row, (p, q), (p0, q0)], on the rows' `bases` of shape (B, 2, N),
+    indexed [row, (p0, q0)].  `states` expands the steps it is asked for,
+    and ps, qs of shape (T, B, N) expand on first read.  Energies are
+    (T, B); a run from (N,) initial states drops the B axis from them and
+    from the states.
+    """
+
+    def __init__(self, times, energies, status, hit_time, method, dt, meta=None, *,
+                 ps=None, qs=None, coefs=None, bases=None):
+        self.times = times
+        self.energies = energies
+        self.status = status  # "completed" | "singularity"
+        self.hit_time = hit_time
+        self.method = method
+        self.dt = dt
+        self.meta = {} if meta is None else meta
+        self.coefs, self.bases = coefs, bases
+        self._ps, self._qs = ps, qs
+
+    def states(self, k):
+        """(p, q) at the stored steps k, an index or a slice."""
+        if self.coefs is None:
+            return self._ps[k], self._qs[k]
+        c = self.coefs[k]
+        step = c.ndim == 3
+        if step:
+            c = c[None]
+        ps = np.empty(c.shape[:2] + self.bases.shape[-1:])
+        qs = np.empty_like(ps)
+        for b, basis in enumerate(self.bases):
+            np.einsum("tk,kn->tn", c[:, b, 0], basis, out=ps[:, b])
+            np.einsum("tk,kn->tn", c[:, b, 1], basis, out=qs[:, b])
+        if self.energies.ndim == 1:
+            ps, qs = ps[:, 0], qs[:, 0]
+        return (ps[0], qs[0]) if step else (ps, qs)
+
+    def _expand(self):
+        if self._ps is None:
+            self._ps, self._qs = self.states(slice(None))
+
+    @property
+    def ps(self) -> np.ndarray:
+        self._expand()
+        return self._ps
+
+    @property
+    def qs(self) -> np.ndarray:
+        self._expand()
+        return self._qs
 
     @property
     def min_q(self) -> float:
         return float(np.min(self.qs))
 
-    @property
+    @cached_property
     def drifts(self) -> np.ndarray:
         """|H(t) - H(0)| / |H(0)| at each stored step, per row (absolute where H(0) = 0)."""
         e0 = self.energies[0]
@@ -116,9 +160,10 @@ class Trajectory:
         return float(np.max(self.drifts))
 
     def row(self, b: int) -> "Trajectory":
-        """Trajectory b of a batched run."""
-        return Trajectory(self.times, self.ps[:, b], self.qs[:, b], self.energies[:, b],
-                          self.status, self.hit_time, self.method, self.dt, dict(self.meta))
+        """Trajectory b of a batched vector run."""
+        return Trajectory(self.times, self.energies[:, b], self.status, self.hit_time,
+                          self.method, self.dt, dict(self.meta),
+                          coefs=self.coefs[:, b:b + 1], bases=self.bases[b:b + 1])
 
 
 def oscillator_flow() -> FlowSpec:
@@ -283,10 +328,11 @@ def integrate(flow: FlowSpec, initial, t_end: float,
 
     Vector flows take initial arrays of shape (N,) or (B, N), N the flow's
     params["N"]; each row is stepped in its plane span{p0, q0}, and the B
-    rows are stored as (T, B, N).  Positive-chart scalar flows throttle the
-    step once q heads for the floor, and stop with status "singularity" and
-    the crossing time.  A flow without a midpoint step, a non-finite initial
-    state, or initial rows of another length than N raise ValueError.
+    rows are stored as plane coefficients (see Trajectory).  Positive-chart
+    scalar flows throttle the step once q heads for the floor, and stop with
+    status "singularity" and the crossing time.  A flow without a midpoint
+    step, a non-finite initial state, or initial rows of another length than
+    N raise ValueError.
     """
     if not 0 < t_end < math.inf:
         raise ValueError(f"t_end must be finite and positive, got {t_end}")
@@ -295,17 +341,9 @@ def integrate(flow: FlowSpec, initial, t_end: float,
     if not all(np.isfinite(x).all() for x in initial):
         raise ValueError("initial p and q must be finite")
     run = _run_vector if flow.vector else _run_scalar
-    times, ps, qs, es, status, hit = run(flow, initial, t_end, controls)
-    traj = Trajectory(
-        times=np.asarray(times),
-        ps=np.asarray(ps),
-        qs=np.asarray(qs),
-        energies=np.asarray(es),
-        status=status,
-        hit_time=hit,
-        method="implicit-midpoint",
-        dt=controls.dt,
-    )
+    times, energies, status, hit, states = run(flow, initial, t_end, controls)
+    traj = Trajectory(times, energies, status, hit, "implicit-midpoint", controls.dt,
+                      **states)
     if controls.cross_check:
         traj.meta["cross_check_error"] = _rk_shadow_error(flow, initial, traj)
     return traj
@@ -365,7 +403,7 @@ def _run_scalar(flow, initial, t_end, controls):
     # H on the stored arrays applies the per-step float operations in the
     # same order, so each energy is bit-identical to a per-step evaluation
     times, ps, qs = np.asarray(times), np.asarray(ps), np.asarray(qs)
-    return times, ps, qs, flow.hamiltonian(ps, qs), status, hit
+    return times, flow.hamiltonian(ps, qs), status, hit, {"ps": ps, "qs": qs}
 
 
 def _self_similar_run(p, q, t, dt, h, t_end, floor, times, ps, qs):
@@ -426,33 +464,34 @@ def _run_vector(flow, initial, t_end, controls):
     times = t_end * np.arange(n + 1) / n
     times[-1] = t_end
     dt = t_end / n
-    ps = np.empty((n + 1,) + p0.shape)
-    qs = np.empty_like(ps)
     # each run is a row and stays in the plane of its (p0, q0): step the
-    # coefficients of p and q on (p0, q0) with the plane's Gram matrix, then
-    # expand them into the row's states
-    rows_p = ps.reshape(n + 1, -1, p0.shape[-1])
-    rows_q = qs.reshape(rows_p.shape)
-    bases = np.stack([p0.reshape(rows_p.shape[1:]), q0.reshape(rows_p.shape[1:])], axis=1)
+    # coefficients of p and q on (p0, q0) with the plane's Gram matrix
+    bases = np.stack([p0, q0], axis=-2).reshape(-1, 2, p0.shape[-1])  # [row, (p0, q0)]
     step = flow.midpoint
     start = (1.0, 0.0, 0.0, 1.0)  # p = p0, q = q0
-    coefs = array("d", start) * (n + 1)  # one buffer, reused by each row
-    plane = np.frombuffer(coefs).reshape(n + 1, 2, 2)  # [k, (p, q), (p0, q0)]
+    span = 4 * (n + 1)  # a row's steps, contiguous
+    coefs = array("d", start) * (n + 1) * len(bases)
     for b, basis in enumerate(bases):
         gram = basis @ basis.T
         gram = (float(gram[0, 0]), float(gram[0, 1]), float(gram[1, 1]))
         c = start
-        for i in range(4, 4 * n + 4, 4):
+        o = span * b
+        for i in range(o + 4, o + span, 4):
             c, ok = step(c, gram, dt)
             if not ok:
-                raise RuntimeError(f"implicit midpoint solve failed at t = {times[i // 4]}")
+                raise RuntimeError(f"implicit midpoint solve failed at t = {times[(i - o) // 4]}")
             coefs[i], coefs[i + 1], coefs[i + 2], coefs[i + 3] = c
-        np.einsum("tk,kn->tn", plane[:, 0], basis, out=rows_p[:, b])
-        np.einsum("tk,kn->tn", plane[:, 1], basis, out=rows_q[:, b])
-    # freed before H allocates its temporaries, so the heap can reuse it
-    # instead of holding it resident beneath them (peak RSS)
-    del coefs, plane
-    return times, ps, qs, flow.hamiltonian(ps, qs), "completed", None
+    plane = np.frombuffer(coefs).reshape(len(bases), n + 1, 2, 2).transpose(1, 0, 2, 3)
+    # H is O(N)-invariant, so it reads each state on the row's isometric
+    # image of its plane: with basis^T = Q R (R is 2x2, or 1x2 at N = 1),
+    # p = basis^T c maps to R c, and a singular R is never inverted
+    energies = np.empty(plane.shape[:2])
+    for b, basis in enumerate(bases):
+        rt = np.linalg.qr(basis.T, mode="r").T
+        energies[:, b] = flow.hamiltonian(plane[:, b, 0] @ rt, plane[:, b, 1] @ rt)
+    if p0.ndim == 1:
+        energies = energies[:, 0]
+    return times, energies, "completed", None, {"coefs": plane, "bases": bases}
 
 
 def _rk_shadow_error(flow, initial, traj: Trajectory) -> float:
@@ -469,7 +508,7 @@ def _rk_shadow_error(flow, initial, traj: Trajectory) -> float:
 
     t_final = float(traj.times[-1])
     sol = solve_ivp(rhs, (0.0, t_final), y0, method="RK45", rtol=1e-10, atol=1e-12)
-    end = np.concatenate([np.ravel(traj.ps[-1]), np.ravel(traj.qs[-1])])
+    end = np.concatenate([np.ravel(x) for x in traj.states(-1)])
     return float(np.max(np.abs(end - sol.y[:, -1])))
 
 

@@ -1,15 +1,25 @@
 """Fast aggregate invariant battery behind ``enhq selftest``.
 
-Each check returns (name, passed, detail).  The battery favors breadth
-over depth — the pytest suite is the authoritative verification; this is
-an install smoke test that runs in a few seconds.
+Each check returns (name, passed, detail, residuals): the detail states
+the check against its tolerance, so the table is byte-stable, and the
+residuals hold the measured values.  The battery favors breadth over
+depth — the pytest suite is the authoritative verification; this is an
+install smoke test that runs in a few seconds.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["run_all"]
+
+
+def _below(tol: float, residuals: dict):
+    """(passed, detail, residuals) of the check that every residual is below tol."""
+    ok = all(v < tol for v in residuals.values())
+    return ok, f"{' and '.join(residuals)} {'<' if ok else 'not <'} {tol:g}", residuals
 
 
 def _checks():
@@ -20,16 +30,14 @@ def _checks():
         q = hilbert.position_operator(sp).matrix
         p = hilbert.momentum_operator(sp).matrix
         comm = q @ p - p @ q - 1j * sp.hbar * np.eye(sp.dim)
-        dev = float(np.max(np.abs(comm[:90, :90])))
-        return dev < 1e-8, f"max deviation {dev:.3g}"
+        return _below(1e-8, {"max deviation": float(np.max(np.abs(comm[:90, :90])))})
 
     def affine_commutator():
         sp = hilbert.make_fock_space(100, 1.0)
         q = hilbert.position_operator(sp).matrix
         d = hilbert.dilation_operator(sp).matrix
         comm = q @ d - d @ q - 1j * sp.hbar * q
-        dev = float(np.max(np.abs(comm[:80, :80])))
-        return dev < 1e-8, f"max deviation {dev:.3g}"
+        return _below(1e-8, {"max deviation": float(np.max(np.abs(comm[:80, :80])))})
 
     def canonical_expectations():
         fam = coherent.CanonicalFamily(N=100)
@@ -37,14 +45,14 @@ def _checks():
         st = fam.state(0.7, -0.4)
         dq = abs(hilbert.expectation(st, hilbert.position_operator(sp)).real + 0.4)
         dp = abs(hilbert.expectation(st, hilbert.momentum_operator(sp)).real - 0.7)
-        return max(dq, dp) < 1e-8, f"<Q>,<P> errors {dq:.3g}, {dp:.3g}"
+        return _below(1e-8, {"<Q> error": dq, "<P> error": dp})
 
     def affine_fiducial():
         fam = coherent.AffineFamily(1.0, 1.0)
         st = fam.fiducial()
         dn = abs(st.norm() - 1.0)
         dq = abs(fam.expect_power(1, 0.0, 1.0) - 1.0)
-        return max(dn, dq) < 1e-8, f"norm, <Q> errors {dn:.3g}, {dq:.3g}"
+        return _below(1e-8, {"norm error": dn, "<Q> error": dq})
 
     def affine_moments():
         # moments of the sampled fiducial on the grid the metric samples
@@ -54,13 +62,12 @@ def _checks():
         for n in range(-1, 5):
             got = st.grid.integrate(density * x**n)
             worst = max(worst, abs(got - coherent.affine_moment(1.0, 0.25, n)))
-        return worst < 1e-7, f"worst grid moment error {worst:.3g}"
+        return _below(1e-7, {"worst grid moment error": worst})
 
     def cprime_oracle():
         got = wcp.cprime(1.0, 0.25)
         ref = wcp.cprime_closed_form(1.0, 0.25)
-        dev = abs(got - ref)
-        return dev < 1e-8, f"word algebra vs closed form {dev:.3g}"
+        return _below(1e-8, {"word algebra vs closed form": abs(got - ref)})
 
     def oscillator_correspondence():
         fam = coherent.CanonicalFamily(N=100, hbar=0.5)
@@ -69,32 +76,33 @@ def _checks():
         for p, q in ((0.0, 0.0), (1.0, -0.5), (0.3, 0.8)):
             h = wcp.enhanced_hamiltonian(spec, fam, p, q)
             worst = max(worst, abs(h - 0.5 * (p * p + q * q) - 0.25))
-        return worst < 1e-8, f"worst H - classical - hbar/2 error {worst:.3g}"
+        return _below(1e-8, {"worst H - classical - hbar/2 error": worst})
 
     def canonical_metric():
         m = geometry.fs_metric(coherent.CanonicalFamily(N=100), (0.2, -0.3))
         dev = float(np.max(np.abs(m.as_matrix() - np.eye(2))))
-        return dev < 1e-6, f"deviation from identity {dev:.3g}"
+        return _below(1e-6, {"deviation from identity": dev})
 
     def spin_metric():
         fam = coherent.SpinFamily(1.0, 1.0)
         m = geometry.fs_metric(fam, (1.1, 0.4))
         ref = np.diag([1.0, np.sin(1.1) ** 2])
         dev = float(np.max(np.abs(m.as_matrix() - ref)))
-        return dev < 1e-6, f"deviation from diag(s hbar, s hbar sin^2) {dev:.3g}"
+        return _below(1e-6, {"deviation from diag(s hbar, s hbar sin^2)": dev})
 
     def oscillator_drift():
         traj = dynamics.integrate(
             dynamics.oscillator_flow(), (1.0, 0.0), 10.0,
             dynamics.IntegratorControls(dt=1e-3),
         )
-        return traj.drift < 1e-8, f"relative drift {traj.drift:.3g}"
+        return _below(1e-8, {"relative drift": traj.drift})
 
     def toy_hit_time():
         flow = dynamics.toy_gravity_flow(hbar=0.0)
         traj = dynamics.integrate(flow, (-1.0, 1.0), 2.0)
-        ok = traj.status == "singularity" and abs(traj.hit_time - 1.0) < 1e-4
-        return ok, f"status {traj.status}, hit {traj.hit_time}"
+        err = math.inf if traj.hit_time is None else abs(traj.hit_time - 1.0)
+        ok, detail, residuals = _below(1e-4, {"hit time error": err})
+        return ok and traj.status == "singularity", f"status {traj.status}, {detail}", residuals
 
     def inequality_gaussian():
         from scipy.special import gamma
@@ -102,8 +110,7 @@ def _checks():
         f = inequality.RadialField(alpha=0.0, n=3)
         got = inequality.lhs(f, 1.0, 1e-8)
         ref = float(np.sqrt(inequality.sphere_area(3) * gamma(1.5) / (2 * 4**1.5)))
-        dev = abs(got - ref)
-        return dev < 1e-8, f"Gaussian closed form error {dev:.3g}"
+        return _below(1e-8, {"Gaussian closed form error": abs(got - ref)})
 
     return [
         ("canonical-commutator", canonical_commutator),
@@ -125,8 +132,8 @@ def run_all():
     results = []
     for name, fn in _checks():
         try:
-            ok, detail = fn()
+            ok, detail, residuals = fn()
         except Exception as exc:  # a crashed invariant is a failed invariant
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append((name, bool(ok), detail))
+            ok, detail, residuals = False, f"raised {type(exc).__name__}: {exc}", {}
+        results.append((name, bool(ok), detail, residuals))
     return results

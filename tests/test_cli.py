@@ -1,16 +1,49 @@
 """Driver behavior: exit codes, artifacts, determinism, config handling."""
 
+import csv
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from enhq import cli
 from enhq.cli import run
+from enhq.dynamics import Trajectory
 from enhq.wcp import _word_sums, cprime_closed_form
 
 
 def _read(path):
     return path.read_text()
+
+
+# each detail states its check against the tolerance, so the bytes stay put
+# when a residual moves in its last digits; the residuals go to the summary
+SELFTEST_TABLE = """\
+check,status,detail
+canonical-commutator,pass,max deviation < 1e-08
+affine-commutator,pass,max deviation < 1e-08
+canonical-expectations,pass,<Q> error and <P> error < 1e-08
+affine-fiducial,pass,norm error and <Q> error < 1e-08
+affine-moments,pass,worst grid moment error < 1e-07
+cprime-oracle,pass,word algebra vs closed form < 1e-08
+oscillator-correspondence,pass,worst H - classical - hbar/2 error < 1e-08
+canonical-metric,pass,deviation from identity < 1e-06
+spin-metric,pass,"deviation from diag(s hbar, s hbar sin^2) < 1e-06"
+oscillator-drift,pass,relative drift < 1e-08
+toy-hit-time,pass,"status singularity, hit time error < 0.0001"
+inequality-gaussian,pass,Gaussian closed form error < 1e-08
+"""
+
+
+def _cell(x):
+    """The per-cell rendering that defines the table bytes."""
+    if isinstance(x, float):
+        return "%.17g" % x
+    s = str(x)
+    if "," in s or '"' in s:
+        s = '"' + s.replace('"', '""') + '"'
+    return s
 
 
 class TestExitCodes:
@@ -167,6 +200,27 @@ class TestArtifacts:
         header = _read(tmp_path / "rotsym.csv").splitlines()[0]
         assert header == "t,p_1,p_2,p_3,q_1,q_2,q_3,H,drift"
 
+    def test_rotsym_reads_states_only_where_written(self, tmp_path, capsys, monkeypatch):
+        def expand_all(traj):
+            raise AssertionError("rotsym expanded every stored state")
+
+        monkeypatch.setattr(Trajectory, "ps", property(expand_all))
+        monkeypatch.setattr(Trajectory, "qs", property(expand_all))
+        assert run(["--out", str(tmp_path), "rotsym", "--N", "4", "--t-end", "0.2",
+                    "--stride", "3"]) == 0
+        assert len(_read(tmp_path / "rotsym.csv").splitlines()) == 1 + 667
+
+    def test_rotsym_holds_no_state_array(self, tmp_path, capsys):
+        # the default run at N = 32 peaks below one (T, B, N) float64 array
+        assert run(["--out", str(tmp_path), "rotsym", "--N", "2", "--t-end", "0.01"]) == 0
+        tracemalloc.start()
+        try:
+            assert run(["--out", str(tmp_path), "rotsym", "--N", "32", "--t-end", "2"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_001 * 2 * 32 * 8
+
     def test_wcp_verdict(self, tmp_path, capsys):
         assert run(["--out", str(tmp_path), "wcp", "--family", "canonical",
                     "--p", "0,1", "--q", "1"]) == 0
@@ -184,6 +238,35 @@ class TestArtifacts:
         assert run(["--out", str(tmp_path), "selftest"]) == 0
         out = capsys.readouterr().out
         assert "invariants pass" in out
+
+    def test_selftest_table_is_golden(self, tmp_path, capsys):
+        assert run(["--out", str(tmp_path), "selftest"]) == 0
+        assert (tmp_path / "selftest.csv").read_bytes() == SELFTEST_TABLE.encode()
+        summary = json.loads(_read(tmp_path / "selftest_summary.json"))
+        rows = list(csv.reader(SELFTEST_TABLE.splitlines()))[1:]
+        assert list(summary["residuals"]) == [r[0] for r in rows]
+        for (name, _, detail), residuals in zip(rows, summary["residuals"].values()):
+            tol = float(detail.rsplit(" ", 1)[1])
+            assert residuals and all(0.0 <= v < tol for v in residuals.values()), name
+        assert run(["--out", str(tmp_path), "--format", "json", "selftest"]) == 0
+        assert json.loads(_read(tmp_path / "selftest.json"))["rows"] == [
+            [_cell(x) for x in r] for r in rows]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_render_cell_by_cell(self, tmp_path, fmt):
+        # one % per row must print what each cell prints alone, whatever
+        # mix of floats, numpy floats, ints and strings a row holds
+        rows = [(1.0, np.float64(0.1), 3, "a,b", 'say "x"', float("inf"), -0.0, 1e-300),
+                (2, 0.2, 3.0, "plain", None, float("nan"), np.float64(-1.5), True),
+                (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)]
+        header = [f"c{i}" for i in range(8)]
+        path = cli._write_table(str(tmp_path / "t"), header, rows, fmt)
+        cells = [[_cell(x) for x in r] for r in rows]
+        if fmt == "csv":
+            expected = "".join(",".join(r) + "\n" for r in [header, *cells])
+            assert open(path).read() == expected
+        else:
+            assert json.load(open(path)) == {"columns": header, "rows": cells}
 
 
 class TestSharedFlags:

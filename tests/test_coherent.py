@@ -299,6 +299,18 @@ class TestSpin:
         st = fam.state(0.0, 0.0)
         assert np.allclose(st.coeffs, basis_state(fam.space, 0).coeffs)
 
+    def test_family_builds_operators_on_first_read(self, monkeypatch):
+        calls = []
+        real = enhq.coherent.spin_operators
+        monkeypatch.setattr(enhq.coherent, "spin_operators",
+                            lambda s, hbar: calls.append((s, hbar)) or real(s, hbar))
+        fam = SpinFamily(1.5, 1.0).with_hbar(0.5)
+        fam.state(1.0, 2.0)
+        assert calls == []
+        assert fam.S2 is fam.S2
+        assert calls == [(1.5, 0.5)]
+        assert fam.S2.space == fam.space
+
     @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
     def test_s3_expectation(self, s):
         fam = SpinFamily(s, 1.0)

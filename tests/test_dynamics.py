@@ -69,6 +69,7 @@ class TestClosedForm:
                               hit_time=None, method="test", dt=1.0)
             ref = [abs(x - e[0]) / abs(e[0]) if e[0] else abs(x - e[0]) for x in e]
             assert traj.drifts.tolist() == ref
+            assert traj.drifts is traj.drifts  # built once per trajectory
             assert traj.drift == (max(abs(x - e[0]) for x in e) / (abs(e[0]) or 1.0))
 
 
@@ -469,6 +470,51 @@ class TestPlaneReduction:
         flow = rotsym_flow(4, 1.0, 2.0)
         traj = integrate(flow, (p0, q0), 1.0, IntegratorControls(dt=1e-3))
         assert _max_dev(traj, *_reference_run(flow, p0, q0, 1.0, dt=1e-3)) <= 1e-12
+
+
+class TestPlaneStorage:
+    """A vector run stores its plane coefficients and expands states where read."""
+
+    @staticmethod
+    def _expanded(traj):
+        # (T, B, N) states p = c0 p0 + c1 q0, q = c2 p0 + c3 q0, each product rounded
+        c, (b0, b1) = traj.coefs, np.moveaxis(traj.bases, 1, 0)
+        return (c[..., 0, 0, None] * b0 + c[..., 0, 1, None] * b1,
+                c[..., 1, 0, None] * b0 + c[..., 1, 1, None] * b1)
+
+    @pytest.mark.parametrize("case", ["batch", "single", "p0 = 0", "p0 || q0"])
+    def test_states_equal_full_expansion(self, case):
+        rng = np.random.default_rng(12)
+        q0 = rng.normal(size=(3, 5))
+        p0 = {"batch": rng.normal(size=(3, 5)), "single": rng.normal(size=(3, 5)),
+              "p0 = 0": np.zeros((3, 5)), "p0 || q0": -0.7 * q0}[case]
+        if case == "single":
+            p0, q0 = p0[0], q0[0]
+        flow = rotsym_flow(5, 1.0, 2.0)
+        traj = integrate(flow, (p0, q0), 0.5, IntegratorControls(dt=1e-3))
+        ps, qs = self._expanded(traj)
+        if case == "single":
+            ps, qs = ps[:, 0], qs[:, 0]
+        assert traj.coefs.shape == (501, len(traj.bases), 2, 2)
+        for k in (slice(None), slice(None, None, 7), slice(3, 300, 100), 0, 17, -1):
+            p, q = traj.states(k)
+            assert np.array_equal(p, ps[k]) and np.array_equal(q, qs[k])
+        assert np.array_equal(traj.ps, ps) and np.array_equal(traj.qs, qs)
+        ref = flow.hamiltonian(ps, qs)
+        assert np.max(np.abs(traj.energies - ref) / np.abs(ref)) <= 1e-14
+        if case != "single":
+            p, q = traj.row(2).states(slice(None, None, 7))
+            assert np.array_equal(p, ps[::7, 2]) and np.array_equal(q, qs[::7, 2])
+
+    @pytest.mark.parametrize("n", [1, 3, 6, 32, 64])
+    @pytest.mark.parametrize("g0", [0.0, 1.0, 100.0])
+    def test_plane_energies_match_expanded_states(self, n, g0):
+        # H on each row's 2-D image of its plane against H on the N-vectors
+        p, q = _random_batch(np.random.default_rng(n), 2, n, 0.5 / np.sqrt(n))
+        flow = rotsym_flow(n, 1.0, g0)
+        traj = integrate(flow, (p, q), 0.5, IntegratorControls(dt=1e-3))
+        ref = flow.hamiltonian(traj.ps, traj.qs)
+        assert np.max(np.abs(traj.energies - ref) / np.abs(ref)) <= 1e-14
 
 
 class TestToyGravityMidpoint:
