@@ -19,6 +19,8 @@ from scipy.special import gammaln
 
 __all__ = ["HalfLineGrid", "gauss_gamma_grid"]
 
+N_NODES = 400  # nodes of every Gauss-Gamma grid
+
 
 @dataclass(frozen=True)
 class HalfLineGrid:
@@ -38,13 +40,13 @@ class HalfLineGrid:
 
 
 @lru_cache(maxsize=64)
-def _genlaguerre_rule(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes t_i and log-weights for the weight t^alpha e^-t on (0, inf)."""
+def _genlaguerre_rule(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """N_NODES nodes t_i and log-weights for the weight t^alpha e^-t on (0, inf)."""
     if alpha <= -1:
         raise ValueError(f"genlaguerre exponent must exceed -1, got {alpha}")
-    i = np.arange(n, dtype=float)
+    i = np.arange(N_NODES, dtype=float)
     diag = 2.0 * i + alpha + 1.0
-    j = np.arange(1, n, dtype=float)
+    j = np.arange(1, N_NODES, dtype=float)
     off = np.sqrt(j * (j + alpha))
     t, v = eigh_tridiagonal(diag, off)
     v0 = np.abs(v[0, :])
@@ -53,15 +55,15 @@ def _genlaguerre_rule(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     return t[keep], log_w
 
 
-def gauss_gamma_grid(alpha: float, rate: float, n_nodes: int = 400) -> HalfLineGrid:
+def gauss_gamma_grid(alpha: float, rate: float) -> HalfLineGrid:
     """Quadrature for integrands concentrated like x^alpha e^(-rate*x).
 
     Returns plain-dx nodes/weights; exact for x^alpha e^(-rate*x) times
-    polynomials up to degree 2*n_nodes - 1.
+    polynomials up to degree 2*N_NODES - 1.
     """
     if rate <= 0:
         raise ValueError(f"rate must be positive, got {rate}")
-    t, log_w = _genlaguerre_rule(int(n_nodes), float(alpha))
+    t, log_w = _genlaguerre_rule(float(alpha))
     # undo the weight: W_i = w_i * e^t * t^-alpha, then rescale x = t/rate
     log_true = log_w + t - alpha * np.log(t) - np.log(rate)
     keep = log_true < 700.0  # guard; never triggered for sane alpha

@@ -49,49 +49,29 @@ def _fan_out(fn, cells):
         return list(pool.map(fn, cells))
 
 
-def _render(x) -> str:
-    """A cell that is not a float: its str, quoted if it holds a comma or a quote."""
+def _cell(x) -> str:
+    """A table cell: a float at 17 significant digits, anything else as its
+    str, quoted if it holds a comma or a quote."""
+    if isinstance(x, float):
+        return _FMT % x
     s = str(x)
     if "," in s or '"' in s:
         s = '"' + s.replace('"', '""') + '"'
     return s
 
 
-def _templated(rows):
-    """Each row as (template, row): one % of the template on the row prints
-    its float cells at 17 significant digits and its other cells, rendered
-    into the row first, as they are."""
-    templates = {}
-    for r in rows:
-        kinds = tuple(map(type, r))
-        t = templates.get(kinds)
-        if t is None:
-            other = {i for i, k in enumerate(kinds) if not issubclass(k, float)}
-            t = ",".join("%s" if i in other else _FMT for i in range(len(kinds))), other
-            templates[kinds] = t
-        text, other = t
-        if other:
-            r = tuple(_render(x) if i in other else x for i, x in enumerate(r))
-        yield text, r
-
-
 def _write_table(path_base: str, header, rows, fmt: str) -> str:
     """Write rows (tuples) under header as CSV or JSON."""
-    if fmt == "json":
-        # a rendered cell may hold a comma, so only a row of floats splits its line
-        cells = [(text % r).split(",") if "%s" not in text else
-                 [_FMT % x if isinstance(x, float) else x for x in r]
-                 for text, r in _templated(rows)]
-        path = path_base + ".json"
-        with open(path, "w") as fh:
-            json.dump({"columns": list(header), "rows": cells}, fh, indent=2)
+    cells = ([_cell(x) for x in r] for r in rows)
+    path = f"{path_base}.{fmt}"
+    with open(path, "w") as fh:
+        if fmt == "json":
+            json.dump({"columns": list(header), "rows": list(cells)}, fh, indent=2)
             fh.write("\n")
-    else:
-        path = path_base + ".csv"
-        with open(path, "w") as fh:
+        else:
             fh.write(",".join(header) + "\n")
-            for text, r in _templated(rows):
-                fh.write(text % r + "\n")
+            for r in cells:
+                fh.write(",".join(r) + "\n")
     return path
 
 
@@ -233,17 +213,16 @@ def _cmd_rotsym(args, out_base, t0):
     p0 = scale * rng.normal(size=args.N)
     q0 = scale * rng.normal(size=args.N)
     perm = rng.permutation(args.N)
-    # base and shuffled runs step together as the two rows of one batch
-    pair = integrate(flow, (np.stack([p0, p0[perm]]), np.stack([q0, q0[perm]])), args.t_end)
-    traj = pair.row(0)
-    # the shuffled row's basis is the base row's with its columns permuted,
-    # so the permuted base states less the shuffled ones are the rows'
+    traj = integrate(flow, (p0, q0), args.t_end)
+    shuffled = integrate(flow, (p0[perm], q0[perm]), args.t_end)
+    # the shuffled run's basis is the base run's with its columns permuted,
+    # so the permuted base states less the shuffled ones are the runs'
     # coefficient difference expanded on that basis
-    c, basis = pair.coefs, pair.bases[1]
-    diff = np.empty((c.shape[0], args.N))
+    diff = np.empty((traj.times.size, args.N))
     dev = 0.0
     for side in (0, 1):
-        np.einsum("tk,kn->tn", c[:, 0, side] - c[:, 1, side], basis, out=diff)
+        np.einsum("tk,kn->tn", traj.coefs[:, side] - shuffled.coefs[:, side],
+                  shuffled.basis, out=diff)
         dev = max(dev, float(np.max(np.abs(diff, out=diff))))
     table = _write_trajectory(out_base, traj, args.stride, args.format)
     summary = _write_summary(out_base, vars(args), {

@@ -36,7 +36,6 @@ from .hilbert import (
     make_fock_space,
     momentum_operator,
     position_operator,
-    spin_operators,
     spin_space,
 )
 
@@ -326,18 +325,6 @@ class SpinFamily:
         self._v0 = v[0]
         self._m = np.arange(self.s, -self.s - 1e-9, -1.0)  # S3 eigenvalues / hbar
         self.fiducial = basis_state(self.space, 0)  # m = s is first
-
-    @cached_property
-    def S1(self):
-        return spin_operators(self.s, self.hbar)[0]
-
-    @cached_property
-    def S2(self):
-        return spin_operators(self.s, self.hbar)[1]
-
-    @cached_property
-    def S3(self):
-        return spin_operators(self.s, self.hbar)[2]
 
     @property
     def hbar(self) -> float:

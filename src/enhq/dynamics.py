@@ -20,15 +20,14 @@ Vector flows are O(N)-invariant: H depends on p and q only through
 |p|^2, p.q and |q|^2, so both gradients lie in span{p, q} and the
 midpoint rule keeps every iterate in the plane span{p0, q0} (it conserves
 the quadratic invariant p ^ q; Hairer, Lubich and Wanner, Geometric
-Numerical Integration, ch. IV).  A batch of B trajectories, initial
-arrays of shape (B, N), is stepped row by row on the four coefficients
-of p and q on (p0, q0), with the row's 2x2 Gram matrix of (p0, q0)
-supplying the inner products.  The run stores those coefficients, not
-the (T, B, N) states: H is read on each row's isometric image of its
-plane in R^2, and states are expanded only at the steps that are read.
-An (N,) initial state is a batch of one.  The rotationally symmetric
-quartic flow's plane step reduces the midpoint equations to one scalar
-equation for the radial factor kappa, solved by Newton's method.
+Numerical Integration, ch. IV).  A run from initial arrays of shape (N,)
+is stepped on the four coefficients of p and q on (p0, q0), with the 2x2
+Gram matrix of (p0, q0) supplying the inner products.  The run stores
+those coefficients, not the (T, N) states: H is read on the isometric
+image of the plane in R^2, and states are expanded only at the steps that
+are read.  The rotationally symmetric quartic flow's plane step reduces
+the midpoint equations to one scalar equation for the radial factor
+kappa, solved by Newton's method.
 """
 
 from __future__ import annotations
@@ -93,16 +92,14 @@ class Trajectory:
     """Stored steps of one run.
 
     A scalar run holds its states ps, qs as arrays of shape (T,).  A vector
-    run holds its plane instead: `coefs` of shape (T, B, 2, 2), indexed
-    [step, row, (p, q), (p0, q0)], on the rows' `bases` of shape (B, 2, N),
-    indexed [row, (p0, q0)].  `states` expands the steps it is asked for,
-    and ps, qs of shape (T, B, N) expand on first read.  Energies are
-    (T, B); a run from (N,) initial states drops the B axis from them and
-    from the states.
+    run holds its plane instead: `coefs` of shape (T, 2, 2), indexed
+    [step, (p, q), (p0, q0)], on the `basis` (p0, q0) of shape (2, N).
+    `states` expands the steps it is asked for, and ps, qs of shape (T, N)
+    expand on first read.  Energies are (T,).
     """
 
     def __init__(self, times, energies, status, hit_time, method, dt, meta=None, *,
-                 ps=None, qs=None, coefs=None, bases=None):
+                 ps=None, qs=None, coefs=None, basis=None):
         self.times = times
         self.energies = energies
         self.status = status  # "completed" | "singularity"
@@ -110,7 +107,7 @@ class Trajectory:
         self.method = method
         self.dt = dt
         self.meta = {} if meta is None else meta
-        self.coefs, self.bases = coefs, bases
+        self.coefs, self.basis = coefs, basis
         self._ps, self._qs = ps, qs
 
     def states(self, k):
@@ -118,17 +115,8 @@ class Trajectory:
         if self.coefs is None:
             return self._ps[k], self._qs[k]
         c = self.coefs[k]
-        step = c.ndim == 3
-        if step:
-            c = c[None]
-        ps = np.empty(c.shape[:2] + self.bases.shape[-1:])
-        qs = np.empty_like(ps)
-        for b, basis in enumerate(self.bases):
-            np.einsum("tk,kn->tn", c[:, b, 0], basis, out=ps[:, b])
-            np.einsum("tk,kn->tn", c[:, b, 1], basis, out=qs[:, b])
-        if self.energies.ndim == 1:
-            ps, qs = ps[:, 0], qs[:, 0]
-        return (ps[0], qs[0]) if step else (ps, qs)
+        return (np.einsum("...k,kn->...n", c[..., 0, :], self.basis),
+                np.einsum("...k,kn->...n", c[..., 1, :], self.basis))
 
     def _expand(self):
         if self._ps is None:
@@ -150,20 +138,14 @@ class Trajectory:
 
     @cached_property
     def drifts(self) -> np.ndarray:
-        """|H(t) - H(0)| / |H(0)| at each stored step, per row (absolute where H(0) = 0)."""
+        """|H(t) - H(0)| / |H(0)| at each stored step (absolute where H(0) = 0)."""
         e0 = self.energies[0]
-        return np.abs(self.energies - e0) / np.where(e0 != 0, np.abs(e0), 1.0)
+        return np.abs(self.energies - e0) / (abs(e0) if e0 != 0 else 1.0)
 
     @property
     def drift(self) -> float:
-        """Largest relative drift over steps and rows."""
+        """Largest relative drift over the stored steps."""
         return float(np.max(self.drifts))
-
-    def row(self, b: int) -> "Trajectory":
-        """Trajectory b of a batched vector run."""
-        return Trajectory(self.times, self.energies[:, b], self.status, self.hit_time,
-                          self.method, self.dt, dict(self.meta),
-                          coefs=self.coefs[:, b:b + 1], bases=self.bases[b:b + 1])
 
 
 def oscillator_flow() -> FlowSpec:
@@ -326,13 +308,13 @@ def integrate(flow: FlowSpec, initial, t_end: float,
               controls: IntegratorControls = IntegratorControls()) -> Trajectory:
     """Implicit-midpoint trajectory of q' = dH/dp, p' = -dH/dq.
 
-    Vector flows take initial arrays of shape (N,) or (B, N), N the flow's
-    params["N"]; each row is stepped in its plane span{p0, q0}, and the B
-    rows are stored as plane coefficients (see Trajectory).  Positive-chart
-    scalar flows throttle the step once q heads for the floor, and stop with
-    status "singularity" and the crossing time.  A flow without a midpoint
-    step, a non-finite initial state, or initial rows of another length than
-    N raise ValueError.
+    Vector flows take initial arrays of shape (N,), N the flow's
+    params["N"]; the run is stepped in its plane span{p0, q0} and stored as
+    plane coefficients (see Trajectory).  Positive-chart scalar flows
+    throttle the step once q heads for the floor, and stop with status
+    "singularity" and the crossing time.  A flow without a midpoint step, a
+    non-finite initial state, or vector initial states of another shape than
+    (N,) raise ValueError.
     """
     if not 0 < t_end < math.inf:
         raise ValueError(f"t_end must be finite and positive, got {t_end}")
@@ -453,45 +435,35 @@ def _self_similar_run(p, q, t, dt, h, t_end, floor, times, ps, qs):
 
 def _run_vector(flow, initial, t_end, controls):
     p0, q0 = (np.array(x, dtype=float) for x in initial)
-    if p0.shape != q0.shape or p0.ndim not in (1, 2):
-        raise ValueError("initial p and q must share a shape (N,) or (B, N), "
-                         f"got {p0.shape} and {q0.shape}")
-    if p0.shape[-1] != flow.params["N"]:
-        raise ValueError(f"initial rows have {p0.shape[-1]} components, "
-                         f"but the flow has N = {flow.params['N']}")
+    n_comp = flow.params["N"]
+    if p0.shape != (n_comp,) or q0.shape != (n_comp,):
+        raise ValueError(f"initial p and q must have shape ({n_comp},), as the flow has "
+                         f"N = {n_comp}; got {p0.shape} and {q0.shape}")
     # n equal steps, t_k = t_end k / n: no roundoff-length last step
     n = max(1, math.ceil(t_end / controls.dt - 1e-9))
     times = t_end * np.arange(n + 1) / n
     times[-1] = t_end
     dt = t_end / n
-    # each run is a row and stays in the plane of its (p0, q0): step the
-    # coefficients of p and q on (p0, q0) with the plane's Gram matrix
-    bases = np.stack([p0, q0], axis=-2).reshape(-1, 2, p0.shape[-1])  # [row, (p0, q0)]
+    # the run stays in the plane of (p0, q0): step the coefficients of p and
+    # q on (p0, q0) with the plane's Gram matrix
+    basis = np.stack([p0, q0])
+    gram = basis @ basis.T
+    gram = (float(gram[0, 0]), float(gram[0, 1]), float(gram[1, 1]))
     step = flow.midpoint
-    start = (1.0, 0.0, 0.0, 1.0)  # p = p0, q = q0
-    span = 4 * (n + 1)  # a row's steps, contiguous
-    coefs = array("d", start) * (n + 1) * len(bases)
-    for b, basis in enumerate(bases):
-        gram = basis @ basis.T
-        gram = (float(gram[0, 0]), float(gram[0, 1]), float(gram[1, 1]))
-        c = start
-        o = span * b
-        for i in range(o + 4, o + span, 4):
-            c, ok = step(c, gram, dt)
-            if not ok:
-                raise RuntimeError(f"implicit midpoint solve failed at t = {times[(i - o) // 4]}")
-            coefs[i], coefs[i + 1], coefs[i + 2], coefs[i + 3] = c
-    plane = np.frombuffer(coefs).reshape(len(bases), n + 1, 2, 2).transpose(1, 0, 2, 3)
-    # H is O(N)-invariant, so it reads each state on the row's isometric
-    # image of its plane: with basis^T = Q R (R is 2x2, or 1x2 at N = 1),
-    # p = basis^T c maps to R c, and a singular R is never inverted
-    energies = np.empty(plane.shape[:2])
-    for b, basis in enumerate(bases):
-        rt = np.linalg.qr(basis.T, mode="r").T
-        energies[:, b] = flow.hamiltonian(plane[:, b, 0] @ rt, plane[:, b, 1] @ rt)
-    if p0.ndim == 1:
-        energies = energies[:, 0]
-    return times, energies, "completed", None, {"coefs": plane, "bases": bases}
+    c = (1.0, 0.0, 0.0, 1.0)  # p = p0, q = q0
+    coefs = array("d", c) * (n + 1)
+    for i in range(4, 4 * (n + 1), 4):
+        c, ok = step(c, gram, dt)
+        if not ok:
+            raise RuntimeError(f"implicit midpoint solve failed at t = {times[i // 4]}")
+        coefs[i], coefs[i + 1], coefs[i + 2], coefs[i + 3] = c
+    plane = np.frombuffer(coefs).reshape(n + 1, 2, 2)
+    # H is O(N)-invariant, so it reads each state on the isometric image of
+    # the plane: with basis^T = Q R (R is 2x2, or 1x2 at N = 1), p = basis^T c
+    # maps to R c, and a singular R is never inverted
+    rt = np.linalg.qr(basis.T, mode="r").T
+    energies = flow.hamiltonian(plane[:, 0] @ rt, plane[:, 1] @ rt)
+    return times, energies, "completed", None, {"coefs": plane, "basis": basis}
 
 
 def _rk_shadow_error(flow, initial, traj: Trajectory) -> float:

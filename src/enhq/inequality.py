@@ -127,7 +127,7 @@ def _in_range(v: float, side: str, field: RadialField, eps: float) -> float:
     return v
 
 
-def lhs(field: RadialField, m0: float, eps: float) -> float:
+def lhs(field: RadialField, eps: float) -> float:
     """{ omega_n int_eps^inf phi^4 r^(n-1) dr }^(1/2)."""
     v = sphere_area(field.n) * field.amplitude**4 * _radial(field.n - 4.0 * field.alpha, 4.0, eps)
     return math.sqrt(_in_range(v, "lhs", field, eps))
@@ -201,7 +201,7 @@ def scan(n: int, alpha_grid, eps_sequence=DEFAULT_EPS, m0: float = 1.0) -> Inequ
         field = RadialField(alpha=float(alpha), n=n)
         ls, rs = [], []
         for eps in eps_sequence:
-            l = lhs(field, m0, eps)
+            l = lhs(field, eps)
             r = rhs(field, m0, eps)
             ls.append(l)
             rs.append(r)

@@ -108,7 +108,7 @@ def _checks():
         from scipy.special import gamma
 
         f = inequality.RadialField(alpha=0.0, n=3)
-        got = inequality.lhs(f, 1.0, 1e-8)
+        got = inequality.lhs(f, 1e-8)
         ref = float(np.sqrt(inequality.sphere_area(3) * gamma(1.5) / (2 * 4**1.5)))
         return _below(1e-8, {"Gaussian closed form error": abs(got - ref)})
 

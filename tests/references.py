@@ -12,7 +12,14 @@ from scipy.special import gammaln
 
 from enhq._quadrature import gauss_gamma_grid
 from enhq.coherent import AffineState
-from enhq.hilbert import Operator, StateVector, expectation, momentum_operator, position_operator
+from enhq.hilbert import (
+    Operator,
+    StateVector,
+    expectation,
+    momentum_operator,
+    position_operator,
+    spin_operators,
+)
 
 
 def unitary_from_hermitian(A: Operator, c: float) -> Operator:
@@ -104,7 +111,8 @@ def dense_enhanced_hamiltonian(spec, family, p: float, q: float) -> complex:
     if spec.kind == "canonical":
         ops = {"P": family.P.matrix, "Q": family.Q.matrix}
     else:
-        ops = {"S1": family.S1.matrix, "S2": family.S2.matrix, "S3": family.S3.matrix}
+        ops = dict(zip(("S1", "S2", "S3"),
+                       (o.matrix for o in spin_operators(family.s, family.hbar))))
     total = np.zeros((family.space.dim, family.space.dim), dtype=complex)
     for coeff, word in spec.terms:
         m = np.eye(family.space.dim, dtype=complex)

@@ -198,14 +198,14 @@ def test_criterion_7_inequality_separation():
         problems.append(f"n=4 max ratio {boundary.max_ratio:.4g} > {bound:.4g}")
 
     field = RadialField(alpha=1.3, n=5)
-    ratios = [lhs(field, 1.0, e) / rhs(field, 1.0, e) for e in DEFAULT_EPS]
+    ratios = [lhs(field, e) / rhs(field, 1.0, e) for e in DEFAULT_EPS]
     growth = ratios[-1] / ratios[0]
     if growth < 10.0:
         problems.append(f"n=5 ratio growth {growth:.3g}x < 10x")
 
     eps_tail = np.geomspace(1e-6, 1e-8, 4)
     slope = np.polyfit(np.log(eps_tail),
-                       np.log([lhs(field, 1.0, e) for e in eps_tail]), 1)[0]
+                       np.log([lhs(field, e) for e in eps_tail]), 1)[0]
     if abs(slope - lhs_slope_expected(field)) >= 0.05:
         problems.append(f"lhs slope {slope:.4f} vs {lhs_slope_expected(field):.4f}")
     rhs_tail = [rhs(field, 1.0, e) for e in eps_tail]

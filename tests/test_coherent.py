@@ -22,7 +22,7 @@ from enhq.coherent import (
     affine_moment,
     _ladder_spectrum,
 )
-from enhq.hilbert import basis_state, expectation, make_fock_space
+from enhq.hilbert import basis_state, expectation, make_fock_space, spin_operators
 
 
 # ---------------------------------------------------------------- canonical
@@ -299,31 +299,21 @@ class TestSpin:
         st = fam.state(0.0, 0.0)
         assert np.allclose(st.coeffs, basis_state(fam.space, 0).coeffs)
 
-    def test_family_builds_operators_on_first_read(self, monkeypatch):
-        calls = []
-        real = enhq.coherent.spin_operators
-        monkeypatch.setattr(enhq.coherent, "spin_operators",
-                            lambda s, hbar: calls.append((s, hbar)) or real(s, hbar))
-        fam = SpinFamily(1.5, 1.0).with_hbar(0.5)
-        fam.state(1.0, 2.0)
-        assert calls == []
-        assert fam.S2 is fam.S2
-        assert calls == [(1.5, 0.5)]
-        assert fam.S2.space == fam.space
-
     @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
     def test_s3_expectation(self, s):
         fam = SpinFamily(s, 1.0)
+        s3 = spin_operators(s, 1.0)[2]
         for theta in (0.3, 1.2, 2.5):
             st = fam.state(theta, 0.7)
-            got = expectation(st, fam.S3).real
+            got = expectation(st, s3).real
             assert abs(got - s * np.cos(theta)) < 1e-10
 
     def test_bloch_vector_length(self):
         fam = SpinFamily(1.0, 0.5)
+        ops = spin_operators(fam.s, fam.hbar)
         for theta, phi in ((0.4, 1.0), (1.5, 4.0), (2.8, 0.1)):
             st = fam.state(theta, phi)
-            v = np.array([expectation(st, op).real for op in (fam.S1, fam.S2, fam.S3)])
+            v = np.array([expectation(st, op).real for op in ops])
             assert abs(np.linalg.norm(v) - fam.s * fam.hbar) < 1e-10
 
     def test_half_spin_bloch_parametrization(self):
@@ -378,9 +368,9 @@ class TestLadderSpectrum:
             v, vu = _ladder_spectrum("fock", N)[1:3]
             assert np.array_equal(vu, u.conj()[:, None] * v)
         for s in (0.5, 1.0, 1.5, 3.0):
-            fam = SpinFamily(s, hbar)
-            u = phases(fam.space.dim)
-            assert np.array_equal(fam.S2.matrix, self._rotated(fam.S1, u))
+            s1, s2, _ = spin_operators(s, hbar)
+            u = phases(s1.space.dim)
+            assert np.array_equal(s2.matrix, self._rotated(s1, u))
 
     @staticmethod
     def _dense_state(fam, p, q):
@@ -415,10 +405,11 @@ class TestLadderSpectrum:
     @pytest.mark.parametrize("hbar", [1.0, 0.25, 0.05])
     def test_spin_state_matches_dense_reference(self, s, hbar):
         fam = SpinFamily(s, hbar)
+        _, s2, s3 = spin_operators(s, hbar)
         rng = np.random.default_rng(int(10 * s) + int(100 * hbar))
         for theta, phi in rng.uniform(0.0, 1.0, size=(8, 2)) * (np.pi, 2.0 * np.pi):
-            ref = (unitary_from_hermitian(fam.S3, -phi / hbar).matrix
-                   @ unitary_from_hermitian(fam.S2, -theta / hbar).matrix @ fam.fiducial.coeffs)
+            ref = (unitary_from_hermitian(s3, -phi / hbar).matrix
+                   @ unitary_from_hermitian(s2, -theta / hbar).matrix @ fam.fiducial.coeffs)
             assert np.max(np.abs(fam.state(theta, phi).coeffs - ref)) <= 1e-12
 
     def test_families_share_one_spectrum_per_size(self, monkeypatch):

@@ -271,8 +271,8 @@ class TestRotsym:
         assert np.max(np.abs(a.ps[:, :3] - b.ps[:, 3:])) < 1e-9
 
 
-def _random_batch(rng, b, n, amp=1.0):
-    return amp * rng.normal(size=(b, n)), amp * rng.normal(size=(b, n))
+def _random_state(rng, shape, amp=1.0):
+    return amp * rng.normal(size=shape), amp * rng.normal(size=shape)
 
 
 # Reference midpoint steps on (B, N) arrays, the forms production used before
@@ -344,7 +344,7 @@ class TestRadialMidpoint:
     @pytest.mark.parametrize("dt", [1e-4, 0.5])
     def test_midpoint_residuals_at_roundoff(self, g0, dt):
         flow = rotsym_flow(8, 1.0, g0)
-        p, q = _random_batch(np.random.default_rng(3), 5, 8)
+        p, q = _random_state(np.random.default_rng(3), (5, 8))
         plane = np.array([_plane_step(flow, p[b], q[b], dt) for b in range(5)])
         reference = _kappa_step(flow, p, q, dt, 1e-13, 100)
         for p1, q1 in ((plane[:, 0], plane[:, 1]), reference[:2]):
@@ -354,25 +354,6 @@ class TestRadialMidpoint:
             res_q = np.max(np.abs(q1 - q - drift))
             assert res_p <= 1e-14 * (np.max(np.abs(p)) + np.max(np.abs(kick)))
             assert res_q <= 1e-14 * (np.max(np.abs(q)) + np.max(np.abs(drift)))
-
-    def test_batch_rows_equal_single_runs(self):
-        # rows of different amplitude need different Newton iteration counts
-        # at this step size; each row must still match its own run bit for bit
-        flow = rotsym_flow(6, 1.0, 1.0)
-        p, q = _random_batch(np.random.default_rng(11), 3, 6)
-        amp = np.array([[0.01], [0.3], [3.0]])
-        p, q = amp * p, amp * q
-        controls = IntegratorControls(dt=0.05)
-        batch = integrate(flow, (p, q), 1.0, controls)
-        assert batch.ps.shape == (batch.times.size, 3, 6)
-        assert batch.energies.shape == (batch.times.size, 3)
-        singles = [integrate(flow, (p[b], q[b]), 1.0, controls) for b in range(3)]
-        for b, single in enumerate(singles):
-            assert np.array_equal(batch.ps[:, b], single.ps)
-            assert np.array_equal(batch.qs[:, b], single.qs)
-            assert np.array_equal(batch.energies[:, b], single.energies)
-        assert batch.drift == max(s.drift for s in singles)
-        assert batch.row(1).drift == singles[1].drift
 
     def test_exact_solver_matches_fixed_point(self):
         rng = np.random.default_rng(5)
@@ -386,19 +367,19 @@ class TestRadialMidpoint:
 
     def test_linear_flow_drift(self):
         # g0 = 0: the midpoint rule conserves the quadratic H up to roundoff
-        p, q = _random_batch(np.random.default_rng(2), 2, 32, 0.5 / np.sqrt(32))
+        p, q = _random_state(np.random.default_rng(2), 32, 0.5 / np.sqrt(32))
         traj = integrate(rotsym_flow(32, 1.0, 0.0), (p, q), 2.0)
         assert traj.times.size > 20_000
         assert traj.drift <= 1e-12
 
-    def test_batched_cross_check(self):
-        p, q = _random_batch(np.random.default_rng(4), 2, 3, 0.3)
+    def test_vector_cross_check(self):
+        p, q = _random_state(np.random.default_rng(4), 3, 0.3)
         traj = integrate(rotsym_flow(3, 1.0, 1.0), (p, q), 0.5,
                          IntegratorControls(dt=1e-3, cross_check=True))
         assert traj.meta["cross_check_error"] < 1e-5
 
     def test_time_grid_ends_on_t_end(self):
-        p, q = _random_batch(np.random.default_rng(6), 2, 6, 0.2)
+        p, q = _random_state(np.random.default_rng(6), 6, 0.2)
         traj = integrate(rotsym_flow(6, 1.0, 1.0), (p, q), 2.0, IntegratorControls(dt=1e-4))
         assert traj.times.size == 20_001
         assert traj.times[-1] == 2.0
@@ -408,9 +389,10 @@ class TestRadialMidpoint:
         with pytest.raises(ValueError):
             integrate(rotsym_flow(3, 1.0, 1.0), (np.zeros((2, 3)), np.zeros(3)), 1.0)
 
-    @pytest.mark.parametrize("shape", [(5,), (2, 5), (7,)])
+    @pytest.mark.parametrize("shape", [(5,), (2, 5), (7,), (2, 6)])
     def test_initial_length_must_match_flow(self, shape):
-        # a 5-vector under rotsym_flow(6, ...) used to run to "completed"
+        # a 5-vector under rotsym_flow(6, ...) used to run to "completed";
+        # a run is one (N,) state, so a (B, N) batch is refused too
         with pytest.raises(ValueError, match="the flow has N = 6"):
             integrate(rotsym_flow(6, 1.0, 0.0), (np.zeros(shape), np.ones(shape)), 0.01)
 
@@ -450,17 +432,17 @@ class TestPlaneReduction:
 
     @pytest.mark.parametrize("n", [6, 32])
     def test_plane_run_matches_reference(self, n):
-        # acceptance 6 and the rotsym benchmark: base and shuffled rows at
+        # acceptance 6 and the rotsym benchmark: base and shuffled runs at
         # g0 in {0, 1} to t = 2
         rng = np.random.default_rng(11)
         amp = 0.5 / np.sqrt(n)
         for g0 in (0.0, 1.0):
             p0, q0 = amp * rng.normal(size=n), amp * rng.normal(size=n)
             perm = rng.permutation(n)
-            p0, q0 = np.stack([p0, p0[perm]]), np.stack([q0, q0[perm]])
             flow = rotsym_flow(n, 1.0, g0)
-            traj = integrate(flow, (p0, q0), 2.0)
-            assert _max_dev(traj, *_reference_run(flow, p0, q0, 2.0)) <= 1e-12
+            for p, q in ((p0, q0), (p0[perm], q0[perm])):
+                traj = integrate(flow, (p, q), 2.0)
+                assert _max_dev(traj, *_reference_run(flow, p, q, 2.0)) <= 1e-12
 
     @pytest.mark.parametrize("plane", ["p0 = 0", "p0 || q0"])
     def test_degenerate_plane(self, plane):
@@ -477,40 +459,32 @@ class TestPlaneStorage:
 
     @staticmethod
     def _expanded(traj):
-        # (T, B, N) states p = c0 p0 + c1 q0, q = c2 p0 + c3 q0, each product rounded
-        c, (b0, b1) = traj.coefs, np.moveaxis(traj.bases, 1, 0)
-        return (c[..., 0, 0, None] * b0 + c[..., 0, 1, None] * b1,
-                c[..., 1, 0, None] * b0 + c[..., 1, 1, None] * b1)
+        # (T, N) states p = c0 p0 + c1 q0, q = c2 p0 + c3 q0, each product rounded
+        c, (b0, b1) = traj.coefs, traj.basis
+        return (c[:, 0, 0, None] * b0 + c[:, 0, 1, None] * b1,
+                c[:, 1, 0, None] * b0 + c[:, 1, 1, None] * b1)
 
-    @pytest.mark.parametrize("case", ["batch", "single", "p0 = 0", "p0 || q0"])
+    @pytest.mark.parametrize("case", ["single", "p0 = 0", "p0 || q0"])
     def test_states_equal_full_expansion(self, case):
         rng = np.random.default_rng(12)
-        q0 = rng.normal(size=(3, 5))
-        p0 = {"batch": rng.normal(size=(3, 5)), "single": rng.normal(size=(3, 5)),
-              "p0 = 0": np.zeros((3, 5)), "p0 || q0": -0.7 * q0}[case]
-        if case == "single":
-            p0, q0 = p0[0], q0[0]
+        q0 = rng.normal(size=5)
+        p0 = {"single": rng.normal(size=5), "p0 = 0": np.zeros(5), "p0 || q0": -0.7 * q0}[case]
         flow = rotsym_flow(5, 1.0, 2.0)
         traj = integrate(flow, (p0, q0), 0.5, IntegratorControls(dt=1e-3))
         ps, qs = self._expanded(traj)
-        if case == "single":
-            ps, qs = ps[:, 0], qs[:, 0]
-        assert traj.coefs.shape == (501, len(traj.bases), 2, 2)
+        assert traj.coefs.shape == (501, 2, 2) and traj.basis.shape == (2, 5)
         for k in (slice(None), slice(None, None, 7), slice(3, 300, 100), 0, 17, -1):
             p, q = traj.states(k)
             assert np.array_equal(p, ps[k]) and np.array_equal(q, qs[k])
         assert np.array_equal(traj.ps, ps) and np.array_equal(traj.qs, qs)
         ref = flow.hamiltonian(ps, qs)
         assert np.max(np.abs(traj.energies - ref) / np.abs(ref)) <= 1e-14
-        if case != "single":
-            p, q = traj.row(2).states(slice(None, None, 7))
-            assert np.array_equal(p, ps[::7, 2]) and np.array_equal(q, qs[::7, 2])
 
     @pytest.mark.parametrize("n", [1, 3, 6, 32, 64])
     @pytest.mark.parametrize("g0", [0.0, 1.0, 100.0])
     def test_plane_energies_match_expanded_states(self, n, g0):
-        # H on each row's 2-D image of its plane against H on the N-vectors
-        p, q = _random_batch(np.random.default_rng(n), 2, n, 0.5 / np.sqrt(n))
+        # H on the 2-D image of the plane against H on the N-vectors
+        p, q = _random_state(np.random.default_rng(n), n, 0.5 / np.sqrt(n))
         flow = rotsym_flow(n, 1.0, g0)
         traj = integrate(flow, (p, q), 0.5, IntegratorControls(dt=1e-3))
         ref = flow.hamiltonian(traj.ps, traj.qs)

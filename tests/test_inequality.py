@@ -39,7 +39,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             scan(5, [0.5], eps_sequence=(1e-2, 1e-9))
         with pytest.raises(ValueError):
-            lhs(RadialField(alpha=0.0, n=3), 1.0, 0.0)
+            lhs(RadialField(alpha=0.0, n=3), 0.0)
 
     @pytest.mark.parametrize("kwargs", [
         {"alpha": 0.5, "n": 5.5},
@@ -56,7 +56,7 @@ class TestValidation:
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -1e-3])
     def test_bad_cutoff_rejected(self, side, eps):
         with pytest.raises(ValueError, match="eps"):
-            side(RadialField(alpha=0.5, n=5), 1.0, eps)
+            side(RadialField(alpha=0.5, n=5), *([1.0] if side is rhs else []), eps)
 
     @pytest.mark.parametrize("m0", [math.nan, math.inf])
     def test_non_finite_mass_rejected(self, m0):
@@ -75,11 +75,11 @@ class TestValidation:
     def test_out_of_range_result_raises(self):
         # n = 400: Gamma(200) overflows and omega_400 underflows to 0
         with pytest.raises(ArithmeticError):
-            lhs(RadialField(alpha=0.0, n=400), 1.0, 1e-3)
+            lhs(RadialField(alpha=0.0, n=400), 1e-3)
         with pytest.raises(ArithmeticError):
             rhs(RadialField(alpha=0.0, n=400), 1.0, 1e-3)
         with pytest.raises(ArithmeticError):
-            lhs(RadialField(alpha=0.5, n=5, amplitude=1e100), 1.0, 1e-3)
+            lhs(RadialField(alpha=0.5, n=5, amplitude=1e100), 1e-3)
 
 
 def _profile(field, r):
@@ -133,7 +133,7 @@ class TestQuadratureOracle:
             gradient = lambda r: (dphi(r) ** 2 + m0**2 * phi(r) ** 2) * r ** (n - 1)
             l_ref = np.sqrt(w * _quad_radial(quartic, eps))
             r_ref = w * _quad_radial(gradient, eps)
-            assert lhs(field, m0, eps) == pytest.approx(l_ref, rel=1e-10, abs=0.0)
+            assert lhs(field, eps) == pytest.approx(l_ref, rel=1e-10, abs=0.0)
             assert rhs(field, m0, eps) == pytest.approx(r_ref, rel=1e-10, abs=0.0)
 
 
@@ -179,7 +179,7 @@ class TestSmallOrderGamma:
 class TestGaussianOracles:
     def test_lhs_closed_form_n3(self):
         # {omega_3 int r^2 e^(-4 r^2) dr}^(1/2), alpha = 0
-        got = lhs(RadialField(alpha=0.0, n=3), 1.0, 1e-8)
+        got = lhs(RadialField(alpha=0.0, n=3), 1e-8)
         ref = np.sqrt(sphere_area(3) * gamma(1.5) / (2.0 * 4.0**1.5))
         assert abs(got - ref) < 1e-8
 
@@ -204,7 +204,7 @@ class TestPowerCounting:
     def test_lhs_divergence_slope(self):
         f = RadialField(alpha=1.3, n=5)
         eps = np.geomspace(1e-6, 1e-8, 4)
-        vals = [lhs(f, 1.0, e) for e in eps]
+        vals = [lhs(f, e) for e in eps]
         slope = np.polyfit(np.log(eps), np.log(vals), 1)[0]
         assert abs(slope - lhs_slope_expected(f)) < 0.05
         assert lhs_slope_expected(f) == pytest.approx(-(4 * 1.3 - 5) / 2)
@@ -213,7 +213,7 @@ class TestPowerCounting:
         # 4 - 4 alpha = -0.8 > -1: integrable at the origin, so lhs(eps)
         # approaches a finite limit like eps^0.2 -- gaps must shrink
         f = RadialField(alpha=1.2, n=5)
-        vals = [lhs(f, 1.0, e) for e in (1e-4, 1e-6, 1e-8)]
+        vals = [lhs(f, e) for e in (1e-4, 1e-6, 1e-8)]
         gaps = np.abs(np.diff(vals))
         assert gaps[1] < 0.5 * gaps[0]
         assert lhs_slope_expected(f) == 0.0
@@ -235,8 +235,8 @@ class TestScaling:
     def test_ratio_invariant_under_amplitude(self):
         a = RadialField(alpha=0.7, n=5)
         b = RadialField(alpha=0.7, n=5, amplitude=3.0)
-        la, ra = lhs(a, 1.0, 1e-5), rhs(a, 1.0, 1e-5)
-        lb, rb = lhs(b, 1.0, 1e-5), rhs(b, 1.0, 1e-5)
+        la, ra = lhs(a, 1e-5), rhs(a, 1.0, 1e-5)
+        lb, rb = lhs(b, 1e-5), rhs(b, 1.0, 1e-5)
         assert lb / la == pytest.approx(9.0, rel=1e-10)
         assert rb / ra == pytest.approx(9.0, rel=1e-10)
         assert lb / rb == pytest.approx(la / ra, rel=1e-10)
