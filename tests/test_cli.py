@@ -254,7 +254,7 @@ class TestArtifacts:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_rows_render_cell_by_cell(self, tmp_path, fmt):
-        # one % per row must print what each cell prints alone, whatever
+        # a written row must print what each cell prints alone, whatever
         # mix of floats, numpy floats, ints and strings a row holds
         rows = [(1.0, np.float64(0.1), 3, "a,b", 'say "x"', float("inf"), -0.0, 1e-300),
                 (2, 0.2, 3.0, "plain", None, float("nan"), np.float64(-1.5), True),
