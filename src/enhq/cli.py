@@ -106,7 +106,8 @@ def _check_stride(args):
 
 def _write_trajectory(path_base: str, traj, stride: int, fmt: str) -> str:
     """Every stride-th stored step as t, p, q, H and its relative drift;
-    a vector trajectory spreads p and q over columns p_1..p_N, q_1..q_N."""
+    a vector trajectory spreads p and q over columns p_1..p_N, q_1..q_N.
+    A scalar run is already thinned, so it is written at stride 1."""
     k = slice(None, None, stride)
     ps, qs = traj.states(k)
     if ps.ndim == 1:
@@ -177,17 +178,18 @@ def _cmd_wcp(args, out_base, t0):
 def _cmd_dynamics(args, out_base, t0):
     from .dynamics import IntegratorControls, integrate, oscillator_flow, toy_gravity_flow
 
-    _check_stride(args)
+    controls = IntegratorControls(dt=args.dt, cross_check=args.cross_check,
+                                  stride=args.stride)
     if args.model == "oscillator":
         flow = oscillator_flow()
     else:
         flow = toy_gravity_flow(hbar=args.hbar, beta=args.beta)
-    controls = IntegratorControls(dt=args.dt, cross_check=args.cross_check)
+    # the run keeps only the rows the table writes
     traj = integrate(flow, (args.p0, args.q0), args.t_end, controls)
     # toy gravity's exact turning point: t* = -q0 p0 / E, q(t*) = c / E
     energy = traj.energies[0]
     turns = args.model == "toygravity" and energy != 0
-    table = _write_trajectory(out_base, traj, args.stride, args.format)
+    table = _write_trajectory(out_base, traj, 1, args.format)
     summary = _write_summary(out_base, vars(args), {
         "status": traj.status, "hit_time": traj.hit_time, "min_q": traj.min_q,
         "t_star": float(-args.q0 * args.p0 / energy) if turns else None,

@@ -14,7 +14,10 @@ quadratic in p.  The classical flow H = q p^2 is invariant under
 (p, q) -> (lam p, q / lam^2), so once the throttle binds every step is
 the same map (p, q) -> (rho p, sigma q): that stretch is written in
 closed form, and the stepping loop takes the first steps, the last steps
-before the floor and any step near t_end.
+before the floor and any step near t_end.  A scalar run keeps every
+stride-th step only: it takes its steps in chunks of CHUNK, folds the
+drift and the lowest q over every step, and holds one chunk at a time
+besides the kept rows.
 
 Vector flows are O(N)-invariant: H depends on p and q only through
 |p|^2, p.q and |q|^2, so both gradients lie in span{p, q} and the
@@ -55,6 +58,9 @@ Q_FLOOR = 1e-12
 # NEWTON_TOL relative, and fails after NEWTON_MAX_ITER steps
 NEWTON_TOL = 1e-13
 NEWTON_MAX_ITER = 100
+# a scalar run takes its steps in chunks of CHUNK, so it holds at most one
+# chunk of steps besides its kept rows
+CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -80,26 +86,41 @@ class FlowSpec:
 
 @dataclass(frozen=True)
 class IntegratorControls:
+    """Step size, RK shadow cross-check, and the row thinning of scalar runs.
+
+    A scalar run keeps every stride-th step (steps k = 0 mod stride) and
+    folds its drift and min q over every step; vector runs keep every step
+    and take stride 1 only.
+    """
+
     dt: float = 1e-4
     cross_check: bool = False
+    stride: int = 1
 
     def __post_init__(self):
         if not 0 < self.dt < math.inf:
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        stride = self.stride
+        if isinstance(stride, bool) or not isinstance(stride, int) or stride < 1:
+            raise ValueError(f"stride must be an integer of at least 1, got {stride!r}")
 
 
 class Trajectory:
     """Stored steps of one run.
 
-    A scalar run holds its states ps, qs as arrays of shape (T,).  A vector
-    run holds its plane instead: `coefs` of shape (T, 2, 2), indexed
-    [step, (p, q), (p0, q0)], on the `basis` (p0, q0) of shape (2, N).
-    `states` expands the steps it is asked for, and ps, qs of shape (T, N)
-    expand on first read.  Energies are (T,).
+    A scalar run holds its kept steps (every stride-th, step 0 first) as
+    times, ps, qs and energies of shape (T,); `drift`, `min_q`, `status`,
+    `hit_time` and `end` are folded over every step it took.  A vector run
+    keeps every step and holds its plane instead: `coefs` of shape
+    (T, 2, 2), indexed [step, (p, q), (p0, q0)], on the `basis` (p0, q0) of
+    shape (2, N).  `states` expands the steps it is asked for, and ps, qs
+    of shape (T, N) expand on first read.  Values not supplied are read
+    off the stored steps.
     """
 
     def __init__(self, times, energies, status, hit_time, method, dt, meta=None, *,
-                 ps=None, qs=None, coefs=None, basis=None):
+                 ps=None, qs=None, coefs=None, basis=None, drift=None, min_q=None,
+                 end=None):
         self.times = times
         self.energies = energies
         self.status = status  # "completed" | "singularity"
@@ -109,6 +130,7 @@ class Trajectory:
         self.meta = {} if meta is None else meta
         self.coefs, self.basis = coefs, basis
         self._ps, self._qs = ps, qs
+        self._drift, self._min_q, self._end = drift, min_q, end
 
     def states(self, k):
         """(p, q) at the stored steps k, an index or a slice."""
@@ -133,19 +155,29 @@ class Trajectory:
         return self._qs
 
     @property
+    def end(self) -> tuple:
+        """(t, p, q) at the run's last step, kept or not."""
+        if self._end is None:
+            return (self.times[-1], *self.states(-1))
+        return self._end
+
+    @property
     def min_q(self) -> float:
-        return float(np.min(self.qs))
+        return float(np.min(self.qs)) if self._min_q is None else self._min_q
 
     @cached_property
     def drifts(self) -> np.ndarray:
         """|H(t) - H(0)| / |H(0)| at each stored step (absolute where H(0) = 0)."""
-        e0 = self.energies[0]
-        return np.abs(self.energies - e0) / (abs(e0) if e0 != 0 else 1.0)
+        return _drifts(self.energies, self.energies[0])
 
     @property
     def drift(self) -> float:
-        """Largest relative drift over the stored steps."""
-        return float(np.max(self.drifts))
+        """Largest relative drift over the run's steps."""
+        return float(np.max(self.drifts)) if self._drift is None else self._drift
+
+
+def _drifts(energies, e0):
+    return np.abs(energies - e0) / (abs(e0) if e0 != 0 else 1.0)
 
 
 def oscillator_flow() -> FlowSpec:
@@ -308,13 +340,14 @@ def integrate(flow: FlowSpec, initial, t_end: float,
               controls: IntegratorControls = IntegratorControls()) -> Trajectory:
     """Implicit-midpoint trajectory of q' = dH/dp, p' = -dH/dq.
 
+    Scalar runs keep every controls.stride-th step (see Trajectory).
     Vector flows take initial arrays of shape (N,), N the flow's
     params["N"]; the run is stepped in its plane span{p0, q0} and stored as
-    plane coefficients (see Trajectory).  Positive-chart scalar flows
-    throttle the step once q heads for the floor, and stop with status
-    "singularity" and the crossing time.  A flow without a midpoint step, a
-    non-finite initial state, or vector initial states of another shape than
-    (N,) raise ValueError.
+    plane coefficients.  Positive-chart scalar flows throttle the step once
+    q heads for the floor, and stop with status "singularity" and the
+    crossing time.  A flow without a midpoint step, a non-finite initial
+    state, vector initial states of another shape than (N,), or a vector
+    flow given a stride other than 1 raise ValueError.
     """
     if not 0 < t_end < math.inf:
         raise ValueError(f"t_end must be finite and positive, got {t_end}")
@@ -322,13 +355,64 @@ def integrate(flow: FlowSpec, initial, t_end: float,
         raise ValueError(f"flow {flow.name!r} has no midpoint step")
     if not all(np.isfinite(x).all() for x in initial):
         raise ValueError("initial p and q must be finite")
+    if flow.vector and controls.stride != 1:
+        raise ValueError(f"vector flows keep every step; got stride {controls.stride}")
     run = _run_vector if flow.vector else _run_scalar
-    times, energies, status, hit, states = run(flow, initial, t_end, controls)
+    times, energies, status, hit, stored = run(flow, initial, t_end, controls)
     traj = Trajectory(times, energies, status, hit, "implicit-midpoint", controls.dt,
-                      **states)
+                      **stored)
     if controls.cross_check:
         traj.meta["cross_check_error"] = _rk_shadow_error(flow, initial, traj)
     return traj
+
+
+class _Rows:
+    """The steps of a scalar run, taken in chunk by chunk in step order.
+
+    The stepping loop appends to `buffers` (t, p, q) and flushes them when
+    they hold CHUNK steps.  A chunk's H is evaluated on its arrays, which
+    applies the per-step float operations in the same order, so each
+    energy is bit-identical to a per-step evaluation.  Its largest drift
+    against H at step 0 and its lowest q are folded in, and its steps
+    k = 0 mod stride are kept.
+    """
+
+    def __init__(self, hamiltonian, stride, t, p, q):
+        self.hamiltonian, self.stride = hamiltonian, stride
+        self.buffers = array("d", [t]), array("d", [p]), array("d", [q])
+        self.kept = tuple(array("d") for _ in range(4))  # t, p, q, H
+        self.taken = 0
+        self.e0 = self.end = None
+        self.peaks, self.lows = [], []
+
+    def flush(self):
+        self.take(*self.buffers)
+        for buf in self.buffers:
+            del buf[:]
+
+    def take(self, t, p, q):
+        """Take in the next steps, given as arrays of t, p and q."""
+        t, p, q = np.asarray(t), np.asarray(p), np.asarray(q)
+        if not t.size:
+            return
+        e = self.hamiltonian(p, q)
+        if self.e0 is None:
+            self.e0 = e[0]
+        self.peaks.append(np.max(_drifts(e, self.e0)))
+        self.lows.append(np.min(q))
+        k = slice(-self.taken % self.stride, None, self.stride)
+        for kept, x in zip(self.kept, (t, p, q, e)):
+            kept.frombytes(x[k].tobytes())
+        self.taken += t.size
+        self.end = float(t[-1]), float(p[-1]), float(q[-1])
+
+    def stored(self):
+        """Kept times and energies, and the Trajectory arguments of the rest."""
+        self.flush()
+        times, ps, qs, energies = (np.asarray(x) for x in self.kept)
+        return times, energies, {"ps": ps, "qs": qs, "end": self.end,
+                                 "drift": float(np.max(self.peaks)),
+                                 "min_q": float(np.min(self.lows))}
 
 
 def _run_scalar(flow, initial, t_end, controls):
@@ -339,7 +423,8 @@ def _run_scalar(flow, initial, t_end, controls):
     solve, qdot = flow.midpoint, flow.dH_dp
     h, floor = controls.dt, Q_FLOOR
     h_last = h * (1.0 + 1e-9)  # a remainder under 1e-9 h joins the last step
-    times, ps, qs = array("d", [0.0]), array("d", [p]), array("d", [q])
+    rows = _Rows(flow.hamiltonian, controls.stride, 0.0, p, q)
+    times, ps, qs = rows.buffers
     t = lost = 0.0
     status, hit = "completed", None
     end = t_end - 1e-15
@@ -349,55 +434,59 @@ def _run_scalar(flow, initial, t_end, controls):
     tail = flow.self_similar and p < 0
     stop = min(1.0 / -p - h / 2.5e-5 / 1.001, end) if tail else end
     while True:
-        while t < stop:
-            rest = t_end - t
-            dt = h if rest > h_last else rest
-            if positive:
-                # keep the relative shrink of q modest so the floor crossing
-                # is localized to ~sqrt(Q_FLOOR/E) in time
-                v = qdot(p, q)
-                if v < 0:
-                    dt = min(dt, max(5e-5 * q / -v, 1e-12))
-            p1, q1, ok = solve(p, q, dt)
-            if dt == rest:
-                t = t_end
+        while hit is None and t < stop:
+            # at most the chunk's room per pass; a full chunk is flushed
+            for _ in range(CHUNK - len(qs)):
+                rest = t_end - t
+                dt = h if rest > h_last else rest
+                if positive:
+                    # keep the relative shrink of q modest so the floor crossing
+                    # is localized to ~sqrt(Q_FLOOR/E) in time
+                    v = qdot(p, q)
+                    if v < 0:
+                        dt = min(dt, max(5e-5 * q / -v, 1e-12))
+                p1, q1, ok = solve(p, q, dt)
+                if dt == rest:
+                    t = t_end
+                else:
+                    # compensated (Kahan) sum: a plain running sum of 20,000 steps
+                    # of 1e-4 ends 2e-13 short of 2, too far for h_last to absorb
+                    y = dt - lost
+                    s = t + y
+                    lost = (s - t) - y
+                    t = s
+                if positive and (not ok or not math.isfinite(q1) or q1 <= floor):
+                    status, hit = "singularity", t
+                    break
+                if not ok:
+                    raise RuntimeError(f"implicit midpoint solve failed at t = {t}")
+                p, q = p1, q1
+                times.append(t)
+                ps.append(p)
+                qs.append(q)
+                if t >= stop:
+                    break
             else:
-                # compensated (Kahan) sum: a plain running sum of 20,000 steps
-                # of 1e-4 ends 2e-13 short of 2, too far for the fold above
-                y = dt - lost
-                s = t + y
-                lost = (s - t) - y
-                t = s
-            if positive and (not ok or not math.isfinite(q1) or q1 <= floor):
-                status, hit = "singularity", t
-                break
-            if not ok:
-                raise RuntimeError(f"implicit midpoint solve failed at t = {t}")
-            p, q = p1, q1
-            times.append(t)
-            ps.append(p)
-            qs.append(q)
+                rows.flush()
         if not tail or hit is not None:
             break
-        p, q, t = _self_similar_run(p, q, t, 5e-5 * q / -qdot(p, q), h, t_end, floor,
-                                    times, ps, qs)
+        p, q, t = _self_similar_run(p, q, t, 5e-5 * q / -qdot(p, q), h, t_end, floor, rows)
         tail, lost, stop = False, 0.0, end
-    # H on the stored arrays applies the per-step float operations in the
-    # same order, so each energy is bit-identical to a per-step evaluation
-    times, ps, qs = np.asarray(times), np.asarray(ps), np.asarray(qs)
-    return times, flow.hamiltonian(ps, qs), status, hit, {"ps": ps, "qs": qs}
+    times, energies, stored = rows.stored()
+    return times, energies, status, hit, stored
 
 
-def _self_similar_run(p, q, t, dt, h, t_end, floor, times, ps, qs):
+def _self_similar_run(p, q, t, dt, h, t_end, floor, rows):
     """Throttled steps of H = q p^2 from (p, q) at time t, in closed form.
 
     dt is the throttled step 5e-5 q / |qdot| = 2.5e-5 / |p|.  Every such
     step has dt p = -2.5e-5, so it maps (p, q) to (rho p, sigma q) with
     fixed rho, sigma from one quadratic solve (`_toy_gravity_midpoint` at
-    c = 0), and the step lengths fall geometrically by 1 / rho.  Appends
-    steps 1..K to the buffers and returns the state after them; K stops
-    8 steps short of where the q floor, the 1e-12 step clamp or the
-    t_end landing could act, so the stepping loop handles all three.
+    c = 0), and the step lengths fall geometrically by 1 / rho.  Builds
+    steps 1..K chunk by chunk, hands them to `rows` after its buffered
+    steps, and returns the state after them; K stops 8 steps short of where
+    the q floor, the 1e-12 step clamp or the t_end landing could act, so
+    the stepping loop handles all three.
     """
     if not dt < h:
         return p, q, t
@@ -418,19 +507,21 @@ def _self_similar_run(p, q, t, dt, h, t_end, floor, times, ps, qs):
     if K < 1:
         return p, q, t
 
-    def stretch(rate, scale, shift=0.0, fn=np.exp):
-        # bytes of shift + scale fn(k rate), k = 1..K, built in one array
-        k = np.arange(1.0, K + 1)
-        k *= rate
-        fn(k, out=k)
-        k *= scale
-        k += shift
-        return k.view(np.uint8)
+    def stretch(k, rate, scale, shift=0.0, fn=np.exp):
+        # shift + scale fn(k rate) at the steps k
+        x = k * rate
+        fn(x, out=x)
+        x *= scale
+        x += shift
+        return x
 
-    ps.frombytes(stretch(lr, p))
-    qs.frombytes(stretch(ls, q))
-    times.frombytes(stretch(-lr, dt / math.expm1(-lr), t, np.expm1))
-    return ps[-1], qs[-1], times[-1]
+    rows.flush()
+    for first in range(1, K + 1, CHUNK):
+        k = np.arange(first, min(first + CHUNK, K + 1), dtype=float)
+        rows.take(stretch(k, -lr, dt / math.expm1(-lr), t, np.expm1),
+                  stretch(k, lr, p), stretch(k, ls, q))
+    t, p, q = rows.end
+    return p, q, t
 
 
 def _run_vector(flow, initial, t_end, controls):
@@ -478,9 +569,9 @@ def _rk_shadow_error(flow, initial, traj: Trajectory) -> float:
         p, q = y[:n].reshape(p0.shape), y[n:].reshape(p0.shape)
         return np.concatenate([-np.ravel(flow.dH_dq(p, q)), np.ravel(flow.dH_dp(p, q))])
 
-    t_final = float(traj.times[-1])
-    sol = solve_ivp(rhs, (0.0, t_final), y0, method="RK45", rtol=1e-10, atol=1e-12)
-    end = np.concatenate([np.ravel(x) for x in traj.states(-1)])
+    t_final, *state = traj.end
+    sol = solve_ivp(rhs, (0.0, float(t_final)), y0, method="RK45", rtol=1e-10, atol=1e-12)
+    end = np.concatenate([np.ravel(x) for x in state])
     return float(np.max(np.abs(end - sol.y[:, -1])))
 
 

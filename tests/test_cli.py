@@ -221,6 +221,37 @@ class TestArtifacts:
             tracemalloc.stop()
         assert peak < 20_001 * 2 * 32 * 8
 
+    def test_dynamics_holds_only_the_written_rows(self, tmp_path, capsys):
+        # the classical hit takes 552,614 steps for a 5,527-row table, and
+        # peaks below one float64 array of its steps
+        argv = ["--out", str(tmp_path), "dynamics", "--hbar", "0", "--p0=-1.5", "--t-end", "3"]
+        assert run(argv) == 0
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(_read(tmp_path / "dynamics.csv").splitlines()) == 1 + 5_527
+        assert peak < 552_614 * 8
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "oscillator", "--t-end", "1"],
+        ["--hbar", "0.5", "--beta", "2", "--p0=-2", "--t-end", "1"],
+    ], ids=["oscillator", "bounce"])
+    def test_cross_check_reads_the_last_step_at_any_stride(self, tmp_path, capsys, argv):
+        # at stride 13 the last step is not a table row; the RK shadow run
+        # still ends where the run does
+        errors = []
+        for stride in ("1", "13"):
+            assert run(["--out", str(tmp_path), "dynamics", *argv, "--cross-check",
+                        "--stride", stride]) == 0
+            errors.append(json.loads(_read(tmp_path / "dynamics_summary.json"))
+                          ["cross_check_error"])
+        last = _read(tmp_path / "dynamics.csv").splitlines()[-1]
+        assert float(last.split(",")[0]) < 1.0
+        assert errors[0] == errors[1]
+
     def test_wcp_verdict(self, tmp_path, capsys):
         assert run(["--out", str(tmp_path), "wcp", "--family", "canonical",
                     "--p", "0,1", "--q", "1"]) == 0

@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enhq import dynamics
 from enhq.dynamics import (
+    CHUNK,
     Q_FLOOR,
     IntegratorControls,
     Trajectory,
@@ -76,10 +79,16 @@ class TestClosedForm:
 class TestControls:
     @pytest.mark.parametrize("bad", [
         {"dt": 0.0}, {"dt": -1.0}, {"dt": float("nan")}, {"dt": float("inf")},
+        {"stride": 0}, {"stride": -1}, {"stride": True}, {"stride": 2.0}, {"stride": 2.5},
     ])
     def test_bad_controls_rejected(self, bad):
         with pytest.raises(ValueError):
             IntegratorControls(**bad)
+
+    def test_vector_flow_takes_stride_one_only(self):
+        p, q = np.full(3, 0.1), np.full(3, 0.2)
+        with pytest.raises(ValueError, match="stride"):
+            integrate(rotsym_flow(3, 1.0, 1.0), (p, q), 0.01, IntegratorControls(stride=2))
 
     @pytest.mark.parametrize("t_end", [float("nan"), float("inf"), 0.0])
     def test_bad_horizon_rejected(self, t_end):
@@ -626,3 +635,41 @@ class TestSelfSimilarTail:
         assert toy_gravity_flow(hbar=0.0).self_similar
         assert not toy_gravity_flow(hbar=1.0).self_similar
         assert not oscillator_flow().self_similar
+
+
+# (hbar, p0, t_end) of scalar toy-gravity runs: classical runs that hit the
+# floor (through the closed-form stretch) or stop short of it, and enhanced
+# bounces; t_end lands anywhere in a chunk
+_toy_runs = st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(-2.0, -1.0),
+                      st.floats(0.4, 3.0))
+
+
+class TestStride:
+    """A scalar run at stride s keeps the stride-1 run's steps 0, s, 2s, ...
+    bit for bit, and folds the same drift, min q, status, hit time and last
+    step over every step."""
+
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(run=_toy_runs)
+    def test_strided_run_is_the_sliced_run(self, run):
+        hbar, p0, t_end = run
+        flow = toy_gravity_flow(hbar=hbar, beta=2.0)
+        dt = 1e-4 if hbar == 0.0 else 5e-4
+        full = integrate(flow, (p0, 1.0), t_end, IntegratorControls(dt=dt))
+        for stride in (1, 7, 100, CHUNK - 1, CHUNK + 1, full.times.size):
+            traj = integrate(flow, (p0, 1.0), t_end, IntegratorControls(dt=dt, stride=stride))
+            for name in ("times", "ps", "qs", "energies", "drifts"):
+                kept = getattr(traj, name)
+                assert kept.tobytes() == getattr(full, name)[::stride].tobytes(), name
+            assert (traj.drift, traj.min_q, traj.status, traj.hit_time, traj.end) == (
+                full.drift, full.min_q, full.status, full.hit_time, full.end)
+
+    def test_folds_reach_past_the_kept_rows(self):
+        # the classical hit's lowest q and largest drift lie at steps that a
+        # stride of 100 does not keep
+        flow = toy_gravity_flow(hbar=0.0)
+        full = integrate(flow, (-1.5, 1.0), 3.0)
+        traj = integrate(flow, (-1.5, 1.0), 3.0, IntegratorControls(stride=100))
+        assert traj.min_q == full.min_q < traj.qs.min()
+        assert traj.drift == full.drift > traj.drifts.max()
+        assert traj.end == (full.times[-1], full.ps[-1], full.qs[-1])
