@@ -108,19 +108,18 @@ class IntegratorControls:
 class Trajectory:
     """Stored steps of one run.
 
-    A scalar run holds its kept steps (every stride-th, step 0 first) as
-    times, ps, qs and energies of shape (T,); `drift`, `min_q`, `status`,
-    `hit_time` and `end` are folded over every step it took.  A vector run
-    keeps every step and holds its plane instead: `coefs` of shape
-    (T, 2, 2), indexed [step, (p, q), (p0, q0)], on the `basis` (p0, q0) of
-    shape (2, N).  `states` expands the steps it is asked for, and ps, qs
-    of shape (T, N) expand on first read.  Values not supplied are read
-    off the stored steps.
+    Every run hands over `drift`, `status`, `hit_time` and `end` (t, p, q)
+    folded over every step it took.  A scalar run holds its kept steps
+    (every stride-th, step 0 first) as times, ps, qs and energies of shape
+    (T,), and folds `min_q` too.  A vector run keeps every step and holds
+    its plane instead: `coefs` of shape (T, 2, 2), indexed
+    [step, (p, q), (p0, q0)], on the `basis` (p0, q0) of shape (2, N), and
+    its `min_q` is None.  `states` expands the steps it is asked for, and
+    ps, qs of shape (T, N) expand on first read.
     """
 
     def __init__(self, times, energies, status, hit_time, method, dt, meta=None, *,
-                 ps=None, qs=None, coefs=None, basis=None, drift=None, min_q=None,
-                 end=None):
+                 drift, end, min_q=None, ps=None, qs=None, coefs=None, basis=None):
         self.times = times
         self.energies = energies
         self.status = status  # "completed" | "singularity"
@@ -128,56 +127,43 @@ class Trajectory:
         self.method = method
         self.dt = dt
         self.meta = {} if meta is None else meta
+        self.drift, self.end, self.min_q = drift, end, min_q
         self.coefs, self.basis = coefs, basis
         self._ps, self._qs = ps, qs
-        self._drift, self._min_q, self._end = drift, min_q, end
 
     def states(self, k):
         """(p, q) at the stored steps k, an index or a slice."""
         if self.coefs is None:
             return self._ps[k], self._qs[k]
-        c = self.coefs[k]
-        return (np.einsum("...k,kn->...n", c[..., 0, :], self.basis),
-                np.einsum("...k,kn->...n", c[..., 1, :], self.basis))
+        return _plane_states(self.coefs[k], self.basis)
 
     def _expand(self):
         if self._ps is None:
             self._ps, self._qs = self.states(slice(None))
+        return self._ps, self._qs
 
     @property
     def ps(self) -> np.ndarray:
-        self._expand()
-        return self._ps
+        return self._expand()[0]
 
     @property
     def qs(self) -> np.ndarray:
-        self._expand()
-        return self._qs
-
-    @property
-    def end(self) -> tuple:
-        """(t, p, q) at the run's last step, kept or not."""
-        if self._end is None:
-            return (self.times[-1], *self.states(-1))
-        return self._end
-
-    @property
-    def min_q(self) -> float:
-        return float(np.min(self.qs)) if self._min_q is None else self._min_q
+        return self._expand()[1]
 
     @cached_property
     def drifts(self) -> np.ndarray:
         """|H(t) - H(0)| / |H(0)| at each stored step (absolute where H(0) = 0)."""
         return _drifts(self.energies, self.energies[0])
 
-    @property
-    def drift(self) -> float:
-        """Largest relative drift over the run's steps."""
-        return float(np.max(self.drifts)) if self._drift is None else self._drift
-
 
 def _drifts(energies, e0):
     return np.abs(energies - e0) / (abs(e0) if e0 != 0 else 1.0)
+
+
+def _plane_states(c, basis):
+    """(p, q) from plane coefficients c[..., (p, q), (p0, q0)] on the basis."""
+    return (np.einsum("...k,kn->...n", c[..., 0, :], basis),
+            np.einsum("...k,kn->...n", c[..., 1, :], basis))
 
 
 def oscillator_flow() -> FlowSpec:
@@ -340,14 +326,14 @@ def integrate(flow: FlowSpec, initial, t_end: float,
               controls: IntegratorControls = IntegratorControls()) -> Trajectory:
     """Implicit-midpoint trajectory of q' = dH/dp, p' = -dH/dq.
 
-    Scalar runs keep every controls.stride-th step (see Trajectory).
-    Vector flows take initial arrays of shape (N,), N the flow's
-    params["N"]; the run is stepped in its plane span{p0, q0} and stored as
-    plane coefficients.  Positive-chart scalar flows throttle the step once
-    q heads for the floor, and stop with status "singularity" and the
-    crossing time.  A flow without a midpoint step, a non-finite initial
-    state, vector initial states of another shape than (N,), or a vector
-    flow given a stride other than 1 raise ValueError.
+    Scalar flows take numbers p and q, and keep every controls.stride-th
+    step (see Trajectory).  Vector flows take initial arrays of shape (N,),
+    N the flow's params["N"]; the run is stepped in its plane span{p0, q0}
+    and stored as plane coefficients.  Positive-chart scalar flows throttle
+    the step once q heads for the floor, and stop with status "singularity"
+    and the crossing time.  A flow without a midpoint step, a non-finite or
+    wrongly shaped initial state, or a vector flow given a stride other
+    than 1 raise ValueError.
     """
     if not 0 < t_end < math.inf:
         raise ValueError(f"t_end must be finite and positive, got {t_end}")
@@ -416,6 +402,9 @@ class _Rows:
 
 
 def _run_scalar(flow, initial, t_end, controls):
+    if any(np.ndim(x) for x in initial):
+        raise ValueError(f"flow {flow.name!r} takes numbers p and q; got shapes "
+                         f"{np.shape(initial[0])} and {np.shape(initial[1])}")
     p, q = (float(x) for x in initial)
     positive = flow.positive_q
     if positive and q <= 0:
@@ -554,7 +543,9 @@ def _run_vector(flow, initial, t_end, controls):
     # maps to R c, and a singular R is never inverted
     rt = np.linalg.qr(basis.T, mode="r").T
     energies = flow.hamiltonian(plane[:, 0] @ rt, plane[:, 1] @ rt)
-    return times, energies, "completed", None, {"coefs": plane, "basis": basis}
+    return times, energies, "completed", None, {
+        "coefs": plane, "basis": basis, "drift": float(np.max(_drifts(energies, energies[0]))),
+        "end": (times[-1], *_plane_states(plane[-1], basis))}
 
 
 def _rk_shadow_error(flow, initial, traj: Trajectory) -> float:

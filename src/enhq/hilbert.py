@@ -1,8 +1,9 @@
 """Finite-dimensional Hilbert-space engine.
 
 Builds truncated Fock spaces and spin spaces, the basic Hermitian
-operators living on them, and expectation values.  Everything is a
-dense complex matrix; all values are immutable after construction.
+operators living on them, and expectation values.  An operator is a
+read-only complex (dim, dim) array: the operators never change, and
+callers share them.  States are immutable after construction.
 
 Conventions: the ladder operator is a = (Q + iP) / sqrt(2*hbar), so the
 Fock ground state is annihilated by Q + iP and has
@@ -17,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "HilbertSpace",
-    "Operator",
     "StateVector",
     "make_fock_space",
     "annihilation_operator",
@@ -55,25 +55,6 @@ class HilbertSpace:
 
 
 @dataclass(frozen=True)
-class Operator:
-    matrix: np.ndarray
-    space: HilbertSpace
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.space.dim, self.space.dim):
-            raise ValueError(
-                f"matrix shape {m.shape} does not match dim {self.space.dim}"
-            )
-        object.__setattr__(self, "matrix", _frozen(m))
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        if other.space != self.space:
-            raise ValueError("operators live on different spaces")
-        return Operator(self.matrix @ other.matrix, self.space)
-
-
-@dataclass(frozen=True)
 class StateVector:
     coeffs: np.ndarray
     space: HilbertSpace
@@ -100,33 +81,32 @@ def _check_fock(space: HilbertSpace) -> None:
         raise ValueError(f"expected a fock-kind space, got {space.kind!r}")
 
 
-def annihilation_operator(space: HilbertSpace) -> Operator:
+def annihilation_operator(space: HilbertSpace) -> np.ndarray:
     """Ladder operator a with a|n> = sqrt(n)|n-1>."""
     _check_fock(space)
     m = np.diag(np.sqrt(np.arange(1, space.dim, dtype=float)), k=1)
-    return Operator(m.astype(complex), space)
+    return _frozen(m.astype(complex))
 
 
-def position_operator(space: HilbertSpace) -> Operator:
+def position_operator(space: HilbertSpace) -> np.ndarray:
     """Q = sqrt(hbar/2) (a + a^dag)."""
     _check_fock(space)
-    a = annihilation_operator(space).matrix
-    return Operator(np.sqrt(space.hbar / 2.0) * (a + a.conj().T), space)
+    a = annihilation_operator(space)
+    return _frozen(np.sqrt(space.hbar / 2.0) * (a + a.conj().T))
 
 
-def momentum_operator(space: HilbertSpace) -> Operator:
+def momentum_operator(space: HilbertSpace) -> np.ndarray:
     """P = sqrt(hbar/2) (a - a^dag) / i."""
     _check_fock(space)
-    a = annihilation_operator(space).matrix
-    return Operator(np.sqrt(space.hbar / 2.0) * (a - a.conj().T) / 1j, space)
+    a = annihilation_operator(space)
+    return _frozen(np.sqrt(space.hbar / 2.0) * (a - a.conj().T) / 1j)
 
 
-def dilation_operator(space: HilbertSpace) -> Operator:
+def dilation_operator(space: HilbertSpace) -> np.ndarray:
     """D = (QP + PQ)/2, the generator of dilations."""
     _check_fock(space)
-    q = position_operator(space).matrix
-    p = momentum_operator(space).matrix
-    return Operator(0.5 * (q @ p + p @ q), space)
+    q, p = position_operator(space), momentum_operator(space)
+    return _frozen(0.5 * (q @ p + p @ q))
 
 
 def spin_space(s: float, hbar: float) -> HilbertSpace:
@@ -136,13 +116,13 @@ def spin_space(s: float, hbar: float) -> HilbertSpace:
     return HilbertSpace(dim=int(round(two_s)) + 1, hbar=float(hbar), kind="spin")
 
 
-def spin_operators(s: float, hbar: float) -> tuple[Operator, Operator, Operator]:
+def spin_operators(s: float, hbar: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Irreducible spin triple (S1, S2, S3) with [S1,S2] = i*hbar*S3.
 
     Basis ordering is m = s, s-1, ..., -s, so S3 is diagonal with
     decreasing eigenvalues m*hbar.
     """
-    space = spin_space(s, hbar)
+    spin_space(s, hbar)  # validates s and hbar
     m = np.arange(s, -s - 1e-9, -1.0)
     s3 = np.diag(hbar * m).astype(complex)
     # S+ |s,m> = hbar sqrt(s(s+1) - m(m+1)) |s,m+1>
@@ -151,14 +131,14 @@ def spin_operators(s: float, hbar: float) -> tuple[Operator, Operator, Operator]
     sm = sp.conj().T
     s1 = (sp + sm) / 2.0
     s2 = (sp - sm) / 2j
-    return (Operator(s1, space), Operator(s2, space), Operator(s3, space))
+    return _frozen(s1), _frozen(s2), _frozen(s3)
 
 
-def expectation(psi: StateVector, A: Operator) -> complex:
-    """<psi|A|psi>."""
-    if A.space != psi.space:
-        raise ValueError("operator and state live on different spaces")
-    return complex(np.vdot(psi.coeffs, A.matrix @ psi.coeffs))
+def expectation(psi: StateVector, A: np.ndarray) -> complex:
+    """<psi|A|psi> for a (dim, dim) array A."""
+    if A.shape != (psi.space.dim,) * 2:
+        raise ValueError(f"operator shape {A.shape} does not match dim {psi.space.dim}")
+    return complex(np.vdot(psi.coeffs, A @ psi.coeffs))
 
 
 def basis_state(space: HilbertSpace, n: int) -> StateVector:

@@ -27,15 +27,15 @@ def _checks():
 
     def canonical_commutator():
         sp = hilbert.make_fock_space(100, 1.0)
-        q = hilbert.position_operator(sp).matrix
-        p = hilbert.momentum_operator(sp).matrix
+        q = hilbert.position_operator(sp)
+        p = hilbert.momentum_operator(sp)
         comm = q @ p - p @ q - 1j * sp.hbar * np.eye(sp.dim)
         return _below(1e-8, {"max deviation": float(np.max(np.abs(comm[:90, :90])))})
 
     def affine_commutator():
         sp = hilbert.make_fock_space(100, 1.0)
-        q = hilbert.position_operator(sp).matrix
-        d = hilbert.dilation_operator(sp).matrix
+        q = hilbert.position_operator(sp)
+        d = hilbert.dilation_operator(sp)
         comm = q @ d - d @ q - 1j * sp.hbar * q
         return _below(1e-8, {"max deviation": float(np.max(np.abs(comm[:80, :80])))})
 

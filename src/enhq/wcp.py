@@ -98,9 +98,9 @@ def _word_sums(spec: HamiltonianSpec, dim: int) -> tuple[tuple[int, np.ndarray],
     read-only."""
     if spec.kind == "canonical":
         space = make_fock_space(dim, 1.0)
-        ops = {"P": momentum_operator(space).matrix, "Q": position_operator(space).matrix}
+        ops = {"P": momentum_operator(space), "Q": position_operator(space)}
     else:
-        ops = dict(zip(("S1", "S2", "S3"), (o.matrix for o in spin_operators((dim - 1) / 2, 1.0))))
+        ops = dict(zip(("S1", "S2", "S3"), spin_operators((dim - 1) / 2, 1.0)))
     sums: dict[int, np.ndarray] = {}
     for coeff, word in spec.terms:
         m = np.eye(dim, dtype=complex)

@@ -13,7 +13,6 @@ from scipy.special import gammaln
 from enhq._quadrature import gauss_gamma_grid
 from enhq.coherent import AffineState
 from enhq.hilbert import (
-    Operator,
     StateVector,
     expectation,
     momentum_operator,
@@ -22,10 +21,10 @@ from enhq.hilbert import (
 )
 
 
-def unitary_from_hermitian(A: Operator, c: float) -> Operator:
+def unitary_from_hermitian(A: np.ndarray, c: float) -> np.ndarray:
     """exp(i*c*A) via dense eigendecomposition of the Hermitian A."""
-    w, v = np.linalg.eigh(A.matrix)
-    return Operator((v * np.exp(1j * c * w)) @ v.conj().T, A.space)
+    w, v = np.linalg.eigh(A)
+    return (v * np.exp(1j * c * w)) @ v.conj().T
 
 
 def squeezed_ground_state(space, lam: float) -> StateVector:
@@ -34,8 +33,8 @@ def squeezed_ground_state(space, lam: float) -> StateVector:
     The lowest eigenvector of b^dag b for the squeezed annihilator b;
     the Fock ground state at lam = 1.
     """
-    q = position_operator(space).matrix
-    p = momentum_operator(space).matrix
+    q = position_operator(space)
+    p = momentum_operator(space)
     b = (q / lam + 1j * lam * p) / np.sqrt(2.0 * space.hbar)
     w, v = np.linalg.eigh(b.conj().T @ b)
     c = v[:, np.argmin(w)]
@@ -88,9 +87,9 @@ def fiducial_metric_coeffs(fiducial) -> tuple[float, float, float]:
     space = fiducial.space
     eye = np.eye(space.dim)
     q, p = position_operator(space), momentum_operator(space)
-    dq = q.matrix - expectation(fiducial, q).real * eye
-    dp = p.matrix - expectation(fiducial, p).real * eye
-    ev = lambda m: expectation(fiducial, Operator(m, space)).real
+    dq = q - expectation(fiducial, q).real * eye
+    dp = p - expectation(fiducial, p).real * eye
+    ev = lambda m: expectation(fiducial, m).real
     return (float(ev(dq @ dq)), float(ev(dq @ dp + dp @ dq)), float(ev(dp @ dp)))
 
 
@@ -109,10 +108,9 @@ def quadrature_expect_laurent(family, coeffs: dict, p: float, q: float) -> compl
 def dense_enhanced_hamiltonian(spec, family, p: float, q: float) -> complex:
     """<p,q|H|p,q> with H built from the family's own letters, word by word."""
     if spec.kind == "canonical":
-        ops = {"P": family.P.matrix, "Q": family.Q.matrix}
+        ops = {"P": family.P, "Q": family.Q}
     else:
-        ops = dict(zip(("S1", "S2", "S3"),
-                       (o.matrix for o in spin_operators(family.s, family.hbar))))
+        ops = dict(zip(("S1", "S2", "S3"), spin_operators(family.s, family.hbar)))
     total = np.zeros((family.space.dim, family.space.dim), dtype=complex)
     for coeff, word in spec.terms:
         m = np.eye(family.space.dim, dtype=complex)

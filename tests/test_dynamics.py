@@ -60,8 +60,9 @@ class TestClosedForm:
         traj = Trajectory(
             times=t, ps=p, qs=q, energies=flow.hamiltonian(p, q),
             status="completed", hit_time=None, method="closed-form", dt=0.0,
+            drift=None, end=None,
         )
-        assert traj.drift < 1e-12
+        assert np.max(traj.drifts) < 1e-12
 
     def test_drifts_per_step(self):
         # per-step |H - H0| / |H0|, absolute where H0 = 0; the max of the
@@ -69,11 +70,11 @@ class TestClosedForm:
         for h0 in (1.0, 0.0):
             e = h0 + np.array([0.0, 3e-9, -7e-9, 1e-12])
             traj = Trajectory(times=np.arange(4.0), ps=e, qs=e, energies=e, status="completed",
-                              hit_time=None, method="test", dt=1.0)
+                              hit_time=None, method="test", dt=1.0, drift=None, end=None)
             ref = [abs(x - e[0]) / abs(e[0]) if e[0] else abs(x - e[0]) for x in e]
             assert traj.drifts.tolist() == ref
             assert traj.drifts is traj.drifts  # built once per trajectory
-            assert traj.drift == (max(abs(x - e[0]) for x in e) / (abs(e[0]) or 1.0))
+            assert max(traj.drifts) == (max(abs(x - e[0]) for x in e) / (abs(e[0]) or 1.0))
 
 
 class TestControls:
@@ -89,6 +90,14 @@ class TestControls:
         p, q = np.full(3, 0.1), np.full(3, 0.2)
         with pytest.raises(ValueError, match="stride"):
             integrate(rotsym_flow(3, 1.0, 1.0), (p, q), 0.01, IntegratorControls(stride=2))
+
+    @pytest.mark.parametrize("initial", [
+        (np.ones(3), np.ones(3)), (np.ones(1), np.ones(1)), ([1.0], 0.0),
+    ])
+    def test_scalar_flow_rejects_arrays(self, initial):
+        # these used to raise TypeError from float() on the array
+        with pytest.raises(ValueError, match="'oscillator'"):
+            integrate(oscillator_flow(), initial, 1.0)
 
     @pytest.mark.parametrize("t_end", [float("nan"), float("inf"), 0.0])
     def test_bad_horizon_rejected(self, t_end):
@@ -673,3 +682,28 @@ class TestStride:
         assert traj.min_q == full.min_q < traj.qs.min()
         assert traj.drift == full.drift > traj.drifts.max()
         assert traj.end == (full.times[-1], full.ps[-1], full.qs[-1])
+
+
+class TestFoldedValues:
+    """A run hands over its drift and last step; at stride 1 they equal
+    the values read off its stored steps, bit for bit."""
+
+    @pytest.mark.parametrize("run", ["oscillator", "bounce", "rotsym"])
+    def test_folds_match_stored_steps(self, run):
+        if run == "oscillator":
+            flow, initial = oscillator_flow(), (1.0, 0.0)
+        elif run == "bounce":
+            flow, initial = toy_gravity_flow(hbar=0.5, beta=2.0), (-1.0, 1.0)
+        else:
+            flow, initial = rotsym_flow(6, 1.0, 1.0), _random_state(np.random.default_rng(3), 6, 0.2)
+        traj = integrate(flow, initial, 2.0)
+        drift, (t, p, q), min_q = traj.drift, traj.end, traj.min_q
+        if flow.vector:
+            # reading the folds expands no (T, N) state array
+            assert traj._ps is None and traj._qs is None
+            assert min_q is None
+        else:
+            assert min_q == float(np.min(traj.qs))
+        assert drift == float(np.max(traj.drifts))
+        p_end, q_end = traj.states(-1)
+        assert t == traj.times[-1] and np.array_equal(p, p_end) and np.array_equal(q, q_end)

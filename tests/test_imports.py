@@ -1,6 +1,8 @@
-"""Import graph: the CLI starts on numpy alone, and no module imports a name it never uses."""
+"""Import graph: the CLI starts on numpy alone, no module imports a name it never uses,
+and every name a module exports exists."""
 
 import ast
+import importlib
 import json
 import os
 import pathlib
@@ -57,3 +59,13 @@ def _unused_imports(path: pathlib.Path) -> list[str]:
 def test_no_unused_imports():
     unused = [u for path in sorted((SRC / "enhq").glob("*.py")) for u in _unused_imports(path)]
     assert unused == []
+
+
+def test_every_all_entry_resolves():
+    # tracers and star-imports read every entry, so a stale one breaks them
+    missing = []
+    for path in sorted((SRC / "enhq").glob("*.py")):
+        mod = importlib.import_module("enhq" if path.stem == "__init__" else f"enhq.{path.stem}")
+        missing += [f"{mod.__name__}.{name}" for name in getattr(mod, "__all__", ())
+                    if not hasattr(mod, name)]
+    assert missing == []

@@ -6,7 +6,7 @@ from references import dense_enhanced_hamiltonian
 
 from enhq import coherent
 from enhq.coherent import AffineFamily, CanonicalFamily, SpinFamily
-from enhq.hilbert import Operator, basis_state, expectation
+from enhq.hilbert import basis_state, expectation
 from enhq.wcp import (
     _word_sums,
     classical_limit,
@@ -104,13 +104,13 @@ class TestCanonical:
             for q in np.linspace(-1.0, 1.0, 5):
                 got = enhanced_hamiltonian(spec, fam, p, q)
                 total = np.zeros_like(eye, dtype=complex)
-                shifted = {"P": fam.P.matrix + p * eye, "Q": fam.Q.matrix + q * eye}
+                shifted = {"P": fam.P + p * eye, "Q": fam.Q + q * eye}
                 for coeff, word in spec.terms:
                     m = eye.astype(complex)
                     for tok in word:
                         m = m @ shifted[tok]
                     total += coeff * m
-                ref = expectation(ground, Operator(total, fam.space)).real
+                ref = expectation(ground, total).real
                 assert abs(got - ref) < 1e-7
 
 
