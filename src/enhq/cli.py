@@ -1,10 +1,15 @@
 """Command-line driver: configure an experiment, run it, persist artifacts.
 
-Every subcommand writes a data table (CSV by default) plus a JSON summary
-with the echoed config, library version, and wall-clock time, and prints
-a one-line verdict.  Identical configs produce byte-identical tables:
-seeds are fixed, sweep cells are emitted in config order, and floats are
-formatted at 17 significant digits.
+A subcommand only computes: it returns its table's header and rows, its
+summary entries and a one-line verdict (`selftest` adds its exit status).
+`run` writes every artifact: the table `<out>/<command>.csv` (or `.json`),
+the summary `<out>/<command>_summary.json` holding `config`, `version`,
+`wall_time_s`, the entries and `table` in that order, and the stdout line
+`<verdict> -> <table>, <summary>`.  A bad configuration exits 1 and a
+numerical failure 2 (also writing `<out>/failure.json`), with no table; a
+failed selftest exits 2 after writing both.  Identical configs produce
+byte-identical tables: seeds are fixed, sweep cells are emitted in config
+order, and floats are formatted at 17 significant digits.
 """
 
 from __future__ import annotations
@@ -60,33 +65,33 @@ def _cell(x) -> str:
     return s
 
 
-def _write_table(path_base: str, header, rows, fmt: str) -> str:
-    """Write rows (tuples) under header as CSV or JSON."""
-    cells = ([_cell(x) for x in r] for r in rows)
-    path = f"{path_base}.{fmt}"
-    with open(path, "w") as fh:
-        if fmt == "json":
-            json.dump({"columns": list(header), "rows": list(cells)}, fh, indent=2)
-            fh.write("\n")
-        else:
-            fh.write(",".join(header) + "\n")
-            for r in cells:
-                fh.write(",".join(r) + "\n")
-    return path
-
-
-def _write_summary(path_base: str, config: dict, payload: dict, t0: float) -> str:
-    path = path_base + "_summary.json"
-    doc = {
-        "config": config,
-        "version": _version(),
-        "wall_time_s": time.monotonic() - t0,
-        **payload,
-    }
+def _write_json(path: str, doc) -> str:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, default=str)
         fh.write("\n")
     return path
+
+
+def _write_table(path_base: str, header, rows, fmt: str) -> str:
+    """Write rows (tuples) under header as CSV or JSON."""
+    cells = ([_cell(x) for x in r] for r in rows)
+    path = f"{path_base}.{fmt}"
+    if fmt == "json":
+        return _write_json(path, {"columns": list(header), "rows": list(cells)})
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for r in cells:
+            fh.write(",".join(r) + "\n")
+    return path
+
+
+def _write_summary(path_base: str, config: dict, payload: dict, t0: float) -> str:
+    return _write_json(path_base + "_summary.json", {
+        "config": config,
+        "version": _version(),
+        "wall_time_s": time.monotonic() - t0,
+        **payload,
+    })
 
 
 def _family_from(args):
@@ -99,15 +104,16 @@ def _family_from(args):
     return SpinFamily(args.s, args.hbar)
 
 
-def _check_stride(args):
-    if args.stride < 1:
-        raise ValueError(f"stride must be at least 1, got {args.stride}")
+def _sweep(args, value):
+    """Rows (p, q, *value(p, q)) over the --p x --q grid, in config order."""
+    return _fan_out(lambda pt: (*pt, *value(*pt)), [(p, q) for p in args.p for q in args.q])
 
 
-def _write_trajectory(path_base: str, traj, stride: int, fmt: str) -> str:
-    """Every stride-th stored step as t, p, q, H and its relative drift;
-    a vector trajectory spreads p and q over columns p_1..p_N, q_1..q_N.
-    A scalar run is already thinned, so it is written at stride 1."""
+def _trajectory_table(traj, stride: int):
+    """Header and rows of every stride-th stored step: t, p, q, H and its
+    relative drift; a vector trajectory spreads p and q over columns
+    p_1..p_N, q_1..q_N.  A scalar run is already thinned, so it is read
+    at stride 1."""
     k = slice(None, None, stride)
     ps, qs = traj.states(k)
     if ps.ndim == 1:
@@ -116,66 +122,54 @@ def _write_trajectory(path_base: str, traj, stride: int, fmt: str) -> str:
         names = [f"{c}_{i + 1}" for c in "pq" for i in range(ps.shape[1])]
         cols = [*ps.T, *qs.T]
     cols = [traj.times[k], *cols, traj.energies[k], traj.drifts[k]]
-    rows = zip(*(c.tolist() for c in cols))
-    return _write_table(path_base, ["t", *names, "H", "drift"], rows, fmt)
+    return ["t", *names, "H", "drift"], zip(*(c.tolist() for c in cols))
 
 
 # ---------------------------------------------------------------- subcommands
 
 
-def _cmd_metric(args, out_base, t0):
+def _cmd_metric(args):
     from .geometry import fs_metric, gaussian_curvature
 
     family = _family_from(args)
-    pts = [(p, q) for p in args.p for q in args.q]
-    chart = family.default_chart
+    args.chart = family.default_chart  # echoed as the last config key
 
-    def cell(pt):
-        m = fs_metric(family, pt)
-        k = gaussian_curvature(family, pt)
-        return (pt[0], pt[1], m.g_pp, m.g_pq, m.g_qq, k.K, k.error)
+    def cell(p, q):
+        m = fs_metric(family, (p, q))
+        k = gaussian_curvature(family, (p, q))
+        return m.g_pp, m.g_pq, m.g_qq, k.K, k.error
 
-    rows = _fan_out(cell, pts)
-    table = _write_table(out_base, ("u", "v", "g_uu", "g_uv", "g_vv", "K", "K_err"),
-                         rows, args.format)
+    rows = _sweep(args, cell)
     ks = [r[5] for r in rows]
-    summary = _write_summary(out_base, vars(args) | {"chart": chart}, {
-        "K_mean": float(np.mean(ks)), "K_spread": float(np.ptp(ks)), "table": table,
-    }, t0)
-    print(f"metric: {len(rows)} points, chart {chart}, K ≈ {np.mean(ks):.6g} "
-          f"(spread {np.ptp(ks):.2g}) -> {table}, {summary}")
-    return 0
+    return (("u", "v", "g_uu", "g_uv", "g_vv", "K", "K_err"), rows,
+            {"K_mean": float(np.mean(ks)), "K_spread": float(np.ptp(ks))},
+            f"metric: {len(rows)} points, chart {args.chart}, K ≈ {np.mean(ks):.6g} "
+            f"(spread {np.ptp(ks):.2g})")
 
 
-def _cmd_wcp(args, out_base, t0):
+def _cmd_wcp(args):
     from .wcp import classical_limit, enhanced_hamiltonian, hbar_scaling_fit, parse_hamiltonian
 
     family = _family_from(args)
     spec = parse_hamiltonian(args.hamiltonian, args.family)
     cl = classical_limit(spec)
-    pts = [(p, q) for p in args.p for q in args.q]
 
-    def cell(pt):
-        h = enhanced_hamiltonian(spec, family, *pt)
-        c = cl(*pt)
-        return (pt[0], pt[1], h, c, h - c)
+    def cell(p, q):
+        h = enhanced_hamiltonian(spec, family, p, q)
+        c = cl(p, q)
+        return h, c, h - c
 
-    rows = _fan_out(cell, pts)
-    fit = hbar_scaling_fit(spec, family, pts[0], args.hbar_sweep)
-    table = _write_table(out_base, ("p", "q", "H_enhanced", "H_classical", "difference"),
-                         rows, args.format)
-    summary = _write_summary(out_base, vars(args), {
+    rows = _sweep(args, cell)
+    fit = hbar_scaling_fit(spec, family, (args.p[0], args.q[0]), args.hbar_sweep)
+    expo = "exact (no hbar correction)" if fit.exact else f"exponent {fit.exponent:.4f}"
+    return (("p", "q", "H_enhanced", "H_classical", "difference"), rows, {
         "classical_limit": cl.text,
         "scaling_exponent": None if fit.exact else fit.exponent,
         "scaling_exact": fit.exact,
-        "table": table,
-    }, t0)
-    expo = "exact (no hbar correction)" if fit.exact else f"exponent {fit.exponent:.4f}"
-    print(f"wcp: {spec} -> classical {cl.text}; hbar-scaling {expo} -> {table}, {summary}")
-    return 0
+    }, f"wcp: {spec} -> classical {cl.text}; hbar-scaling {expo}")
 
 
-def _cmd_dynamics(args, out_base, t0):
+def _cmd_dynamics(args):
     from .dynamics import IntegratorControls, integrate, oscillator_flow, toy_gravity_flow
 
     controls = IntegratorControls(dt=args.dt, cross_check=args.cross_check,
@@ -189,26 +183,24 @@ def _cmd_dynamics(args, out_base, t0):
     # toy gravity's exact turning point: t* = -q0 p0 / E, q(t*) = c / E
     energy = traj.energies[0]
     turns = args.model == "toygravity" and energy != 0
-    table = _write_trajectory(out_base, traj, 1, args.format)
-    summary = _write_summary(out_base, vars(args), {
-        "status": traj.status, "hit_time": traj.hit_time, "min_q": traj.min_q,
-        "t_star": float(-args.q0 * args.p0 / energy) if turns else None,
-        "q_min_exact": float(flow.params["barrier"] / energy) if turns else None,
-        "drift": traj.drift, "method": traj.method, "dt": traj.dt,
-        "cross_check_error": traj.meta.get("cross_check_error"), "table": table,
-    }, t0)
     if traj.status == "singularity":
         verdict = f"singularity at t≈{traj.hit_time:.6g}"
     else:
         verdict = f"completed, min q {traj.min_q:.6g}, drift {traj.drift:.3g}"
-    print(f"dynamics[{flow.name}]: {verdict} -> {table}, {summary}")
-    return 0
+    return (*_trajectory_table(traj, 1), {
+        "status": traj.status, "hit_time": traj.hit_time, "min_q": traj.min_q,
+        "t_star": float(-args.q0 * args.p0 / energy) if turns else None,
+        "q_min_exact": float(flow.params["barrier"] / energy) if turns else None,
+        "drift": traj.drift, "method": traj.method, "dt": traj.dt,
+        "cross_check_error": traj.meta.get("cross_check_error"),
+    }, f"dynamics[{flow.name}]: {verdict}")
 
 
-def _cmd_rotsym(args, out_base, t0):
+def _cmd_rotsym(args):
     from .dynamics import integrate, rotsym_flow
 
-    _check_stride(args)
+    if args.stride < 1:
+        raise ValueError(f"stride must be at least 1, got {args.stride}")
     flow = rotsym_flow(args.N, args.m0, args.g0)  # validates N before the draw
     rng = np.random.default_rng(args.seed)
     scale = 0.5 / np.sqrt(args.N)
@@ -226,48 +218,35 @@ def _cmd_rotsym(args, out_base, t0):
         np.einsum("tk,kn->tn", traj.coefs[:, side] - shuffled.coefs[:, side],
                   shuffled.basis, out=diff)
         dev = max(dev, float(np.max(np.abs(diff, out=diff))))
-    table = _write_trajectory(out_base, traj, args.stride, args.format)
-    summary = _write_summary(out_base, vars(args), {
-        "shuffle_deviation": dev, "drift": traj.drift,
-        "permutation": perm.tolist(), "table": table,
-    }, t0)
-    print(f"rotsym: N={args.N} g0={args.g0} shuffle deviation {dev:.3g}, "
-          f"drift {traj.drift:.3g} -> {table}, {summary}")
-    return 0
+    return (*_trajectory_table(traj, args.stride), {
+        "shuffle_deviation": dev, "drift": traj.drift, "permutation": perm.tolist(),
+    }, f"rotsym: N={args.N} g0={args.g0} shuffle deviation {dev:.3g}, drift {traj.drift:.3g}")
 
 
-def _cmd_inequality(args, out_base, t0):
+def _cmd_inequality(args):
     from .inequality import DEFAULT_EPS, scan
 
     eps = tuple(args.eps) if args.eps else DEFAULT_EPS
     report = scan(args.n, args.alphas, eps_sequence=eps, m0=args.m0)
-    rows = [(args.n, a, e, l, r, ratio) for a, e, l, r, ratio in report.rows]
-    table = _write_table(out_base, ("n", "alpha", "eps", "lhs", "rhs", "ratio"),
-                         rows, args.format)
-    summary = _write_summary(out_base, vars(args), {
-        "verdicts": list(report.verdicts), "max_ratio": report.max_ratio, "table": table,
-    }, t0)
     div = [v["alpha"] for v in report.verdicts if v["lhs_divergent"]]
     verdict = f"lhs divergent at alpha={div}" if div else "both sides bounded"
-    print(f"inequality: n={args.n}, {verdict}, max ratio {report.max_ratio:.4g} "
-          f"-> {table}, {summary}")
-    return 0
+    return (("n", "alpha", "eps", "lhs", "rhs", "ratio"),
+            [(args.n, *r) for r in report.rows],
+            {"verdicts": list(report.verdicts), "max_ratio": report.max_ratio},
+            f"inequality: n={args.n}, {verdict}, max ratio {report.max_ratio:.4g}")
 
 
-def _cmd_selftest(args, out_base, t0):
+def _cmd_selftest(args):
     from . import selftest
 
     results = selftest.run_all()
-    rows = [(name, "pass" if ok else "FAIL", detail) for name, ok, detail, _ in results]
-    table = _write_table(out_base, ("check", "status", "detail"), rows, args.format)
     failed = [name for name, ok, _, _ in results if not ok]
-    summary = _write_summary(out_base, vars(args), {
-        "passed": len(results) - len(failed), "failed": failed,
-        "residuals": {name: residuals for name, _, _, residuals in results}, "table": table,
-    }, t0)
-    print(f"selftest: {len(results) - len(failed)}/{len(results)} invariants pass "
-          f"-> {table}, {summary}")
-    return 0 if not failed else 2
+    return (("check", "status", "detail"),
+            [(name, "pass" if ok else "FAIL", detail) for name, ok, detail, _ in results],
+            {"passed": len(results) - len(failed), "failed": failed,
+             "residuals": {name: residuals for name, _, _, residuals in results}},
+            f"selftest: {len(results) - len(failed)}/{len(results)} invariants pass",
+            2 if failed else 0)
 
 
 # ------------------------------------------------------------------- parsing
@@ -309,8 +288,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("metric", help="metric and curvature sweep")
     fam(p)
-    p.add_argument("--p", type=_floats, default=[0.0],
-                   help=_LIST_HELP.format("first coords", "p"))
+    p.add_argument("--p", type=_floats, default=None,
+                   help=_LIST_HELP.format("first coords", "p")
+                   + " (default 0, or pi/2 on the spin family's equator)")
     p.add_argument("--q", type=_floats, default=[1.0],
                    help=_LIST_HELP.format("second coords", "q"))
     p.set_defaults(fn=_cmd_metric)
@@ -427,22 +407,27 @@ def run(argv=None) -> int:
         if getattr(args, "hamiltonian", "") is None:
             args.hamiltonian = ("0.5*P.P + 0.5*Q.Q" if args.family == "canonical"
                                 else "D.Qinv.D")
+        if args.command == "metric" and args.p is None:
+            args.p = [np.pi / 2 if args.family == "spin" else 0.0]
         os.makedirs(args.out, exist_ok=True)
         fn = args.fn
         del args.fn  # the summaries echo vars(args) as the config
-        return fn(args, os.path.join(args.out, args.command), t0)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        header, rows, entries, verdict, *status = fn(args)
+        base = os.path.join(args.out, args.command)
+        table = _write_table(base, header, rows, args.format)
+        summary = _write_summary(base, vars(args), entries | {"table": table}, t0)
+        print(f"{verdict} -> {table}, {summary}")
+        return status[0] if status else 0
+    except (ValueError, OSError) as exc:  # a JSONDecodeError is a ValueError
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 1
     except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        diag = {"error": str(exc), "type": type(exc).__name__,
-                "argv": argv, "version": _version()}
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         try:
             os.makedirs(args.out, exist_ok=True)
-            with open(os.path.join(args.out, "failure.json"), "w") as fh:
-                json.dump(diag, fh, indent=2)
-                fh.write("\n")
+            _write_json(os.path.join(args.out, "failure.json"), {
+                "error": str(exc), "type": type(exc).__name__,
+                "argv": argv, "version": _version()})
         except OSError:
             pass
         return 2

@@ -106,16 +106,16 @@ class IntegratorControls:
 
 
 class Trajectory:
-    """Stored steps of one run.
+    """Stored steps of one run, read through `states(k)`.
 
     Every run hands over `drift`, `status`, `hit_time` and `end` (t, p, q)
     folded over every step it took.  A scalar run holds its kept steps
     (every stride-th, step 0 first) as times, ps, qs and energies of shape
     (T,), and folds `min_q` too.  A vector run keeps every step and holds
     its plane instead: `coefs` of shape (T, 2, 2), indexed
-    [step, (p, q), (p0, q0)], on the `basis` (p0, q0) of shape (2, N), and
-    its `min_q` is None.  `states` expands the steps it is asked for, and
-    ps, qs of shape (T, N) expand on first read.
+    [step, (p, q), (p0, q0)], on the `basis` (p0, q0) of shape (2, N); its
+    ps, qs and `min_q` are None.  `states(k)` returns the (p, q) of the
+    steps k of either kind, expanding a vector run's only there.
     """
 
     def __init__(self, times, energies, status, hit_time, method, dt, meta=None, *,
@@ -128,27 +128,14 @@ class Trajectory:
         self.dt = dt
         self.meta = {} if meta is None else meta
         self.drift, self.end, self.min_q = drift, end, min_q
+        self.ps, self.qs = ps, qs
         self.coefs, self.basis = coefs, basis
-        self._ps, self._qs = ps, qs
 
     def states(self, k):
         """(p, q) at the stored steps k, an index or a slice."""
         if self.coefs is None:
-            return self._ps[k], self._qs[k]
+            return self.ps[k], self.qs[k]
         return _plane_states(self.coefs[k], self.basis)
-
-    def _expand(self):
-        if self._ps is None:
-            self._ps, self._qs = self.states(slice(None))
-        return self._ps, self._qs
-
-    @property
-    def ps(self) -> np.ndarray:
-        return self._expand()[0]
-
-    @property
-    def qs(self) -> np.ndarray:
-        return self._expand()[1]
 
     @cached_property
     def drifts(self) -> np.ndarray:

@@ -38,7 +38,6 @@ class RadialField:
 
     alpha: float
     n: int
-    amplitude: float = 1.0
 
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 2:
@@ -47,8 +46,6 @@ class RadialField:
             raise ValueError(
                 f"alpha must lie in [0, (n-2)/2) = [0, {(self.n - 2) / 2}), got {self.alpha}"
             )
-        if not 0.0 < self.amplitude < math.inf:
-            raise ValueError(f"amplitude must be positive and finite, got {self.amplitude}")
 
 
 # zeta(k)/k, k = 63 down to 2 (Horner order), of ln Gamma(1 + b) =
@@ -114,10 +111,13 @@ def _upper_gamma(a: float, x: float) -> float:
 
 
 def _radial(s: float, c: float, eps: float) -> float:
-    """int_eps^inf r^(s-1) e^(-c r^2) dr."""
+    """int_eps^inf r^(s-1) e^(-c r^2) dr, or inf once it overflows."""
     if not 0.0 < eps < math.inf:
         raise ValueError(f"inner cutoff eps must be positive and finite, got {eps}")
-    return 0.5 * c ** (-0.5 * s) * _upper_gamma(0.5 * s, c * eps * eps)
+    try:
+        return 0.5 * c ** (-0.5 * s) * _upper_gamma(0.5 * s, c * eps * eps)
+    except OverflowError:  # a float ** raises where * and / would give inf
+        return math.inf
 
 
 def _in_range(v: float, side: str, field: RadialField, eps: float) -> float:
@@ -129,7 +129,7 @@ def _in_range(v: float, side: str, field: RadialField, eps: float) -> float:
 
 def lhs(field: RadialField, eps: float) -> float:
     """{ omega_n int_eps^inf phi^4 r^(n-1) dr }^(1/2)."""
-    v = sphere_area(field.n) * field.amplitude**4 * _radial(field.n - 4.0 * field.alpha, 4.0, eps)
+    v = sphere_area(field.n) * _radial(field.n - 4.0 * field.alpha, 4.0, eps)
     return math.sqrt(_in_range(v, "lhs", field, eps))
 
 
@@ -144,7 +144,7 @@ def rhs(field: RadialField, m0: float, eps: float) -> float:
     v = (a * a * _radial(n - 2.0 - 2.0 * a, 2.0, eps)
          + (4.0 * a + m0 * m0) * _radial(n - 2.0 * a, 2.0, eps)
          + 4.0 * _radial(n + 2.0 - 2.0 * a, 2.0, eps))
-    return _in_range(sphere_area(n) * field.amplitude**2 * v, "rhs", field, eps)
+    return _in_range(sphere_area(n) * v, "rhs", field, eps)
 
 
 def lhs_slope_expected(field: RadialField) -> float:

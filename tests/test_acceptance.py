@@ -174,9 +174,10 @@ def test_criterion_6_shuffle_symmetry():
             perm = rng.permutation(n)
             base = integrate(rotsym_flow(n, 1.0, g0), (p0, q0), 2.0)
             shuffled = integrate(rotsym_flow(n, 1.0, g0), (p0[perm], q0[perm]), 2.0)
+            (bp, bq), (sp, sq) = base.states(slice(None)), shuffled.states(slice(None))
             dev = max(
-                float(np.max(np.abs(base.ps[:, perm] - shuffled.ps))),
-                float(np.max(np.abs(base.qs[:, perm] - shuffled.qs))),
+                float(np.max(np.abs(bp[:, perm] - sp))),
+                float(np.max(np.abs(bq[:, perm] - sq))),
             )
             if dev >= 1e-9:
                 problems.append(f"deviation {dev:.2g} at N={n}, g0={g0}")

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -129,6 +130,15 @@ class TestBadControls:
         assert json.loads(_read(tmp_path / "failure.json"))["type"] == "ArithmeticError"
         assert not (tmp_path / "inequality.csv").exists()
 
+    def test_overflowing_side_is_named(self, tmp_path, capsys):
+        # a float power in the Gamma recurrence overflows at eps = 1e-8; it
+        # used to stop the run with a bare "(34, 'Numerical result out of range')"
+        assert run(["--out", str(tmp_path), "inequality", "--n", "50", "--alphas", "23.9",
+                    "--eps=1e-2,1e-8"]) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure: lhs = inf" in err and "eps = 1e-08" in err
+        assert json.loads(_read(tmp_path / "failure.json"))["type"] == "ArithmeticError"
+
     @pytest.mark.parametrize("command,cfg", [
         ("dynamics", {"dt": 0}),
         ("dynamics", {"stride": 0}),
@@ -201,13 +211,16 @@ class TestArtifacts:
         assert header == "t,p_1,p_2,p_3,q_1,q_2,q_3,H,drift"
 
     def test_rotsym_reads_states_only_where_written(self, tmp_path, capsys, monkeypatch):
-        def expand_all(traj):
-            raise AssertionError("rotsym expanded every stored state")
+        reads, states = [], Trajectory.states
 
-        monkeypatch.setattr(Trajectory, "ps", property(expand_all))
-        monkeypatch.setattr(Trajectory, "qs", property(expand_all))
+        def spy(traj, k):
+            reads.append(k)
+            return states(traj, k)
+
+        monkeypatch.setattr(Trajectory, "states", spy)
         assert run(["--out", str(tmp_path), "rotsym", "--N", "4", "--t-end", "0.2",
                     "--stride", "3"]) == 0
+        assert reads == [slice(None, None, 3)]
         assert len(_read(tmp_path / "rotsym.csv").splitlines()) == 1 + 667
 
     def test_rotsym_holds_no_state_array(self, tmp_path, capsys):
@@ -298,6 +311,48 @@ class TestArtifacts:
             assert open(path).read() == expected
         else:
             assert json.load(open(path)) == {"columns": header, "rows": cells}
+
+
+class TestRunWritesArtifacts:
+    @pytest.mark.parametrize("argv", [
+        ["metric", "--family", "affine", "--p", "0", "--q", "1"],
+        ["wcp", "--family", "affine", "--p", "0", "--q", "1"],
+        ["dynamics", "--model", "oscillator", "--t-end", "0.1"],
+        ["rotsym", "--N", "3", "--t-end", "0.1"],
+        ["inequality", "--n", "3", "--alphas", "0.2"],
+        ["selftest"],
+    ], ids=lambda argv: argv[0])
+    def test_one_contract_for_every_subcommand(self, tmp_path, capsys, argv):
+        assert run(["--out", str(tmp_path), *argv]) == 0
+        table = str(tmp_path / f"{argv[0]}.csv")
+        summary = str(tmp_path / f"{argv[0]}_summary.json")
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].endswith(f" -> {table}, {summary}")
+        doc = json.loads(_read(tmp_path / f"{argv[0]}_summary.json"))
+        assert list(doc)[:3] == ["config", "version", "wall_time_s"]
+        assert list(doc)[-1] == "table" and doc["table"] == table
+
+    def test_failed_selftest_writes_both_and_exits_2(self, tmp_path, capsys, monkeypatch):
+        from enhq import selftest
+
+        monkeypatch.setattr(selftest, "run_all", lambda: [
+            ("good", True, "ok < 1", {"r": 0.5}), ("bad", False, "off < 1", {"r": 2.0})])
+        assert run(["--out", str(tmp_path), "selftest"]) == 2
+        assert "selftest: 1/2 invariants pass ->" in capsys.readouterr().out
+        assert _read(tmp_path / "selftest.csv").splitlines()[1:] == [
+            "good,pass,ok < 1", "bad,FAIL,off < 1"]
+        summary = json.loads(_read(tmp_path / "selftest_summary.json"))
+        assert (summary["passed"], summary["failed"]) == (1, ["bad"])
+
+    @pytest.mark.parametrize("s", [0.5, 1.5])
+    def test_spin_metric_defaults_to_the_equator(self, tmp_path, capsys, s):
+        # theta = 0, the shared default, is a pole of the spin angles chart
+        assert run(["--out", str(tmp_path), "metric", "--family", "spin", "--s", str(s)]) == 0
+        summary = json.loads(_read(tmp_path / "metric_summary.json"))
+        assert summary["config"]["p"] == [math.pi / 2]
+        assert summary["K_mean"] == pytest.approx(1.0 / s, abs=1e-3)  # 1/(s hbar), hbar = 1
+        assert run(["--out", str(tmp_path), "metric", "--family", "affine"]) == 0
+        assert json.loads(_read(tmp_path / "metric_summary.json"))["config"]["p"] == [0.0]
 
 
 class TestSharedFlags:

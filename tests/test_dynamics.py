@@ -256,7 +256,7 @@ class TestRotsym:
         q0 = np.array([1.0, -0.5, 0.2])
         traj = integrate(rotsym_flow(n, m0, 0.0), (np.zeros(n), q0), 2.0)
         ref = q0[None, :] * np.cos(2.0 * m0 * traj.times)[:, None]
-        assert np.max(np.abs(traj.qs - ref)) < 1e-6
+        assert np.max(np.abs(traj.states(slice(None))[1] - ref)) < 1e-6
 
     @pytest.mark.parametrize("n,g0", [(6, 0.0), (6, 1.0), (32, 0.0), (32, 1.0)])
     def test_shuffle_equivariance(self, n, g0):
@@ -267,9 +267,10 @@ class TestRotsym:
         perm = rng.permutation(n)
         base = integrate(rotsym_flow(n, 1.0, g0), (p0, q0), 2.0)
         shuffled = integrate(rotsym_flow(n, 1.0, g0), (p0[perm], q0[perm]), 2.0)
+        (bp, bq), (sp, sq) = base.states(slice(None)), shuffled.states(slice(None))
         dev = max(
-            float(np.max(np.abs(base.ps[:, perm] - shuffled.ps))),
-            float(np.max(np.abs(base.qs[:, perm] - shuffled.qs))),
+            float(np.max(np.abs(bp[:, perm] - sp))),
+            float(np.max(np.abs(bq[:, perm] - sq))),
         )
         assert dev < 1e-9
         assert base.drift < 1e-8
@@ -285,8 +286,9 @@ class TestRotsym:
         hi_p[3:], hi_q[3:] = vals_p, vals_q
         a = integrate(rotsym_flow(n, 1.0, 1.0), (lo_p, lo_q), 1.0)
         b = integrate(rotsym_flow(n, 1.0, 1.0), (hi_p, hi_q), 1.0)
-        assert np.max(np.abs(a.qs[:, :3] - b.qs[:, 3:])) < 1e-9
-        assert np.max(np.abs(a.ps[:, :3] - b.ps[:, 3:])) < 1e-9
+        (ap, aq), (bp, bq) = a.states(slice(None)), b.states(slice(None))
+        assert np.max(np.abs(aq[:, :3] - bq[:, 3:])) < 1e-9
+        assert np.max(np.abs(ap[:, :3] - bp[:, 3:])) < 1e-9
 
 
 def _random_state(rng, shape, amp=1.0):
@@ -352,7 +354,8 @@ def _plane_step(flow, p, q, dt):
 
 
 def _max_dev(traj, ps, qs):
-    return max(float(np.max(np.abs(traj.ps - ps))), float(np.max(np.abs(traj.qs - qs))))
+    tps, tqs = traj.states(slice(None))
+    return max(float(np.max(np.abs(tps - ps))), float(np.max(np.abs(tqs - qs))))
 
 
 class TestRadialMidpoint:
@@ -494,7 +497,7 @@ class TestPlaneStorage:
         for k in (slice(None), slice(None, None, 7), slice(3, 300, 100), 0, 17, -1):
             p, q = traj.states(k)
             assert np.array_equal(p, ps[k]) and np.array_equal(q, qs[k])
-        assert np.array_equal(traj.ps, ps) and np.array_equal(traj.qs, qs)
+        assert traj.ps is None and traj.qs is None
         ref = flow.hamiltonian(ps, qs)
         assert np.max(np.abs(traj.energies - ref) / np.abs(ref)) <= 1e-14
 
@@ -505,7 +508,7 @@ class TestPlaneStorage:
         p, q = _random_state(np.random.default_rng(n), n, 0.5 / np.sqrt(n))
         flow = rotsym_flow(n, 1.0, g0)
         traj = integrate(flow, (p, q), 0.5, IntegratorControls(dt=1e-3))
-        ref = flow.hamiltonian(traj.ps, traj.qs)
+        ref = flow.hamiltonian(*traj.states(slice(None)))
         assert np.max(np.abs(traj.energies - ref) / np.abs(ref)) <= 1e-14
 
 
@@ -699,8 +702,8 @@ class TestFoldedValues:
         traj = integrate(flow, initial, 2.0)
         drift, (t, p, q), min_q = traj.drift, traj.end, traj.min_q
         if flow.vector:
-            # reading the folds expands no (T, N) state array
-            assert traj._ps is None and traj._qs is None
+            # the run holds no (T, N) state array
+            assert traj.ps is None and traj.qs is None
             assert min_q is None
         else:
             assert min_q == float(np.min(traj.qs))
