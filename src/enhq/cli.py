@@ -9,7 +9,9 @@ the summary `<out>/<command>_summary.json` holding `config`, `version`,
 numerical failure 2 (also writing `<out>/failure.json`), with no table; a
 failed selftest exits 2 after writing both.  Identical configs produce
 byte-identical tables: seeds are fixed, sweep cells are emitted in config
-order, and floats are formatted at 17 significant digits.
+order, and floats are formatted at 17 significant digits.  A run builds
+nothing that is the same for every run: the parser is built once per
+process, on first use, and the version is `enhq.__version__`.
 """
 
 from __future__ import annotations
@@ -20,21 +22,15 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
-from importlib import metadata
+from functools import cache, partial
 
 import numpy as np
+
+from . import __version__
 
 __all__ = ["main", "run"]
 
 _FMT = "%.17g"
-
-
-def _version() -> str:
-    try:
-        return metadata.version("enhq")
-    except metadata.PackageNotFoundError:
-        return "unknown"
 
 
 def _worker_count() -> int:
@@ -88,7 +84,7 @@ def _write_table(path_base: str, header, rows, fmt: str) -> str:
 def _write_summary(path_base: str, config: dict, payload: dict, t0: float) -> str:
     return _write_json(path_base + "_summary.json", {
         "config": config,
-        "version": _version(),
+        "version": __version__,
         "wall_time_s": time.monotonic() - t0,
         **payload,
     })
@@ -131,6 +127,8 @@ def _trajectory_table(traj, stride: int):
 def _cmd_metric(args):
     from .geometry import fs_metric, gaussian_curvature
 
+    if args.p is None:  # theta = 0 is a pole of the spin family's angles chart
+        args.p = [np.pi / 2 if args.family == "spin" else 0.0]
     family = _family_from(args)
     args.chart = family.default_chart  # echoed as the last config key
 
@@ -150,6 +148,8 @@ def _cmd_metric(args):
 def _cmd_wcp(args):
     from .wcp import classical_limit, enhanced_hamiltonian, hbar_scaling_fit, parse_hamiltonian
 
+    if args.hamiltonian is None:
+        args.hamiltonian = "0.5*P.P + 0.5*Q.Q" if args.family == "canonical" else "D.Qinv.D"
     family = _family_from(args)
     spec = parse_hamiltonian(args.hamiltonian, args.family)
     cl = classical_limit(spec)
@@ -269,7 +269,8 @@ def _shared_flags(parser, defaults=("enhq_out", "csv", None)):
                         help="JSON file of defaults; explicit flags override it")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="enhq", description=__doc__.splitlines()[0])
     _shared_flags(ap)
     # the shared flags also parse after the subcommand; there they default
@@ -283,7 +284,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", choices=kinds, default=kinds[0])
         p.add_argument("--hbar", type=float, default=1.0)
         p.add_argument("--beta", type=float, default=1.0)
-        p.add_argument("--s", type=float, default=0.5)
+        if "spin" in kinds:
+            p.add_argument("--s", type=float, default=0.5)
         p.add_argument("--N", type=int, default=100)
 
     p = add("metric", help="metric and curvature sweep")
@@ -358,7 +360,7 @@ def _flag_value(action: argparse.Action, value):
     return out
 
 
-def _apply_config_file(ap: argparse.ArgumentParser, args, argv) -> None:
+def _apply_config_file(args, argv) -> None:
     """Validate and fold a JSON config in under the explicit flags.
 
     Each value goes through its flag's `type` and `choices`, so a config
@@ -368,6 +370,7 @@ def _apply_config_file(ap: argparse.ArgumentParser, args, argv) -> None:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object of flag defaults")
+    ap = _parser()
     sub = next(a for a in ap._actions if a.dest == "command")
     # the top-level shared flags come last, so their defaults are the ones read
     actions = {a.dest: a for parser in (sub.choices[args.command], ap)
@@ -392,23 +395,17 @@ def _apply_config_file(ap: argparse.ArgumentParser, args, argv) -> None:
 def run(argv=None) -> int:
     """Entry point returning an exit status: 0 ok, 1 bad config, 2 numerics."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     t0 = time.monotonic()
     try:
         if args.config:
-            _apply_config_file(ap, args, argv)
+            _apply_config_file(args, argv)
         empty = [f"--{k.replace('_', '-')}" for k, v in vars(args).items() if v == []]
         if empty:
             raise ValueError(f"empty list for {', '.join(empty)}")
-        if getattr(args, "hamiltonian", "") is None:
-            args.hamiltonian = ("0.5*P.P + 0.5*Q.Q" if args.family == "canonical"
-                                else "D.Qinv.D")
-        if args.command == "metric" and args.p is None:
-            args.p = [np.pi / 2 if args.family == "spin" else 0.0]
         os.makedirs(args.out, exist_ok=True)
         fn = args.fn
         del args.fn  # the summaries echo vars(args) as the config
@@ -427,7 +424,7 @@ def run(argv=None) -> int:
             os.makedirs(args.out, exist_ok=True)
             _write_json(os.path.join(args.out, "failure.json"), {
                 "error": str(exc), "type": type(exc).__name__,
-                "argv": argv, "version": _version()})
+                "argv": argv, "version": __version__})
         except OSError:
             pass
         return 2

@@ -177,25 +177,19 @@ def _oscillator_midpoint(p, q, dt):
     return p - dt * qm, q + dt * pm, True
 
 
-def toy_gravity_flow(hbar: float = 0.0, cprime: float | None = None,
-                     beta: float = 1.0) -> FlowSpec:
+def toy_gravity_flow(hbar: float = 0.0, beta: float = 1.0) -> FlowSpec:
     """H = q p^2 + hbar^2 C' / q on the chart q > 0.
 
     hbar = 0 gives the classical flow; hbar > 0 the enhanced flow, with
-    C' taken from the weak-correspondence evaluator unless supplied.
+    C' taken from the weak-correspondence evaluator.
     """
     if not 0 <= hbar < math.inf:
         raise ValueError(f"hbar must be finite and nonnegative, got {hbar}")
-    if cprime is not None and not 0 < cprime < math.inf:
-        raise ValueError(f"C' must be finite and positive, got {cprime}")
-    if hbar == 0.0:
-        c = 0.0
-    elif cprime is None:
-        from .wcp import cprime as _cprime
+    c = 0.0
+    if hbar != 0.0:
+        from .wcp import cprime
 
-        c = hbar**2 * _cprime(beta, hbar)
-    else:
-        c = hbar**2 * cprime
+        c = hbar**2 * cprime(beta, hbar)
     if c == 0.0:
         return FlowSpec(
             name="toygravity-classical",
@@ -283,7 +277,10 @@ def rotsym_flow(N: int, m0: float, g0: float) -> FlowSpec:
         ap, aq = qp + dt * pp, qq + dt * pq
         k0 = dt * dt * m0 * m0
         A = (2.0 * dt * dt * g0) * (ap * ap * gpp + 2.0 * ap * aq * gpq + aq * aq * gqq)
-        kappa = k0 + A / (1.0 + k0 + A) ** 2
+        try:
+            kappa = k0 + A / (1.0 + k0 + A) ** 2
+        except OverflowError:  # a float power raises where a product gives inf
+            return c, False
         for _ in range(NEWTON_MAX_ITER):
             s = 1.0 + kappa
             g = A / (s * s)
@@ -319,8 +316,8 @@ def integrate(flow: FlowSpec, initial, t_end: float,
     and stored as plane coefficients.  Positive-chart scalar flows throttle
     the step once q heads for the floor, and stop with status "singularity"
     and the crossing time.  A flow without a midpoint step, a non-finite or
-    wrongly shaped initial state, or a vector flow given a stride other
-    than 1 raise ValueError.
+    wrongly shaped initial state, one where H is not finite, or a vector
+    flow given a stride other than 1 raise ValueError.
     """
     if not 0 < t_end < math.inf:
         raise ValueError(f"t_end must be finite and positive, got {t_end}")
@@ -328,10 +325,27 @@ def integrate(flow: FlowSpec, initial, t_end: float,
         raise ValueError(f"flow {flow.name!r} has no midpoint step")
     if not all(np.isfinite(x).all() for x in initial):
         raise ValueError("initial p and q must be finite")
-    if flow.vector and controls.stride != 1:
-        raise ValueError(f"vector flows keep every step; got stride {controls.stride}")
+    if flow.vector:
+        if controls.stride != 1:
+            raise ValueError(f"vector flows keep every step; got stride {controls.stride}")
+        p, q = (np.array(x, dtype=float) for x in initial)
+        n_comp = flow.params["N"]
+        if p.shape != (n_comp,) or q.shape != (n_comp,):
+            raise ValueError(f"initial p and q must have shape ({n_comp},), as the flow has "
+                             f"N = {n_comp}; got {p.shape} and {q.shape}")
+    else:
+        if any(np.ndim(x) for x in initial):
+            raise ValueError(f"flow {flow.name!r} takes numbers p and q; got shapes "
+                             f"{np.shape(initial[0])} and {np.shape(initial[1])}")
+        p, q = (float(x) for x in initial)
+        if flow.positive_q and q <= 0:
+            raise ValueError("initial q must be positive on this chart")
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = flow.hamiltonian(p, q)
+    if not math.isfinite(energy):
+        raise ValueError(f"flow {flow.name!r}: initial energy H = {energy} is not finite")
     run = _run_vector if flow.vector else _run_scalar
-    times, energies, status, hit, stored = run(flow, initial, t_end, controls)
+    times, energies, status, hit, stored = run(flow, p, q, t_end, controls)
     traj = Trajectory(times, energies, status, hit, "implicit-midpoint", controls.dt,
                       **stored)
     if controls.cross_check:
@@ -388,14 +402,8 @@ class _Rows:
                                  "min_q": float(np.min(self.lows))}
 
 
-def _run_scalar(flow, initial, t_end, controls):
-    if any(np.ndim(x) for x in initial):
-        raise ValueError(f"flow {flow.name!r} takes numbers p and q; got shapes "
-                         f"{np.shape(initial[0])} and {np.shape(initial[1])}")
-    p, q = (float(x) for x in initial)
+def _run_scalar(flow, p, q, t_end, controls):
     positive = flow.positive_q
-    if positive and q <= 0:
-        raise ValueError("initial q must be positive on this chart")
     solve, qdot = flow.midpoint, flow.dH_dp
     h, floor = controls.dt, Q_FLOOR
     h_last = h * (1.0 + 1e-9)  # a remainder under 1e-9 h joins the last step
@@ -500,12 +508,7 @@ def _self_similar_run(p, q, t, dt, h, t_end, floor, rows):
     return p, q, t
 
 
-def _run_vector(flow, initial, t_end, controls):
-    p0, q0 = (np.array(x, dtype=float) for x in initial)
-    n_comp = flow.params["N"]
-    if p0.shape != (n_comp,) or q0.shape != (n_comp,):
-        raise ValueError(f"initial p and q must have shape ({n_comp},), as the flow has "
-                         f"N = {n_comp}; got {p0.shape} and {q0.shape}")
+def _run_vector(flow, p0, q0, t_end, controls):
     # n equal steps, t_k = t_end k / n: no roundoff-length last step
     n = max(1, math.ceil(t_end / controls.dt - 1e-9))
     times = t_end * np.arange(n + 1) / n

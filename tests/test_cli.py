@@ -1,13 +1,17 @@
 """Driver behavior: exit codes, artifacts, determinism, config handling."""
 
+import argparse
 import csv
 import json
 import math
+import pathlib
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import enhq
 from enhq import cli
 from enhq.cli import run
 from enhq.dynamics import Trajectory
@@ -138,6 +142,33 @@ class TestBadControls:
         err = capsys.readouterr().err
         assert "numerical failure: lhs = inf" in err and "eps = 1e-08" in err
         assert json.loads(_read(tmp_path / "failure.json"))["type"] == "ArithmeticError"
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "oscillator", "--p0", "1e155", "--t-end", "0.01"],
+        ["--hbar", "0", "--p0=1e160", "--t-end", "1"],
+        ["--hbar", "0", "--p0=-1e160", "--t-end", "1"],
+    ], ids=["oscillator", "expanding", "contracting"])
+    def test_non_finite_initial_energy_rejected(self, tmp_path, capsys, argv):
+        # these used to report "drift nan", a hit while expanding, and a hit
+        # at 1e-12 against the exact 1e-160
+        assert run(["--out", str(tmp_path), "dynamics", *argv]) == 1
+        err = capsys.readouterr().err
+        assert "invalid configuration: flow '" in err and "initial energy H = inf" in err
+        assert not (tmp_path / "dynamics.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--g0=1e200", "--m0=1e150"])
+    def test_rotsym_step_overflow_is_a_failed_solve(self, tmp_path, capsys, flag):
+        # used to exit with a bare "(34, 'Numerical result out of range')"
+        assert run(["--out", str(tmp_path), "rotsym", flag, "--t-end", "0.01"]) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure: implicit midpoint solve failed at t = 0.0001" in err
+        assert json.loads(_read(tmp_path / "failure.json"))["type"] == "RuntimeError"
+        assert not (tmp_path / "rotsym.csv").exists()
+
+    def test_s_is_a_metric_flag(self, tmp_path, capsys):
+        # no wcp family reads the spin
+        assert run(["--out", str(tmp_path), "wcp", "--s", "1"]) == 1
+        assert "unrecognized arguments: --s 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,cfg", [
         ("dynamics", {"dt": 0}),
@@ -353,6 +384,43 @@ class TestRunWritesArtifacts:
         assert summary["K_mean"] == pytest.approx(1.0 / s, abs=1e-3)  # 1/(s hbar), hbar = 1
         assert run(["--out", str(tmp_path), "metric", "--family", "affine"]) == 0
         assert json.loads(_read(tmp_path / "metric_summary.json"))["config"]["p"] == [0.0]
+
+
+    @pytest.mark.parametrize("family,hamiltonian", [
+        ("canonical", "0.5*P.P + 0.5*Q.Q"), ("affine", "D.Qinv.D")])
+    def test_wcp_echoes_its_family_default(self, tmp_path, capsys, family, hamiltonian):
+        assert run(["--out", str(tmp_path), "wcp", "--family", family, "--p", "0",
+                    "--q", "1"]) == 0
+        config = json.loads(_read(tmp_path / "wcp_summary.json"))["config"]
+        assert config["hamiltonian"] == hamiltonian
+        assert "s" not in config
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in 3.11")
+    def test_version_is_the_package_version(self, tmp_path, capsys):
+        import tomllib
+
+        pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+        with open(pyproject, "rb") as fh:
+            assert enhq.__version__ == tomllib.load(fh)["project"]["version"]
+        assert run(["--out", str(tmp_path), "inequality", "--n", "3", "--alphas", "0.2"]) == 0
+        assert json.loads(_read(tmp_path / "inequality_summary.json"))["version"] == (
+            enhq.__version__)
+        assert run(["--out", str(tmp_path), "inequality", "--n", "400", "--alphas", "0"]) == 2
+        assert json.loads(_read(tmp_path / "failure.json"))["version"] == enhq.__version__
+
+    def test_runs_share_one_parser(self, tmp_path, capsys, monkeypatch):
+        # the command line is built on a process's first run, not on every run
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def spy(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        for _ in range(2):
+            assert run(["--out", str(tmp_path), "inequality", "--n", "3",
+                        "--alphas", "0.2"]) == 0
+        assert built.count("enhq") <= 1
 
 
 class TestSharedFlags:

@@ -104,15 +104,25 @@ class TestControls:
         with pytest.raises(ValueError):
             integrate(oscillator_flow(), (1.0, 0.0), t_end)
 
-    @pytest.mark.parametrize("bad", [
-        {"hbar": float("nan")}, {"hbar": float("inf")},
-        {"hbar": float("nan"), "cprime": 1.0},
-        {"hbar": 1.0, "cprime": float("nan")}, {"hbar": 1.0, "cprime": -5.0},
-    ])
+    @pytest.mark.parametrize("bad", [{"hbar": float("nan")}, {"hbar": float("inf")}])
     def test_bad_toy_gravity_parameters_rejected(self, bad):
         # these used to integrate to a "singularity" at t = 2.5e-5 or 0.309
         with pytest.raises(ValueError):
             toy_gravity_flow(**bad)
+
+    @pytest.mark.parametrize("flow,initial", [
+        (oscillator_flow(), (1e155, 0.0)),
+        (toy_gravity_flow(hbar=0.0), (1e160, 1.0)),
+        (toy_gravity_flow(hbar=0.0), (-1e160, 1.0)),
+        (toy_gravity_flow(hbar=1.0, beta=2.0), (-1.0, 1e-310)),  # c / q overflows
+        (rotsym_flow(3, 1.0, 1.0), (np.full(3, 1e160), np.zeros(3))),
+    ], ids=["oscillator", "expanding", "contracting", "enhanced", "rotsym"])
+    def test_non_finite_initial_energy_rejected(self, flow, initial):
+        # finite states whose H overflows used to run: the oscillator to
+        # "completed, drift nan", the classical flow to a hit at t = 1e-4
+        # while expanding and at 1e-12 against the exact 1e-160
+        with pytest.raises(ValueError, match=f"flow '{flow.name}': initial energy H = inf"):
+            integrate(flow, initial, 0.01)
 
 
 class TestOscillator:
@@ -405,6 +415,17 @@ class TestRadialMidpoint:
         assert traj.times.size == 20_001
         assert traj.times[-1] == 2.0
         assert np.array_equal(traj.times, 2.0 * np.arange(20_001) / 20_000)
+
+    @pytest.mark.parametrize("m0,g0", [(1.0, 1e200), (1e150, 1.0)])
+    def test_overflowing_step_fails_the_solve(self, m0, g0):
+        # (1 + k0 + A) ** 2 overflows in the plane step's starting point; it
+        # used to escape as a bare OverflowError
+        flow = rotsym_flow(6, m0, g0)
+        c = (1.0, 0.0, 0.0, 1.0)
+        assert flow.midpoint(c, (0.25, 0.0, 0.25), 1e-4) == (c, False)
+        p0, q0 = np.full(6, 0.2), np.full(6, 0.2)
+        with pytest.raises(RuntimeError, match="solve failed at t = 0.0001"):
+            integrate(flow, (p0, q0), 0.01)
 
     def test_initial_shape_mismatch(self):
         with pytest.raises(ValueError):
