@@ -182,7 +182,7 @@ def _cmd_dynamics(args):
     traj = integrate(flow, (args.p0, args.q0), args.t_end, controls)
     # toy gravity's exact turning point: t* = -q0 p0 / E, q(t*) = c / E
     energy = traj.energies[0]
-    turns = args.model == "toygravity" and energy != 0
+    turns = flow.barrier is not None and energy != 0
     if traj.status == "singularity":
         verdict = f"singularity at t≈{traj.hit_time:.6g}"
     else:
@@ -190,8 +190,8 @@ def _cmd_dynamics(args):
     return (*_trajectory_table(traj, 1), {
         "status": traj.status, "hit_time": traj.hit_time, "min_q": traj.min_q,
         "t_star": float(-args.q0 * args.p0 / energy) if turns else None,
-        "q_min_exact": float(flow.params["barrier"] / energy) if turns else None,
-        "drift": traj.drift, "method": traj.method, "dt": traj.dt,
+        "q_min_exact": float(flow.barrier / energy) if turns else None,
+        "drift": traj.drift, "method": "implicit-midpoint", "dt": args.dt,
         "cross_check_error": traj.meta.get("cross_check_error"),
     }, f"dynamics[{flow.name}]: {verdict}")
 

@@ -5,16 +5,20 @@ every flow supplies its exact midpoint step, `FlowSpec.midpoint`; an
 adaptive Runge-Kutta shadow run is available as a cross-check.
 
 Scalar flows step on Python floats.  The oscillator's midpoint equations
-are linear and solved directly.  Toy-gravity flows live on q > 0 and
-terminate with a "singularity" status when q reaches the chart floor
-Q_FLOOR or a step has no midpoint solution; near the floor the step size
-is throttled so the hit time is resolved far below the reporting
-tolerance.  Their exact step reduces the midpoint equations to one
-quadratic in p.  The classical flow H = q p^2 is invariant under
+are linear and solved directly.  Toy gravity is one flow, H = q p^2 + c / q,
+whose barrier c >= 0 (`FlowSpec.barrier`) decides how it runs.  It lives
+on q > Q_FLOOR q0, a floor relative to its initial q0, and near that floor
+its step is throttled so that a crossing is resolved far below the
+reporting tolerance.  Its exact step reduces the midpoint equations to one
+quadratic in p.  At c = 0 it collapses at t = -1/p0 for every q0, since
+(p, q) -> (p, mu q) maps solutions to solutions with the same times, and
+only then does a run end in a "singularity": when q reaches the floor or a
+step has no midpoint solution.  This flow is also invariant under
 (p, q) -> (lam p, q / lam^2), so once the throttle binds every step is
-the same map (p, q) -> (rho p, sigma q): that stretch is written in
-closed form, and the stepping loop takes the first steps, the last steps
-before the floor and any step near t_end.  A scalar run keeps every
+the same map (p, q) -> (rho p, sigma q): that stretch is written in closed
+form, and the stepping loop takes the first steps, the last steps before
+the floor and any step near t_end.  At c > 0 the flow bounces at q = c / E
+and never collapses, so such a step fails the run.  A scalar run keeps every
 stride-th step only: it takes its steps in chunks of CHUNK, folds the
 drift and the lowest q over every step, and holds one chunk at a time
 besides the kept rows.
@@ -53,6 +57,7 @@ __all__ = [
     "toy_gravity_solution",
 ]
 
+# a toy-gravity run's chart floor is Q_FLOOR q0, q0 its initial q
 Q_FLOOR = 1e-12
 # rotsym's Newton solve for kappa stops once its last step is below
 # NEWTON_TOL relative, and fails after NEWTON_MAX_ITER steps
@@ -76,12 +81,12 @@ class FlowSpec:
     # coefficients c of p = c0 p0 + c1 q0, q = c2 p0 + c3 q0, with
     # gram = (p0.p0, p0.q0, q0.q0)
     midpoint: object
-    positive_q: bool = False
     vector: bool = False
     params: dict = field(default_factory=dict)  # a vector flow's holds its length "N"
-    # H = q p^2: invariant under (p, q) -> (lam p, q / lam^2), so every
-    # throttled step is one map and runs of them are taken in closed form
-    self_similar: bool = False
+    # toy gravity's c in H = q p^2 + c / q, None for every other flow: a
+    # flow with a barrier lives on q > 0 and is throttled near the floor;
+    # at c = 0 it is self-similar and can end in a "singularity"
+    barrier: float | None = None
 
 
 @dataclass(frozen=True)
@@ -105,31 +110,32 @@ class IntegratorControls:
             raise ValueError(f"stride must be an integer of at least 1, got {stride!r}")
 
 
+@dataclass(kw_only=True, eq=False)
 class Trajectory:
     """Stored steps of one run, read through `states(k)`.
 
-    Every run hands over `drift`, `status`, `hit_time` and `end` (t, p, q)
-    folded over every step it took.  A scalar run holds its kept steps
-    (every stride-th, step 0 first) as times, ps, qs and energies of shape
-    (T,), and folds `min_q` too.  A vector run keeps every step and holds
-    its plane instead: `coefs` of shape (T, 2, 2), indexed
+    Every run builds its own, with `drift`, `status`, `hit_time` and `end`
+    (t, p, q) folded over every step it took.  A scalar run holds its kept
+    steps (every stride-th, step 0 first) as times, ps, qs and energies of
+    shape (T,), and folds `min_q` too.  A vector run keeps every step and
+    holds its plane instead: `coefs` of shape (T, 2, 2), indexed
     [step, (p, q), (p0, q0)], on the `basis` (p0, q0) of shape (2, N); its
     ps, qs and `min_q` are None.  `states(k)` returns the (p, q) of the
     steps k of either kind, expanding a vector run's only there.
     """
 
-    def __init__(self, times, energies, status, hit_time, method, dt, meta=None, *,
-                 drift, end, min_q=None, ps=None, qs=None, coefs=None, basis=None):
-        self.times = times
-        self.energies = energies
-        self.status = status  # "completed" | "singularity"
-        self.hit_time = hit_time
-        self.method = method
-        self.dt = dt
-        self.meta = {} if meta is None else meta
-        self.drift, self.end, self.min_q = drift, end, min_q
-        self.ps, self.qs = ps, qs
-        self.coefs, self.basis = coefs, basis
+    times: np.ndarray
+    energies: np.ndarray
+    drift: float
+    end: tuple
+    status: str = "completed"  # or "singularity"
+    hit_time: float | None = None
+    min_q: float | None = None
+    ps: np.ndarray | None = None
+    qs: np.ndarray | None = None
+    coefs: np.ndarray | None = None
+    basis: np.ndarray | None = None
+    meta: dict = field(default_factory=dict)
 
     def states(self, k):
         """(p, q) at the stored steps k, an index or a slice."""
@@ -178,10 +184,10 @@ def _oscillator_midpoint(p, q, dt):
 
 
 def toy_gravity_flow(hbar: float = 0.0, beta: float = 1.0) -> FlowSpec:
-    """H = q p^2 + hbar^2 C' / q on the chart q > 0.
+    """H = q p^2 + c / q on the chart q > 0, with barrier c = hbar^2 C'.
 
-    hbar = 0 gives the classical flow; hbar > 0 the enhanced flow, with
-    C' taken from the weak-correspondence evaluator.
+    hbar = 0 gives the classical flow, c = 0; hbar > 0 the enhanced flow,
+    with C' taken from the weak-correspondence evaluator.
     """
     if not 0 <= hbar < math.inf:
         raise ValueError(f"hbar must be finite and nonnegative, got {hbar}")
@@ -190,25 +196,13 @@ def toy_gravity_flow(hbar: float = 0.0, beta: float = 1.0) -> FlowSpec:
         from .wcp import cprime
 
         c = hbar**2 * cprime(beta, hbar)
-    if c == 0.0:
-        return FlowSpec(
-            name="toygravity-classical",
-            hamiltonian=lambda p, q: q * p * p,
-            dH_dp=lambda p, q: 2.0 * q * p,
-            dH_dq=lambda p, q: p * p,
-            positive_q=True,
-            params={"hbar": hbar, "barrier": 0.0},
-            midpoint=_toy_gravity_midpoint(0.0),
-            self_similar=True,
-        )
     return FlowSpec(
-        name="toygravity-enhanced",
+        name="toygravity-classical" if c == 0.0 else "toygravity-enhanced",
         hamiltonian=lambda p, q: q * p * p + c / q,
         dH_dp=lambda p, q: 2.0 * q * p,
         dH_dq=lambda p, q: p * p - c / (q * q),
-        positive_q=True,
-        params={"hbar": hbar, "barrier": c},
         midpoint=_toy_gravity_midpoint(c),
+        barrier=c,
     )
 
 
@@ -313,11 +307,15 @@ def integrate(flow: FlowSpec, initial, t_end: float,
     Scalar flows take numbers p and q, and keep every controls.stride-th
     step (see Trajectory).  Vector flows take initial arrays of shape (N,),
     N the flow's params["N"]; the run is stepped in its plane span{p0, q0}
-    and stored as plane coefficients.  Positive-chart scalar flows throttle
-    the step once q heads for the floor, and stop with status "singularity"
-    and the crossing time.  A flow without a midpoint step, a non-finite or
-    wrongly shaped initial state, one where H is not finite, or a vector
-    flow given a stride other than 1 raise ValueError.
+    and stored as plane coefficients.  A flow with a barrier c (toy
+    gravity) lives on q > Q_FLOOR q0 and throttles the step once q heads
+    for that floor.  At c = 0 a floor crossing or a step without a midpoint
+    solution stops the run with status "singularity" and the crossing
+    time; at c > 0, where the exact flow never collapses, either raises
+    RuntimeError, as a failed midpoint step of any flow does.  A flow
+    without a midpoint step, a non-finite or wrongly shaped initial state,
+    one where H is not finite, or a vector flow given a stride other than 1
+    raise ValueError.
     """
     if not 0 < t_end < math.inf:
         raise ValueError(f"t_end must be finite and positive, got {t_end}")
@@ -338,16 +336,14 @@ def integrate(flow: FlowSpec, initial, t_end: float,
             raise ValueError(f"flow {flow.name!r} takes numbers p and q; got shapes "
                              f"{np.shape(initial[0])} and {np.shape(initial[1])}")
         p, q = (float(x) for x in initial)
-        if flow.positive_q and q <= 0:
+        if flow.barrier is not None and q <= 0:
             raise ValueError("initial q must be positive on this chart")
     with np.errstate(over="ignore", invalid="ignore"):
         energy = flow.hamiltonian(p, q)
     if not math.isfinite(energy):
         raise ValueError(f"flow {flow.name!r}: initial energy H = {energy} is not finite")
     run = _run_vector if flow.vector else _run_scalar
-    times, energies, status, hit, stored = run(flow, p, q, t_end, controls)
-    traj = Trajectory(times, energies, status, hit, "implicit-midpoint", controls.dt,
-                      **stored)
+    traj = run(flow, p, q, t_end, controls)
     if controls.cross_check:
         traj.meta["cross_check_error"] = _rk_shadow_error(flow, initial, traj)
     return traj
@@ -393,29 +389,29 @@ class _Rows:
         self.taken += t.size
         self.end = float(t[-1]), float(p[-1]), float(q[-1])
 
-    def stored(self):
-        """Kept times and energies, and the Trajectory arguments of the rest."""
+    def trajectory(self, status, hit_time):
+        """The run's Trajectory: its kept steps and its folds."""
         self.flush()
         times, ps, qs, energies = (np.asarray(x) for x in self.kept)
-        return times, energies, {"ps": ps, "qs": qs, "end": self.end,
-                                 "drift": float(np.max(self.peaks)),
-                                 "min_q": float(np.min(self.lows))}
+        return Trajectory(times=times, energies=energies, ps=ps, qs=qs, end=self.end,
+                          drift=float(np.max(self.peaks)), min_q=float(np.min(self.lows)),
+                          status=status, hit_time=hit_time)
 
 
 def _run_scalar(flow, p, q, t_end, controls):
-    positive = flow.positive_q
+    chart, collapses = flow.barrier is not None, flow.barrier == 0
     solve, qdot = flow.midpoint, flow.dH_dp
-    h, floor = controls.dt, Q_FLOOR
+    h, floor = controls.dt, Q_FLOOR * q
     h_last = h * (1.0 + 1e-9)  # a remainder under 1e-9 h joins the last step
     rows = _Rows(flow.hamiltonian, controls.stride, 0.0, p, q)
     times, ps, qs = rows.buffers
     t = lost = 0.0
     status, hit = "completed", None
     end = t_end - 1e-15
-    # a contracting self-similar run steps until the throttle binds, where
+    # a contracting collapsing run steps until the throttle binds, where
     # the exact flow p0 / (1 + p0 t) passes |p| = 2.5e-5 / h (a little past
     # it), takes the throttled steps in closed form, and steps again
-    tail = flow.self_similar and p < 0
+    tail = collapses and p < 0
     stop = min(1.0 / -p - h / 2.5e-5 / 1.001, end) if tail else end
     while True:
         while hit is None and t < stop:
@@ -423,7 +419,7 @@ def _run_scalar(flow, p, q, t_end, controls):
             for _ in range(CHUNK - len(qs)):
                 rest = t_end - t
                 dt = h if rest > h_last else rest
-                if positive:
+                if chart:
                     # keep the relative shrink of q modest so the floor crossing
                     # is localized to ~sqrt(Q_FLOOR/E) in time
                     v = qdot(p, q)
@@ -439,10 +435,10 @@ def _run_scalar(flow, p, q, t_end, controls):
                     s = t + y
                     lost = (s - t) - y
                     t = s
-                if positive and (not ok or not math.isfinite(q1) or q1 <= floor):
-                    status, hit = "singularity", t
-                    break
-                if not ok:
+                if not ok or chart and not floor < q1 < math.inf:
+                    if collapses:
+                        status, hit = "singularity", t
+                        break
                     raise RuntimeError(f"implicit midpoint solve failed at t = {t}")
                 p, q = p1, q1
                 times.append(t)
@@ -456,8 +452,7 @@ def _run_scalar(flow, p, q, t_end, controls):
             break
         p, q, t = _self_similar_run(p, q, t, 5e-5 * q / -qdot(p, q), h, t_end, floor, rows)
         tail, lost, stop = False, 0.0, end
-    times, energies, stored = rows.stored()
-    return times, energies, status, hit, stored
+    return rows.trajectory(status, hit)
 
 
 def _self_similar_run(p, q, t, dt, h, t_end, floor, rows):
@@ -533,9 +528,9 @@ def _run_vector(flow, p0, q0, t_end, controls):
     # maps to R c, and a singular R is never inverted
     rt = np.linalg.qr(basis.T, mode="r").T
     energies = flow.hamiltonian(plane[:, 0] @ rt, plane[:, 1] @ rt)
-    return times, energies, "completed", None, {
-        "coefs": plane, "basis": basis, "drift": float(np.max(_drifts(energies, energies[0]))),
-        "end": (times[-1], *_plane_states(plane[-1], basis))}
+    return Trajectory(times=times, energies=energies, coefs=plane, basis=basis,
+                      drift=float(np.max(_drifts(energies, energies[0]))),
+                      end=(times[-1], *_plane_states(plane[-1], basis)))
 
 
 def _rk_shadow_error(flow, initial, traj: Trajectory) -> float:

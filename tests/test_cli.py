@@ -156,6 +156,18 @@ class TestBadControls:
         assert "invalid configuration: flow '" in err and "initial energy H = inf" in err
         assert not (tmp_path / "dynamics.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--hbar", "0.01", "--p0=-100", "--t-end", "0.1"],
+        ["--hbar", "1", "--q0", "1e-300", "--t-end", "0.01"],
+    ], ids=["near-bounce", "overflow"])
+    def test_enhanced_failed_step_exits_2(self, tmp_path, capsys, argv):
+        # the enhanced flow bounces at q = c / E and never collapses; these
+        # used to exit 0 with "singularity at t≈0.0102" and "t≈2.5e-05"
+        assert run(["--out", str(tmp_path), "dynamics", *argv]) == 2
+        assert "numerical failure: implicit midpoint solve failed" in capsys.readouterr().err
+        assert json.loads(_read(tmp_path / "failure.json"))["type"] == "RuntimeError"
+        assert not (tmp_path / "dynamics.csv").exists()
+
     @pytest.mark.parametrize("flag", ["--g0=1e200", "--m0=1e150"])
     def test_rotsym_step_overflow_is_a_failed_solve(self, tmp_path, capsys, flag):
         # used to exit with a bare "(34, 'Numerical result out of range')"

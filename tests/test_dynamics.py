@@ -57,11 +57,8 @@ class TestClosedForm:
         flow = toy_gravity_flow(hbar=0.0)
         t = np.linspace(0.0, 0.9, 200)
         p, q = toy_gravity_solution(-1.0, 1.0, 0.0, t)
-        traj = Trajectory(
-            times=t, ps=p, qs=q, energies=flow.hamiltonian(p, q),
-            status="completed", hit_time=None, method="closed-form", dt=0.0,
-            drift=None, end=None,
-        )
+        traj = Trajectory(times=t, ps=p, qs=q, energies=flow.hamiltonian(p, q),
+                          drift=None, end=None)
         assert np.max(traj.drifts) < 1e-12
 
     def test_drifts_per_step(self):
@@ -69,8 +66,8 @@ class TestClosedForm:
         # quotients is the max deviation over |H0| bit for bit
         for h0 in (1.0, 0.0):
             e = h0 + np.array([0.0, 3e-9, -7e-9, 1e-12])
-            traj = Trajectory(times=np.arange(4.0), ps=e, qs=e, energies=e, status="completed",
-                              hit_time=None, method="test", dt=1.0, drift=None, end=None)
+            traj = Trajectory(times=np.arange(4.0), ps=e, qs=e, energies=e, drift=None,
+                              end=None)
             ref = [abs(x - e[0]) / abs(e[0]) if e[0] else abs(x - e[0]) for x in e]
             assert traj.drifts.tolist() == ref
             assert traj.drifts is traj.drifts  # built once per trajectory
@@ -170,6 +167,29 @@ class TestToyGravity:
         assert traj.status == "singularity"
         assert abs(traj.hit_time - 1.0) < 1e-4
         assert traj.drift < 1e-8
+
+    @pytest.mark.parametrize("p0", [-1.0, -2.0])
+    def test_classical_hit_time_is_independent_of_q0(self, p0):
+        # (p, q) -> (p, mu q) maps classical solutions to solutions with the
+        # same times, and the floor Q_FLOOR q0 scales along: an absolute
+        # floor hit at 0.684 from q0 = 1e-11 and at 2.5e-5 from 1e-300
+        flow = toy_gravity_flow(hbar=0.0)
+        ref = integrate(flow, (p0, 1.0), 3.0).hit_time
+        for q0 in (1e-300, 1e-100, 1e-11, 1e-8, 1e-3, 0.5, 3.0, 1e3, 1e100, 1e200):
+            traj = integrate(flow, (p0, q0), 3.0)
+            assert traj.status == "singularity"
+            assert abs(traj.hit_time + 1.0 / p0) < 1e-4
+            assert abs(traj.hit_time - ref) < 1e-9
+
+    @pytest.mark.parametrize("hbar,initial,t_end", [
+        (1.0, (-1.0, 1e-300), 0.01),  # c / q^2 overflows in the midpoint step
+        (0.01, (-100.0, 1.0), 0.1),  # a step near the bounce at q = c / E fails
+    ], ids=["overflow", "near-bounce"])
+    def test_enhanced_failed_step_raises(self, hbar, initial, t_end):
+        # the enhanced flow never collapses; these used to end in a
+        # "singularity" at t = 2.5e-5 and 0.0102
+        with pytest.raises(RuntimeError, match="implicit midpoint solve failed at t = "):
+            integrate(toy_gravity_flow(hbar=hbar), initial, t_end)
 
     def test_classical_tracks_closed_form(self):
         flow = toy_gravity_flow(hbar=0.0)
@@ -556,15 +576,15 @@ class TestToyGravityMidpoint:
         (toy_gravity_flow(hbar=0.0), (-1.0, 1.0), 0.9, 1e-4),
         (toy_gravity_flow(hbar=1.0, beta=2.0), (-1.5, 1.0), 4.0, 5e-5),
     ], ids=["classical", "enhanced"])
-    def test_exact_solver_matches_fixed_point(self, flow, initial, t_end, dt):
+    def test_exact_solver_matches_fixed_point(self, monkeypatch, flow, initial, t_end, dt):
         controls = IntegratorControls(dt=dt)
         exact = integrate(flow, initial, t_end, controls)
 
         def fixed_point(p, q, h):
             return _fixed_point_step(flow, p, q, h, 1e-13, 100)
 
-        fixed = integrate(dataclasses.replace(flow, midpoint=fixed_point, self_similar=False),
-                          initial, t_end, controls)
+        fixed = _stepped(monkeypatch, dataclasses.replace(flow, midpoint=fixed_point),
+                         initial, t_end, controls)
         assert exact.status == fixed.status == "completed"
         assert exact.times.size == fixed.times.size
         for a, b in ((exact.ps, fixed.ps), (exact.qs, fixed.qs), (exact.times, fixed.times)):
@@ -597,9 +617,13 @@ class TestToyGravityMidpoint:
         assert traj.energies.tolist() == per_step
 
 
-def _stepped(flow):
-    """The flow with every step taken by the stepping loop."""
-    return dataclasses.replace(flow, self_similar=False)
+def _stepped(monkeypatch, *args):
+    """integrate(*args) with every step taken by the stepping loop: the
+    closed-form stretch returns its input state, as it does when the
+    throttle does not bind."""
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "_self_similar_run", lambda p, q, t, *_: (p, q, t))
+        return integrate(*args)
 
 
 def _assert_same_run(fast, loop, rtol=1e-9):
@@ -619,11 +643,11 @@ class TestSelfSimilarTail:
     1e-9 relative."""
 
     @pytest.mark.parametrize("p0", [-1.0, -1.5, -2.0])
-    def test_acceptance_hits_match_loop(self, p0):
+    def test_acceptance_hits_match_loop(self, monkeypatch, p0):
         flow = toy_gravity_flow(hbar=0.0)
         fast = integrate(flow, (p0, 1.0), 3.0)
         assert fast.status == "singularity"
-        _assert_same_run(fast, integrate(_stepped(flow), (p0, 1.0), 3.0))
+        _assert_same_run(fast, _stepped(monkeypatch, flow, (p0, 1.0), 3.0))
 
     def test_seeded_hits_match_loop(self, monkeypatch):
         # a higher floor keeps the stepped runs short; -0.2 starts unthrottled
@@ -633,21 +657,21 @@ class TestSelfSimilarTail:
         for p0 in p0s:
             fast = integrate(flow, (p0, 1.0), 6.0)
             assert fast.status == "singularity" and fast.qs[-1] > 1e-3
-            _assert_same_run(fast, integrate(_stepped(flow), (p0, 1.0), 6.0))
+            _assert_same_run(fast, _stepped(monkeypatch, flow, (p0, 1.0), 6.0))
 
-    def test_landing_before_the_floor(self):
+    def test_landing_before_the_floor(self, monkeypatch):
         flow = toy_gravity_flow(hbar=0.0)
         fast = integrate(flow, (-1.0, 1.0), 0.9)
         assert fast.status == "completed" and fast.times[-1] == 0.9
-        _assert_same_run(fast, integrate(_stepped(flow), (-1.0, 1.0), 0.9))
+        _assert_same_run(fast, _stepped(monkeypatch, flow, (-1.0, 1.0), 0.9))
 
-    def test_step_clamp_left_to_the_loop(self):
+    def test_step_clamp_left_to_the_loop(self, monkeypatch):
         # |p| passes 2.5e7, where the 1e-12 step clamp binds, and the clamped
         # steps end in a step without a midpoint solution
         flow = toy_gravity_flow(hbar=0.0)
         fast = integrate(flow, (-2e7, 1.0), 1.0)
         assert fast.status == "singularity" and fast.qs[-1] > Q_FLOOR
-        _assert_same_run(fast, integrate(_stepped(flow), (-2e7, 1.0), 1.0))
+        _assert_same_run(fast, _stepped(monkeypatch, flow, (-2e7, 1.0), 1.0))
 
     @pytest.mark.parametrize("p0,stepped", [(-1.0, 100), (-0.2, 10_100)])
     def test_throttled_stretch_is_not_stepped(self, p0, stepped):
@@ -665,9 +689,12 @@ class TestSelfSimilarTail:
         assert len(calls) < stepped
 
     def test_only_the_classical_flow_is_self_similar(self):
-        assert toy_gravity_flow(hbar=0.0).self_similar
-        assert not toy_gravity_flow(hbar=1.0).self_similar
-        assert not oscillator_flow().self_similar
+        # the barrier c of H = q p^2 + c / q; only c = 0 takes the closed form
+        assert toy_gravity_flow(hbar=0.0).barrier == 0.0
+        assert toy_gravity_flow(hbar=1.0).barrier == pytest.approx(cprime_closed_form(1.0, 1.0),
+                                                                   rel=1e-12)
+        assert oscillator_flow().barrier is None
+        assert rotsym_flow(3, 1.0, 1.0).barrier is None
 
 
 # (hbar, p0, t_end) of scalar toy-gravity runs: classical runs that hit the

@@ -1,0 +1,179 @@
+"""Golden set: run a fixed list of `enhq` command lines and record what they write.
+
+    python3 tools/golden.py --src src --out golden.json           # record
+    python3 tools/golden.py --compare parent.json change.json     # compare
+
+Recording imports `enhq` from the given `src/` tree and passes each argv
+in-process to `enhq.cli.run`, each in a fresh output directory.  A run's
+record holds its exit code, its stdout and stderr, the warnings it raised,
+and a sha256 digest of each file it wrote.  The records are normalized:
+the output directory reads `<out>`, and a summary's digest leaves out
+`wall_time_s`, `table` and the echoed `out`.  The argv list is each
+subcommand at its defaults, the task lists of the four perfbench workloads
+at seeds 1-3 (from `perfbench/workloads.py`) and the edge cases in EDGE.
+
+`--compare A B` lists every run whose record differs between A and B, or
+that only one of them holds, and exits 1 if there is any.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import pathlib
+import sys
+import tempfile
+import warnings
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+DEFAULTS = [["metric"], ["wcp"], ["dynamics"], ["rotsym"], ["inequality"], ["selftest"]]
+
+# configurations that earlier changes fixed or measured at an edge
+EDGE = [
+    ["--format", "json", "metric"],
+    ["--format", "json", "rotsym", "--t-end", "0.1"],
+    ["metric", "--N", "5"],
+    ["metric", "--family", "affine", "--q", "0.025"],
+    ["metric", "--family", "affine", "--q=0.01"],
+    ["metric", "--family", "spin"],
+    ["metric", "--family", "spin", "--s", "1.5"],
+    ["metric", "--family", "spin", "--p=0.1"],
+    ["wcp", "--N", "40"],
+    ["wcp", "--s", "1"],
+    ["wcp", "--family"],
+    ["wcp", "--family", "canonical", "--hbar", "0.5"],
+    ["wcp", "--family", "affine", "--p", "nan"],
+    ["wcp", "--hbar", "nan"],
+    ["wcp", "--p=,"],
+    ["wcp", "--q", "inf"],
+    ["dynamics", "--model", "oscillator"],
+    ["dynamics", "--model", "oscillator", "--p0", "1e155", "--t-end", "0.01"],
+    ["dynamics", "--model", "oscillator", "--t-end", "1", "--cross-check"],
+    ["dynamics", "--hbar", "0", "--t-end", "0.5"],
+    ["dynamics", "--hbar", "0", "--t-end", "0.9", "--cross-check"],
+    ["dynamics", "--hbar", "0", "--p0=-1.5", "--t-end", "3", "--stride", "7"],
+    ["dynamics", "--hbar", "0", "--q0", "1e-300", "--t-end", "3"],
+    ["dynamics", "--hbar", "0", "--q0", "1e-11", "--t-end", "3"],
+    ["dynamics", "--hbar", "0", "--q0", "1e-8", "--t-end", "3"],
+    ["dynamics", "--hbar", "0", "--q0", "1e200", "--t-end", "3"],
+    ["dynamics", "--hbar", "0", "--p0=-1e160", "--t-end", "1"],
+    ["dynamics", "--q0", "0"],
+    ["dynamics", "--q0", "nan"],
+    ["dynamics", "--hbar", "1", "--p0", "-1", "--q0", "1"],
+    ["dynamics", "--hbar", "0.5", "--beta", "2", "--p0=-2", "--t-end", "1", "--cross-check"],
+    ["dynamics", "--hbar", "0.5", "--beta", "2", "--p0=-2", "--t-end", "3", "--stride", "13"],
+    ["dynamics", "--hbar", "1", "--q0", "1e-300", "--t-end", "0.01"],
+    ["dynamics", "--hbar", "0.01", "--p0=-100", "--t-end", "0.1"],
+    ["rotsym", "--N", "6", "--t-end", "0.01"],
+    ["rotsym", "--N", "32", "--t-end", "2"],
+    ["rotsym", "--g0", "1e200", "--t-end", "0.01"],
+    ["rotsym", "--m0", "nan"],
+    ["inequality", "--n", "5"],
+    ["inequality", "--eps", "1,0.5"],
+    ["inequality", "--eps=2,1,0.5"],
+    ["inequality", "--eps=1e-2,nan,1e-4"],
+    ["inequality", "--n", "50", "--alphas", "23.9", "--eps=1e-2,1e-8"],
+    ["inequality", "--n", "400", "--alphas", "0"],
+]
+
+
+def argv_list() -> list[list[str]]:
+    """Defaults, the perfbench task lists at seeds 1-3, then EDGE."""
+    spec = importlib.util.spec_from_file_location("_golden_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    tasks = [task["argv"] for name in workloads.WORKLOADS for seed in (1, 2, 3)
+             for task in workloads.tasks_for(name, seed)]
+    return [*DEFAULTS, *tasks, *EDGE]
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _file_digest(path: pathlib.Path, out: str) -> str:
+    text = path.read_text().replace(out, "<out>")
+    if path.name.endswith("_summary.json"):
+        doc = json.loads(text)
+        for key in ("wall_time_s", "table"):
+            doc.pop(key, None)
+        doc.get("config", {}).pop("out", None)
+        text = json.dumps(doc, indent=2)
+    return _digest(text)
+
+
+def record_one(run, argv: list[str]) -> dict:
+    """The normalized record of `run(["--out", <fresh dir>, *argv])`."""
+    with tempfile.TemporaryDirectory() as out:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with (warnings.catch_warnings(record=True) as caught,
+              contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr)):
+            warnings.simplefilter("always")
+            code = run(["--out", out, *argv])
+        files = {p.name: _file_digest(p, out) for p in sorted(pathlib.Path(out).iterdir())}
+        return {
+            "argv": argv,
+            "exit": code,
+            "stdout": stdout.getvalue().replace(out, "<out>"),
+            "stderr": stderr.getvalue().replace(out, "<out>"),
+            "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
+            "files": files,
+        }
+
+
+def record(argvs, src=None) -> dict:
+    """Records of every argv, run on the enhq imported from src."""
+    if src is not None:
+        sys.path.insert(0, str(pathlib.Path(src).resolve()))
+    import enhq
+    from enhq.cli import run
+
+    if src is not None and not pathlib.Path(enhq.__file__).resolve().is_relative_to(
+            pathlib.Path(src).resolve()):
+        raise SystemExit(f"enhq was imported from {enhq.__file__}, not from {src}")
+    return {"runs": [record_one(run, argv) for argv in argvs]}
+
+
+def compare(a: dict, b: dict) -> list[str]:
+    """One line per run whose record differs, or that only one side holds."""
+    runs_a = {" ".join(r["argv"]): r for r in a["runs"]}
+    runs_b = {" ".join(r["argv"]): r for r in b["runs"]}
+    lines = []
+    for key in dict.fromkeys([*runs_a, *runs_b]):
+        ra, rb = runs_a.get(key), runs_b.get(key)
+        if ra is None or rb is None:
+            lines.append(f"{key}: only in {'B' if ra is None else 'A'}")
+            continue
+        for field in ("exit", "stdout", "stderr", "warnings", "files"):
+            if ra[field] != rb[field]:
+                lines.append(f"{key}: {field} {ra[field]!r} -> {rb[field]!r}")
+    return lines
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", help="src/ tree to import enhq from")
+    ap.add_argument("--out", help="record file to write (JSON)")
+    ap.add_argument("--compare", nargs=2, metavar=("A", "B"), help="two record files")
+    args = ap.parse_args(argv)
+    if args.compare:
+        a, b = (json.loads(pathlib.Path(p).read_text()) for p in args.compare)
+        lines = compare(a, b)
+        print("\n".join(lines) if lines else f"identical: {len(a['runs'])} runs")
+        return 1 if lines else 0
+    if not (args.src and args.out):
+        ap.error("give --src and --out to record, or --compare A B")
+    doc = record(argv_list(), args.src)
+    pathlib.Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"{len(doc['runs'])} runs -> {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
