@@ -4,8 +4,8 @@ Generalized Gauss-Laguerre rules built by Golub-Welsch on the analytic
 Jacobi recurrence; this stays finite for large node counts where the
 library routine overflows.  Nodes whose weights underflow to zero are
 dropped (their integrand contribution is below 1e-300).  The affine
-family samples its states on one such grid; its expectations are exact
-Gamma moments and need no grid.
+family samples its states on one such grid, built with its first state;
+its expectations are exact Gamma moments and need no grid.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
 __all__ = ["HalfLineGrid", "gauss_gamma_grid"]
 
@@ -42,6 +40,9 @@ class HalfLineGrid:
 @lru_cache(maxsize=64)
 def _genlaguerre_rule(alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """N_NODES nodes t_i and log-weights for the weight t^alpha e^-t on (0, inf)."""
+    from scipy.linalg import eigh_tridiagonal
+    from scipy.special import gammaln
+
     if alpha <= -1:
         raise ValueError(f"genlaguerre exponent must exceed -1, got {alpha}")
     i = np.arange(N_NODES, dtype=float)

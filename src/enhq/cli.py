@@ -21,7 +21,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from functools import cache, partial
 
 import numpy as np
@@ -46,6 +45,8 @@ def _fan_out(fn, cells):
     workers = _worker_count()
     if workers == 1:
         return [fn(c) for c in cells]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, cells))
 

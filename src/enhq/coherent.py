@@ -2,8 +2,9 @@
 
 Canonical states live in a truncated Fock basis, spin states in a
 (2s+1)-dimensional multiplet, and affine states as sampled wavefunctions
-on a half-line quadrature grid tuned to the Gamma-type fiducial weight;
-affine expectations of Laurent words are exact sums of Gamma moments.
+on a half-line quadrature grid tuned to the Gamma-type fiducial weight,
+built with a family's first state; affine expectations of Laurent words
+are exact sums of Gamma moments, so C' and affine surfaces need no grid.
 Canonical and spin states step on one cached eigensystem (x, V) per
 dimension, of the real tridiagonal Q/sqrt(hbar) or S1/hbar, since P and S2
 are phase-rotated copies: P = -U^dag Q U, U = diag(i^n).  With it are cached
@@ -25,8 +26,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
 from ._quadrature import HalfLineGrid, gauss_gamma_grid
 from .hilbert import (
@@ -82,6 +81,8 @@ def _ladder_spectrum(kind: str, dim: int) -> tuple[np.ndarray, ...]:
     vu = U^dag V and w = V^T U V, U = diag(i^n): P or S2 is -U^dag X U.
     v is complex, so products need no cast; every family of this size shares
     the arrays, so they are read-only."""
+    from scipy.linalg import eigh_tridiagonal
+
     j = np.arange(1.0, dim)
     off = np.sqrt(j / 2.0) if kind == "fock" else 0.5 * np.sqrt(j * (dim - j))
     x, v = eigh_tridiagonal(np.zeros(dim), off)
@@ -212,12 +213,18 @@ class AffineFamily:
         self.hbar = float(hbar)
         self.center = float(center)
         self.k = 2.0 * beta / hbar  # Gamma shape = rate of |fiducial|^2
-        self.grid = gauss_gamma_grid(self.k - 1.0, self.k / self.center)
-        x = self.grid.nodes
-        # q-free parts of the states' log amplitudes; M^2 = k^k / Gamma(k)
-        log_m = 0.5 * (self.k * np.log(self.k) - gammaln(self.k))
-        self._log_base = log_m + 0.5 * (self.k - 1.0) * np.log(x)
-        self._bx, self._xh = self.beta * x / self.hbar, x / self.hbar
+
+    @cached_property
+    def _sampled(self) -> tuple[HalfLineGrid, np.ndarray, np.ndarray, np.ndarray]:
+        """The states' quadrature grid and the q-free parts of their log amplitudes
+        on it: log M + (k-1)/2 log x, beta x / hbar and x / hbar."""
+        from scipy.special import gammaln
+
+        grid = gauss_gamma_grid(self.k - 1.0, self.k / self.center)
+        x = grid.nodes
+        log_m = 0.5 * (self.k * np.log(self.k) - gammaln(self.k))  # M^2 = k^k / Gamma(k)
+        return (grid, log_m + 0.5 * (self.k - 1.0) * np.log(x),
+                self.beta * x / self.hbar, x / self.hbar)
 
     def with_hbar(self, hbar: float) -> "AffineFamily":
         return AffineFamily(self.beta, hbar, self.center)
@@ -236,16 +243,17 @@ class AffineFamily:
         amplitude is log M + (k-1)/2 log x - beta x / (q hbar) - k/2 log q.
         """
         _check_affine_point(p, q)
-        log_amp = self._log_base - self._bx / q - 0.5 * self.k * math.log(q)
-        samples = np.exp(log_amp + 1j * p * self._xh)
-        norm2 = np.vdot(samples, self.grid.weights * samples).real
+        grid, log_base, bx, xh = self._sampled
+        log_amp = log_base - bx / q - 0.5 * self.k * math.log(q)
+        samples = np.exp(log_amp + 1j * p * xh)
+        norm2 = np.vdot(samples, grid.weights * samples).real
         if not abs(norm2 - 1.0) <= AFFINE_NORM_TOL:
             raise ValueError(
                 f"affine state at (p, q) = ({p}, {q}) has quadrature norm^2 {norm2:.6g}, "
                 f"off by more than {AFFINE_NORM_TOL:g}: its grid does not resolve it; "
                 f"sample it on family.centered({q})"
             )
-        return AffineState(self.grid, samples)
+        return AffineState(grid, samples)
 
     def chart(self, point, margin: float, name: str):
         """(vec, inner) of the (p, q) chart on q > 0.
@@ -260,7 +268,7 @@ class AffineFamily:
                 f"affine stencil at q = {q0} with extent {margin} crosses q = 0"
             )
         local = self.centered(q0)
-        w = local.grid.weights
+        w = local._sampled[0].weights
         return ((lambda p, q: local.state(p, q).samples),
                 (lambda x, y: complex(np.sum(w * np.conj(x) * y))))
 
@@ -298,6 +306,8 @@ def affine_moment(beta: float, hbar: float, n: int) -> float:
     Independent of `expect_laurent` (log-Gamma, not a product of factors), it
     serves as the oracle for the moments on the state grid and for those sums.
     """
+    from scipy.special import gammaln
+
     if not (0 < beta < math.inf and 0 < hbar < math.inf):
         raise ValueError(f"beta and hbar must be positive and finite, got {beta}, {hbar}")
     k = 2.0 * beta / hbar

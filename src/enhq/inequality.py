@@ -21,8 +21,6 @@ __all__ = [
     "lhs",
     "rhs",
     "scan",
-    "lhs_slope_expected",
-    "rhs_slope_expected",
 ]
 
 
@@ -145,17 +143,6 @@ def rhs(field: RadialField, m0: float, eps: float) -> float:
          + (4.0 * a + m0 * m0) * _radial(n - 2.0 * a, 2.0, eps)
          + 4.0 * _radial(n + 2.0 - 2.0 * a, 2.0, eps))
     return _in_range(sphere_area(n) * v, "rhs", field, eps)
-
-
-def lhs_slope_expected(field: RadialField) -> float:
-    """Power-counting slope of log lhs vs log eps (0 when convergent)."""
-    ex = 4.0 * field.alpha - field.n
-    return -ex / 2.0 if ex > 0 else 0.0
-
-
-def rhs_slope_expected(field: RadialField) -> float:
-    ex = 2.0 * field.alpha + 2.0 - field.n
-    return -ex if ex > 0 else 0.0
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 None of these is reached by an `enhq` subcommand, so they live beside the
 tests rather than in the package: dense unitaries, squeezed fiducials,
 position-space wavefunctions, overlaps, the fiducial variance
-coefficients, the Gauss-Gamma quadrature of affine expectations and the
-dense per-call word matrix of canonical and spin Hamiltonians.
+coefficients, the Gauss-Gamma quadrature of affine expectations, the
+dense per-call word matrix of canonical and spin Hamiltonians and the
+power-counting slopes of the radial inequality.
 """
 
 import numpy as np
@@ -119,3 +120,14 @@ def dense_enhanced_hamiltonian(spec, family, p: float, q: float) -> complex:
         total += coeff * m
     psi = family.state(p, q).coeffs
     return complex(np.vdot(psi, total @ psi))
+
+
+def lhs_slope_expected(field) -> float:
+    """Power-counting slope of log lhs vs log eps (0 when convergent)."""
+    ex = 4.0 * field.alpha - field.n
+    return -ex / 2.0 if ex > 0 else 0.0
+
+
+def rhs_slope_expected(field) -> float:
+    ex = 2.0 * field.alpha + 2.0 - field.n
+    return -ex if ex > 0 else 0.0

@@ -8,12 +8,13 @@ the verdict survives in the log even when the assertion trips.  Run with
 import time
 
 import numpy as np
+from references import lhs_slope_expected
 
 from enhq.coherent import AffineFamily, CanonicalFamily, SpinFamily, affine_moment
 from enhq.dynamics import IntegratorControls, integrate, rotsym_flow, toy_gravity_flow
 from enhq.dynamics import toy_gravity_solution
 from enhq.geometry import fs_metric, gaussian_curvature
-from enhq.inequality import DEFAULT_EPS, RadialField, lhs, lhs_slope_expected, rhs, scan
+from enhq.inequality import DEFAULT_EPS, RadialField, lhs, rhs, scan
 from enhq.wcp import (
     cprime,
     cprime_closed_form,

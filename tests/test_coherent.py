@@ -3,6 +3,7 @@
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.special import gammaln
 from references import (
     affine_fiducial_wavefunction,
@@ -156,12 +157,11 @@ class TestAffine:
             k = 2.0 * beta / hbar
             log_m = 0.5 * (k * np.log(k) - gammaln(k))
             for p, q in ((0.0, 1.0), (0.7, 0.6), (-1.3, 2.5)):
-                local = AffineFamily(beta, hbar).centered(q)
-                x = local.grid.nodes
+                st = AffineFamily(beta, hbar).centered(q).state(p, q)
+                x = st.grid.nodes
                 ref = np.exp(log_m + 0.5 * (k - 1.0) * (np.log(x) - np.log(q))
                              - beta * x / (q * hbar) - 0.5 * np.log(q) + 1j * p * x / hbar)
-                got = local.state(p, q).samples
-                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), (beta, p, q)
+                assert np.max(np.abs(st.samples - ref)) <= 1e-14 * np.max(np.abs(ref)), (beta, p, q)
 
     def test_fiducial_normalized_with_unit_mean(self):
         fam = AffineFamily(1.0, 1.0)
@@ -422,7 +422,7 @@ class TestLadderSpectrum:
         def no_eigensolve(*args, **kwargs):
             raise AssertionError("eigendecomposition after the spectrum was cached")
 
-        monkeypatch.setattr(enhq.coherent, "eigh_tridiagonal", no_eigensolve)
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", no_eigensolve)
         monkeypatch.setattr(np.linalg, "eigh", no_eigensolve)
         for fam in (canonical.with_hbar(0.25), CanonicalFamily(N=37, hbar=0.5),
                     spin.with_hbar(0.25), SpinFamily(18.0, 0.5)):

@@ -1,5 +1,6 @@
-"""Import graph: the CLI starts on numpy alone, no module imports a name it never uses,
-and every name a module exports exists."""
+"""Import graph: the CLI starts on numpy alone, a run loads only the scipy modules its
+computation calls, no module imports a name it never uses, and every name a module
+exports exists."""
 
 import ast
 import importlib
@@ -32,10 +33,21 @@ def test_cli_import_loads_no_scipy(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["rotsym", "--N", "6", "--t-end", "0.01"],
     ["dynamics", "--hbar", "0", "--t-end", "0.5"],
+    ["dynamics", "--hbar", "0"],
+    ["dynamics", "--hbar", "1", "--beta", "2"],
+    ["dynamics", "--model", "oscillator"],
+    ["wcp", "--family", "affine"],
 ])
 def test_scipy_free_subcommands(tmp_path, argv):
+    # C' and affine surfaces are exact moments: no quadrature grid, no scipy
     code = f"from enhq.cli import run\nassert run({argv!r}) == 0"
     assert _scipy_modules(code, tmp_path) == []
+
+
+def test_canonical_metric_loads_no_special_functions(tmp_path):
+    code = "from enhq.cli import run\nassert run(['metric', '--family', 'canonical']) == 0"
+    loaded = _scipy_modules(code, tmp_path)
+    assert "scipy.linalg" in loaded and "scipy.special" not in loaded
 
 
 def _unused_imports(path: pathlib.Path) -> list[str]:

@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import gamma
+from references import lhs_slope_expected, rhs_slope_expected
 
 from enhq.inequality import (
     RadialField,
     _upper_gamma,
     lhs,
-    lhs_slope_expected,
     rhs,
-    rhs_slope_expected,
     scan,
     sphere_area,
 )
