@@ -70,15 +70,17 @@ def _write_json(path: str, doc) -> str:
 
 
 def _write_table(path_base: str, header, rows, fmt: str) -> str:
-    """Write rows (tuples) under header as CSV or JSON."""
-    cells = ([_cell(x) for x in r] for r in rows)
+    """Write rows (tuples) under header as CSV or JSON; all-float CSV rows take one template."""
     path = f"{path_base}.{fmt}"
     if fmt == "json":
-        return _write_json(path, {"columns": list(header), "rows": list(cells)})
+        return _write_json(path, {"columns": list(header),
+                                  "rows": [list(map(_cell, r)) for r in rows]})
+    floats = ",".join([_FMT] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for r in cells:
-            fh.write(",".join(r) + "\n")
+        for r in rows:
+            fh.write(floats % r if all([isinstance(x, float) for x in r])
+                     else ",".join(map(_cell, r)) + "\n")
     return path
 
 

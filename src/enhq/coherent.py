@@ -8,8 +8,10 @@ are exact sums of Gamma moments, so C' and affine surfaces need no grid.
 Canonical and spin states step on one cached eigensystem (x, V) per
 dimension, of the real tridiagonal Q/sqrt(hbar) or S1/hbar, since P and S2
 are phase-rotated copies: P = -U^dag Q U, U = diag(i^n).  With it are cached
-vu = U^dag V and w = V^T U V, so a canonical state is two dense products,
-vu e^(iqx) w e^(ipx) V^T fiducial; `with_hbar` and later families reuse it.
+vu = U^dag V and w = V^T U V; `with_hbar` and later families reuse it.  A
+canonical state is vu e^(iqx) w e^(ipx) V^T fiducial, and each family caches
+its one-coordinate factors e^(itx) and w e^(ipx) V^T fiducial (a spin state's
+tilt and turn), so a state at seen coordinates costs one dense product.
 
 Coordinates only label the states, so each family owns its charts:
 `family.chart(point, margin, name)` checks that a stencil of extent
@@ -75,6 +77,15 @@ def _check_chart(family, name: str, names: tuple[str, ...]) -> None:
         raise ValueError(f"unknown {family.kind} chart {name!r}; expected one of {names}")
 
 
+def _factor_cache(fn):
+    """Per-family lru_cache of a one-coordinate factor fn(t), which closes over
+    arrays, not the family (no reference cycle); 0.0 and -0.0 are two keys."""
+    cached = lru_cache(maxsize=128)(lambda t, sign: fn(t))
+    factor = lambda t: cached(t, math.copysign(1.0, t))  # noqa: E731
+    factor.cache_info = cached.cache_info
+    return factor
+
+
 @lru_cache(maxsize=64)
 def _ladder_spectrum(kind: str, dim: int) -> tuple[np.ndarray, ...]:
     """Eigenpairs (x, v) of X = Q/sqrt(hbar) (fock) or S1/hbar (spin), with
@@ -121,9 +132,11 @@ class CanonicalFamily:
         self.fiducial = fiducial if fiducial is not None else basis_state(space, 0)
         if self.fiducial.space != space:
             raise ValueError("fiducial lives on a different space")
-        x, v, self._vu, self._w = _ladder_spectrum(space.kind, space.dim)
-        self._x = x / math.sqrt(space.hbar)  # eigenvalues of Q / hbar
-        self._a = v.T @ self.fiducial.coeffs
+        x, v, self._vu, w = _ladder_spectrum(space.kind, space.dim)
+        x = x / math.sqrt(space.hbar)  # eigenvalues of Q / hbar
+        a = v.T @ self.fiducial.coeffs
+        phase = self._phase = _factor_cache(lambda t: np.exp(1j * t * x))
+        self._half = _factor_cache(lambda p: w @ (phase(p) * a))
 
     @cached_property
     def Q(self):
@@ -145,9 +158,8 @@ class CanonicalFamily:
     def state(self, p: float, q: float) -> StateVector:
         if not (math.isfinite(p) and math.isfinite(q)):
             raise ValueError(f"canonical chart requires finite p and q, got ({p}, {q})")
-        x = self._x
         # e^(ipQ/h) = V e^(ipx) V^T and e^(-iqP/h) = U^dag V e^(iqx) V^T U
-        c = self._vu @ (np.exp(1j * q * x) * (self._w @ (np.exp(1j * p * x) * self._a)))
+        c = self._vu @ (self._phase(q) * self._half(p))
         norm = np.linalg.norm(c)
         top = c[-TAIL_LEVELS:]
         tail = np.vdot(top, top).real / (norm * norm)
@@ -214,6 +226,14 @@ class AffineFamily:
         self.center = float(center)
         self.k = 2.0 * beta / hbar  # Gamma shape = rate of |fiducial|^2
 
+        @lru_cache(maxsize=32)
+        def centered(q0: float) -> AffineFamily:
+            """Same family with the quadrature grid rescaled around q = q0; the last
+            32 are kept, so a curvature's stencils at one q share one grid."""
+            return AffineFamily(beta, hbar, q0)
+
+        self.centered = centered
+
     @cached_property
     def _sampled(self) -> tuple[HalfLineGrid, np.ndarray, np.ndarray, np.ndarray]:
         """The states' quadrature grid and the q-free parts of their log amplitudes
@@ -228,10 +248,6 @@ class AffineFamily:
 
     def with_hbar(self, hbar: float) -> "AffineFamily":
         return AffineFamily(self.beta, hbar, self.center)
-
-    def centered(self, q0: float) -> "AffineFamily":
-        """Same family with the quadrature grid rescaled around q = q0."""
-        return AffineFamily(self.beta, self.hbar, q0)
 
     def fiducial(self) -> AffineState:
         return self.state(0.0, 1.0)
@@ -262,7 +278,7 @@ class AffineFamily:
         stencil state shares one grid and one set of weights.
         """
         _check_chart(self, name, ("pq",))
-        q0 = point[1]
+        q0 = float(point[1])
         if q0 - margin <= 0:
             raise ChartBoundaryError(
                 f"affine stencil at q = {q0} with extent {margin} crosses q = 0"
@@ -331,17 +347,16 @@ class SpinFamily:
     def __init__(self, s: float, hbar: float = 1.0):
         self.s = float(s)
         self.space = spin_space(s, hbar)
-        self._x, v, self._vu, _ = _ladder_spectrum(self.space.kind, self.space.dim)
-        self._v0 = v[0]
-        self._m = np.arange(self.s, -self.s - 1e-9, -1.0)  # S3 eigenvalues / hbar
+        x, v, vu, _ = _ladder_spectrum(self.space.kind, self.space.dim)
+        m = np.arange(self.s, -self.s - 1e-9, -1.0)  # S3 eigenvalues / hbar
+        # e^(-i theta S2/h)|s,s> = U^dag V e^(i theta x) V[0]; e^(-i phi S3/h) = e^(-i phi m)
+        self._tilt = _factor_cache(lambda theta: vu @ (np.exp(1j * theta * x) * v[0]))
+        self._turn = _factor_cache(lambda phi: np.exp(-1j * phi * m))
         self.fiducial = basis_state(self.space, 0)  # m = s is first
 
     @property
     def hbar(self) -> float:
         return self.space.hbar
-
-    def with_hbar(self, hbar: float) -> "SpinFamily":
-        return SpinFamily(self.s, hbar)
 
     def state(self, theta: float, phi: float) -> StateVector:
         if not 0.0 <= theta <= np.pi:
@@ -351,9 +366,7 @@ class SpinFamily:
         return self._state_unchecked(theta, phi)
 
     def _state_unchecked(self, theta: float, phi: float) -> StateVector:
-        # e^(-i theta S2/h) = U^dag V e^(i theta x) V^T U, and V^T U |s,s> = V[0]
-        c = self._vu @ (np.exp(1j * theta * self._x) * self._v0)
-        c = np.exp(-1j * phi * self._m) * c  # S3 is diagonal: e^(-i phi S3/h)
+        c = self._turn(phi) * self._tilt(theta)
         return StateVector(c / np.linalg.norm(c), self.space)
 
     def chart(self, point, margin: float, name: str):

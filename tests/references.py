@@ -4,15 +4,18 @@ None of these is reached by an `enhq` subcommand, so they live beside the
 tests rather than in the package: dense unitaries, squeezed fiducials,
 position-space wavefunctions, overlaps, the fiducial variance
 coefficients, the Gauss-Gamma quadrature of affine expectations, the
-dense per-call word matrix of canonical and spin Hamiltonians and the
-power-counting slopes of the radial inequality.
+dense per-call word matrix of canonical and spin Hamiltonians, the
+power-counting slopes of the radial inequality and the canonical and spin
+state maps written out without the families' factor caches.
 """
+
+import math
 
 import numpy as np
 from scipy.special import gammaln
 
 from enhq._quadrature import gauss_gamma_grid
-from enhq.coherent import AffineState
+from enhq.coherent import AffineState, _ladder_spectrum
 from enhq.hilbert import (
     StateVector,
     expectation,
@@ -56,6 +59,25 @@ def hermite_functions(n_max: int, x: np.ndarray, hbar: float) -> np.ndarray:
     for n in range(1, n_max - 1):
         out[n + 1] = np.sqrt(2.0 / (n + 1)) * xi * out[n] - np.sqrt(n / (n + 1.0)) * out[n - 1]
     return out
+
+
+def canonical_state_uncached(family, p: float, q: float) -> np.ndarray:
+    """vu e^(iqx) w e^(ipx) V^T fiducial, normalized, with every factor
+    rebuilt: the operands and order of `CanonicalFamily.state`."""
+    x, v, vu, w = _ladder_spectrum("fock", family.space.dim)
+    x = x / math.sqrt(family.hbar)
+    a = v.T @ family.fiducial.coeffs
+    c = vu @ (np.exp(1j * q * x) * (w @ (np.exp(1j * p * x) * a)))
+    return c / np.linalg.norm(c)
+
+
+def spin_state_uncached(family, theta: float, phi: float) -> np.ndarray:
+    """e^(-i phi m) U^dag V e^(i theta x) V[0], normalized, with every
+    factor rebuilt: the operands and order of `SpinFamily.state`."""
+    x, v, vu, _ = _ladder_spectrum("spin", family.space.dim)
+    m = np.arange(family.s, -family.s - 1e-9, -1.0)
+    c = np.exp(-1j * phi * m) * (vu @ (np.exp(1j * theta * x) * v[0]))
+    return c / np.linalg.norm(c)
 
 
 def xrep(family, p: float, q: float, x: np.ndarray) -> np.ndarray:

@@ -484,8 +484,11 @@ class TestDeterminism:
             assert cli._worker_count() == workers
 
     def test_thread_pool_writes_the_serial_table(self, tmp_path, capsys, monkeypatch):
-        # wcp's threads fill an empty word-sum cache at once
+        # wcp's threads fill an empty word-sum cache at once, and metric's
+        # threads share one family's factor caches
         for argv in (["metric", "--family", "canonical", "--N", "40", "--p=-0.5,0.5", "--q=0,0.7"],
+                     ["metric", "--family", "affine", "--p=-0.5,0.5", "--q=0.8,0.81"],
+                     ["metric", "--family", "spin", "--s", "1.5", "--p=1,1.01", "--q=0.3,0.31"],
                      ["wcp", "--family", "canonical", "--hbar", "0.5", "--p=-0.5,0.5",
                       "--q=0,0.7"]):
             tables = []

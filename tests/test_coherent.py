@@ -1,5 +1,8 @@
 """Coherent-state family checks, with analytic oracles where available."""
 
+import gc
+import weakref
+
 import mpmath
 import numpy as np
 import pytest
@@ -7,9 +10,11 @@ import scipy.linalg
 from scipy.special import gammaln
 from references import (
     affine_fiducial_wavefunction,
+    canonical_state_uncached,
     hermite_functions,
     overlap,
     quadrature_expect_laurent,
+    spin_state_uncached,
     squeezed_ground_state,
     unitary_from_hermitian,
     xrep,
@@ -23,6 +28,7 @@ from enhq.coherent import (
     affine_moment,
     _ladder_spectrum,
 )
+from enhq.geometry import gaussian_curvature
 from enhq.hilbert import basis_state, expectation, make_fock_space, spin_operators
 
 
@@ -425,9 +431,94 @@ class TestLadderSpectrum:
         monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", no_eigensolve)
         monkeypatch.setattr(np.linalg, "eigh", no_eigensolve)
         for fam in (canonical.with_hbar(0.25), CanonicalFamily(N=37, hbar=0.5),
-                    spin.with_hbar(0.25), SpinFamily(18.0, 0.5)):
+                    SpinFamily(spin.s, 0.25), SpinFamily(18.0, 0.5)):
             fam.state(0.5, 0.5)
         assert _ladder_spectrum.cache_info().misses == misses
+
+
+# ------------------------------------------------------------ factor caches
+
+
+class TestFactorCaches:
+    """Each family caches the factors of its states that depend on one
+    coordinate; a cached state must be the uncached one, bit for bit."""
+
+    # repeated points, both signs of zero and a finite-difference stencil
+    POINTS = (0.0, -0.0, 0.3, 0.0, 0.3 - 2e-3, 0.3 + 2e-3, -0.0, 0.3, 1.0)
+
+    @pytest.mark.parametrize("N, hbar", [(40, 1.0), (100, 0.25)])
+    def test_canonical_states_equal_uncached_formula(self, N, hbar):
+        fam = CanonicalFamily(N=N, hbar=hbar)
+        for _ in range(2):  # the second sweep reads every factor from the caches
+            for p in self.POINTS:
+                for q in self.POINTS:
+                    got = fam.state(p, q).coeffs
+                    assert got.tobytes() == canonical_state_uncached(fam, p, q).tobytes()
+        assert fam._half.cache_info().hits > 0
+        # e^(itx) differs in signed zeros at t = 0.0 and -0.0, so each has its own entry
+        assert fam._phase(0.0).tobytes() != fam._phase(-0.0).tobytes()
+
+    @pytest.mark.parametrize("s, hbar", [(0.5, 1.0), (2.0, 0.25)])
+    def test_spin_states_equal_uncached_formula(self, s, hbar):
+        fam = SpinFamily(s, hbar)
+        for _ in range(2):
+            for theta in self.POINTS:
+                for phi in self.POINTS:
+                    got = fam.state(theta, phi).coeffs
+                    assert got.tobytes() == spin_state_uncached(fam, theta, phi).tobytes()
+        assert fam._tilt.cache_info().hits > 0 and fam._turn.cache_info().hits > 0
+
+    def test_affine_centered_states_equal_fresh_family(self):
+        fam = AffineFamily(1.0, 0.5)
+        for _ in range(2):
+            for q0 in (1.0, 0.5, 1.0 + 1e-2, 1.0):
+                for p in self.POINTS:
+                    got = fam.centered(q0).state(p, q0).samples
+                    ref = AffineFamily(1.0, 0.5, q0).state(p, q0).samples
+                    assert got.tobytes() == ref.tobytes()
+        assert fam.centered.cache_info().currsize == 3
+
+    def test_new_families_start_with_empty_caches(self):
+        CanonicalFamily(N=40).state(0.3, 0.3)
+        SpinFamily(2.0).state(0.3, 0.3)
+        AffineFamily(1.0, 1.0).centered(2.0)
+        canonical = CanonicalFamily(N=40)
+        spin = SpinFamily(2.0)
+        caches = [canonical._phase, canonical._half, canonical.with_hbar(0.5)._phase,
+                  spin._tilt, spin._turn, AffineFamily(1.0, 1.0).centered]
+        assert [c.cache_info().currsize for c in caches] == [0] * len(caches)
+
+    def test_families_hold_no_reference_cycle(self):
+        # the caches close over arrays, not the family: dropping the last
+        # reference frees it without the cycle collector
+        gc.disable()
+        try:
+            for make in (lambda: CanonicalFamily(N=40), lambda: SpinFamily(2.0)):
+                fam = make()
+                fam.state(0.3, 0.3)
+                ref = weakref.ref(fam)
+                del fam
+                assert ref() is None
+            fam = AffineFamily(1.0, 1.0)
+            fam.centered(1.2).state(0.3, 1.2)
+            ref = weakref.ref(fam)
+            del fam
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_affine_curvature_builds_one_grid_per_distinct_q(self, monkeypatch):
+        # the 18 metric stencils and the boundary check sit at 5 distinct q
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return grid(*args)
+
+        grid = enhq.coherent.gauss_gamma_grid
+        monkeypatch.setattr(enhq.coherent, "gauss_gamma_grid", counting)
+        gaussian_curvature(AffineFamily(1, 1), (0, 1))
+        assert len(calls) == 5
 
 
 # ------------------------------------------------------------------ overlap

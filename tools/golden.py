@@ -43,6 +43,10 @@ EDGE = [
     ["metric", "--family", "spin"],
     ["metric", "--family", "spin", "--s", "1.5"],
     ["metric", "--family", "spin", "--p=0.1"],
+    ["metric", "--p=-0.0,0.0"],
+    ["metric", "--p=-0.01,0,0.01", "--q=0.99,1,1.01"],
+    ["metric", "--family", "affine", "--p=0", "--q=0.5,1,2"],
+    ["metric", "--family", "spin", "--s", "2", "--p=1,1.01", "--q=0.3,0.31"],
     ["wcp", "--N", "40"],
     ["wcp", "--s", "1"],
     ["wcp", "--family"],
