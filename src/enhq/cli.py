@@ -175,27 +175,33 @@ def _cmd_wcp(args):
 def _cmd_dynamics(args):
     from .dynamics import IntegratorControls, integrate, oscillator_flow, toy_gravity_flow
 
-    controls = IntegratorControls(dt=args.dt, cross_check=args.cross_check,
-                                  stride=args.stride)
-    if args.model == "oscillator":
-        flow = oscillator_flow()
-    else:
-        flow = toy_gravity_flow(hbar=args.hbar, beta=args.beta)
+    controls = IntegratorControls(dt=args.dt, stride=args.stride)
+    flow = (oscillator_flow() if args.model == "oscillator"
+            else toy_gravity_flow(hbar=args.hbar, beta=args.beta))
     # the run keeps only the rows the table writes
     traj = integrate(flow, (args.p0, args.q0), args.t_end, controls)
-    # toy gravity's exact turning point: t* = -q0 p0 / E, q(t*) = c / E
+    t_end, *end = traj.end  # t_end, or the last step before a classical pole
+    exact = partial(flow.exact, args.p0, args.q0, t_end)
+    # toy gravity turns at t* = -q0 p0 / E, where q = c / E; so the exact
+    # minimum of q over the run is q0 if t* < 0, and q at its end if t* > t_end
+    t_star = q_min = None
     energy = traj.energies[0]
-    turns = flow.barrier is not None and energy != 0
+    if flow.barrier is not None and energy != 0:
+        t_star = float(-args.q0 * args.p0 / energy)
+        if 0 <= t_star <= args.t_end:
+            q_min = float(flow.barrier / energy)
+        else:
+            q_min, t_star = args.q0 if t_star < 0 else exact()[1], None
     if traj.status == "singularity":
         verdict = f"singularity at t≈{traj.hit_time:.6g}"
     else:
         verdict = f"completed, min q {traj.min_q:.6g}, drift {traj.drift:.3g}"
     return (*_trajectory_table(traj, 1), {
         "status": traj.status, "hit_time": traj.hit_time, "min_q": traj.min_q,
-        "t_star": float(-args.q0 * args.p0 / energy) if turns else None,
-        "q_min_exact": float(flow.barrier / energy) if turns else None,
+        "t_star": t_star, "q_min_exact": q_min,
         "drift": traj.drift, "method": "implicit-midpoint", "dt": args.dt,
-        "cross_check_error": traj.meta.get("cross_check_error"),
+        "cross_check_error": float(np.max(np.abs(np.subtract(end, exact()))))
+        if args.cross_check else None,
     }, f"dynamics[{flow.name}]: {verdict}")
 
 
@@ -321,7 +327,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=1e-4)
     p.add_argument("--stride", type=int, default=100, help="output row thinning")
     p.add_argument("--cross-check", action="store_true",
-                   help="adaptive Runge-Kutta endpoint comparison")
+                   help="report the largest gap of the last step's p and q from the exact flow")
     p.set_defaults(fn=_cmd_dynamics)
 
     p = add("rotsym", help="shuffle-symmetry demonstration")

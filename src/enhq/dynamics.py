@@ -1,8 +1,8 @@
 """Classical and enhanced classical Hamiltonian flows.
 
-The integrator is the implicit midpoint rule (symmetric, symplectic), and
-every flow supplies its exact midpoint step, `FlowSpec.midpoint`; an
-adaptive Runge-Kutta shadow run is available as a cross-check.
+The integrator is the implicit midpoint rule (symmetric, symplectic): every
+flow supplies its exact midpoint step, `FlowSpec.midpoint`, and a scalar
+flow its exact solution, `FlowSpec.exact`, which a run is checked against.
 
 Scalar flows step on Python floats.  The oscillator's midpoint equations
 are linear and solved directly.  Toy gravity is one flow, H = q p^2 + c / q,
@@ -74,8 +74,6 @@ class FlowSpec:
     # H(p, q) -> float; a vector flow's acts row-wise over the last axis, of
     # any length, since runs evaluate it on 2-D images of their planes
     hamiltonian: object
-    dH_dp: object
-    dH_dq: object
     # exact midpoint step (p, q, dt) -> (p1, q1, ok) on Python floats; a
     # vector flow's is its plane step (c, gram, dt) -> (c1, ok) on the
     # coefficients c of p = c0 p0 + c1 q0, q = c2 p0 + c3 q0, with
@@ -83,6 +81,8 @@ class FlowSpec:
     midpoint: object
     vector: bool = False
     params: dict = field(default_factory=dict)  # a vector flow's holds its length "N"
+    # exact flow (p0, q0, t) -> (p, q) of a scalar flow, None where none is known
+    exact: object = None
     # toy gravity's c in H = q p^2 + c / q, None for every other flow: a
     # flow with a barrier lives on q > 0 and is throttled near the floor;
     # at c = 0 it is self-similar and can end in a "singularity"
@@ -91,7 +91,7 @@ class FlowSpec:
 
 @dataclass(frozen=True)
 class IntegratorControls:
-    """Step size, RK shadow cross-check, and the row thinning of scalar runs.
+    """Step size and the row thinning of scalar runs.
 
     A scalar run keeps every stride-th step (steps k = 0 mod stride) and
     folds its drift and min q over every step; vector runs keep every step
@@ -99,7 +99,6 @@ class IntegratorControls:
     """
 
     dt: float = 1e-4
-    cross_check: bool = False
     stride: int = 1
 
     def __post_init__(self):
@@ -135,7 +134,6 @@ class Trajectory:
     qs: np.ndarray | None = None
     coefs: np.ndarray | None = None
     basis: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
 
     def states(self, k):
         """(p, q) at the stored steps k, an index or a slice."""
@@ -163,9 +161,9 @@ def oscillator_flow() -> FlowSpec:
     return FlowSpec(
         name="oscillator",
         hamiltonian=lambda p, q: 0.5 * (p * p + q * q),
-        dH_dp=lambda p, q: p,
-        dH_dq=lambda p, q: q,
         midpoint=_oscillator_midpoint,
+        # (p, q) rotates by the angle t
+        exact=lambda p0, q0, t: (p0 * np.cos(t) - q0 * np.sin(t), q0 * np.cos(t) + p0 * np.sin(t)),
     )
 
 
@@ -199,10 +197,9 @@ def toy_gravity_flow(hbar: float = 0.0, beta: float = 1.0) -> FlowSpec:
     return FlowSpec(
         name="toygravity-classical" if c == 0.0 else "toygravity-enhanced",
         hamiltonian=lambda p, q: q * p * p + c / q,
-        dH_dp=lambda p, q: 2.0 * q * p,
-        dH_dq=lambda p, q: p * p - c / (q * q),
         midpoint=_toy_gravity_midpoint(c),
         barrier=c,
+        exact=lambda p0, q0, t: toy_gravity_solution(p0, q0, c, t),
     )
 
 
@@ -292,8 +289,6 @@ def rotsym_flow(N: int, m0: float, g0: float) -> FlowSpec:
     return FlowSpec(
         name="rotsym",
         hamiltonian=ham,
-        dH_dp=lambda p, q: 2.0 * p,
-        dH_dq=lambda p, q: 2.0 * m0**2 * q + 4.0 * g0 * _sumsq(q)[..., None] * q,
         vector=True,
         params={"N": N, "m0": m0, "g0": g0},
         midpoint=midpoint,
@@ -343,10 +338,7 @@ def integrate(flow: FlowSpec, initial, t_end: float,
     if not math.isfinite(energy):
         raise ValueError(f"flow {flow.name!r}: initial energy H = {energy} is not finite")
     run = _run_vector if flow.vector else _run_scalar
-    traj = run(flow, p, q, t_end, controls)
-    if controls.cross_check:
-        traj.meta["cross_check_error"] = _rk_shadow_error(flow, initial, traj)
-    return traj
+    return run(flow, p, q, t_end, controls)
 
 
 class _Rows:
@@ -400,7 +392,7 @@ class _Rows:
 
 def _run_scalar(flow, p, q, t_end, controls):
     chart, collapses = flow.barrier is not None, flow.barrier == 0
-    solve, qdot = flow.midpoint, flow.dH_dp
+    solve = flow.midpoint
     h, floor = controls.dt, Q_FLOOR * q
     h_last = h * (1.0 + 1e-9)  # a remainder under 1e-9 h joins the last step
     rows = _Rows(flow.hamiltonian, controls.stride, 0.0, p, q)
@@ -422,7 +414,7 @@ def _run_scalar(flow, p, q, t_end, controls):
                 if chart:
                     # keep the relative shrink of q modest so the floor crossing
                     # is localized to ~sqrt(Q_FLOOR/E) in time
-                    v = qdot(p, q)
+                    v = 2.0 * q * p  # qdot = dH/dp of H = q p^2 + c / q
                     if v < 0:
                         dt = min(dt, max(5e-5 * q / -v, 1e-12))
                 p1, q1, ok = solve(p, q, dt)
@@ -450,7 +442,7 @@ def _run_scalar(flow, p, q, t_end, controls):
                 rows.flush()
         if not tail or hit is not None:
             break
-        p, q, t = _self_similar_run(p, q, t, 5e-5 * q / -qdot(p, q), h, t_end, floor, rows)
+        p, q, t = _self_similar_run(p, q, t, 5e-5 * q / -(2.0 * q * p), h, t_end, floor, rows)
         tail, lost, stop = False, 0.0, end
     return rows.trajectory(status, hit)
 
@@ -533,24 +525,6 @@ def _run_vector(flow, p0, q0, t_end, controls):
                       end=(times[-1], *_plane_states(plane[-1], basis)))
 
 
-def _rk_shadow_error(flow, initial, traj: Trajectory) -> float:
-    """Endpoint discrepancy against an adaptive embedded Runge-Kutta run."""
-    from scipy.integrate import solve_ivp
-
-    p0, q0 = (np.asarray(x, dtype=float) for x in initial)
-    y0 = np.concatenate([p0.ravel(), q0.ravel()])
-    n = p0.size
-
-    def rhs(_, y):
-        p, q = y[:n].reshape(p0.shape), y[n:].reshape(p0.shape)
-        return np.concatenate([-np.ravel(flow.dH_dq(p, q)), np.ravel(flow.dH_dp(p, q))])
-
-    t_final, *state = traj.end
-    sol = solve_ivp(rhs, (0.0, float(t_final)), y0, method="RK45", rtol=1e-10, atol=1e-12)
-    end = np.concatenate([np.ravel(x) for x in state])
-    return float(np.max(np.abs(end - sol.y[:, -1])))
-
-
 def toy_gravity_solution(p0: float, q0: float, c: float, t):
     """Exact flow of H = q p^2 + c / q from (p0, q0), c >= 0.
 
@@ -567,7 +541,7 @@ def toy_gravity_solution(p0: float, q0: float, c: float, t):
         p, q = np.zeros_like(t), np.full_like(t, q0)
     else:
         m = q0 * p0 + e * t
-        q = (m * m + c) / e
+        q = m * (m / e) + c / e  # m * m would overflow once |m| passes 1e154
         if np.any(q < 1e-24 * q0):
             raise ValueError(f"solution pole at t = {-1.0 / p0}")
         p = m / q

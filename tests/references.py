@@ -6,7 +6,8 @@ position-space wavefunctions, overlaps, the fiducial variance
 coefficients, the Gauss-Gamma quadrature of affine expectations, the
 dense per-call word matrix of canonical and spin Hamiltonians, the
 power-counting slopes of the radial inequality and the canonical and spin
-state maps written out without the families' factor caches.
+state maps written out without the families' factor caches, and the
+gradients of the dynamics flows, which the midpoint residuals read.
 """
 
 import math
@@ -16,6 +17,7 @@ from scipy.special import gammaln
 
 from enhq._quadrature import gauss_gamma_grid
 from enhq.coherent import AffineState, _ladder_spectrum
+from enhq.dynamics import _sumsq
 from enhq.hilbert import (
     StateVector,
     expectation,
@@ -153,3 +155,15 @@ def lhs_slope_expected(field) -> float:
 def rhs_slope_expected(field) -> float:
     ex = 2.0 * field.alpha + 2.0 - field.n
     return -ex if ex > 0 else 0.0
+
+
+def flow_gradients(flow):
+    """(dH/dp, dH/dq) of an oscillator, toy-gravity or rotsym flow."""
+    if flow.name == "oscillator":
+        return lambda p, q: p, lambda p, q: q
+    if flow.name == "rotsym":
+        m0, g0 = flow.params["m0"], flow.params["g0"]
+        return (lambda p, q: 2.0 * p,
+                lambda p, q: 2.0 * m0**2 * q + 4.0 * g0 * _sumsq(q)[..., None] * q)
+    c = flow.barrier
+    return lambda p, q: 2.0 * q * p, lambda p, q: p * p - c / (q * q)

@@ -14,7 +14,7 @@ import pytest
 import enhq
 from enhq import cli
 from enhq.cli import run
-from enhq.dynamics import Trajectory
+from enhq.dynamics import Trajectory, toy_gravity_flow, toy_gravity_solution
 from enhq.wcp import _word_sums, cprime_closed_form
 
 
@@ -232,15 +232,31 @@ class TestArtifacts:
         assert abs(summary["hit_time"] - 1.0) < 1e-4
         assert (summary["t_star"], summary["q_min_exact"]) == (1.0, 0.0)
 
-    def test_dynamics_reports_the_exact_bounce(self, tmp_path, capsys):
-        assert run(["--out", str(tmp_path), "dynamics", "--hbar", "0.5", "--beta", "2",
-                    "--p0", "-2", "--q0", "1.5", "--t-end", "3"]) == 0
+    @pytest.mark.parametrize("argv,turn", [
+        (["--hbar", "0.5", "--beta", "2", "--p0", "-2", "--q0", "1.5", "--t-end", "3"], "inside"),
+        (["--hbar", "1", "--beta", "2", "--p0", "1", "--t-end", "0.5"], "before"),
+        (["--hbar", "1", "--beta", "2", "--p0=-2", "--t-end", "0.05"], "after"),
+        (["--hbar", "0", "--p0", "1", "--t-end", "0.5"], "before"),
+    ], ids=["inside", "enhanced-before", "enhanced-after", "classical-before"])
+    def test_dynamics_reports_the_exact_bounce(self, tmp_path, capsys, argv, turn):
+        # t* lies inside the run, before it or after it: q's exact minimum is
+        # c / E, q0 or q(t_end), and t* is reported only inside the run
+        assert run(["--out", str(tmp_path), "dynamics", *argv]) == 0
         summary = json.loads(_read(tmp_path / "dynamics_summary.json"))
-        c = 0.25 * cprime_closed_form(2.0, 0.5)
-        energy = 1.5 * 4.0 + c / 1.5
-        assert summary["t_star"] == pytest.approx(3.0 / energy, rel=1e-14)
-        assert summary["q_min_exact"] == pytest.approx(c / energy, rel=1e-13)
+        cfg = summary["config"]
+        hbar, p0, q0 = cfg["hbar"], cfg["p0"], cfg["q0"]
+        c = hbar * hbar * cprime_closed_form(cfg["beta"], hbar) if hbar else 0.0
+        energy = q0 * p0 * p0 + c / q0
+        if turn == "inside":
+            assert summary["t_star"] == pytest.approx(-q0 * p0 / energy, rel=1e-14)
+            assert summary["q_min_exact"] == pytest.approx(c / energy, rel=1e-13)
+        else:
+            assert summary["t_star"] is None
+            q_min = q0 if turn == "before" else toy_gravity_solution(p0, q0, c, cfg["t_end"])[1]
+            assert summary["q_min_exact"] == pytest.approx(q_min, rel=1e-13)
         assert summary["min_q"] == pytest.approx(summary["q_min_exact"], rel=1e-6)
+
+    def test_oscillator_has_no_turn(self, tmp_path, capsys):
         assert run(["--out", str(tmp_path), "dynamics", "--model", "oscillator"]) == 0
         summary = json.loads(_read(tmp_path / "dynamics_summary.json"))
         assert summary["t_star"] is None and summary["q_min_exact"] is None
@@ -296,8 +312,8 @@ class TestArtifacts:
         ["--hbar", "0.5", "--beta", "2", "--p0=-2", "--t-end", "1"],
     ], ids=["oscillator", "bounce"])
     def test_cross_check_reads_the_last_step_at_any_stride(self, tmp_path, capsys, argv):
-        # at stride 13 the last step is not a table row; the RK shadow run
-        # still ends where the run does
+        # at stride 13 the last step is not a table row; the check still
+        # reads the run's last step
         errors = []
         for stride in ("1", "13"):
             assert run(["--out", str(tmp_path), "dynamics", *argv, "--cross-check",
@@ -307,6 +323,38 @@ class TestArtifacts:
         last = _read(tmp_path / "dynamics.csv").splitlines()[-1]
         assert float(last.split(",")[0]) < 1.0
         assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "oscillator", "--t-end", "1"],
+        ["--hbar", "0", "--t-end", "0.9"],
+        ["--hbar", "0.5", "--beta", "2", "--p0=-2", "--t-end", "1"],
+    ], ids=["oscillator", "classical", "bounce"])
+    def test_cross_check_is_the_exact_flow_error(self, tmp_path, capsys, argv):
+        assert run(["--out", str(tmp_path), "dynamics", *argv, "--cross-check",
+                    "--stride", "1"]) == 0
+        summary = json.loads(_read(tmp_path / "dynamics_summary.json"))
+        cfg = summary["config"]
+        p0, q0 = cfg["p0"], cfg["q0"]
+        t, p, q = map(float, _read(tmp_path / "dynamics.csv").splitlines()[-1].split(",")[:3])
+        assert t == cfg["t_end"]
+        if cfg["model"] == "oscillator":
+            p_exact, q_exact = p0 * np.cos(t) - q0 * np.sin(t), q0 * np.cos(t) + p0 * np.sin(t)
+        else:
+            c = toy_gravity_flow(hbar=cfg["hbar"], beta=cfg["beta"]).barrier
+            p_exact, q_exact = toy_gravity_solution(p0, q0, c, t)
+        error = max(abs(p - p_exact), abs(q - q_exact))
+        assert summary["cross_check_error"] == error
+        assert 0 < error < 1e-6
+
+    @pytest.mark.parametrize("q0", ["1", "1e200"])
+    def test_cross_check_of_a_classical_hit(self, tmp_path, capsys, q0):
+        # the run ends at its last step before the floor, short of the pole,
+        # where the exact flow raises
+        assert run(["--out", str(tmp_path), "dynamics", "--hbar", "0", "--q0", q0,
+                    "--cross-check"]) == 0
+        summary = json.loads(_read(tmp_path / "dynamics_summary.json"))
+        assert summary["status"] == "singularity"
+        assert math.isfinite(summary["cross_check_error"])
 
     def test_wcp_verdict(self, tmp_path, capsys):
         assert run(["--out", str(tmp_path), "wcp", "--family", "canonical",

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import flow_gradients
 
 from enhq import dynamics
 from enhq.dynamics import (
@@ -48,6 +49,11 @@ class TestClosedForm:
         assert np.max(np.abs(q * p * p + c / q - e)) < 1e-12 * e
         assert toy_gravity_solution(p0, q0, c, -q0 * p0 / e) == pytest.approx((0.0, c / e))
         assert q.min() >= c / e
+
+    def test_large_q0(self):
+        # m = q0 p0 + E t passes 1e154 here, so m^2 overflows; q must not
+        assert toy_gravity_solution(-1.0, 1e200, 0.0, 0.5) == pytest.approx((-2.0, 0.25e200))
+        assert toy_gravity_solution(-1.0, 1e300, 1.0, 0.0) == pytest.approx((-1.0, 1e300))
 
     def test_pole_rejected(self):
         with pytest.raises(ValueError):
@@ -153,12 +159,6 @@ class TestOscillator:
         traj = integrate(oscillator_flow(), (1.0, 0.0), 2.0)
         assert traj.times.size == 20_001
         assert traj.times[-1] == 2.0
-
-    def test_rk_cross_check(self):
-        flow = oscillator_flow()
-        traj = integrate(flow, (1.0, 0.0), 5.0,
-                         IntegratorControls(dt=1e-3, cross_check=True))
-        assert traj.meta["cross_check_error"] < 1e-5
 
 
 class TestToyGravity:
@@ -353,7 +353,7 @@ def _kappa_step(flow, p, q, dt, tol, max_iter):
 
 def _fixed_point_step(flow, p, q, dt, tol, max_iter):
     """Fixed-point implicit midpoint step on arrays or Python floats."""
-    fp, fq = flow.dH_dp, flow.dH_dq
+    fp, fq = flow_gradients(flow)
     p1, q1 = p - dt * fq(p, q), q + dt * fp(p, q)
     for _ in range(max_iter):
         pm, qm = 0.5 * (p + p1), 0.5 * (q + q1)
@@ -398,9 +398,10 @@ class TestRadialMidpoint:
         p, q = _random_state(np.random.default_rng(3), (5, 8))
         plane = np.array([_plane_step(flow, p[b], q[b], dt) for b in range(5)])
         reference = _kappa_step(flow, p, q, dt, 1e-13, 100)
+        dH_dp, dH_dq = flow_gradients(flow)
         for p1, q1 in ((plane[:, 0], plane[:, 1]), reference[:2]):
             pm, qm = 0.5 * (p + p1), 0.5 * (q + q1)
-            kick, drift = dt * flow.dH_dq(pm, qm), dt * flow.dH_dp(pm, qm)
+            kick, drift = dt * dH_dq(pm, qm), dt * dH_dp(pm, qm)
             res_p = np.max(np.abs(p1 - p + kick))
             res_q = np.max(np.abs(q1 - q - drift))
             assert res_p <= 1e-14 * (np.max(np.abs(p)) + np.max(np.abs(kick)))
@@ -422,12 +423,6 @@ class TestRadialMidpoint:
         traj = integrate(rotsym_flow(32, 1.0, 0.0), (p, q), 2.0)
         assert traj.times.size > 20_000
         assert traj.drift <= 1e-12
-
-    def test_vector_cross_check(self):
-        p, q = _random_state(np.random.default_rng(4), 3, 0.3)
-        traj = integrate(rotsym_flow(3, 1.0, 1.0), (p, q), 0.5,
-                         IntegratorControls(dt=1e-3, cross_check=True))
-        assert traj.meta["cross_check_error"] < 1e-5
 
     def test_time_grid_ends_on_t_end(self):
         p, q = _random_state(np.random.default_rng(6), 6, 0.2)
@@ -564,11 +559,12 @@ class TestToyGravityMidpoint:
     @pytest.mark.parametrize("dt", [5e-5, 1e-4, 0.1])
     def test_midpoint_residuals_at_roundoff(self, flow, dt):
         rng = np.random.default_rng(8)
+        dH_dp, dH_dq = flow_gradients(flow)
         for p, q in zip(rng.uniform(-2.0, 2.0, 200), rng.uniform(0.5, 2.0, 200)):
             p1, q1, ok = flow.midpoint(float(p), float(q), dt)
             assert ok
             pm, qm = 0.5 * (p + p1), 0.5 * (q + q1)
-            kick, drift = dt * flow.dH_dq(pm, qm), dt * flow.dH_dp(pm, qm)
+            kick, drift = dt * dH_dq(pm, qm), dt * dH_dp(pm, qm)
             assert abs(p1 - p + kick) <= 1e-15 * (abs(p) + abs(p1) + abs(kick))
             assert abs(q1 - q - drift) <= 1e-15 * (abs(q) + abs(q1) + abs(drift))
 

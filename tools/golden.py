@@ -11,6 +11,9 @@ the output directory reads `<out>`, and a summary's digest leaves out
 `wall_time_s`, `table` and the echoed `out`.  The argv list is each
 subcommand at its defaults, the task lists of the four perfbench workloads
 at seeds 1-3 (from `perfbench/workloads.py`) and the edge cases in EDGE.
+An argv names a config file as `<tools>/configs/...`: the run reads it from
+this directory, and its record keeps the placeholder, so records do not
+depend on where the checkout lies.
 
 `--compare A B` lists every run whose record differs between A and B, or
 that only one of them holds, and exits 1 if there is any.
@@ -30,6 +33,7 @@ import tempfile
 import warnings
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+TOOLS = str(ROOT / "tools")
 
 DEFAULTS = [["metric"], ["wcp"], ["dynamics"], ["rotsym"], ["inequality"], ["selftest"]]
 
@@ -83,6 +87,11 @@ EDGE = [
     ["inequality", "--eps=1e-2,nan,1e-4"],
     ["inequality", "--n", "50", "--alphas", "23.9", "--eps=1e-2,1e-8"],
     ["inequality", "--n", "400", "--alphas", "0"],
+    # config files: a switch, a flag overriding its config key, a list flag
+    # and an unknown key (exit 1)
+    ["--config", "<tools>/configs/dynamics_cross_check.json", "dynamics", "--stride", "20"],
+    ["--config", "<tools>/configs/metric_list.json", "metric"],
+    ["--config", "<tools>/configs/unknown_key.json", "inequality"],
 ]
 
 
@@ -101,8 +110,12 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _normalized(text: str, out: str) -> str:
+    return text.replace(out, "<out>").replace(TOOLS, "<tools>")
+
+
 def _file_digest(path: pathlib.Path, out: str) -> str:
-    text = path.read_text().replace(out, "<out>")
+    text = _normalized(path.read_text(), out)
     if path.name.endswith("_summary.json"):
         doc = json.loads(text)
         for key in ("wall_time_s", "table"):
@@ -119,13 +132,13 @@ def record_one(run, argv: list[str]) -> dict:
         with (warnings.catch_warnings(record=True) as caught,
               contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr)):
             warnings.simplefilter("always")
-            code = run(["--out", out, *argv])
+            code = run(["--out", out, *(a.replace("<tools>", TOOLS) for a in argv)])
         files = {p.name: _file_digest(p, out) for p in sorted(pathlib.Path(out).iterdir())}
         return {
             "argv": argv,
             "exit": code,
-            "stdout": stdout.getvalue().replace(out, "<out>"),
-            "stderr": stderr.getvalue().replace(out, "<out>"),
+            "stdout": _normalized(stdout.getvalue(), out),
+            "stderr": _normalized(stderr.getvalue(), out),
             "warnings": [f"{w.category.__name__}: {w.message}" for w in caught],
             "files": files,
         }
