@@ -133,7 +133,7 @@ def _cmd_metric(args):
     if args.p is None:  # theta = 0 is a pole of the spin family's angles chart
         args.p = [np.pi / 2 if args.family == "spin" else 0.0]
     family = _family_from(args)
-    args.chart = family.default_chart  # echoed as the last config key
+    args.chart = family.chart_name  # echoed as the last config key
 
     def cell(p, q):
         m = fs_metric(family, (p, q))
@@ -173,13 +173,12 @@ def _cmd_wcp(args):
 
 
 def _cmd_dynamics(args):
-    from .dynamics import IntegratorControls, integrate, oscillator_flow, toy_gravity_flow
+    from .dynamics import integrate, oscillator_flow, toy_gravity_flow
 
-    controls = IntegratorControls(dt=args.dt, stride=args.stride)
     flow = (oscillator_flow() if args.model == "oscillator"
             else toy_gravity_flow(hbar=args.hbar, beta=args.beta))
     # the run keeps only the rows the table writes
-    traj = integrate(flow, (args.p0, args.q0), args.t_end, controls)
+    traj = integrate(flow, (args.p0, args.q0), args.t_end, dt=args.dt, stride=args.stride)
     t_end, *end = traj.end  # t_end, or the last step before a classical pole
     exact = partial(flow.exact, args.p0, args.q0, t_end)
     # toy gravity turns at t* = -q0 p0 / E, where q = c / E; so the exact

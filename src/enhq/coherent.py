@@ -13,12 +13,11 @@ canonical state is vu e^(iqx) w e^(ipx) V^T fiducial, and each family caches
 its one-coordinate factors e^(itx) and w e^(ipx) V^T fiducial (a spin state's
 tilt and turn), so a state at seen coordinates costs one dense product.
 
-Coordinates only label the states, so each family owns its charts:
-`family.chart(point, margin, name)` checks that a stencil of extent
-`margin` around `point` stays inside chart `name` (`ChartBoundaryError`
+Coordinates only label the states, so each family has one chart, named by
+`family.chart_name`: `family.chart(point, margin)` checks that a stencil
+of extent `margin` around `point` stays inside it (`ChartBoundaryError`
 otherwise) and returns `(vec, inner)`, the raw state map
 (u, v) -> ndarray and the inner product on those raw arrays.
-`family.default_chart` names the chart used when none is given.
 """
 
 from __future__ import annotations
@@ -72,11 +71,6 @@ def _vdot(x: np.ndarray, y: np.ndarray) -> complex:
     return complex(np.vdot(x, y))
 
 
-def _check_chart(family, name: str, names: tuple[str, ...]) -> None:
-    if name not in names:
-        raise ValueError(f"unknown {family.kind} chart {name!r}; expected one of {names}")
-
-
 def _factor_cache(fn):
     """Per-family lru_cache of a one-coordinate factor fn(t), which closes over
     arrays, not the family (no reference cycle); 0.0 and -0.0 are two keys."""
@@ -118,7 +112,7 @@ class CanonicalFamily:
     """
 
     kind = "canonical"
-    default_chart = "pq"
+    chart_name = "pq"
 
     def __init__(self, space: HilbertSpace | None = None, fiducial: StateVector | None = None,
                  N: int = 100, hbar: float = 1.0):
@@ -171,9 +165,8 @@ class CanonicalFamily:
             )
         return StateVector(c / norm, self.space)
 
-    def chart(self, point, margin: float, name: str):
+    def chart(self, point, margin: float):
         """(vec, inner) of the (p, q) chart, which covers the whole plane."""
-        _check_chart(self, name, ("pq",))
         return (lambda p, q: self.state(p, q).coeffs), _vdot
 
 
@@ -210,7 +203,7 @@ class AffineFamily:
     """
 
     kind = "affine"
-    default_chart = "pq"
+    chart_name = "pq"
 
     def __init__(self, beta: float = 1.0, hbar: float = 1.0, center: float = 1.0):
         if not (0 < beta < math.inf and 0 < hbar < math.inf):
@@ -271,13 +264,12 @@ class AffineFamily:
             )
         return AffineState(grid, samples)
 
-    def chart(self, point, margin: float, name: str):
+    def chart(self, point, margin: float):
         """(vec, inner) of the (p, q) chart on q > 0.
 
         The quadrature grid is rebased on the stencil center, so every
         stencil state shares one grid and one set of weights.
         """
-        _check_chart(self, name, ("pq",))
         q0 = float(point[1])
         if q0 - margin <= 0:
             raise ChartBoundaryError(
@@ -342,7 +334,7 @@ class SpinFamily:
     """Spin coherent states e^(-i phi S3/h) e^(-i theta S2/h) |s,s>."""
 
     kind = "spin"
-    default_chart = "angles"
+    chart_name = "angles"
 
     def __init__(self, s: float, hbar: float = 1.0):
         self.s = float(s)
@@ -369,22 +361,12 @@ class SpinFamily:
         c = self._turn(phi) * self._tilt(theta)
         return StateVector(c / np.linalg.norm(c), self.space)
 
-    def chart(self, point, margin: float, name: str):
-        """(vec, inner) of the (theta, phi) "angles" chart or the "pq" chart.
-
-        Neither chart covers the poles; phi is not reduced mod 2*pi.
-        """
-        _check_chart(self, name, ("angles", "pq"))
+    def chart(self, point, margin: float):
+        """(vec, inner) of the (theta, phi) chart, which does not cover the
+        poles; phi is not reduced mod 2*pi."""
         u = point[0]
-        if name == "angles":
-            if not margin < u < np.pi - margin:
-                raise ChartBoundaryError(
-                    f"spin stencil at theta = {u} with extent {margin} crosses a pole"
-                )
-            return (lambda a, b: self._state_unchecked(a, b).coeffs), _vdot
-        r = np.sqrt(self.s * self.hbar)
-        if not -r + margin < u < r - margin:
+        if not margin < u < np.pi - margin:
             raise ChartBoundaryError(
-                f"spin pq-chart stencil at p = {u} crosses |p| = sqrt(s*hbar)"
+                f"spin stencil at theta = {u} with extent {margin} crosses a pole"
             )
-        return (lambda a, b: self._state_unchecked(float(np.arccos(a / r)), b / r).coeffs), _vdot
+        return (lambda a, b: self._state_unchecked(a, b).coeffs), _vdot

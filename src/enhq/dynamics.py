@@ -48,7 +48,6 @@ import numpy as np
 
 __all__ = [
     "FlowSpec",
-    "IntegratorControls",
     "Trajectory",
     "oscillator_flow",
     "toy_gravity_flow",
@@ -79,8 +78,7 @@ class FlowSpec:
     # coefficients c of p = c0 p0 + c1 q0, q = c2 p0 + c3 q0, with
     # gram = (p0.p0, p0.q0, q0.q0)
     midpoint: object
-    vector: bool = False
-    params: dict = field(default_factory=dict)  # a vector flow's holds its length "N"
+    params: dict = field(default_factory=dict)  # holding a length "N" makes a vector flow
     # exact flow (p0, q0, t) -> (p, q) of a scalar flow, None where none is known
     exact: object = None
     # toy gravity's c in H = q p^2 + c / q, None for every other flow: a
@@ -88,25 +86,10 @@ class FlowSpec:
     # at c = 0 it is self-similar and can end in a "singularity"
     barrier: float | None = None
 
-
-@dataclass(frozen=True)
-class IntegratorControls:
-    """Step size and the row thinning of scalar runs.
-
-    A scalar run keeps every stride-th step (steps k = 0 mod stride) and
-    folds its drift and min q over every step; vector runs keep every step
-    and take stride 1 only.
-    """
-
-    dt: float = 1e-4
-    stride: int = 1
-
-    def __post_init__(self):
-        if not 0 < self.dt < math.inf:
-            raise ValueError(f"dt must be finite and positive, got {self.dt}")
-        stride = self.stride
-        if isinstance(stride, bool) or not isinstance(stride, int) or stride < 1:
-            raise ValueError(f"stride must be an integer of at least 1, got {stride!r}")
+    @property
+    def vector(self) -> bool:
+        """Whether the flow acts on arrays of length params["N"]."""
+        return "N" in self.params
 
 
 @dataclass(kw_only=True, eq=False)
@@ -289,29 +272,35 @@ def rotsym_flow(N: int, m0: float, g0: float) -> FlowSpec:
     return FlowSpec(
         name="rotsym",
         hamiltonian=ham,
-        vector=True,
         params={"N": N, "m0": m0, "g0": g0},
         midpoint=midpoint,
     )
 
 
-def integrate(flow: FlowSpec, initial, t_end: float,
-              controls: IntegratorControls = IntegratorControls()) -> Trajectory:
-    """Implicit-midpoint trajectory of q' = dH/dp, p' = -dH/dq.
+def integrate(flow: FlowSpec, initial, t_end: float, *, dt: float = 1e-4,
+              stride: int = 1) -> Trajectory:
+    """Implicit-midpoint trajectory of q' = dH/dp, p' = -dH/dq at step dt.
 
-    Scalar flows take numbers p and q, and keep every controls.stride-th
-    step (see Trajectory).  Vector flows take initial arrays of shape (N,),
-    N the flow's params["N"]; the run is stepped in its plane span{p0, q0}
-    and stored as plane coefficients.  A flow with a barrier c (toy
-    gravity) lives on q > Q_FLOOR q0 and throttles the step once q heads
-    for that floor.  At c = 0 a floor crossing or a step without a midpoint
-    solution stops the run with status "singularity" and the crossing
-    time; at c > 0, where the exact flow never collapses, either raises
-    RuntimeError, as a failed midpoint step of any flow does.  A flow
-    without a midpoint step, a non-finite or wrongly shaped initial state,
-    one where H is not finite, or a vector flow given a stride other than 1
-    raise ValueError.
+    Scalar flows take numbers p and q, keep every stride-th step (steps
+    k = 0 mod stride, see Trajectory) and fold the drift and min q over
+    every step.  Vector flows take initial arrays of shape (N,), N the
+    flow's params["N"], and keep every step, so they take stride 1 only;
+    the run is stepped in its plane span{p0, q0} and stored as plane
+    coefficients.  A flow with a barrier c (toy gravity) lives on
+    q > Q_FLOOR q0 and throttles the step once q heads for that floor.  At
+    c = 0 a floor crossing or a step without a midpoint solution stops the
+    run with status "singularity" and the crossing time; at c > 0, where
+    the exact flow never collapses, either raises RuntimeError, as a failed
+    midpoint step of any flow does.  A dt that is
+    not finite and positive, a stride that is not an integer of at least 1,
+    a flow without a midpoint step, a non-finite or wrongly shaped initial
+    state, one where H is not finite, or a vector flow given a stride other
+    than 1 raise ValueError.
     """
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if isinstance(stride, bool) or not isinstance(stride, int) or stride < 1:
+        raise ValueError(f"stride must be an integer of at least 1, got {stride!r}")
     if not 0 < t_end < math.inf:
         raise ValueError(f"t_end must be finite and positive, got {t_end}")
     if flow.midpoint is None:
@@ -319,8 +308,8 @@ def integrate(flow: FlowSpec, initial, t_end: float,
     if not all(np.isfinite(x).all() for x in initial):
         raise ValueError("initial p and q must be finite")
     if flow.vector:
-        if controls.stride != 1:
-            raise ValueError(f"vector flows keep every step; got stride {controls.stride}")
+        if stride != 1:
+            raise ValueError(f"vector flows keep every step; got stride {stride}")
         p, q = (np.array(x, dtype=float) for x in initial)
         n_comp = flow.params["N"]
         if p.shape != (n_comp,) or q.shape != (n_comp,):
@@ -337,8 +326,9 @@ def integrate(flow: FlowSpec, initial, t_end: float,
         energy = flow.hamiltonian(p, q)
     if not math.isfinite(energy):
         raise ValueError(f"flow {flow.name!r}: initial energy H = {energy} is not finite")
-    run = _run_vector if flow.vector else _run_scalar
-    return run(flow, p, q, t_end, controls)
+    if flow.vector:
+        return _run_vector(flow, p, q, t_end, dt)
+    return _run_scalar(flow, p, q, t_end, dt, stride)
 
 
 class _Rows:
@@ -390,12 +380,12 @@ class _Rows:
                           status=status, hit_time=hit_time)
 
 
-def _run_scalar(flow, p, q, t_end, controls):
+def _run_scalar(flow, p, q, t_end, h, stride):
     chart, collapses = flow.barrier is not None, flow.barrier == 0
     solve = flow.midpoint
-    h, floor = controls.dt, Q_FLOOR * q
+    floor = Q_FLOOR * q
     h_last = h * (1.0 + 1e-9)  # a remainder under 1e-9 h joins the last step
-    rows = _Rows(flow.hamiltonian, controls.stride, 0.0, p, q)
+    rows = _Rows(flow.hamiltonian, stride, 0.0, p, q)
     times, ps, qs = rows.buffers
     t = lost = 0.0
     status, hit = "completed", None
@@ -495,9 +485,9 @@ def _self_similar_run(p, q, t, dt, h, t_end, floor, rows):
     return p, q, t
 
 
-def _run_vector(flow, p0, q0, t_end, controls):
+def _run_vector(flow, p0, q0, t_end, h):
     # n equal steps, t_k = t_end k / n: no roundoff-length last step
-    n = max(1, math.ceil(t_end / controls.dt - 1e-9))
+    n = max(1, math.ceil(t_end / h - 1e-9))
     times = t_end * np.arange(n + 1) / n
     times[-1] = t_end
     dt = t_end / n

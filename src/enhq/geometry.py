@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import ChartBoundaryError
+from .coherent import ChartBoundaryError, SpinFamily
 
 __all__ = [
     "Metric2D",
@@ -31,7 +31,6 @@ class Metric2D:
     g_pq: float
     g_qq: float
     point: tuple
-    chart: str
 
     def as_matrix(self) -> np.ndarray:
         return np.array([[self.g_pp, self.g_pq], [self.g_pq, self.g_qq]])
@@ -51,7 +50,6 @@ class CurvatureReport:
     K: float
     point: tuple
     error: float
-    chart: str
 
 
 def _fourth_order_diff(f, u, v, h, axis):
@@ -62,15 +60,15 @@ def _fourth_order_diff(f, u, v, h, axis):
     return (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12.0 * h)
 
 
-def fs_metric(family, point, chart: str | None = None) -> Metric2D:
+def fs_metric(family, point) -> Metric2D:
     """Scaled Fubini-Study metric at a point of the family's chart.
 
     2*hbar*Re[<d_i psi|d_j psi> - <d_i psi|psi><psi|d_j psi>] from
-    fourth-order central differences of the state map at step
-    METRIC_STEP; `chart` defaults to `family.default_chart`.
+    fourth-order central differences at step METRIC_STEP of the state map
+    `family.chart` returns, so any object with `hbar` and that `chart`
+    method serves, a relabelled family included.
     """
-    name = chart or family.default_chart
-    vec, inner = family.chart(point, 2.0 * METRIC_STEP, name)
+    vec, inner = family.chart(point, 2.0 * METRIC_STEP)
     u, v = point
     psi = vec(u, v)
     du = _fourth_order_diff(vec, u, v, METRIC_STEP, axis=0)
@@ -83,10 +81,7 @@ def fs_metric(family, point, chart: str | None = None) -> Metric2D:
         corr = inner(di, psi) * inner(psi, dj) / n0
         return 2.0 * family.hbar * float((inner(di, dj) - corr).real)
 
-    return Metric2D(
-        g_pp=g(du, du), g_pq=g(du, dv), g_qq=g(dv, dv),
-        point=(float(u), float(v)), chart=name,
-    )
+    return Metric2D(g_pp=g(du, du), g_pq=g(du, dv), g_qq=g(dv, dv), point=(float(u), float(v)))
 
 
 def _brioschi(e, f, g, h):
@@ -111,19 +106,19 @@ def _brioschi(e, f, g, h):
     return (np.linalg.det(m1) - np.linalg.det(m2)) / denom
 
 
-def gaussian_curvature(family, point, chart: str | None = None) -> CurvatureReport:
+def gaussian_curvature(family, point) -> CurvatureReport:
     """Brioschi-formula curvature with a step-halving error estimate.
 
     Returns the Gaussian curvature K; the scalar curvature is R = 2K
     (affine family: K = -1/beta, R = -2/beta).  Needs the metric on a
     5x5 neighborhood (3x3 stencils at spacings CURVATURE_STEP and half
-    of it); rejects stencils crossing the chart boundary.
+    of it) of `family.chart`, as `fs_metric`; rejects stencils crossing
+    the chart boundary, and spin points with theta outside [0.2, pi - 0.2].
     """
     u, v = point
-    name = chart or family.default_chart
-    family.chart(point, 2.0 * CURVATURE_STEP + 2.0 * METRIC_STEP, name)  # boundary check
-    # the spin angles chart degenerates at the poles, where g_vv -> 0
-    if name == "angles" and not 0.2 <= u <= np.pi - 0.2:
+    family.chart(point, 2.0 * CURVATURE_STEP + 2.0 * METRIC_STEP)  # boundary check
+    # the spin family's (theta, phi) chart degenerates at the poles, where g_vv -> 0
+    if isinstance(family, SpinFamily) and not 0.2 <= u <= np.pi - 0.2:
         raise ChartBoundaryError("spin curvature restricted to theta in [0.2, pi - 0.2]")
 
     def k_at(h):
@@ -132,7 +127,7 @@ def gaussian_curvature(family, point, chart: str | None = None) -> CurvatureRepo
         g = [[0.0] * 3 for _ in range(3)]
         for i, su in enumerate((-1, 0, 1)):
             for j, sv in enumerate((-1, 0, 1)):
-                m = fs_metric(family, (u + su * h, v + sv * h), name)
+                m = fs_metric(family, (u + su * h, v + sv * h))
                 if not m.is_positive_definite():
                     raise ValueError(f"metric not positive-definite at {m.point}")
                 e[i][j], f[i][j], g[i][j] = m.g_pp, m.g_pq, m.g_qq
@@ -141,7 +136,5 @@ def gaussian_curvature(family, point, chart: str | None = None) -> CurvatureRepo
     k_h = k_at(CURVATURE_STEP)
     k_h2 = k_at(CURVATURE_STEP / 2.0)
     k = (4.0 * k_h2 - k_h) / 3.0  # second-order differences: h^2 Richardson
-    return CurvatureReport(
-        K=float(k), point=(float(u), float(v)),
-        error=float(abs(k_h2 - k_h) / 3.0), chart=name,
-    )
+    return CurvatureReport(K=float(k), point=(float(u), float(v)),
+                           error=float(abs(k_h2 - k_h) / 3.0))

@@ -91,10 +91,7 @@ def _checks():
         return _below(1e-6, {"deviation from diag(s hbar, s hbar sin^2)": dev})
 
     def oscillator_drift():
-        traj = dynamics.integrate(
-            dynamics.oscillator_flow(), (1.0, 0.0), 10.0,
-            dynamics.IntegratorControls(dt=1e-3),
-        )
+        traj = dynamics.integrate(dynamics.oscillator_flow(), (1.0, 0.0), 10.0, dt=1e-3)
         return _below(1e-8, {"relative drift": traj.drift})
 
     def toy_hit_time():

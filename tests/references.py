@@ -5,9 +5,10 @@ tests rather than in the package: dense unitaries, squeezed fiducials,
 position-space wavefunctions, overlaps, the fiducial variance
 coefficients, the Gauss-Gamma quadrature of affine expectations, the
 dense per-call word matrix of canonical and spin Hamiltonians, the
-power-counting slopes of the radial inequality and the canonical and spin
-state maps written out without the families' factor caches, and the
-gradients of the dynamics flows, which the midpoint residuals read.
+power-counting slopes of the radial inequality, the canonical and spin
+state maps written out without the families' factor caches, the gradients
+of the dynamics flows, which the midpoint residuals read, and the spin
+family relabelled by a (p, q) chart, which the chart-covariance checks read.
 """
 
 import math
@@ -16,7 +17,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from enhq._quadrature import gauss_gamma_grid
-from enhq.coherent import AffineState, _ladder_spectrum
+from enhq.coherent import AffineState, ChartBoundaryError, _ladder_spectrum
 from enhq.dynamics import _sumsq
 from enhq.hilbert import (
     StateVector,
@@ -167,3 +168,26 @@ def flow_gradients(flow):
                 lambda p, q: 2.0 * m0**2 * q + 4.0 * g0 * _sumsq(q)[..., None] * q)
     c = flow.barrier
     return lambda p, q: 2.0 * q * p, lambda p, q: p * p - c / (q * q)
+
+
+class SpinPQChart:
+    """A spin family relabelled by (p, q) = (r cos(theta), r phi), r = sqrt(s hbar).
+
+    The same states as the family's (theta, phi) chart, so geometry read on
+    either must agree up to the Jacobian.  Neither pole is covered: |p| < r.
+    """
+
+    chart_name = "pq"
+
+    def __init__(self, family):
+        self.family, self.hbar = family, family.hbar
+        self.r = np.sqrt(family.s * family.hbar)
+
+    def chart(self, point, margin: float):
+        r, u = self.r, point[0]
+        if not -r + margin < u < r - margin:
+            raise ChartBoundaryError(
+                f"spin pq-chart stencil at p = {u} crosses |p| = sqrt(s*hbar)"
+            )
+        state = self.family._state_unchecked
+        return (lambda a, b: state(float(np.arccos(a / r)), b / r).coeffs), np.vdot

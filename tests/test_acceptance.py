@@ -11,7 +11,7 @@ import numpy as np
 from references import lhs_slope_expected
 
 from enhq.coherent import AffineFamily, CanonicalFamily, SpinFamily, affine_moment
-from enhq.dynamics import IntegratorControls, integrate, rotsym_flow, toy_gravity_flow
+from enhq.dynamics import integrate, rotsym_flow, toy_gravity_flow
 from enhq.dynamics import toy_gravity_solution
 from enhq.geometry import fs_metric, gaussian_curvature
 from enhq.inequality import DEFAULT_EPS, RadialField, lhs, rhs, scan
@@ -147,7 +147,7 @@ def test_criterion_5_singularity_avoidance():
         flow = toy_gravity_flow(hbar=hbar, beta=2.0)
         for p0 in (-1.0, -1.5, -2.0):
             energy = p0 * p0 + c
-            traj = integrate(flow, (p0, 1.0), 4.0, IntegratorControls(dt=5e-5))
+            traj = integrate(flow, (p0, 1.0), 4.0, dt=5e-5)
             if traj.status != "completed":
                 problems.append(f"enhanced run hit a singularity (hbar={hbar}, p0={p0})")
                 continue
@@ -239,7 +239,7 @@ def test_criterion_9_integrator_quality():
     flow = toy_gravity_flow(hbar=0.0)
 
     def max_error(dt):
-        traj = integrate(flow, (0.5, 1.0), 1.8, IntegratorControls(dt=dt))
+        traj = integrate(flow, (0.5, 1.0), 1.8, dt=dt)
         p_ref, q_ref = toy_gravity_solution(0.5, 1.0, 0.0, traj.times)
         return max(np.max(np.abs(traj.ps - p_ref)), np.max(np.abs(traj.qs - q_ref)))
 

@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 from scipy.special import gammaln
 from references import (
+    SpinPQChart,
     affine_fiducial_wavefunction,
     canonical_state_uncached,
     hermite_functions,
@@ -345,7 +346,7 @@ class TestSpin:
         r = np.sqrt(fam.s * fam.hbar)
         theta, phi = 1.2, 0.9
         point = (r * np.cos(theta), r * phi)
-        vec, _ = fam.chart(point, 0.0, "pq")
+        vec, _ = SpinPQChart(fam).chart(point, 0.0)
         a = fam.state(theta, phi).coeffs
         assert abs(abs(np.vdot(a, vec(*point))) - 1.0) < 1e-12
 

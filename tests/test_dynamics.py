@@ -13,7 +13,6 @@ from enhq import dynamics
 from enhq.dynamics import (
     CHUNK,
     Q_FLOOR,
-    IntegratorControls,
     Trajectory,
     integrate,
     oscillator_flow,
@@ -86,13 +85,23 @@ class TestControls:
         {"stride": 0}, {"stride": -1}, {"stride": True}, {"stride": 2.0}, {"stride": 2.5},
     ])
     def test_bad_controls_rejected(self, bad):
-        with pytest.raises(ValueError):
-            IntegratorControls(**bad)
+        with pytest.raises(ValueError, match="dt must" if "dt" in bad else "stride must"):
+            integrate(oscillator_flow(), (1.0, 0.0), 1.0, **bad)
 
     def test_vector_flow_takes_stride_one_only(self):
         p, q = np.full(3, 0.1), np.full(3, 0.2)
         with pytest.raises(ValueError, match="stride"):
-            integrate(rotsym_flow(3, 1.0, 1.0), (p, q), 0.01, IntegratorControls(stride=2))
+            integrate(rotsym_flow(3, 1.0, 1.0), (p, q), 0.01, stride=2)
+
+    def test_flow_without_length_is_scalar(self):
+        # a flow is a vector flow exactly when its params hold N; a plane
+        # step without N used to fail with a bare KeyError: 'N'
+        with pytest.raises(TypeError):
+            dynamics.FlowSpec("plane", None, None, vector=True)
+        flow = dataclasses.replace(rotsym_flow(3, 1.0, 1.0), params={})
+        assert not flow.vector
+        with pytest.raises(ValueError, match="takes numbers p and q"):
+            integrate(flow, (np.full(3, 0.1), np.full(3, 0.2)), 0.01)
 
     @pytest.mark.parametrize("initial", [
         (np.ones(3), np.ones(3)), (np.ones(1), np.ones(1)), ([1.0], 0.0),
@@ -137,7 +146,7 @@ class TestOscillator:
 
     def test_long_run_drift(self):
         flow = oscillator_flow()
-        traj = integrate(flow, (1.0, 0.0), 100.0, IntegratorControls(dt=1e-3))
+        traj = integrate(flow, (1.0, 0.0), 100.0, dt=1e-3)
         assert traj.drift < 1e-8
 
     def test_coarse_run_drifts_more(self):
@@ -146,7 +155,7 @@ class TestOscillator:
         flow = oscillator_flow()
 
         def phase_error(dt):
-            traj = integrate(flow, (1.0, 0.0), 10.0, IntegratorControls(dt=dt))
+            traj = integrate(flow, (1.0, 0.0), 10.0, dt=dt)
             return max(np.max(np.abs(traj.ps - np.cos(traj.times))),
                        np.max(np.abs(traj.qs - np.sin(traj.times))))
 
@@ -219,7 +228,7 @@ class TestToyGravity:
             flow = toy_gravity_flow(hbar=hbar, beta=2.0)
             for p0 in (-1.0, -1.5, -2.0):
                 energy = p0 * p0 + c
-                traj = integrate(flow, (p0, 1.0), 4.0, IntegratorControls(dt=5e-5))
+                traj = integrate(flow, (p0, 1.0), 4.0, dt=5e-5)
                 assert traj.status == "completed"
                 assert abs(traj.min_q * energy - c) < 1e-6
                 assert traj.drift < 1e-8
@@ -246,7 +255,7 @@ class TestConvergenceOrder:
         t_end = 0.9 * 2.0  # 0.9 * |1/p0|
 
         def max_error(dt):
-            traj = integrate(flow, (0.5, 1.0), t_end, IntegratorControls(dt=dt))
+            traj = integrate(flow, (0.5, 1.0), t_end, dt=dt)
             p_ref, q_ref = toy_gravity_solution(0.5, 1.0, 0.0, traj.times)
             return max(np.max(np.abs(traj.ps - p_ref)), np.max(np.abs(traj.qs - q_ref)))
 
@@ -261,7 +270,7 @@ class TestConvergenceOrder:
         c = hbar**2 * cprime_closed_form(2.0, hbar)
 
         def max_error(dt):
-            traj = integrate(flow, (p0, 1.0), 4.0, IntegratorControls(dt=dt))
+            traj = integrate(flow, (p0, 1.0), 4.0, dt=dt)
             q_ref = toy_gravity_solution(p0, 1.0, c, traj.times)[1]
             return np.max(np.abs(traj.qs - q_ref) / q_ref)
 
@@ -426,7 +435,7 @@ class TestRadialMidpoint:
 
     def test_time_grid_ends_on_t_end(self):
         p, q = _random_state(np.random.default_rng(6), 6, 0.2)
-        traj = integrate(rotsym_flow(6, 1.0, 1.0), (p, q), 2.0, IntegratorControls(dt=1e-4))
+        traj = integrate(rotsym_flow(6, 1.0, 1.0), (p, q), 2.0, dt=1e-4)
         assert traj.times.size == 20_001
         assert traj.times[-1] == 2.0
         assert np.array_equal(traj.times, 2.0 * np.arange(20_001) / 20_000)
@@ -507,7 +516,7 @@ class TestPlaneReduction:
         q0 = np.array([0.4, -0.3, 0.2, 0.1])
         p0 = np.zeros(4) if plane == "p0 = 0" else -0.7 * q0
         flow = rotsym_flow(4, 1.0, 2.0)
-        traj = integrate(flow, (p0, q0), 1.0, IntegratorControls(dt=1e-3))
+        traj = integrate(flow, (p0, q0), 1.0, dt=1e-3)
         assert _max_dev(traj, *_reference_run(flow, p0, q0, 1.0, dt=1e-3)) <= 1e-12
 
 
@@ -527,7 +536,7 @@ class TestPlaneStorage:
         q0 = rng.normal(size=5)
         p0 = {"single": rng.normal(size=5), "p0 = 0": np.zeros(5), "p0 || q0": -0.7 * q0}[case]
         flow = rotsym_flow(5, 1.0, 2.0)
-        traj = integrate(flow, (p0, q0), 0.5, IntegratorControls(dt=1e-3))
+        traj = integrate(flow, (p0, q0), 0.5, dt=1e-3)
         ps, qs = self._expanded(traj)
         assert traj.coefs.shape == (501, 2, 2) and traj.basis.shape == (2, 5)
         for k in (slice(None), slice(None, None, 7), slice(3, 300, 100), 0, 17, -1):
@@ -543,7 +552,7 @@ class TestPlaneStorage:
         # H on the 2-D image of the plane against H on the N-vectors
         p, q = _random_state(np.random.default_rng(n), n, 0.5 / np.sqrt(n))
         flow = rotsym_flow(n, 1.0, g0)
-        traj = integrate(flow, (p, q), 0.5, IntegratorControls(dt=1e-3))
+        traj = integrate(flow, (p, q), 0.5, dt=1e-3)
         ref = flow.hamiltonian(*traj.states(slice(None)))
         assert np.max(np.abs(traj.energies - ref) / np.abs(ref)) <= 1e-14
 
@@ -573,14 +582,13 @@ class TestToyGravityMidpoint:
         (toy_gravity_flow(hbar=1.0, beta=2.0), (-1.5, 1.0), 4.0, 5e-5),
     ], ids=["classical", "enhanced"])
     def test_exact_solver_matches_fixed_point(self, monkeypatch, flow, initial, t_end, dt):
-        controls = IntegratorControls(dt=dt)
-        exact = integrate(flow, initial, t_end, controls)
+        exact = integrate(flow, initial, t_end, dt=dt)
 
         def fixed_point(p, q, h):
             return _fixed_point_step(flow, p, q, h, 1e-13, 100)
 
         fixed = _stepped(monkeypatch, dataclasses.replace(flow, midpoint=fixed_point),
-                         initial, t_end, controls)
+                         initial, t_end, dt=dt)
         assert exact.status == fixed.status == "completed"
         assert exact.times.size == fixed.times.size
         for a, b in ((exact.ps, fixed.ps), (exact.qs, fixed.qs), (exact.times, fixed.times)):
@@ -613,13 +621,13 @@ class TestToyGravityMidpoint:
         assert traj.energies.tolist() == per_step
 
 
-def _stepped(monkeypatch, *args):
-    """integrate(*args) with every step taken by the stepping loop: the
+def _stepped(monkeypatch, *args, **kwargs):
+    """integrate(*args, **kwargs) with every step taken by the stepping loop: the
     closed-form stretch returns its input state, as it does when the
     throttle does not bind."""
     with monkeypatch.context() as m:
         m.setattr(dynamics, "_self_similar_run", lambda p, q, t, *_: (p, q, t))
-        return integrate(*args)
+        return integrate(*args, **kwargs)
 
 
 def _assert_same_run(fast, loop, rtol=1e-9):
@@ -711,9 +719,9 @@ class TestStride:
         hbar, p0, t_end = run
         flow = toy_gravity_flow(hbar=hbar, beta=2.0)
         dt = 1e-4 if hbar == 0.0 else 5e-4
-        full = integrate(flow, (p0, 1.0), t_end, IntegratorControls(dt=dt))
+        full = integrate(flow, (p0, 1.0), t_end, dt=dt)
         for stride in (1, 7, 100, CHUNK - 1, CHUNK + 1, full.times.size):
-            traj = integrate(flow, (p0, 1.0), t_end, IntegratorControls(dt=dt, stride=stride))
+            traj = integrate(flow, (p0, 1.0), t_end, dt=dt, stride=stride)
             for name in ("times", "ps", "qs", "energies", "drifts"):
                 kept = getattr(traj, name)
                 assert kept.tobytes() == getattr(full, name)[::stride].tobytes(), name
@@ -725,7 +733,7 @@ class TestStride:
         # stride of 100 does not keep
         flow = toy_gravity_flow(hbar=0.0)
         full = integrate(flow, (-1.5, 1.0), 3.0)
-        traj = integrate(flow, (-1.5, 1.0), 3.0, IntegratorControls(stride=100))
+        traj = integrate(flow, (-1.5, 1.0), 3.0, stride=100)
         assert traj.min_q == full.min_q < traj.qs.min()
         assert traj.drift == full.drift > traj.drifts.max()
         assert traj.end == (full.times[-1], full.ps[-1], full.qs[-1])

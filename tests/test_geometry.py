@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from references import fiducial_metric_coeffs, squeezed_ground_state
+from references import SpinPQChart, fiducial_metric_coeffs, squeezed_ground_state
 
 from enhq.coherent import AffineFamily, CanonicalFamily, ChartBoundaryError, SpinFamily
 from enhq.geometry import fs_metric, gaussian_curvature
@@ -86,7 +86,7 @@ class TestSpinMetric:
         s = 1.0
         fam = SpinFamily(s, 1.0)
         p = 0.3
-        m = fs_metric(fam, (p, 0.5), chart="pq")
+        m = fs_metric(SpinPQChart(fam), (p, 0.5))
         w = 1.0 - p * p / s
         assert abs(m.g_pp - 1.0 / w) < 1e-5
         assert abs(m.g_qq - w) < 1e-5
@@ -102,11 +102,11 @@ class TestSpinMetric:
         r = np.sqrt(s * fam.hbar)
         angles, pq = (theta, phi), (r * np.cos(theta), r * phi)
         jac = np.diag([-1.0 / (r * np.sin(theta)), 1.0 / r])
-        g_angles = fs_metric(fam, angles, chart="angles").as_matrix()
-        g_pq = fs_metric(fam, pq, chart="pq").as_matrix()
+        g_angles = fs_metric(fam, angles).as_matrix()
+        g_pq = fs_metric(SpinPQChart(fam), pq).as_matrix()
         assert np.max(np.abs(g_pq - jac.T @ g_angles @ jac)) < 1e-6
-        k_angles = gaussian_curvature(fam, angles, chart="angles").K
-        k_pq = gaussian_curvature(fam, pq, chart="pq").K
+        k_angles = gaussian_curvature(fam, angles).K
+        k_pq = gaussian_curvature(SpinPQChart(fam), pq).K
         assert abs(k_pq - k_angles) < 1e-3
 
     def test_pole_rejected(self):
@@ -117,31 +117,6 @@ class TestSpinMetric:
             gaussian_curvature(fam, (0.1, 0.0))
 
 
-class TestCharts:
-    @pytest.mark.parametrize("family,name", [
-        (CanonicalFamily(N=20), "angles"), (AffineFamily(1.0, 1.0), "angles"),
-        (CanonicalFamily(N=20), "polar"), (AffineFamily(1.0, 1.0), "polar"),
-        (SpinFamily(1.0, 1.0), "polar"),
-    ], ids=lambda x: getattr(x, "kind", x))
-    def test_unknown_chart_rejected(self, family, name):
-        point = (1.0, 1.0)
-        with pytest.raises(ValueError, match="unknown"):
-            family.chart(point, 0.0, name)
-        with pytest.raises(ValueError, match="unknown"):
-            fs_metric(family, point, chart=name)
-        with pytest.raises(ValueError, match="unknown"):
-            gaussian_curvature(family, point, chart=name)
-
-    @pytest.mark.parametrize("family,chart", [
-        (CanonicalFamily(N=20), "pq"), (AffineFamily(1.0, 1.0), "pq"),
-        (SpinFamily(1.0, 1.0), "angles"),
-    ], ids=lambda x: getattr(x, "kind", x))
-    def test_default_chart_labels_results(self, family, chart):
-        assert family.default_chart == chart
-        assert fs_metric(family, (1.0, 1.0)).chart == chart
-        assert gaussian_curvature(family, (1.0, 1.0)).chart == chart
-
-
 class TestPhaseInvariance:
     def test_synthetic_phase_change(self):
         # multiplying the state map by exp(i alpha(p, q)) must not move the metric
@@ -149,11 +124,10 @@ class TestPhaseInvariance:
 
         class Rephased:
             hbar = base.hbar
-            default_chart = "pq"
 
             @staticmethod
-            def chart(point, margin, name):
-                vec, inner = base.chart(point, margin, name)
+            def chart(point, margin):
+                vec, inner = base.chart(point, margin)
                 return (lambda p, q: np.exp(1j * (0.7 * p * q + 0.3 * p)) * vec(p, q)), inner
 
         plain = fs_metric(base, (0.4, 0.9)).as_matrix()

@@ -3,6 +3,8 @@
 import importlib.util
 import json
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("golden", ROOT / "tools" / "golden.py")
@@ -10,6 +12,16 @@ golden = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(golden)
 
 ARGV = [["inequality", "--n", "3", "--alphas", "0.2"], ["dynamics", "--q0", "nan"]]
+
+# enhq functions that no golden argv enters, each with the reason it stays;
+# adding an entry keeps unreached code, so it is a reviewed change
+UNREACHED = {
+    "cli.main": "the console-script entry point; the golden runs call cli.run",
+    "coherent.CanonicalFamily.P": "perfbench's tracing test pins coherent.position_operator",
+    "coherent.CanonicalFamily.Q": "the same perfbench pin",
+    "coherent.SpinFamily.state": "the validated API entry; the CLI builds spin states unchecked",
+    "hilbert.spin_operators": "spin Hamiltonians are API-only: wcp has no spin family",
+}
 
 
 def test_argv_list_holds_defaults_tasks_and_edges():
@@ -41,3 +53,11 @@ def test_records_are_normalized_and_compared(tmp_path, capsys):
         f"{b['runs'][0]['files']!r}",
         "dynamics --q0 nan: only in A",
     ]
+
+
+def test_reach_matches_allowlist():
+    # a fresh interpreter, so that no cache another test filled hides a function
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "golden.py"), "--src",
+                          str(ROOT / "src"), "--reach"],
+                         capture_output=True, text=True, check=True, timeout=600).stdout
+    assert set(out.split()) == set(UNREACHED)

@@ -2,6 +2,7 @@
 
     python3 tools/golden.py --src src --out golden.json           # record
     python3 tools/golden.py --compare parent.json change.json     # compare
+    python3 tools/golden.py --src src --reach                     # unreached code
 
 Recording imports `enhq` from the given `src/` tree and passes each argv
 in-process to `enhq.cli.run`, each in a fresh output directory.  A run's
@@ -17,6 +18,10 @@ depend on where the checkout lies.
 
 `--compare A B` lists every run whose record differs between A and B, or
 that only one of them holds, and exits 1 if there is any.
+
+`--reach` runs the argv list under a profile hook and prints, one per line
+as `module.qualname`, each function and method of the `enhq` package that
+no run enters.  Class bodies and comprehensions are not counted.
 """
 
 from __future__ import annotations
@@ -25,11 +30,13 @@ import argparse
 import contextlib
 import hashlib
 import importlib.util
+import inspect
 import io
 import json
 import pathlib
 import sys
 import tempfile
+import threading
 import warnings
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -59,6 +66,7 @@ EDGE = [
     ["wcp", "--hbar", "nan"],
     ["wcp", "--p=,"],
     ["wcp", "--q", "inf"],
+    ["wcp", "--family", "affine", "--hamiltonian", "Q"],
     ["dynamics", "--model", "oscillator"],
     ["dynamics", "--model", "oscillator", "--p0", "1e155", "--t-end", "0.01"],
     ["dynamics", "--model", "oscillator", "--t-end", "1", "--cross-check"],
@@ -71,6 +79,8 @@ EDGE = [
     ["dynamics", "--hbar", "0", "--q0", "1e200", "--t-end", "3"],
     ["dynamics", "--hbar", "0", "--p0=-1e160", "--t-end", "1"],
     ["dynamics", "--q0", "0"],
+    ["dynamics", "--dt", "0"],
+    ["dynamics", "--stride", "0"],
     ["dynamics", "--q0", "nan"],
     ["dynamics", "--hbar", "1", "--p0", "-1", "--q0", "1"],
     ["dynamics", "--hbar", "0.5", "--beta", "2", "--p0=-2", "--t-end", "1", "--cross-check"],
@@ -81,6 +91,7 @@ EDGE = [
     ["rotsym", "--N", "32", "--t-end", "2"],
     ["rotsym", "--g0", "1e200", "--t-end", "0.01"],
     ["rotsym", "--m0", "nan"],
+    ["rotsym", "--stride", "0"],
     ["inequality", "--n", "5"],
     ["inequality", "--eps", "1,0.5"],
     ["inequality", "--eps=2,1,0.5"],
@@ -157,6 +168,42 @@ def record(argvs, src=None) -> dict:
     return {"runs": [record_one(run, argv) for argv in argvs]}
 
 
+COMPREHENSIONS = ("<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>")
+
+
+def _functions(path: pathlib.Path):
+    """Code objects of the functions, methods and lambdas a source file defines."""
+    todo = [compile(path.read_text(), str(path), "exec")]
+    while todo:
+        code = todo.pop()
+        todo += [c for c in code.co_consts if inspect.iscode(c)]
+        # a class body or module has no fresh locals; comprehensions are named
+        if code.co_flags & inspect.CO_NEWLOCALS and code.co_name not in COMPREHENSIONS:
+            yield code
+
+
+def reach(argvs, src=None) -> list[str]:
+    """module.qualname of every enhq function that no argv enters, sorted."""
+    entered = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            entered.add((code.co_filename, code.co_firstlineno, code.co_qualname))
+
+    sys.setprofile(hook)
+    threading.setprofile(hook)
+    try:
+        record(argvs, src)
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    package = pathlib.Path(sys.modules["enhq"].__file__).parent
+    return sorted({f"{path.stem}.{code.co_qualname}"
+                   for path in package.glob("*.py") for code in _functions(path)
+                   if (str(path), code.co_firstlineno, code.co_qualname) not in entered})
+
+
 def compare(a: dict, b: dict) -> list[str]:
     """One line per run whose record differs, or that only one side holds."""
     runs_a = {" ".join(r["argv"]): r for r in a["runs"]}
@@ -178,14 +225,19 @@ def main(argv=None) -> int:
     ap.add_argument("--src", help="src/ tree to import enhq from")
     ap.add_argument("--out", help="record file to write (JSON)")
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"), help="two record files")
+    ap.add_argument("--reach", action="store_true",
+                    help="list the enhq functions that no argv enters")
     args = ap.parse_args(argv)
     if args.compare:
         a, b = (json.loads(pathlib.Path(p).read_text()) for p in args.compare)
         lines = compare(a, b)
         print("\n".join(lines) if lines else f"identical: {len(a['runs'])} runs")
         return 1 if lines else 0
+    if args.src and args.reach:
+        print("\n".join(reach(argv_list(), args.src)))
+        return 0
     if not (args.src and args.out):
-        ap.error("give --src and --out to record, or --compare A B")
+        ap.error("give --src and --out to record, --src and --reach, or --compare A B")
     doc = record(argv_list(), args.src)
     pathlib.Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     print(f"{len(doc['runs'])} runs -> {args.out}")
