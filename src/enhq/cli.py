@@ -180,7 +180,7 @@ def _cmd_dynamics(args):
     # the run keeps only the rows the table writes
     traj = integrate(flow, (args.p0, args.q0), args.t_end, dt=args.dt, stride=args.stride)
     t_end, *end = traj.end  # t_end, or the last step before a classical pole
-    exact = partial(flow.exact, args.p0, args.q0, t_end)
+    exact = flow.exact(args.p0, args.q0, t_end)
     # toy gravity turns at t* = -q0 p0 / E, where q = c / E; so the exact
     # minimum of q over the run is q0 if t* < 0, and q at its end if t* > t_end
     t_star = q_min = None
@@ -190,7 +190,7 @@ def _cmd_dynamics(args):
         if 0 <= t_star <= args.t_end:
             q_min = float(flow.barrier / energy)
         else:
-            q_min, t_star = args.q0 if t_star < 0 else exact()[1], None
+            q_min, t_star = args.q0 if t_star < 0 else exact[1], None
     if traj.status == "singularity":
         verdict = f"singularity at t≈{traj.hit_time:.6g}"
     else:
@@ -199,8 +199,7 @@ def _cmd_dynamics(args):
         "status": traj.status, "hit_time": traj.hit_time, "min_q": traj.min_q,
         "t_star": t_star, "q_min_exact": q_min,
         "drift": traj.drift, "method": "implicit-midpoint", "dt": args.dt,
-        "cross_check_error": float(np.max(np.abs(np.subtract(end, exact()))))
-        if args.cross_check else None,
+        "cross_check_error": float(np.max(np.abs(np.subtract(end, exact)))),
     }, f"dynamics[{flow.name}]: {verdict}")
 
 
@@ -325,8 +324,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=float, default=2.0)
     p.add_argument("--dt", type=float, default=1e-4)
     p.add_argument("--stride", type=int, default=100, help="output row thinning")
-    p.add_argument("--cross-check", action="store_true",
-                   help="report the largest gap of the last step's p and q from the exact flow")
     p.set_defaults(fn=_cmd_dynamics)
 
     p = add("rotsym", help="shuffle-symmetry demonstration")
@@ -355,10 +352,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def _flag_value(action: argparse.Action, value):
     """A config value as its flag would parse it; a list reads as a comma list."""
-    if action.nargs == 0:  # a switch such as --cross-check
-        if not isinstance(value, bool):
-            raise ValueError(f"expected true or false, got {value!r}")
-        return value
     if value is None and action.default is None:
         return None
     text = ",".join(map(str, value)) if isinstance(value, list) else str(value)

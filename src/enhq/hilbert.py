@@ -1,7 +1,7 @@
 """Finite-dimensional Hilbert-space engine.
 
 Builds truncated Fock spaces and spin spaces, the basic Hermitian
-operators living on them, and expectation values.  An operator is a
+operators on the Fock space, and expectation values.  An operator is a
 read-only complex (dim, dim) array: the operators never change, and
 callers share them.  States are immutable after construction.
 
@@ -24,7 +24,6 @@ __all__ = [
     "position_operator",
     "momentum_operator",
     "dilation_operator",
-    "spin_operators",
     "spin_space",
     "expectation",
     "basis_state",
@@ -114,24 +113,6 @@ def spin_space(s: float, hbar: float) -> HilbertSpace:
     if s <= 0 or abs(two_s - round(two_s)) > 1e-9:
         raise ValueError(f"spin must be a positive half-integer, got {s}")
     return HilbertSpace(dim=int(round(two_s)) + 1, hbar=float(hbar), kind="spin")
-
-
-def spin_operators(s: float, hbar: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Irreducible spin triple (S1, S2, S3) with [S1,S2] = i*hbar*S3.
-
-    Basis ordering is m = s, s-1, ..., -s, so S3 is diagonal with
-    decreasing eigenvalues m*hbar.
-    """
-    spin_space(s, hbar)  # validates s and hbar
-    m = np.arange(s, -s - 1e-9, -1.0)
-    s3 = np.diag(hbar * m).astype(complex)
-    # S+ |s,m> = hbar sqrt(s(s+1) - m(m+1)) |s,m+1>
-    below = m[1:]  # source m for each raising step
-    sp = np.diag(hbar * np.sqrt(s * (s + 1) - below * (below + 1)), k=1).astype(complex)
-    sm = sp.conj().T
-    s1 = (sp + sm) / 2.0
-    s2 = (sp - sm) / 2j
-    return _frozen(s1), _frozen(s2), _frozen(s3)
 
 
 def expectation(psi: StateVector, A: np.ndarray) -> complex:

@@ -3,10 +3,10 @@
 A Hamiltonian is specified as a sum of coefficient-weighted operator
 words, e.g. ``0.5*P.P + 0.5*Q.Q`` or ``D.Qinv.D``.  Words are evaluated
 literally, in the written order; specs must be self-adjoint as written.
-Canonical and spin letters carry exact powers of hbar (Q = sqrt(hbar) X,
-S_i = hbar s_i), so a word of length d scales as h^d, h = sqrt(hbar) or
-hbar: the spec's words are summed once per length into cached hbar-free
-matrices T_d, and H(p, q) = sum_d h^d <psi|T_d psi>.  Affine words act
+Canonical letters carry exact powers of hbar (Q = sqrt(hbar) X,
+P = sqrt(hbar) Y), so a word of length d scales as hbar^(d/2): the spec's
+words are summed once per length into cached hbar-free matrices T_d, and
+H(p, q) = sum_d hbar^(d/2) <psi|T_d psi>.  Affine words act
 on the half-line representation, where D maps a state multiplied by a
 Laurent polynomial R(x) to one multiplied by
 -i*hbar*x*R'(x) + m(x)*R(x), with m the linear multiplier that D
@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coherent import AffineFamily, _check_affine_point
-from .hilbert import make_fock_space, momentum_operator, position_operator, spin_operators
+from .hilbert import make_fock_space, momentum_operator, position_operator
 
 __all__ = [
     "HamiltonianSpec",
@@ -37,10 +37,10 @@ __all__ = [
     "classical_limit",
 ]
 
-_ALPHABET = {
-    "canonical": ("P", "Q"),
-    "affine": ("D", "Q", "Qinv"),
-    "spin": ("S1", "S2", "S3"),
+_CLASSICAL_SYMBOLS = {
+    # letter -> (p_power, q_power) of its classical symbol
+    "canonical": {"P": (1, 0), "Q": (0, 1)},
+    "affine": {"D": (1, 1), "Q": (0, 1), "Qinv": (0, -1)},
 }
 
 _NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
@@ -57,9 +57,9 @@ class HamiltonianSpec:
 
 def parse_hamiltonian(text: str, kind: str) -> HamiltonianSpec:
     """Parse a term list like ``0.5*P.P + 0.5*Q.Q`` for the given family kind."""
-    if kind not in _ALPHABET:
+    if kind not in _CLASSICAL_SYMBOLS:
         raise ValueError(f"unknown family kind {kind!r}")
-    letters = _ALPHABET[kind]
+    letters = tuple(_CLASSICAL_SYMBOLS[kind])
     terms = []
     for raw in re.split(r"(?<![\d.][eE])\+", text):  # not an exponent's sign
         raw = raw.strip()
@@ -92,15 +92,12 @@ def _formally_self_adjoint(spec: HamiltonianSpec) -> bool:
 
 @lru_cache(maxsize=64)
 def _word_sums(spec: HamiltonianSpec, dim: int) -> tuple[tuple[int, np.ndarray], ...]:
-    """(d, T_d) pairs: the sum of the spec's words of length d, over the
-    hbar = 1 letters.  Each degree scales on its own with hbar, so each must
-    be Hermitian; every family of this size shares the arrays, so they are
-    read-only."""
-    if spec.kind == "canonical":
-        space = make_fock_space(dim, 1.0)
-        ops = {"P": momentum_operator(space), "Q": position_operator(space)}
-    else:
-        ops = dict(zip(("S1", "S2", "S3"), spin_operators((dim - 1) / 2, 1.0)))
+    """(d, T_d) pairs: the sum of the spec's canonical words of length d,
+    over the hbar = 1 letters.  Each degree scales on its own with hbar, so
+    each must be Hermitian; every family of this size shares the arrays, so
+    they are read-only."""
+    space = make_fock_space(dim, 1.0)
+    ops = {"P": momentum_operator(space), "Q": position_operator(space)}
     sums: dict[int, np.ndarray] = {}
     for coeff, word in spec.terms:
         m = np.eye(dim, dtype=complex)
@@ -141,20 +138,18 @@ def _affine_laurent(spec: HamiltonianSpec, family: AffineFamily, p: float, q: fl
 
 
 def enhanced_hamiltonian(spec: HamiltonianSpec, family, p: float, q: float) -> float:
-    """Coherent-state expectation <p,q| H |p,q> over the family's chart.
-
-    For spin families the chart point is (theta, phi).
-    """
+    """Coherent-state expectation <p,q| H |p,q> of a canonical or affine spec."""
     if spec.kind != family.kind:
         raise ValueError(f"{spec.kind} spec applied to a {family.kind} family")
     if spec.kind == "affine":
         _check_affine_point(p, q)  # before _affine_laurent divides by q
         val = family.expect_laurent(_affine_laurent(spec, family, p, q), p, q)
-    else:
+    elif spec.kind == "canonical":
         sums = _word_sums(spec, family.space.dim)
-        e = 0.5 if spec.kind == "canonical" else 1.0  # hbar^(d/2) or hbar^d
         psi = family.state(p, q).coeffs
-        val = sum(family.hbar ** (e * d) * complex(np.vdot(psi, t @ psi)) for d, t in sums)
+        val = sum(family.hbar ** (0.5 * d) * complex(np.vdot(psi, t @ psi)) for d, t in sums)
+    else:
+        raise ValueError(f"no enhanced Hamiltonian shipped for {spec.kind} specs")
     if abs(val.imag) > 1e-10 * (1.0 + abs(val)):
         raise ValueError(f"expectation of {spec} is not real: {val}")
     return float(val.real)
@@ -195,19 +190,11 @@ class ClassicalLimit:
         return float(sum(c * p**a * q**b for c, a, b in self.terms))
 
 
-_CLASSICAL_SYMBOLS = {
-    # letter -> (p_power, q_power) of its classical symbol
-    "canonical": {"P": (1, 0), "Q": (0, 1)},
-    "affine": {"D": (1, 1), "Q": (0, 1), "Qinv": (0, -1)},
-}
-
-
 def classical_limit(spec: HamiltonianSpec) -> ClassicalLimit:
     """Replace each operator letter by its classical symbol.
 
     Canonical: P -> p, Q -> q.  Affine: D -> p*q, Q -> q, so D Q^-1 D
-    becomes q p^2.  Spin specs have no hbar-free limit and are reported
-    as unsupported.
+    becomes q p^2.
     """
     if spec.kind not in _CLASSICAL_SYMBOLS:
         raise ValueError(f"no classical limit shipped for {spec.kind} specs")

@@ -1,14 +1,15 @@
 """Reference constructions the tests check the program against.
 
 None of these is reached by an `enhq` subcommand, so they live beside the
-tests rather than in the package: dense unitaries, squeezed fiducials,
-position-space wavefunctions, overlaps, the fiducial variance
-coefficients, the Gauss-Gamma quadrature of affine expectations, the
-dense per-call word matrix of canonical and spin Hamiltonians, the
-power-counting slopes of the radial inequality, the canonical and spin
-state maps written out without the families' factor caches, the gradients
-of the dynamics flows, which the midpoint residuals read, and the spin
-family relabelled by a (p, q) chart, which the chart-covariance checks read.
+tests rather than in the package: the spin operator triple (S1, S2, S3),
+dense unitaries, squeezed fiducials, position-space wavefunctions,
+overlaps, the fiducial variance coefficients, the Gauss-Gamma quadrature
+of affine expectations, the dense per-call word matrix of canonical
+Hamiltonians, the power-counting slopes of the radial inequality, the
+canonical and spin state maps written out without the families' factor
+caches, the gradients of the dynamics flows, which the midpoint residuals
+read, and the spin family relabelled by a (p, q) chart, which the
+chart-covariance checks read.
 """
 
 import math
@@ -21,11 +22,30 @@ from enhq.coherent import AffineState, ChartBoundaryError, _ladder_spectrum
 from enhq.dynamics import _sumsq
 from enhq.hilbert import (
     StateVector,
+    _frozen,
     expectation,
     momentum_operator,
     position_operator,
-    spin_operators,
+    spin_space,
 )
+
+
+def spin_operators(s: float, hbar: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Irreducible spin triple (S1, S2, S3) with [S1,S2] = i*hbar*S3.
+
+    Basis ordering is m = s, s-1, ..., -s, so S3 is diagonal with
+    decreasing eigenvalues m*hbar.
+    """
+    spin_space(s, hbar)  # validates s and hbar
+    m = np.arange(s, -s - 1e-9, -1.0)
+    s3 = np.diag(hbar * m).astype(complex)
+    # S+ |s,m> = hbar sqrt(s(s+1) - m(m+1)) |s,m+1>
+    below = m[1:]  # source m for each raising step
+    sp = np.diag(hbar * np.sqrt(s * (s + 1) - below * (below + 1)), k=1).astype(complex)
+    sm = sp.conj().T
+    s1 = (sp + sm) / 2.0
+    s2 = (sp - sm) / 2j
+    return _frozen(s1), _frozen(s2), _frozen(s3)
 
 
 def unitary_from_hermitian(A: np.ndarray, c: float) -> np.ndarray:
@@ -132,11 +152,8 @@ def quadrature_expect_laurent(family, coeffs: dict, p: float, q: float) -> compl
 
 
 def dense_enhanced_hamiltonian(spec, family, p: float, q: float) -> complex:
-    """<p,q|H|p,q> with H built from the family's own letters, word by word."""
-    if spec.kind == "canonical":
-        ops = {"P": family.P, "Q": family.Q}
-    else:
-        ops = dict(zip(("S1", "S2", "S3"), spin_operators(family.s, family.hbar)))
+    """<p,q|H|p,q> with H built from the canonical family's own P and Q, word by word."""
+    ops = {"P": family.P, "Q": family.Q}
     total = np.zeros((family.space.dim, family.space.dim), dtype=complex)
     for coeff, word in spec.terms:
         m = np.eye(family.space.dim, dtype=complex)

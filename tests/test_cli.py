@@ -316,8 +316,7 @@ class TestArtifacts:
         # reads the run's last step
         errors = []
         for stride in ("1", "13"):
-            assert run(["--out", str(tmp_path), "dynamics", *argv, "--cross-check",
-                        "--stride", stride]) == 0
+            assert run(["--out", str(tmp_path), "dynamics", *argv, "--stride", stride]) == 0
             errors.append(json.loads(_read(tmp_path / "dynamics_summary.json"))
                           ["cross_check_error"])
         last = _read(tmp_path / "dynamics.csv").splitlines()[-1]
@@ -330,8 +329,7 @@ class TestArtifacts:
         ["--hbar", "0.5", "--beta", "2", "--p0=-2", "--t-end", "1"],
     ], ids=["oscillator", "classical", "bounce"])
     def test_cross_check_is_the_exact_flow_error(self, tmp_path, capsys, argv):
-        assert run(["--out", str(tmp_path), "dynamics", *argv, "--cross-check",
-                    "--stride", "1"]) == 0
+        assert run(["--out", str(tmp_path), "dynamics", *argv, "--stride", "1"]) == 0
         summary = json.loads(_read(tmp_path / "dynamics_summary.json"))
         cfg = summary["config"]
         p0, q0 = cfg["p0"], cfg["q0"]
@@ -350,11 +348,22 @@ class TestArtifacts:
     def test_cross_check_of_a_classical_hit(self, tmp_path, capsys, q0):
         # the run ends at its last step before the floor, short of the pole,
         # where the exact flow raises
-        assert run(["--out", str(tmp_path), "dynamics", "--hbar", "0", "--q0", q0,
-                    "--cross-check"]) == 0
+        assert run(["--out", str(tmp_path), "dynamics", "--hbar", "0", "--q0", q0]) == 0
         summary = json.loads(_read(tmp_path / "dynamics_summary.json"))
         assert summary["status"] == "singularity"
         assert math.isfinite(summary["cross_check_error"])
+
+    def test_every_run_checks_itself(self, tmp_path, capsys):
+        # the check is one closed-form evaluation, so no switch turns it on
+        argv = ["--out", str(tmp_path), "dynamics", "--model", "oscillator", "--t-end", "0.5",
+                "--stride", "1"]
+        assert run(argv) == 0
+        summary = json.loads(_read(tmp_path / "dynamics_summary.json"))
+        t, p, q = map(float, _read(tmp_path / "dynamics.csv").splitlines()[-1].split(",")[:3])
+        p_exact, q_exact = -np.cos(t) - np.sin(t), np.cos(t) - np.sin(t)  # p0 = -1, q0 = 1
+        assert summary["cross_check_error"] == max(abs(p - p_exact), abs(q - q_exact))
+        assert run([*argv, "--cross-check"]) == 1
+        assert "unrecognized arguments: --cross-check" in capsys.readouterr().err
 
     def test_wcp_verdict(self, tmp_path, capsys):
         assert run(["--out", str(tmp_path), "wcp", "--family", "canonical",

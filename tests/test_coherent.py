@@ -15,6 +15,7 @@ from references import (
     hermite_functions,
     overlap,
     quadrature_expect_laurent,
+    spin_operators,
     spin_state_uncached,
     squeezed_ground_state,
     unitary_from_hermitian,
@@ -30,7 +31,7 @@ from enhq.coherent import (
     _ladder_spectrum,
 )
 from enhq.geometry import gaussian_curvature
-from enhq.hilbert import basis_state, expectation, make_fock_space, spin_operators
+from enhq.hilbert import basis_state, expectation, make_fock_space
 
 
 # ---------------------------------------------------------------- canonical

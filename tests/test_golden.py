@@ -20,7 +20,6 @@ UNREACHED = {
     "coherent.CanonicalFamily.P": "perfbench's tracing test pins coherent.position_operator",
     "coherent.CanonicalFamily.Q": "the same perfbench pin",
     "coherent.SpinFamily.state": "the validated API entry; the CLI builds spin states unchecked",
-    "hilbert.spin_operators": "spin Hamiltonians are API-only: wcp has no spin family",
 }
 
 

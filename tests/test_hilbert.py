@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from references import squeezed_ground_state, unitary_from_hermitian
+from references import spin_operators, squeezed_ground_state, unitary_from_hermitian
 
 from enhq.coherent import CanonicalFamily
 from enhq.hilbert import (
@@ -14,7 +14,6 @@ from enhq.hilbert import (
     make_fock_space,
     momentum_operator,
     position_operator,
-    spin_operators,
     spin_space,
 )
 
@@ -157,7 +156,6 @@ def _operators():
     fock = make_fock_space(12, 0.5)
     yield from (annihilation_operator(fock), position_operator(fock),
                 momentum_operator(fock), dilation_operator(fock))
-    yield from spin_operators(1.5, 2.0)
     yield CanonicalFamily(N=20).Q
 
 

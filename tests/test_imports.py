@@ -37,8 +37,8 @@ def test_cli_import_loads_no_scipy(tmp_path):
     ["dynamics", "--hbar", "1", "--beta", "2"],
     ["dynamics", "--model", "oscillator"],
     ["wcp", "--family", "affine"],
-    ["dynamics", "--model", "oscillator", "--cross-check"],
-    ["dynamics", "--hbar", "0.5", "--beta", "2", "--p0=-2", "--t-end", "1", "--cross-check"],
+    ["dynamics", "--model", "oscillator", "--t-end", "1"],
+    ["dynamics", "--hbar", "0.5", "--beta", "2", "--p0=-2", "--t-end", "1"],
 ])
 def test_scipy_free_subcommands(tmp_path, argv):
     # C' and affine surfaces are exact moments: no quadrature grid, no scipy

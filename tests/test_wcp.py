@@ -9,6 +9,7 @@ from enhq._quadrature import _genlaguerre_rule
 from enhq.coherent import AffineFamily, CanonicalFamily, SpinFamily
 from enhq.hilbert import basis_state, expectation
 from enhq.wcp import (
+    HamiltonianSpec,
     _word_sums,
     classical_limit,
     cprime,
@@ -195,45 +196,16 @@ class TestClassicalLimit:
         cl = classical_limit(parse_hamiltonian(OSC, "canonical"))
         assert cl(1.0, 2.0) == pytest.approx(2.5)
 
-    def test_spin_unsupported(self):
-        with pytest.raises(ValueError):
-            classical_limit(parse_hamiltonian("S3", "spin"))
 
-
-class TestSpin:
-    def test_s3_surface(self):
-        s, hbar = 1.0, 1.0
-        fam = SpinFamily(s, hbar)
-        spec = parse_hamiltonian("S3", "spin")
-        for theta in (0.3, 1.5, 2.8):
-            got = enhanced_hamiltonian(spec, fam, theta, 0.4)
-            assert abs(got - s * hbar * np.cos(theta)) < 1e-10
-
-    @pytest.mark.parametrize("hbar", HBARS)
-    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
-    def test_matches_dense_word_matrix(self, s, hbar):
-        fam = SpinFamily(s, hbar)
-        for text in ("S3", "2*S1 + S1.S1 + S2.S3.S3.S2 + 0.3*S1.S3 + 0.3*S3.S1"):
-            spec = parse_hamiltonian(text, "spin")
-            for theta, phi in ((0.3, 0.4), (1.5, 2.0), (2.8, 5.0)):
-                ref = dense_enhanced_hamiltonian(spec, fam, theta, phi).real
-                got = enhanced_hamiltonian(spec, fam, theta, phi)
-                assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
-
-    @pytest.mark.parametrize("hbar", HBARS)
-    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
-    def test_casimir(self, s, hbar):
-        fam = SpinFamily(s, hbar)
-        spec = parse_hamiltonian("S1.S1 + S2.S2 + S3.S3", "spin")
-        for theta, phi in ((0.3, 0.4), (1.5, 2.0), (2.8, 5.0)):
-            got = enhanced_hamiltonian(spec, fam, theta, phi)
-            assert got == pytest.approx(hbar**2 * s * (s + 1), rel=1e-13, abs=0.0)
-
-    def test_non_hermitian_spec_rejected(self):
-        fam = SpinFamily(1.0)
-        for _ in range(2):
-            with pytest.raises(ValueError, match="not Hermitian as written"):
-                enhanced_hamiltonian(parse_hamiltonian("S1.S2", "spin"), fam, 0.5, 0.5)
+def test_spin_specs_fail_loudly():
+    # wcp has no spin family, so a spin spec fails with a ValueError at every entry
+    with pytest.raises(ValueError, match="unknown family kind 'spin'"):
+        parse_hamiltonian("S3", "spin")
+    spec = HamiltonianSpec(kind="spin", terms=((1.0, ("S3",)),))
+    with pytest.raises(ValueError, match="no enhanced Hamiltonian shipped for spin specs"):
+        enhanced_hamiltonian(spec, SpinFamily(1.0), 0.5, 0.5)
+    with pytest.raises(ValueError, match="no classical limit shipped for spin specs"):
+        classical_limit(spec)
 
 
 class TestScaling:

@@ -69,9 +69,9 @@ EDGE = [
     ["wcp", "--family", "affine", "--hamiltonian", "Q"],
     ["dynamics", "--model", "oscillator"],
     ["dynamics", "--model", "oscillator", "--p0", "1e155", "--t-end", "0.01"],
-    ["dynamics", "--model", "oscillator", "--t-end", "1", "--cross-check"],
+    ["dynamics", "--model", "oscillator", "--t-end", "1"],
     ["dynamics", "--hbar", "0", "--t-end", "0.5"],
-    ["dynamics", "--hbar", "0", "--t-end", "0.9", "--cross-check"],
+    ["dynamics", "--hbar", "0", "--t-end", "0.9"],
     ["dynamics", "--hbar", "0", "--p0=-1.5", "--t-end", "3", "--stride", "7"],
     ["dynamics", "--hbar", "0", "--q0", "1e-300", "--t-end", "3"],
     ["dynamics", "--hbar", "0", "--q0", "1e-11", "--t-end", "3"],
@@ -83,7 +83,7 @@ EDGE = [
     ["dynamics", "--stride", "0"],
     ["dynamics", "--q0", "nan"],
     ["dynamics", "--hbar", "1", "--p0", "-1", "--q0", "1"],
-    ["dynamics", "--hbar", "0.5", "--beta", "2", "--p0=-2", "--t-end", "1", "--cross-check"],
+    ["dynamics", "--hbar", "0.5", "--beta", "2", "--p0=-2", "--t-end", "1"],
     ["dynamics", "--hbar", "0.5", "--beta", "2", "--p0=-2", "--t-end", "3", "--stride", "13"],
     ["dynamics", "--hbar", "1", "--q0", "1e-300", "--t-end", "0.01"],
     ["dynamics", "--hbar", "0.01", "--p0=-100", "--t-end", "0.1"],
@@ -98,9 +98,9 @@ EDGE = [
     ["inequality", "--eps=1e-2,nan,1e-4"],
     ["inequality", "--n", "50", "--alphas", "23.9", "--eps=1e-2,1e-8"],
     ["inequality", "--n", "400", "--alphas", "0"],
-    # config files: a switch, a flag overriding its config key, a list flag
-    # and an unknown key (exit 1)
-    ["--config", "<tools>/configs/dynamics_cross_check.json", "dynamics", "--stride", "20"],
+    # config files: a flag overriding its config key, a list flag and an
+    # unknown key (exit 1)
+    ["--config", "<tools>/configs/dynamics_bounce.json", "dynamics", "--stride", "20"],
     ["--config", "<tools>/configs/metric_list.json", "metric"],
     ["--config", "<tools>/configs/unknown_key.json", "inequality"],
 ]
