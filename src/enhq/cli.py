@@ -97,7 +97,8 @@ def _family_from(args):
     from .coherent import AffineFamily, CanonicalFamily, SpinFamily
 
     if args.family == "canonical":
-        return CanonicalFamily(N=args.N, hbar=args.hbar)
+        # wcp has no --N: its canonical words act on the fiducial alone
+        return CanonicalFamily(N=getattr(args, "N", 100), hbar=args.hbar)
     if args.family == "affine":
         return AffineFamily(args.beta, args.hbar)
     return SpinFamily(args.s, args.hbar)
@@ -293,10 +294,10 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--beta", type=float, default=1.0)
         if "spin" in kinds:
             p.add_argument("--s", type=float, default=0.5)
-        p.add_argument("--N", type=int, default=100)
 
     p = add("metric", help="metric and curvature sweep")
     fam(p)
+    p.add_argument("--N", type=int, default=100, help="canonical Fock truncation")
     p.add_argument("--p", type=_floats, default=None,
                    help=_LIST_HELP.format("first coords", "p")
                    + " (default 0, or pi/2 on the spin family's equator)")

@@ -53,6 +53,9 @@ __all__ = [
 # Fock levels; more means the truncation has cut off part of the state
 TAIL_MASS_MAX = 1e-10
 TAIL_LEVELS = 5
+# largest relative gap between a canonical state's mean Fock level and the
+# exact one; more means the truncation has folded part of the state back
+LEVEL_TOL = 1e-8
 # largest |<psi|psi> - 1| allowed for an affine state on its quadrature
 # grid; more means the grid, tuned to one q, does not resolve the state
 AFFINE_NORM_TOL = 1e-6
@@ -107,8 +110,9 @@ class CanonicalFamily:
     """Canonical coherent states exp(-iqP/h) exp(ipQ/h) |fiducial>.
 
     N must exceed TAIL_LEVELS.  `state` raises ValueError at a non-finite
-    (p, q), or when more than TAIL_MASS_MAX of the norm sits in the top
-    TAIL_LEVELS Fock levels.
+    (p, q), when more than TAIL_MASS_MAX of the norm sits in the top
+    TAIL_LEVELS Fock levels, or when its mean Fock level is off by more than
+    LEVEL_TOL from <n> + (p^2 + q^2)/(2h) + (p<P> + q<Q>)/h in the fiducial.
     """
 
     kind = "canonical"
@@ -128,7 +132,10 @@ class CanonicalFamily:
             raise ValueError("fiducial lives on a different space")
         x, v, self._vu, w = _ladder_spectrum(space.kind, space.dim)
         x = x / math.sqrt(space.hbar)  # eigenvalues of Q / hbar
-        a = v.T @ self.fiducial.coeffs
+        n, c = np.arange(space.dim), self.fiducial.coeffs
+        m = np.vdot(c[:-1], np.sqrt(n[1:]) * c[1:]) * math.sqrt(2.0 / space.hbar)  # (<Q> + i<P>)/h
+        self._levels, self._moments = n, (np.vdot(c, n * c).real, m.real, m.imag)
+        a = v.T @ c
         phase = self._phase = _factor_cache(lambda t: np.exp(1j * t * x))
         self._half = _factor_cache(lambda p: w @ (phase(p) * a))
 
@@ -163,6 +170,12 @@ class CanonicalFamily:
                 f"of its norm in the top {TAIL_LEVELS} of {c.size} Fock levels "
                 f"(limit {TAIL_MASS_MAX:g}); use a larger truncation"
             )
+        n0, q0, p0 = self._moments  # the fiducial's <n>, <Q>/h and <P>/h
+        level = np.vdot(c, self._levels * c).real / (norm * norm)
+        exact = n0 + (p * p + q * q) / (2.0 * self.hbar) + p * p0 + q * q0
+        if not abs(level - exact) <= LEVEL_TOL * (1.0 + exact):
+            raise ValueError(f"canonical state at (p, q) = ({p}, {q}), hbar = {self.hbar}: mean "
+                             f"Fock level {level:.6g}, not {exact:.6g}; use a larger truncation")
         return StateVector(c / norm, self.space)
 
     def chart(self, point, margin: float):

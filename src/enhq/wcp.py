@@ -3,10 +3,10 @@
 A Hamiltonian is specified as a sum of coefficient-weighted operator
 words, e.g. ``0.5*P.P + 0.5*Q.Q`` or ``D.Qinv.D``.  Words are evaluated
 literally, in the written order; specs must be self-adjoint as written.
-Canonical letters carry exact powers of hbar (Q = sqrt(hbar) X,
-P = sqrt(hbar) Y), so a word of length d scales as hbar^(d/2): the spec's
-words are summed once per length into cached hbar-free matrices T_d, and
-H(p, q) = sum_d hbar^(d/2) <psi|T_d psi>.  Affine words act
+Canonical words use H(p, q) = <fiducial|H(P + p, Q + q)|fiducial>: the
+shifted letters sqrt(hbar) X + q and sqrt(hbar) Y + p act right to left on
+the fiducial in a Fock space one word longer than its support, where the
+hbar-free X = Q/sqrt(hbar) and Y = P/sqrt(hbar) act exactly.  Affine words act
 on the half-line representation, where D maps a state multiplied by a
 Laurent polynomial R(x) to one multiplied by
 -i*hbar*x*R'(x) + m(x)*R(x), with m the linear multiplier that D
@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .coherent import AffineFamily, _check_affine_point
-from .hilbert import make_fock_space, momentum_operator, position_operator
+from .hilbert import _frozen, make_fock_space, momentum_operator, position_operator
 
 __all__ = [
     "HamiltonianSpec",
@@ -42,6 +42,8 @@ _CLASSICAL_SYMBOLS = {
     "canonical": {"P": (1, 0), "Q": (0, 1)},
     "affine": {"D": (1, 1), "Q": (0, 1), "Qinv": (0, -1)},
 }
+
+FIT_ROUNDING = 16.0  # bound on the rounding of H - H_classical, in eps times its terms' sizes
 
 _NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
@@ -76,82 +78,71 @@ def parse_hamiltonian(text: str, kind: str) -> HamiltonianSpec:
         word = tuple(tok.strip() for tok in word_part.split("."))
         for tok in word:
             if tok not in letters:
-                raise ValueError(
-                    f"operator {tok!r} not in the {kind} alphabet {letters}"
-                )
+                raise ValueError(f"operator {tok!r} not in the {kind} alphabet {letters}")
         terms.append((coeff, word))
     return HamiltonianSpec(kind=kind, terms=tuple(terms))
 
 
 def _formally_self_adjoint(spec: HamiltonianSpec) -> bool:
-    """Words over Hermitian letters: the reversed term multiset must match."""
-    fwd = sorted((round(c, 14), w) for c, w in spec.terms)
-    rev = sorted((round(c, 14), tuple(reversed(w))) for c, w in spec.terms)
-    return fwd == rev
+    """Words over Hermitian letters: each word's summed coefficient must match its reverse's."""
+    acc: dict[tuple[str, ...], float] = {}
+    for c, w in spec.terms:
+        acc[w] = acc.get(w, 0.0) + c
+    return all(round(c, 14) == round(acc.get(w[::-1], 0.0), 14) for w, c in acc.items())
+
+
+def _word_sum(spec: HamiltonianSpec, start, letter, read):
+    """Sum of coeff * read(v), v the word applied to start by v = letter(v, tok), right to left."""
+    return sum(coeff * read(reduce(letter, reversed(word), start)) for coeff, word in spec.terms)
 
 
 @lru_cache(maxsize=64)
-def _word_sums(spec: HamiltonianSpec, dim: int) -> tuple[tuple[int, np.ndarray], ...]:
-    """(d, T_d) pairs: the sum of the spec's canonical words of length d,
-    over the hbar = 1 letters.  Each degree scales on its own with hbar, so
-    each must be Hermitian; every family of this size shares the arrays, so
-    they are read-only."""
+def _letters(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """X = Q/sqrt(hbar), Y = P/sqrt(hbar) and 1 on dim Fock levels, shared read-only."""
     space = make_fock_space(dim, 1.0)
-    ops = {"P": momentum_operator(space), "Q": position_operator(space)}
-    sums: dict[int, np.ndarray] = {}
-    for coeff, word in spec.terms:
-        m = np.eye(dim, dtype=complex)
-        for tok in word:
-            m = m @ ops[tok]
-        sums[len(word)] = sums.get(len(word), 0.0) + coeff * m
-    for t in sums.values():
-        if np.max(np.abs(t - t.conj().T)) > 1e-10 * max(1.0, float(np.max(np.abs(t)))):
-            raise ValueError(f"spec {spec} is not Hermitian as written")
-        t.setflags(write=False)
-    return tuple(sorted(sums.items()))
+    return position_operator(space), momentum_operator(space), _frozen(np.eye(dim))
 
 
-def _affine_laurent(spec: HamiltonianSpec, family: AffineFamily, p: float, q: float) -> dict:
-    """Total Laurent multiplier of the word sum acting on |p,q>."""
-    if not _formally_self_adjoint(spec):
-        raise ValueError(f"affine spec {spec} is not self-adjoint as written")
-    h = family.hbar
+def _affine_letter(family: AffineFamily, p: float, q: float):
+    """Each letter's action on the Laurent multiplier R(x) of a state R(x)|p,q>."""
+    h, m0 = family.hbar, -1j * family.beta
     m1 = p + 1j * family.beta / q  # D|p,q> = (m1*x + m0)|p,q>
-    m0 = -1j * family.beta
-    total: dict[int, complex] = {}
-    for coeff, word in spec.terms:
-        r = {0: 1.0 + 0.0j}
-        for tok in reversed(word):
-            if tok == "Q":
-                r = {e + 1: c for e, c in r.items()}
-            elif tok == "Qinv":
-                r = {e - 1: c for e, c in r.items()}
-            else:  # D: R -> -i h x R' + (m1 x + m0) R
-                nxt: dict[int, complex] = {}
-                for e, c in r.items():
-                    nxt[e] = nxt.get(e, 0.0) + (-1j * h * e + m0) * c
-                    nxt[e + 1] = nxt.get(e + 1, 0.0) + m1 * c
-                r = nxt
+
+    def letter(r, tok):
+        if tok != "D":  # Q and Qinv shift the exponent
+            return {e + (1 if tok == "Q" else -1): c for e, c in r.items()}
+        nxt: dict[int, complex] = {}  # D: R -> -i h x R' + (m1 x + m0) R
         for e, c in r.items():
-            total[e] = total.get(e, 0.0) + coeff * c
-    return total
+            nxt[e] = nxt.get(e, 0.0) + (-1j * h * e + m0) * c
+            nxt[e + 1] = nxt.get(e + 1, 0.0) + m1 * c
+        return nxt
+
+    return letter
 
 
 def enhanced_hamiltonian(spec: HamiltonianSpec, family, p: float, q: float) -> float:
     """Coherent-state expectation <p,q| H |p,q> of a canonical or affine spec."""
     if spec.kind != family.kind:
         raise ValueError(f"{spec.kind} spec applied to a {family.kind} family")
-    if spec.kind == "affine":
-        _check_affine_point(p, q)  # before _affine_laurent divides by q
-        val = family.expect_laurent(_affine_laurent(spec, family, p, q), p, q)
-    elif spec.kind == "canonical":
-        sums = _word_sums(spec, family.space.dim)
-        psi = family.state(p, q).coeffs
-        val = sum(family.hbar ** (0.5 * d) * complex(np.vdot(psi, t @ psi)) for d, t in sums)
-    else:
+    if spec.kind not in _CLASSICAL_SYMBOLS:
         raise ValueError(f"no enhanced Hamiltonian shipped for {spec.kind} specs")
-    if abs(val.imag) > 1e-10 * (1.0 + abs(val)):
-        raise ValueError(f"expectation of {spec} is not real: {val}")
+    if not _formally_self_adjoint(spec):
+        raise ValueError(f"{spec.kind} spec {spec} is not self-adjoint as written")
+    if spec.kind == "affine":
+        _check_affine_point(p, q)  # before the D letter divides by q
+        val = _word_sum(spec, {0: 1.0 + 0.0j}, _affine_letter(family, p, q),
+                        lambda r: family.expect_laurent(r, p, q))
+    else:  # <fiducial|H(P + p, Q + q)|fiducial>; a word of length d lifts a level by <= d
+        fid = family.fiducial.coeffs
+        n = np.flatnonzero(fid)[-1] + 1
+        x, y, one = _letters(n + max(len(w) for _, w in spec.terms))
+        eta, root = np.zeros(len(one), dtype=complex), np.sqrt(family.hbar)
+        eta[:n] = fid[:n]
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
+            shifted = {"Q": root * x + q * one, "P": root * y + p * one}
+            val = _word_sum(spec, eta, lambda v, tok: shifted[tok] @ v, lambda v: np.vdot(eta, v))
+    if not (np.isfinite(val) and abs(val.imag) <= 1e-10 * (1.0 + abs(val))):
+        raise ValueError(f"<p,q|{spec}|p,q> at (p, q) = ({p}, {q}) is not finite and real: {val}")
     return float(val.real)
 
 
@@ -160,9 +151,7 @@ _DQID = HamiltonianSpec(kind="affine", terms=((1.0, ("D", "Qinv", "D")),))
 
 def cprime(beta: float, hbar: float) -> float:
     """C' with <beta| D Q^-1 D |beta> = hbar^2 C', from the word algebra and exact moments."""
-    family = AffineFamily(beta, hbar)
-    val = enhanced_hamiltonian(_DQID, family, 0.0, 1.0)
-    c = val / hbar**2
+    c = enhanced_hamiltonian(_DQID, AffineFamily(beta, hbar), 0.0, 1.0) / hbar**2
     if c <= 0:
         raise ValueError(f"computed C' = {c} is not positive")
     return c
@@ -207,14 +196,8 @@ def classical_limit(spec: HamiltonianSpec) -> ClassicalLimit:
             a, b = a + da, b + db
         acc[(a, b)] = acc.get((a, b), 0.0) + coeff
     terms = tuple((c, a, b) for (a, b), c in sorted(acc.items()) if c != 0.0)
-    bits = []
-    for c, a, b in terms:
-        mono = ""
-        if a:
-            mono += "p" if a == 1 else f"p^{a}"
-        if b:
-            mono += "q" if b == 1 else f"q^{b}"
-        bits.append(f"{c:g}*{mono}" if mono else f"{c:g}")
+    power = lambda x, n: "" if n == 0 else x if n == 1 else f"{x}^{n}"  # noqa: E731
+    bits = [f"{c:g}*{power('p', a)}{power('q', b)}" if a or b else f"{c:g}" for c, a, b in terms]
     return ClassicalLimit(terms=terms, text=" + ".join(bits) or "0")
 
 
@@ -233,12 +216,15 @@ def hbar_scaling_fit(spec: HamiltonianSpec, family, point, hbar_list) -> Scaling
         raise ValueError("need at least 4 hbar values spanning a decade")
     p, q = point
     cl = classical_limit(spec)(p, q)
-    diffs = []
-    for h in hbars:
-        fam = family.with_hbar(h)
-        diffs.append(enhanced_hamiltonian(spec, fam, p, q) - cl)
-    diffs = np.asarray(diffs)
-    if np.all(np.abs(diffs) < 1e-14):
+    diffs = np.abs([enhanced_hamiltonian(spec, family.with_hbar(h), p, q) - cl for h in hbars])
+    # "exact" needs each |H - H_cl| below 1e-14 and a rounding floor below 1e-12,
+    # so that a correction above 1e-12 would have shown
+    size = classical_limit(HamiltonianSpec(spec.kind, tuple((abs(c), w) for c, w in spec.terms)))
+    floor = FIT_ROUNDING * np.finfo(float).eps * size(abs(p), abs(q))
+    if np.all(diffs < 1e-14) and floor < 1e-12:
         return ScalingReport(exponent=float("nan"), prefactor=0.0, exact=True)
-    slope, intercept = np.polyfit(np.log(hbars), np.log(np.abs(diffs)), 1)
+    if not np.all(diffs > floor):
+        raise ValueError(f"hbar fit at (p, q) = ({p}, {q}): |H - H_classical| = {diffs.min():.3g}"
+                         f" is not above the rounding {floor:.3g} of H_classical = {cl:g}")
+    slope, intercept = np.polyfit(np.log(hbars), np.log(diffs), 1)
     return ScalingReport(exponent=float(slope), prefactor=float(np.exp(intercept)), exact=False)

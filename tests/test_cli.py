@@ -15,7 +15,7 @@ import enhq
 from enhq import cli
 from enhq.cli import run
 from enhq.dynamics import Trajectory, toy_gravity_flow, toy_gravity_solution
-from enhq.wcp import _word_sums, cprime_closed_form
+from enhq.wcp import cprime_closed_form
 
 
 def _read(path):
@@ -68,12 +68,21 @@ class TestExitCodes:
         assert "Fock levels" in capsys.readouterr().err
 
     def test_tail_guard_names_hbar(self, tmp_path, capsys):
-        # (0, 1) is resolved at the run's hbar = 1; the hbar fit's sweep
-        # reaches hbar = 0.05, where N = 40 truncates the state
-        code = run(["--out", str(tmp_path), "wcp", "--N", "40"])
+        # (0, 1) is resolved at hbar = 1; at hbar = 0.05, N = 40 truncates the state
+        code = run(["--out", str(tmp_path), "metric", "--N", "40", "--hbar", "0.05",
+                    "--p", "0", "--q", "1"])
         assert code == 1
         err = capsys.readouterr().err
         assert "hbar = 0.05" in err and "Fock levels" in err
+
+    def test_aliased_canonical_state(self, tmp_path, capsys):
+        # the 100-level state at this point passes the tail guard, but the
+        # truncation folds it back: mean Fock level 36.9 against 207.7, g_vv = 0.999996
+        code = run(["--out", str(tmp_path), "metric", "--family", "canonical", "--hbar", "0.01",
+                    "--p=-0.5852891519223444", "--q=-1.9523610466359287"])
+        assert code == 1
+        assert "mean Fock level 36.9" in capsys.readouterr().err
+        assert not (tmp_path / "metric.csv").exists()
 
     def test_unresolved_affine_state(self, tmp_path, capsys):
         # the curvature stencil's metric at q = 0.015 samples q +- 0.002 on a
@@ -181,6 +190,17 @@ class TestBadControls:
         # no wcp family reads the spin
         assert run(["--out", str(tmp_path), "wcp", "--s", "1"]) == 1
         assert "unrecognized arguments: --s 1" in capsys.readouterr().err
+
+    def test_N_is_a_metric_flag(self, tmp_path, capsys):
+        # canonical wcp words act on the fiducial alone, with no truncation
+        assert run(["--out", str(tmp_path), "wcp", "--N", "40"]) == 1
+        assert "unrecognized arguments: --N 40" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", ["canonical", "affine"])
+    def test_overflowing_wcp_point(self, tmp_path, capsys, family):
+        # the affine run used to exit 2 with "(34, 'Numerical result out of range')"
+        assert run(["--out", str(tmp_path), "wcp", "--family", family, "--p", "1e200"]) == 1
+        assert "not finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,cfg", [
         ("dynamics", {"dt": 0}),
@@ -371,6 +391,16 @@ class TestArtifacts:
         summary = json.loads(_read(tmp_path / "wcp_summary.json"))
         assert summary["scaling_exponent"] == pytest.approx(1.0, abs=0.02)
 
+    @pytest.mark.parametrize("hbar,p,q", [
+        (1.0, 10.0, 3.0), (1.0, 20.0, 20.0), (0.01, -0.5852891519223444, -1.9523610466359287)])
+    def test_wcp_beyond_the_truncation(self, tmp_path, capsys, hbar, p, q):
+        # canonical words act on the fiducial, so no Fock truncation bounds (p, q): at
+        # hbar = 1 these points exited 1, and at hbar = 0.01 the aliased state read H = 0.374
+        assert run(["--out", str(tmp_path), "wcp", "--hbar", repr(hbar), f"--p={p!r}",
+                    f"--q={q!r}"]) == 0
+        h = float(_read(tmp_path / "wcp.csv").splitlines()[1].split(",")[2])
+        assert h == pytest.approx(0.5 * (p * p + q * q) + hbar / 2, rel=1e-14)
+
     def test_json_table_format(self, tmp_path, capsys):
         assert run(["--out", str(tmp_path), "--format", "json", "inequality",
                     "--n", "3", "--alphas", "0.1"]) == 0
@@ -462,7 +492,7 @@ class TestRunWritesArtifacts:
                     "--q", "1"]) == 0
         config = json.loads(_read(tmp_path / "wcp_summary.json"))["config"]
         assert config["hamiltonian"] == hamiltonian
-        assert "s" not in config
+        assert "s" not in config and "N" not in config
 
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in 3.11")
     def test_version_is_the_package_version(self, tmp_path, capsys):
@@ -541,8 +571,7 @@ class TestDeterminism:
             assert cli._worker_count() == workers
 
     def test_thread_pool_writes_the_serial_table(self, tmp_path, capsys, monkeypatch):
-        # wcp's threads fill an empty word-sum cache at once, and metric's
-        # threads share one family's factor caches
+        # metric's threads share one family's factor caches
         for argv in (["metric", "--family", "canonical", "--N", "40", "--p=-0.5,0.5", "--q=0,0.7"],
                      ["metric", "--family", "affine", "--p=-0.5,0.5", "--q=0.8,0.81"],
                      ["metric", "--family", "spin", "--s", "1.5", "--p=1,1.01", "--q=0.3,0.31"],
@@ -550,7 +579,6 @@ class TestDeterminism:
                       "--q=0,0.7"]):
             tables = []
             for threads in ("1", "2"):
-                _word_sums.cache_clear()
                 monkeypatch.setenv("ENHQ_THREADS", threads)
                 out = tmp_path / argv[0] / threads
                 assert run(["--out", str(out)] + argv) == 0

@@ -31,7 +31,7 @@ from enhq.coherent import (
     _ladder_spectrum,
 )
 from enhq.geometry import gaussian_curvature
-from enhq.hilbert import basis_state, expectation, make_fock_space
+from enhq.hilbert import StateVector, basis_state, expectation, make_fock_space
 
 
 # ---------------------------------------------------------------- canonical
@@ -66,6 +66,25 @@ class TestCanonical:
             for p in np.linspace(-1.5, 1.5, 7):
                 for q in np.linspace(-1.5, 1.5, 7):
                     fam.state(p, q)
+
+    @pytest.mark.parametrize("point", [(-0.5852891519223444, -1.9523610466359287), (2.0, 0.0),
+                                       (2.5, 0.0)])
+    def test_aliased_state_rejected(self, point):
+        # at hbar = 0.01 these pass the tail guard, but the truncation folds
+        # them back: mean Fock level 36.9, 34.6 and 5.5 against 207.7, 200 and 312.5
+        with pytest.raises(ValueError, match="mean Fock level"):
+            CanonicalFamily(N=100, hbar=0.01).state(*point)
+
+    def test_mean_level_guard_passes_custom_fiducials(self):
+        # the exact mean level reads the fiducial's <n>, <Q> and <P>
+        sp = make_fock_space(60, 0.5)
+        rng = np.random.default_rng(5)
+        c = np.zeros(60, dtype=complex)
+        c[:6] = rng.normal(size=6) + 1j * rng.normal(size=6)
+        for fid in (StateVector(c / np.linalg.norm(c), sp), squeezed_ground_state(sp, 1.3)):
+            fam = CanonicalFamily(space=sp, fiducial=fid)
+            for p, q in rng.uniform(-1.5, 1.5, size=(10, 2)):
+                fam.state(p, q)
 
     @pytest.mark.parametrize("point", [(np.nan, 0.0), (0.0, np.inf)])
     def test_non_finite_point_rejected(self, point):
@@ -390,9 +409,10 @@ class TestLadderSpectrum:
     @pytest.mark.parametrize("hbar", [1.0, 0.25, 0.05])
     def test_canonical_state_matches_dense_reference(self, N, hbar, monkeypatch):
         # at N = 6 most states reach the top Fock levels; lift the tail
-        # guard to reach the map itself
+        # and mean-level guards to reach the map itself
         if N == 6:
             monkeypatch.setattr(enhq.coherent, "TAIL_MASS_MAX", np.inf)
+            monkeypatch.setattr(enhq.coherent, "LEVEL_TOL", np.inf)
         fam = CanonicalFamily(N=N, hbar=hbar)
         rng = np.random.default_rng(N + int(100 * hbar))
         for p, q in rng.uniform(-1.0, 1.0, size=(8, 2)):

@@ -2,15 +2,15 @@
 
 import numpy as np
 import pytest
-from references import dense_enhanced_hamiltonian
+from references import dense_enhanced_hamiltonian, squeezed_ground_state
 
 from enhq import coherent
 from enhq._quadrature import _genlaguerre_rule
 from enhq.coherent import AffineFamily, CanonicalFamily, SpinFamily
-from enhq.hilbert import basis_state, expectation
+from enhq.hilbert import StateVector, basis_state, expectation, make_fock_space
 from enhq.wcp import (
     HamiltonianSpec,
-    _word_sums,
+    _letters,
     classical_limit,
     cprime,
     cprime_closed_form,
@@ -68,8 +68,15 @@ class TestCanonical:
         fam = CanonicalFamily(N=50)
         for text in ("Q.P", "Q + Q.P"):
             for _ in range(2):
-                with pytest.raises(ValueError, match="not Hermitian as written"):
+                with pytest.raises(ValueError, match="not self-adjoint as written"):
                     enhanced_hamiltonian(parse_hamiltonian(text, "canonical"), fam, 0.0, 0.0)
+
+    def test_like_terms_merge_before_the_adjoint_check(self):
+        # Q.P - 0.5 Q.P + 0.5 P.Q is the self-adjoint 0.5 (Q.P + P.Q)
+        fam = CanonicalFamily(N=50)
+        got = enhanced_hamiltonian(parse_hamiltonian("Q.P + -0.5*Q.P + 0.5*P.Q", "canonical"),
+                                   fam, 0.3, 0.7)
+        assert got == pytest.approx(0.3 * 0.7, rel=1e-14)
 
     @pytest.mark.parametrize("hbar", HBARS)
     @pytest.mark.parametrize("text", [OSC, "Q.Q.Q.Q + 0.3*P.Q.Q.P + 2*Q"])
@@ -79,6 +86,32 @@ class TestCanonical:
         for p, q in ((0.0, 0.0), (-1.0, 0.5), (1.2, 1.0), (0.7, -1.3)):
             ref = dense_enhanced_hamiltonian(spec, fam, p, q).real
             assert enhanced_hamiltonian(spec, fam, p, q) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("hbar", HBARS)
+    @pytest.mark.parametrize("fiducial", ["squeezed", "six-level"])
+    def test_custom_fiducial_matches_dense_word_matrix(self, fiducial, hbar):
+        # the squeezed fiducial fills every Fock level, so its words act on
+        # N + d levels; the six-level one on 6 + d, its top level included
+        sp = make_fock_space(100, hbar)
+        c = np.zeros(100, dtype=complex)
+        c[:6] = np.array([1.0, 1j]) @ np.random.default_rng(3).normal(size=(2, 6))
+        fid = (squeezed_ground_state(sp, 1.3) if fiducial == "squeezed"
+               else StateVector(c / np.linalg.norm(c), sp))
+        fam = CanonicalFamily(space=sp, fiducial=fid)
+        spec = parse_hamiltonian("Q.Q.Q.Q + 0.3*P.Q.Q.P + 2*Q", "canonical")
+        for p, q in ((0.0, 0.0), (-1.0, 0.5), (0.7, -1.3)):
+            ref = dense_enhanced_hamiltonian(spec, fam, p, q).real
+            assert enhanced_hamiltonian(spec, fam, p, q) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_state_beyond_the_truncation_is_exact(self):
+        # at hbar = 0.01 the 100-level state at this point is aliased: its
+        # expectations read H = 0.374 and <Q.Q> = 0.40
+        fam = CanonicalFamily(N=100, hbar=0.01)
+        p, q = -0.5852891519223444, -1.9523610466359287
+        osc, qq = parse_hamiltonian(OSC, "canonical"), parse_hamiltonian("Q.Q", "canonical")
+        assert enhanced_hamiltonian(osc, fam, p, q) == pytest.approx(
+            0.5 * (p * p + q * q) + 0.005, rel=1e-14)
+        assert enhanced_hamiltonian(qq, fam, p, q) == pytest.approx(q * q + 0.005, rel=1e-14)
 
     def test_family_builds_operators_on_first_read(self, monkeypatch):
         calls = []
@@ -217,12 +250,23 @@ class TestScaling:
         assert abs(rep.exponent - 1.0) < 0.02
         assert abs(rep.prefactor - 0.5) < 0.01
 
-    def test_word_sums_built_once_per_fit(self):
-        _word_sums.cache_clear()
+    def test_letters_built_once_per_fit(self):
+        _letters.cache_clear()
         fam = CanonicalFamily(N=100)
         hbar_scaling_fit(parse_hamiltonian(OSC, "canonical"), fam, (0.5, 0.5),
                          [1.0, 0.5, 0.25, 0.1, 0.05])
-        assert _word_sums.cache_info().misses == 1
+        assert _letters.cache_info().misses == 1
+
+    @pytest.mark.parametrize("kind,text,p", [
+        ("affine", "D.Qinv.D", 1e10), ("affine", "D.Qinv.D", 1e8),
+        ("canonical", OSC, 1e10), ("canonical", OSC, 1e8)])
+    def test_rounding_hides_the_correction(self, kind, text, p):
+        # the correction is at most hbar/(2 - hbar) or hbar/2, under the rounding
+        # of p^2 q or p^2/2: it used to read as exact, or as exponent 0
+        fam = CanonicalFamily() if kind == "canonical" else AffineFamily(1.0, 1.0)
+        with pytest.raises(ValueError, match=r"hbar fit at \(p, q\) = \(.*\): .* not above the rounding"):
+            hbar_scaling_fit(parse_hamiltonian(text, kind), fam, (p, 1.0),
+                             [1.0, 0.5, 0.25, 0.1, 0.05])
 
     def test_moments_build_no_grid(self, monkeypatch):
         # C' and the affine surface are exact Gamma moments; the quadrature

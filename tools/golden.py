@@ -67,6 +67,13 @@ EDGE = [
     ["wcp", "--p=,"],
     ["wcp", "--q", "inf"],
     ["wcp", "--family", "affine", "--hamiltonian", "Q"],
+    ["wcp", "--hbar", "0.01", "--p=-0.5852891519223444", "--q=-1.9523610466359287"],
+    ["metric", "--hbar", "0.01", "--p=-0.5852891519223444", "--q=-1.9523610466359287"],
+    ["wcp", "--p=10", "--q=3"],
+    ["wcp", "--p=20", "--q=20"],
+    ["wcp", "--p", "1e200"],
+    ["wcp", "--family", "affine", "--p", "1e200"],
+    ["wcp", "--family", "affine", "--p", "1e10", "--q", "1"],
     ["dynamics", "--model", "oscillator"],
     ["dynamics", "--model", "oscillator", "--p0", "1e155", "--t-end", "0.01"],
     ["dynamics", "--model", "oscillator", "--t-end", "1"],
