@@ -9,15 +9,16 @@ Canonical and spin states step on one cached eigensystem (x, V) per
 dimension, of the real tridiagonal Q/sqrt(hbar) or S1/hbar, since P and S2
 are phase-rotated copies: P = -U^dag Q U, U = diag(i^n).  With it are cached
 vu = U^dag V and w = V^T U V; `with_hbar` and later families reuse it.  A
-canonical state is vu e^(iqx) w e^(ipx) V^T fiducial, and each family caches
-its one-coordinate factors e^(itx) and w e^(ipx) V^T fiducial (a spin state's
-tilt and turn), so a state at seen coordinates costs one dense product.
+canonical state is vu e^(iqx) w e^(ipx) V^T fiducial; each family caches its
+one-coordinate factors e^(itx), w e^(ipx) V^T fiducial and its p-derivative (a
+spin state's tilt and turn), so a state at seen coordinates costs one product.
 
 Coordinates only label the states, so each family has one chart, named by
-`family.chart_name`: `family.chart(point, margin)` checks that a stencil
-of extent `margin` around `point` stays inside it (`ChartBoundaryError`
-otherwise) and returns `(vec, inner)`, the raw state map
-(u, v) -> ndarray and the inner product on those raw arrays.
+`family.chart_name`: `family.chart(point, margin)` checks that the points
+within `margin` of `point`, and the states their jets read, stay inside it
+(`ChartBoundaryError` otherwise) and returns `(jet, inner)`: the jet
+(u, v) -> (psi, d_u psi, d_v psi) of raw arrays, exact for the canonical
+family and differenced (`_stencil_jet`) for the others, and their inner product.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ LEVEL_TOL = 1e-8
 # largest |<psi|psi> - 1| allowed for an affine state on its quadrature
 # grid; more means the grid, tuned to one q, does not resolve the state
 AFFINE_NORM_TOL = 1e-6
+METRIC_STEP = 1e-3  # difference step of a stencil jet
 
 
 class ChartBoundaryError(ValueError):
@@ -72,6 +74,12 @@ def _check_affine_point(p: float, q: float) -> None:
 
 def _vdot(x: np.ndarray, y: np.ndarray) -> complex:
     return complex(np.vdot(x, y))
+
+
+def _stencil_jet(vec, h=METRIC_STEP):
+    """(u, v) -> (psi, d_u psi, d_v psi) of the state map `vec`, fourth-order in h."""
+    diff = lambda f: (f(-2 * h) - 8 * f(-h) + 8 * f(h) - f(2 * h)) / (12.0 * h)  # noqa: E731
+    return lambda u, v: (vec(u, v), diff(lambda t: vec(u + t, v)), diff(lambda t: vec(u, v + t)))
 
 
 def _factor_cache(fn):
@@ -130,14 +138,22 @@ class CanonicalFamily:
         self.fiducial = fiducial if fiducial is not None else basis_state(space, 0)
         if self.fiducial.space != space:
             raise ValueError("fiducial lives on a different space")
-        x, v, self._vu, w = _ladder_spectrum(space.kind, space.dim)
-        x = x / math.sqrt(space.hbar)  # eigenvalues of Q / hbar
-        n, c = np.arange(space.dim), self.fiducial.coeffs
-        m = np.vdot(c[:-1], np.sqrt(n[1:]) * c[1:]) * math.sqrt(2.0 / space.hbar)  # (<Q> + i<P>)/h
+
+    def __getattr__(self, name):
+        """Builds the factor caches and fiducial moments with the first state or jet;
+        threads that race here build equal copies, so no lock is needed."""
+        if name not in ("_x", "_vu", "_phase", "_half", "_dhalf", "_levels", "_moments"):
+            raise AttributeError(name)
+        x, v, self._vu, w = _ladder_spectrum(self.space.kind, self.space.dim)
+        x = self._x = x / math.sqrt(self.hbar)  # eigenvalues of Q / hbar
+        n, c = np.arange(self.space.dim), self.fiducial.coeffs
+        m = np.vdot(c[:-1], np.sqrt(n[1:]) * c[1:]) * math.sqrt(2.0 / self.hbar)  # (<Q> + i<P>)/h
         self._levels, self._moments = n, (np.vdot(c, n * c).real, m.real, m.imag)
         a = v.T @ c
         phase = self._phase = _factor_cache(lambda t: np.exp(1j * t * x))
         self._half = _factor_cache(lambda p: w @ (phase(p) * a))
+        self._dhalf = _factor_cache(lambda p: w @ (1j * x * phase(p) * a))
+        return getattr(self, name)
 
     @cached_property
     def Q(self):
@@ -179,8 +195,14 @@ class CanonicalFamily:
         return StateVector(c / norm, self.space)
 
     def chart(self, point, margin: float):
-        """(vec, inner) of the (p, q) chart, which covers the whole plane."""
-        return (lambda p, q: self.state(p, q).coeffs), _vdot
+        """(jet, inner) of the (p, q) chart, the whole plane.  Exact jet: a state is vu b,
+        b = e^(iqx) _half(p), d_q b = ixb, d_p b = e^(iqx) _dhalf(p); unitary vu is left out."""
+        def jet(p, q):
+            self.state(p, q)  # the tail and mean-level guards
+            b = self._phase(q) * self._half(p)  # of unit norm, as every factor is unitary
+            return b, self._phase(q) * self._dhalf(p), 1j * self._x * b
+
+        return jet, _vdot
 
 
 # ---------------------------------------------------------------------------
@@ -278,19 +300,19 @@ class AffineFamily:
         return AffineState(grid, samples)
 
     def chart(self, point, margin: float):
-        """(vec, inner) of the (p, q) chart on q > 0.
+        """(jet, inner) of the (p, q) chart on q > 0; the jet is a stencil jet.
 
         The quadrature grid is rebased on the stencil center, so every
         stencil state shares one grid and one set of weights.
         """
-        q0 = float(point[1])
+        q0, margin = float(point[1]), margin + 2.0 * METRIC_STEP
         if q0 - margin <= 0:
             raise ChartBoundaryError(
                 f"affine stencil at q = {q0} with extent {margin} crosses q = 0"
             )
         local = self.centered(q0)
         w = local._sampled[0].weights
-        return ((lambda p, q: local.state(p, q).samples),
+        return (_stencil_jet(lambda p, q: local.state(p, q).samples),
                 (lambda x, y: complex(np.sum(w * np.conj(x) * y))))
 
     def expect_laurent(self, coeffs: dict[int, complex], p: float, q: float) -> complex:
@@ -375,11 +397,11 @@ class SpinFamily:
         return StateVector(c / np.linalg.norm(c), self.space)
 
     def chart(self, point, margin: float):
-        """(vec, inner) of the (theta, phi) chart, which does not cover the
-        poles; phi is not reduced mod 2*pi."""
-        u = point[0]
+        """(jet, inner) of the (theta, phi) chart, which does not cover the
+        poles; phi is not reduced mod 2*pi.  The jet is a stencil jet."""
+        u, margin = point[0], margin + 2.0 * METRIC_STEP
         if not margin < u < np.pi - margin:
             raise ChartBoundaryError(
                 f"spin stencil at theta = {u} with extent {margin} crosses a pole"
             )
-        return (lambda a, b: self._state_unchecked(a, b).coeffs), _vdot
+        return _stencil_jet(lambda a, b: self._state_unchecked(a, b).coeffs), _vdot

@@ -1,9 +1,9 @@
 """Fubini-Study geometry of coherent-state manifolds.
 
-The ray-space line element is 2*hbar*[ ||d psi||^2 - |<psi|d psi>|^2 ],
-evaluated by fourth-order central differences of the state map with the
-projective correction term, plus Gaussian curvature by the Brioschi
-formula on a finite-difference metric stencil with Richardson halving.
+The ray-space line element 2*hbar*[ ||d psi||^2 - |<psi|d psi>|^2 ] comes from
+the jet (psi, d psi) of a family's chart, exact for the canonical family and
+differenced for the others; Gaussian curvature from the Brioschi formula on a
+finite-difference metric stencil with Richardson halving.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "gaussian_curvature",
 ]
 
-METRIC_STEP = 1e-3  # difference step of the state map in fs_metric
 CURVATURE_STEP = 1e-2  # metric-stencil spacing in gaussian_curvature, then halved
 
 
@@ -52,30 +51,19 @@ class CurvatureReport:
     error: float
 
 
-def _fourth_order_diff(f, u, v, h, axis):
-    if axis == 0:
-        vals = [f(u + s * h, v) for s in (-2, -1, 1, 2)]
-    else:
-        vals = [f(u, v + s * h) for s in (-2, -1, 1, 2)]
-    return (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12.0 * h)
-
-
 def fs_metric(family, point) -> Metric2D:
     """Scaled Fubini-Study metric at a point of the family's chart.
 
-    2*hbar*Re[<d_i psi|d_j psi> - <d_i psi|psi><psi|d_j psi>] from
-    fourth-order central differences at step METRIC_STEP of the state map
-    `family.chart` returns, so any object with `hbar` and that `chart`
-    method serves, a relabelled family included.
+    2*hbar*Re[<d_i psi|d_j psi> - <d_i psi|psi><psi|d_j psi>] from the jet (psi, d_u psi,
+    d_v psi) and inner product `family.chart` returns: any object with `hbar` and that
+    `chart` method serves, a relabelled family included.  Only the canonical jet is exact.
     """
-    vec, inner = family.chart(point, 2.0 * METRIC_STEP)
+    jet, inner = family.chart(point, 0.0)
     u, v = point
-    psi = vec(u, v)
-    du = _fourth_order_diff(vec, u, v, METRIC_STEP, axis=0)
-    dv = _fourth_order_diff(vec, u, v, METRIC_STEP, axis=1)
+    psi, du, dv = jet(u, v)
     n0 = inner(psi, psi).real
     if abs(n0 - 1.0) > 1e-6:
-        raise ValueError(f"stencil states lose norm: <psi|psi> = {n0}")
+        raise ValueError(f"the jet's state loses norm: <psi|psi> = {n0}")
 
     def g(di, dj):
         corr = inner(di, psi) * inner(psi, dj) / n0
@@ -116,7 +104,7 @@ def gaussian_curvature(family, point) -> CurvatureReport:
     the chart boundary, and spin points with theta outside [0.2, pi - 0.2].
     """
     u, v = point
-    family.chart(point, 2.0 * CURVATURE_STEP + 2.0 * METRIC_STEP)  # boundary check
+    family.chart(point, 2.0 * CURVATURE_STEP)  # boundary check
     # the spin family's (theta, phi) chart degenerates at the poles, where g_vv -> 0
     if isinstance(family, SpinFamily) and not 0.2 <= u <= np.pi - 0.2:
         raise ChartBoundaryError("spin curvature restricted to theta in [0.2, pi - 0.2]")

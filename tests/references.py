@@ -8,8 +8,9 @@ of affine expectations, the dense per-call word matrix of canonical
 Hamiltonians, the power-counting slopes of the radial inequality, the
 canonical and spin state maps written out without the families' factor
 caches, the gradients of the dynamics flows, which the midpoint residuals
-read, and the spin family relabelled by a (p, q) chart, which the
-chart-covariance checks read.
+read, the spin family relabelled by a (p, q) chart, which the
+chart-covariance checks read, and the canonical state map differenced by
+the stencil jet, which the exact canonical jet is checked against.
 """
 
 import math
@@ -18,7 +19,13 @@ import numpy as np
 from scipy.special import gammaln
 
 from enhq._quadrature import gauss_gamma_grid
-from enhq.coherent import AffineState, ChartBoundaryError, _ladder_spectrum
+from enhq.coherent import (
+    METRIC_STEP,
+    AffineState,
+    ChartBoundaryError,
+    _ladder_spectrum,
+    _stencil_jet,
+)
 from enhq.dynamics import _sumsq
 from enhq.hilbert import (
     StateVector,
@@ -201,10 +208,18 @@ class SpinPQChart:
         self.r = np.sqrt(family.s * family.hbar)
 
     def chart(self, point, margin: float):
-        r, u = self.r, point[0]
+        r, u, margin = self.r, point[0], margin + 2.0 * METRIC_STEP
         if not -r + margin < u < r - margin:
             raise ChartBoundaryError(
                 f"spin pq-chart stencil at p = {u} crosses |p| = sqrt(s*hbar)"
             )
         state = self.family._state_unchecked
-        return (lambda a, b: state(float(np.arccos(a / r)), b / r).coeffs), np.vdot
+        return _stencil_jet(lambda a, b: state(float(np.arccos(a / r)), b / r).coeffs), np.vdot
+
+
+def canonical_stencil_jet(family):
+    """The canonical family's state map differenced by the stencil jet of the
+    spin and affine families, in the basis of its exact jet: vu^dag times the
+    Fock coefficients, where the exact jet leaves the unitary vu out."""
+    vu = _ladder_spectrum("fock", family.space.dim)[2]
+    return _stencil_jet(lambda p, q: vu.conj().T @ family.state(p, q).coeffs)

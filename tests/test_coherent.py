@@ -366,9 +366,9 @@ class TestSpin:
         r = np.sqrt(fam.s * fam.hbar)
         theta, phi = 1.2, 0.9
         point = (r * np.cos(theta), r * phi)
-        vec, _ = SpinPQChart(fam).chart(point, 0.0)
+        jet, _ = SpinPQChart(fam).chart(point, 0.0)
         a = fam.state(theta, phi).coeffs
-        assert abs(abs(np.vdot(a, vec(*point))) - 1.0) < 1e-12
+        assert abs(abs(np.vdot(a, jet(*point)[0])) - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------- ladder spectrum
@@ -442,6 +442,7 @@ class TestLadderSpectrum:
 
     def test_families_share_one_spectrum_per_size(self, monkeypatch):
         canonical, spin = CanonicalFamily(N=37), SpinFamily(18.0)  # both dim 37
+        canonical.state(0.5, 0.5)  # a canonical family reads the spectrum with its first state
         misses = _ladder_spectrum.cache_info().misses
         # shared by every family of the size, so no caller may write to it
         assert not any(a.flags.writeable for kind in ("fock", "spin")

@@ -2,7 +2,12 @@
 
 import numpy as np
 import pytest
-from references import SpinPQChart, fiducial_metric_coeffs, squeezed_ground_state
+from references import (
+    SpinPQChart,
+    canonical_stencil_jet,
+    fiducial_metric_coeffs,
+    squeezed_ground_state,
+)
 
 from enhq.coherent import AffineFamily, CanonicalFamily, ChartBoundaryError, SpinFamily
 from enhq.geometry import fs_metric, gaussian_curvature
@@ -117,9 +122,21 @@ class TestSpinMetric:
             gaussian_curvature(fam, (0.1, 0.0))
 
 
+class TestCanonicalJet:
+    @pytest.mark.parametrize("hbar", [1.0, 0.25])
+    @pytest.mark.parametrize("point", [(0.0, 0.0), (0.2, -0.4), (1.5, 2.0), (-3.0, 0.7)])
+    def test_exact_jet_matches_stencil_jet(self, hbar, point):
+        # the exact tangents against the stencil jet of the same state map
+        fam = CanonicalFamily(N=100, hbar=hbar)
+        jet, _ = fam.chart(point, 0.0)
+        for got, ref in zip(jet(*point), canonical_stencil_jet(fam)(*point)):
+            assert np.max(np.abs(got - ref)) < 1e-8
+
+
 class TestPhaseInvariance:
     def test_synthetic_phase_change(self):
-        # multiplying the state map by exp(i alpha(p, q)) must not move the metric
+        # multiplying the state map by exp(i alpha(p, q)) must not move the metric;
+        # the jet rephases by the product rule d(e^(ia) psi) = e^(ia)(d psi + i da psi)
         base = CanonicalFamily(N=100)
 
         class Rephased:
@@ -127,8 +144,15 @@ class TestPhaseInvariance:
 
             @staticmethod
             def chart(point, margin):
-                vec, inner = base.chart(point, margin)
-                return (lambda p, q: np.exp(1j * (0.7 * p * q + 0.3 * p)) * vec(p, q)), inner
+                jet, inner = base.chart(point, margin)
+
+                def rephased(p, q):
+                    psi, dp, dq = jet(p, q)
+                    e = np.exp(1j * (0.7 * p * q + 0.3 * p))
+                    return (e * psi, e * (dp + 1j * (0.7 * q + 0.3) * psi),
+                            e * (dq + 1j * 0.7 * p * psi))
+
+                return rephased, inner
 
         plain = fs_metric(base, (0.4, 0.9)).as_matrix()
         rephased = fs_metric(Rephased(), (0.4, 0.9)).as_matrix()
@@ -156,14 +180,16 @@ class TestFiducialCoeffs:
 
     @pytest.mark.parametrize("which", ["ground", "squeezed", "excited"])
     def test_footnote_formula_matches_fs_metric(self, which):
-        sp = make_fock_space(100, 1.0)
-        fid = {
-            "ground": basis_state(sp, 0),
-            "squeezed": squeezed_ground_state(sp, 1.3),
-            "excited": basis_state(sp, 1),
-        }[which]
-        fam = CanonicalFamily(space=sp, fiducial=fid)
-        a, b, c = fiducial_metric_coeffs(fid)
-        ref = (2.0 / sp.hbar) * np.array([[a, b / 2], [b / 2, c]])
-        got = fs_metric(fam, (0.2, -0.4)).as_matrix()
-        assert np.max(np.abs(got - ref)) < 1e-6
+        # the canonical jet is exact, so the metric meets the closed form to rounding
+        for hbar in (1.0, 0.25, 0.05):
+            sp = make_fock_space(100, hbar)
+            fid = {
+                "ground": basis_state(sp, 0),
+                "squeezed": squeezed_ground_state(sp, 1.3),
+                "excited": basis_state(sp, 1),
+            }[which]
+            fam = CanonicalFamily(space=sp, fiducial=fid)
+            a, b, c = fiducial_metric_coeffs(fid)
+            ref = (2.0 / sp.hbar) * np.array([[a, b / 2], [b / 2, c]])
+            got = fs_metric(fam, (0.2, -0.4)).as_matrix()
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), hbar

@@ -69,6 +69,8 @@ EDGE = [
     ["wcp", "--family", "affine", "--hamiltonian", "Q"],
     ["wcp", "--hbar", "0.01", "--p=-0.5852891519223444", "--q=-1.9523610466359287"],
     ["metric", "--hbar", "0.01", "--p=-0.5852891519223444", "--q=-1.9523610466359287"],
+    ["metric", "--hbar", "0.05", "--p=-1,1", "--q=0.5"],
+    ["metric", "--N", "40", "--hbar", "0.25", "--p=0.5,1.5", "--q=-1"],
     ["wcp", "--p=10", "--q=3"],
     ["wcp", "--p=20", "--q=20"],
     ["wcp", "--p", "1e200"],
