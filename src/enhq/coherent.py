@@ -1,35 +1,34 @@
 """The three coherent-state families, their charts and moments.
 
-Canonical states live in a truncated Fock basis, spin states in a
-(2s+1)-dimensional multiplet, and affine states as sampled wavefunctions
-on a half-line quadrature grid tuned to the Gamma-type fiducial weight,
-built with a family's first state; affine expectations of Laurent words
-are exact sums of Gamma moments, so C' and affine surfaces need no grid.
-Canonical and spin states step on one cached eigensystem (x, V) per
-dimension, of the real tridiagonal Q/sqrt(hbar) or S1/hbar, since P and S2
-are phase-rotated copies: P = -U^dag Q U, U = diag(i^n).  With it are cached
-vu = U^dag V and w = V^T U V; `with_hbar` and later families reuse it.  A
-canonical state is vu e^(iqx) w e^(ipx) V^T fiducial; each family caches its
-one-coordinate factors e^(itx), w e^(ipx) V^T fiducial and its p-derivative (a
-spin state's tilt and turn), so a state at seen coordinates costs one product.
+Canonical states live in a truncated Fock basis and spin states in a
+(2s+1)-dimensional multiplet.  Affine states are read only through exact
+Gamma moments: an expectation of a Laurent word, and every entry of the
+affine jet, is a finite sum of them, so the affine family holds no sampled
+wavefunction.  Canonical and spin states step on one cached eigensystem
+(x, V) per dimension, of the real tridiagonal Q/sqrt(hbar) or S1/hbar, since
+P and S2 are phase-rotated copies: P = -U^dag Q U, U = diag(i^n).  With it
+are cached vu = U^dag V and w = V^T U V; `with_hbar` and later families reuse
+it.  A canonical state is vu e^(iqx) w e^(ipx) V^T fiducial; each family
+caches its one-coordinate factors e^(itx), w e^(ipx) V^T fiducial and its
+p-derivative (a spin state's tilt and turn), so a state at seen coordinates
+costs one product.
 
 Coordinates only label the states, so each family has one chart, named by
 `family.chart_name`: `family.chart(point, margin)` checks that the points
 within `margin` of `point`, and the states their jets read, stay inside it
 (`ChartBoundaryError` otherwise) and returns `(jet, inner)`: the jet
-(u, v) -> (psi, d_u psi, d_v psi) of raw arrays, exact for the canonical
-family and differenced (`_stencil_jet`) for the others, and their inner product.
+(u, v) -> (psi, d_u psi, d_v psi) and the inner product of its entries.  The
+canonical jet is exact on Fock arrays, the affine jet exact on Laurent
+multipliers, and only the spin jet is differenced (`_stencil_jet`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._quadrature import HalfLineGrid, gauss_gamma_grid
 from .hilbert import (
     HilbertSpace,
     StateVector,
@@ -44,7 +43,6 @@ __all__ = [
     "ChartBoundaryError",
     "CanonicalFamily",
     "AffineFamily",
-    "AffineState",
     "SpinFamily",
     "affine_moment",
 ]
@@ -57,10 +55,7 @@ TAIL_LEVELS = 5
 # largest relative gap between a canonical state's mean Fock level and the
 # exact one; more means the truncation has folded part of the state back
 LEVEL_TOL = 1e-8
-# largest |<psi|psi> - 1| allowed for an affine state on its quadrature
-# grid; more means the grid, tuned to one q, does not resolve the state
-AFFINE_NORM_TOL = 1e-6
-METRIC_STEP = 1e-3  # difference step of a stencil jet
+METRIC_STEP = 1e-3  # difference step of the spin stencil jet
 
 
 class ChartBoundaryError(ValueError):
@@ -209,111 +204,53 @@ class CanonicalFamily:
 # affine family
 
 
-@dataclass(frozen=True)
-class AffineState:
-    """Sampled half-line wavefunction with its quadrature rule."""
-
-    grid: HalfLineGrid
-    samples: np.ndarray
-
-    def __post_init__(self):
-        s = np.ascontiguousarray(self.samples, dtype=complex)
-        s.setflags(write=False)
-        object.__setattr__(self, "samples", s)
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.real(self.grid.integrate(np.abs(self.samples) ** 2))))
-
-
 class AffineFamily:
     """Affine coherent states exp(ipQ/h) exp(-i ln(q) D/h) |beta>.
 
-    `state` raises ValueError when the sampled state's quadrature norm^2
-    is off by more than AFFINE_NORM_TOL: a grid centred at q0 resolves
-    states up to about q = 1.08 q0.
-
     The fiducial is the Gamma-type wavefunction
     M x^((k-1)/2) exp(-beta x / hbar), k = 2 beta / hbar, which solves
-    [(Q - 1) + i D / beta] |beta> = 0 and has <Q> = 1, <D> = 0.
+    [(Q - 1) + i D / beta] |beta> = 0 and has <Q> = 1, <D> = 0.  The state
+    at (p, q) is q^(-1/2) e^(ipx/hbar) fiducial(x/q); the family reads it
+    only through Laurent multipliers R(x) and the exact Gamma moments of
+    |psi_{p,q}|^2, so it holds no sampled wavefunction.
     """
 
     kind = "affine"
     chart_name = "pq"
 
-    def __init__(self, beta: float = 1.0, hbar: float = 1.0, center: float = 1.0):
+    def __init__(self, beta: float = 1.0, hbar: float = 1.0):
         if not (0 < beta < math.inf and 0 < hbar < math.inf):
             raise ValueError(f"beta and hbar must be positive and finite, got {beta}, {hbar}")
         if beta / hbar <= 0.5:
             raise ValueError(
                 f"beta/hbar = {beta / hbar} <= 1/2: fiducial not normalizable"
             )
-        if not 0 < center < math.inf:
-            raise ValueError(f"grid center must be positive and finite, got {center}")
         self.beta = float(beta)
         self.hbar = float(hbar)
-        self.center = float(center)
         self.k = 2.0 * beta / hbar  # Gamma shape = rate of |fiducial|^2
 
-        @lru_cache(maxsize=32)
-        def centered(q0: float) -> AffineFamily:
-            """Same family with the quadrature grid rescaled around q = q0; the last
-            32 are kept, so a curvature's stencils at one q share one grid."""
-            return AffineFamily(beta, hbar, q0)
-
-        self.centered = centered
-
-    @cached_property
-    def _sampled(self) -> tuple[HalfLineGrid, np.ndarray, np.ndarray, np.ndarray]:
-        """The states' quadrature grid and the q-free parts of their log amplitudes
-        on it: log M + (k-1)/2 log x, beta x / hbar and x / hbar."""
-        from scipy.special import gammaln
-
-        grid = gauss_gamma_grid(self.k - 1.0, self.k / self.center)
-        x = grid.nodes
-        log_m = 0.5 * (self.k * np.log(self.k) - gammaln(self.k))  # M^2 = k^k / Gamma(k)
-        return (grid, log_m + 0.5 * (self.k - 1.0) * np.log(x),
-                self.beta * x / self.hbar, x / self.hbar)
-
     def with_hbar(self, hbar: float) -> "AffineFamily":
-        return AffineFamily(self.beta, hbar, self.center)
-
-    def fiducial(self) -> AffineState:
-        return self.state(0.0, 1.0)
-
-    def state(self, p: float, q: float) -> AffineState:
-        """q^(-1/2) e^(ipx/hbar) fiducial(x/q) on the family grid.
-
-        The dilation carries the unitary q^(-1/2) prefactor, so the log
-        amplitude is log M + (k-1)/2 log x - beta x / (q hbar) - k/2 log q.
-        """
-        _check_affine_point(p, q)
-        grid, log_base, bx, xh = self._sampled
-        log_amp = log_base - bx / q - 0.5 * self.k * math.log(q)
-        samples = np.exp(log_amp + 1j * p * xh)
-        norm2 = np.vdot(samples, grid.weights * samples).real
-        if not abs(norm2 - 1.0) <= AFFINE_NORM_TOL:
-            raise ValueError(
-                f"affine state at (p, q) = ({p}, {q}) has quadrature norm^2 {norm2:.6g}, "
-                f"off by more than {AFFINE_NORM_TOL:g}: its grid does not resolve it; "
-                f"sample it on family.centered({q})"
-            )
-        return AffineState(grid, samples)
+        return AffineFamily(self.beta, hbar)
 
     def chart(self, point, margin: float):
-        """(jet, inner) of the (p, q) chart on q > 0; the jet is a stencil jet.
-
-        The quadrature grid is rebased on the stencil center, so every
-        stencil state shares one grid and one set of weights.
-        """
-        q0, margin = float(point[1]), margin + 2.0 * METRIC_STEP
+        """(jet, inner) of the (p, q) chart on q > 0.  Exact jet of Laurent multipliers
+        of |p,q>: psi -> 1, d_p psi -> ix/hbar, d_q psi -> k(x - q)/(2q^2); the inner
+        product <R psi|S psi> is the Gamma moment sum of conj(R) S at `point`, so the
+        jet is read there."""
+        p0, q0 = point
         if q0 - margin <= 0:
-            raise ChartBoundaryError(
-                f"affine stencil at q = {q0} with extent {margin} crosses q = 0"
-            )
-        local = self.centered(q0)
-        w = local._sampled[0].weights
-        return (_stencil_jet(lambda p, q: local.state(p, q).samples),
-                (lambda x, y: complex(np.sum(w * np.conj(x) * y))))
+            raise ChartBoundaryError(f"affine chart at q = {q0} with extent {margin} crosses q = 0")
+        k, h = self.k, self.hbar
+        jet = lambda p, q: ({0: 1.0}, {1: 1j / h}, {1: k / (2 * q * q), 0: -k / (2 * q)})  # noqa: E731
+
+        def inner(r, s):
+            rs: dict[int, complex] = {}
+            for e, c in r.items():
+                for f, d in s.items():
+                    rs[e + f] = rs.get(e + f, 0.0) + c.conjugate() * d
+            return self.expect_laurent(rs, p0, q0)
+
+        return jet, inner
 
     def expect_laurent(self, coeffs: dict[int, complex], p: float, q: float) -> complex:
         """Exact expectation of sum_e c_e x^e in the state at (p, q).
@@ -347,7 +284,7 @@ def affine_moment(beta: float, hbar: float, n: int) -> float:
     """Analytic fiducial moment <Q^n> = Gamma(k+n) / (Gamma(k) k^n), k = 2 beta/hbar.
 
     Independent of `expect_laurent` (log-Gamma, not a product of factors), it
-    serves as the oracle for the moments on the state grid and for those sums.
+    serves as the oracle for those exact sums.
     """
     from scipy.special import gammaln
 

@@ -1,9 +1,9 @@
 """Fubini-Study geometry of coherent-state manifolds.
 
 The ray-space line element 2*hbar*[ ||d psi||^2 - |<psi|d psi>|^2 ] comes from
-the jet (psi, d psi) of a family's chart, exact for the canonical family and
-differenced for the others; Gaussian curvature from the Brioschi formula on a
-finite-difference metric stencil with Richardson halving.
+the jet (psi, d psi) of a family's chart, exact for the canonical and affine
+families and differenced for spin; Gaussian curvature from the Brioschi formula
+on a finite-difference metric stencil with Richardson halving.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def fs_metric(family, point) -> Metric2D:
 
     2*hbar*Re[<d_i psi|d_j psi> - <d_i psi|psi><psi|d_j psi>] from the jet (psi, d_u psi,
     d_v psi) and inner product `family.chart` returns: any object with `hbar` and that
-    `chart` method serves, a relabelled family included.  Only the canonical jet is exact.
+    `chart` method serves, a relabelled family included.  Only the spin jet is differenced.
     """
     jet, inner = family.chart(point, 0.0)
     u, v = point

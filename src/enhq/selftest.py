@@ -47,22 +47,12 @@ def _checks():
         dp = abs(hilbert.expectation(st, hilbert.momentum_operator(sp)).real - 0.7)
         return _below(1e-8, {"<Q> error": dq, "<P> error": dp})
 
-    def affine_fiducial():
-        fam = coherent.AffineFamily(1.0, 1.0)
-        st = fam.fiducial()
-        dn = abs(st.norm() - 1.0)
-        dq = abs(fam.expect_power(1, 0.0, 1.0) - 1.0)
-        return _below(1e-8, {"norm error": dn, "<Q> error": dq})
-
     def affine_moments():
-        # moments of the sampled fiducial on the grid the metric samples
-        st = coherent.AffineFamily(1.0, 0.25).fiducial()
-        x, density = st.grid.nodes, np.abs(st.samples) ** 2
-        worst = 0.0
-        for n in range(-1, 5):
-            got = st.grid.integrate(density * x**n)
-            worst = max(worst, abs(got - coherent.affine_moment(1.0, 0.25, n)))
-        return _below(1e-7, {"worst grid moment error": worst})
+        # the exact Gamma-moment products the affine metric and surfaces read
+        worst = max(abs(coherent.AffineFamily(1.0, h).expect_power(n)
+                        - coherent.affine_moment(1.0, h, n))
+                    for h in (1.0, 0.25) for n in range(-1, 5))
+        return _below(1e-8, {"worst moment error vs log-Gamma": worst})
 
     def cprime_oracle():
         got = wcp.cprime(1.0, 0.25)
@@ -113,7 +103,6 @@ def _checks():
         ("canonical-commutator", canonical_commutator),
         ("affine-commutator", affine_commutator),
         ("canonical-expectations", canonical_expectations),
-        ("affine-fiducial", affine_fiducial),
         ("affine-moments", affine_moments),
         ("cprime-oracle", cprime_oracle),
         ("oscillator-correspondence", oscillator_correspondence),

@@ -4,7 +4,8 @@ None of these is reached by an `enhq` subcommand, so they live beside the
 tests rather than in the package: the spin operator triple (S1, S2, S3),
 dense unitaries, squeezed fiducials, position-space wavefunctions,
 overlaps, the fiducial variance coefficients, the Gauss-Gamma quadrature
-of affine expectations, the dense per-call word matrix of canonical
+grid with the affine states sampled on it and the quadrature of affine
+expectations, which the exact Gamma moments are checked against, the dense per-call word matrix of canonical
 Hamiltonians, the power-counting slopes of the radial inequality, the
 canonical and spin state maps written out without the families' factor
 caches, the gradients of the dynamics flows, which the midpoint residuals
@@ -14,15 +15,17 @@ the stencil jet, which the exact canonical jet is checked against.
 """
 
 import math
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
-from enhq._quadrature import gauss_gamma_grid
 from enhq.coherent import (
     METRIC_STEP,
-    AffineState,
     ChartBoundaryError,
+    _check_affine_point,
     _ladder_spectrum,
     _stencil_jet,
 )
@@ -115,6 +118,79 @@ def xrep(family, p: float, q: float, x: np.ndarray) -> np.ndarray:
     h = family.hbar
     eta = family.fiducial.coeffs @ hermite_functions(family.space.dim, x - q, h)
     return np.exp(1j * p * (x - q) / h) * eta
+
+
+N_NODES = 400  # nodes of every Gauss-Gamma grid
+# largest |<psi|psi> - 1| allowed for a sampled affine state; more means
+# the grid, tuned to one q, does not resolve the state
+AFFINE_NORM_TOL = 1e-6
+
+
+@dataclass(frozen=True)
+class HalfLineGrid:
+    """Nodes x_i > 0 and plain-dx weights: sum(w_i f(x_i)) ~ int_0^inf f."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+
+    def integrate(self, values: np.ndarray) -> complex:
+        return np.sum(self.weights * values)
+
+
+@lru_cache(maxsize=64)
+def _genlaguerre_rule(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """N_NODES nodes t_i and log-weights for the weight t^alpha e^-t on (0, inf),
+    by Golub-Welsch on the analytic Jacobi recurrence, which stays finite where
+    the library routine overflows; nodes whose weights underflow are dropped."""
+    i = np.arange(N_NODES, dtype=float)
+    j = np.arange(1, N_NODES, dtype=float)
+    t, v = eigh_tridiagonal(2.0 * i + alpha + 1.0, np.sqrt(j * (j + alpha)))
+    v0 = np.abs(v[0, :])
+    keep = v0 > 0.0
+    return t[keep], gammaln(alpha + 1.0) + 2.0 * np.log(v0[keep])
+
+
+def gauss_gamma_grid(alpha: float, rate: float) -> HalfLineGrid:
+    """Plain-dx quadrature for integrands concentrated like x^alpha e^(-rate*x),
+    exact for that weight times polynomials up to degree 2*N_NODES - 1."""
+    t, log_w = _genlaguerre_rule(float(alpha))
+    # undo the weight: W_i = w_i * e^t * t^-alpha, then rescale x = t/rate
+    log_true = log_w + t - alpha * np.log(t) - np.log(rate)
+    keep = log_true < 700.0
+    return HalfLineGrid(nodes=t[keep] / rate, weights=np.exp(log_true[keep]))
+
+
+@dataclass(frozen=True)
+class AffineState:
+    """Sampled half-line wavefunction with its quadrature rule."""
+
+    grid: HalfLineGrid
+    samples: np.ndarray
+
+    def norm(self) -> float:
+        return float(np.sqrt(np.real(self.grid.integrate(np.abs(self.samples) ** 2))))
+
+
+def sampled_affine_state(family, p: float, q: float, center: float = 1.0) -> AffineState:
+    """q^(-1/2) e^(ipx/hbar) fiducial(x/q) of an affine family, sampled on the
+    Gauss-Gamma grid of |fiducial|^2 rescaled to q = center.
+
+    The log amplitude is log M + (k-1)/2 log x - beta x / (q hbar) - k/2 log q.
+    A grid centred at q0 resolves states up to about q = 1.08 q0; past that
+    the quadrature norm^2 is off by more than AFFINE_NORM_TOL and this raises.
+    """
+    _check_affine_point(p, q)
+    k, h = family.k, family.hbar
+    grid = gauss_gamma_grid(k - 1.0, k / center)
+    x = grid.nodes
+    log_amp = (0.5 * (k * np.log(k) - gammaln(k)) + 0.5 * (k - 1.0) * np.log(x)
+               - family.beta * x / (q * h) - 0.5 * k * math.log(q))
+    samples = np.exp(log_amp + 1j * p * x / h)
+    norm2 = np.vdot(samples, grid.weights * samples).real
+    if not abs(norm2 - 1.0) <= AFFINE_NORM_TOL:
+        raise ValueError(f"affine state at (p, q) = ({p}, {q}) has quadrature norm^2 "
+                         f"{norm2:.6g}: its grid centred at q = {center} does not resolve it")
+    return AffineState(grid, samples)
 
 
 def overlap(a, b) -> complex:

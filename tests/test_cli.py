@@ -29,8 +29,7 @@ check,status,detail
 canonical-commutator,pass,max deviation < 1e-08
 affine-commutator,pass,max deviation < 1e-08
 canonical-expectations,pass,<Q> error and <P> error < 1e-08
-affine-fiducial,pass,norm error and <Q> error < 1e-08
-affine-moments,pass,worst grid moment error < 1e-07
+affine-moments,pass,worst moment error vs log-Gamma < 1e-08
 cprime-oracle,pass,word algebra vs closed form < 1e-08
 oscillator-correspondence,pass,worst H - classical - hbar/2 error < 1e-08
 canonical-metric,pass,deviation from identity < 1e-06
@@ -49,6 +48,11 @@ def _cell(x):
     if "," in s or '"' in s:
         s = '"' + s.replace('"', '""') + '"'
     return s
+
+
+def _affine_metric_row(out):
+    """The one data row of out/metric.csv, as floats."""
+    return [float(x) for x in _read(out / "metric.csv").splitlines()[1].split(",")]
 
 
 class TestExitCodes:
@@ -84,13 +88,13 @@ class TestExitCodes:
         assert "mean Fock level 36.9" in capsys.readouterr().err
         assert not (tmp_path / "metric.csv").exists()
 
-    def test_unresolved_affine_state(self, tmp_path, capsys):
-        # the curvature stencil's metric at q = 0.015 samples q +- 0.002 on a
-        # grid centred at 0.015; unchecked, those states give K = 3.57e6 (true -1)
-        code = run(["--out", str(tmp_path), "metric", "--family", "affine", "--q", "0.025"])
-        assert code == 1
-        assert "does not resolve" in capsys.readouterr().err
-        assert not (tmp_path / "metric.csv").exists()
+    def test_small_q_affine_metric(self, tmp_path, capsys):
+        # grid-sampled states could not resolve the curvature stencil here and exited 1;
+        # the exact metric holds, and K = -0.974 is within its K_err = 0.111
+        assert run(["--out", str(tmp_path), "metric", "--family", "affine", "--q", "0.025"]) == 0
+        _, q, g_uu, g_uv, g_vv, k, k_err = _affine_metric_row(tmp_path)
+        assert (g_uu, g_uv, g_vv) == pytest.approx((q * q, 0.0, 1.0 / (q * q)), rel=1e-12, abs=0.0)
+        assert abs(k + 1.0) <= k_err
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
@@ -237,10 +241,14 @@ class TestArtifacts:
         assert summary["config"]["family"] == "canonical"
 
     def test_affine_curvature_verdict(self, tmp_path, capsys):
-        assert run(["--out", str(tmp_path), "metric", "--family", "affine",
-                    "--beta", "1", "--q", "1", "--p", "0"]) == 0
-        summary = json.loads(_read(tmp_path / "metric_summary.json"))
-        assert summary["K_mean"] == pytest.approx(-1.0, abs=1e-3)
+        # grid-sampled states gave g_uu = 357158.6 and K = -1.836 at q = 1000, with exit 0
+        for q in ("1", "1000"):
+            assert run(["--out", str(tmp_path), "metric", "--family", "affine",
+                        "--beta", "1", "--q", q, "--p", "0"]) == 0
+            summary = json.loads(_read(tmp_path / "metric_summary.json"))
+            assert summary["K_mean"] == pytest.approx(-1.0, abs=1e-3)
+            _, v, g_uu, g_uv, g_vv, _, _ = _affine_metric_row(tmp_path)
+            assert (g_uu, g_uv, g_vv) == pytest.approx((v * v, 0.0, 1.0 / (v * v)), rel=1e-12, abs=0.0)
 
     def test_dynamics_singularity_verdict(self, tmp_path, capsys):
         assert run(["--out", str(tmp_path), "dynamics", "--model", "toygravity",

@@ -15,6 +15,7 @@ from references import (
     hermite_functions,
     overlap,
     quadrature_expect_laurent,
+    sampled_affine_state,
     spin_operators,
     spin_state_uncached,
     squeezed_ground_state,
@@ -30,7 +31,7 @@ from enhq.coherent import (
     affine_moment,
     _ladder_spectrum,
 )
-from enhq.geometry import gaussian_curvature
+from enhq.geometry import fs_metric
 from enhq.hilbert import StateVector, basis_state, expectation, make_fock_space
 
 
@@ -178,13 +179,13 @@ class TestAffine:
                 AffineFamily(beta, hbar)
 
     def test_state_matches_log_amplitude_formula(self):
-        # the cached node arrays give the state's log amplitude
+        # the sampled reference state's log amplitude is
         # log M + (k-1)/2 (log x - log q) - beta x / (q hbar) - 1/2 log q
         for beta, hbar in ((1.0, 1.0), (2.0, 0.5), (0.5, 0.25)):
             k = 2.0 * beta / hbar
             log_m = 0.5 * (k * np.log(k) - gammaln(k))
             for p, q in ((0.0, 1.0), (0.7, 0.6), (-1.3, 2.5)):
-                st = AffineFamily(beta, hbar).centered(q).state(p, q)
+                st = sampled_affine_state(AffineFamily(beta, hbar), p, q, center=q)
                 x = st.grid.nodes
                 ref = np.exp(log_m + 0.5 * (k - 1.0) * (np.log(x) - np.log(q))
                              - beta * x / (q * hbar) - 0.5 * np.log(q) + 1j * p * x / hbar)
@@ -192,7 +193,7 @@ class TestAffine:
 
     def test_fiducial_normalized_with_unit_mean(self):
         fam = AffineFamily(1.0, 1.0)
-        fid = fam.fiducial()
+        fid = sampled_affine_state(fam, 0.0, 1.0)
         assert abs(fid.norm() - 1.0) < 1e-8
         assert abs(fam.expect_power(1) - 1.0) < 1e-8
 
@@ -224,20 +225,20 @@ class TestAffine:
 
     def test_unit_point_is_fiducial(self):
         fam = AffineFamily(1.0, 1.0)
-        a = fam.state(0.0, 1.0)
-        b = fam.fiducial()
-        assert np.allclose(a.samples, b.samples)
+        a = sampled_affine_state(fam, 0.0, 1.0)
+        b = affine_fiducial_wavefunction(1.0, 1.0, a.grid.nodes)
+        assert np.allclose(a.samples, b)
 
     def test_norm_preserved_off_center(self):
         fam = AffineFamily(1.0, 1.0)
-        assert abs(fam.centered(0.2).state(3.0, 0.2).norm() - 1.0) < 1e-8
+        assert abs(sampled_affine_state(fam, 3.0, 0.2, center=0.2).norm() - 1.0) < 1e-8
 
     def test_unresolved_state_rejected(self):
         # the grid centred at q = 1 under-resolves q = 1.2, where norm() would read 2.8e11
         fam = AffineFamily(1.0, 1.0)
         with pytest.raises(ValueError, match="does not resolve"):
-            fam.state(0.3, 1.2)
-        assert abs(fam.centered(1.2).state(0.3, 1.2).norm() - 1.0) < 1e-8
+            sampled_affine_state(fam, 0.3, 1.2)
+        assert abs(sampled_affine_state(fam, 0.3, 1.2, center=1.2).norm() - 1.0) < 1e-8
 
     def test_coherent_expectations(self):
         from enhq.wcp import enhanced_hamiltonian, parse_hamiltonian
@@ -253,11 +254,9 @@ class TestAffine:
         fam = AffineFamily(1.0, 1.0)
         for p, q in ((0.0, -1.0), (np.nan, 1.0), (0.0, np.nan), (0.0, np.inf)):
             with pytest.raises(ValueError, match="affine chart"):
-                fam.state(p, q)
+                fs_metric(fam, (p, q))
             with pytest.raises(ValueError, match="affine chart"):
                 fam.expect_laurent({1: 1.0}, p, q)
-        with pytest.raises(ValueError, match="finite"):
-            fam.centered(np.nan)
 
     @pytest.mark.parametrize("beta,hbar", [(1.0, 1.0), (1.0, 0.25), (2.0, 0.5)])
     def test_moments_match_gamma_oracle(self, beta, hbar):
@@ -491,24 +490,13 @@ class TestFactorCaches:
                     assert got.tobytes() == spin_state_uncached(fam, theta, phi).tobytes()
         assert fam._tilt.cache_info().hits > 0 and fam._turn.cache_info().hits > 0
 
-    def test_affine_centered_states_equal_fresh_family(self):
-        fam = AffineFamily(1.0, 0.5)
-        for _ in range(2):
-            for q0 in (1.0, 0.5, 1.0 + 1e-2, 1.0):
-                for p in self.POINTS:
-                    got = fam.centered(q0).state(p, q0).samples
-                    ref = AffineFamily(1.0, 0.5, q0).state(p, q0).samples
-                    assert got.tobytes() == ref.tobytes()
-        assert fam.centered.cache_info().currsize == 3
-
     def test_new_families_start_with_empty_caches(self):
         CanonicalFamily(N=40).state(0.3, 0.3)
         SpinFamily(2.0).state(0.3, 0.3)
-        AffineFamily(1.0, 1.0).centered(2.0)
         canonical = CanonicalFamily(N=40)
         spin = SpinFamily(2.0)
         caches = [canonical._phase, canonical._half, canonical.with_hbar(0.5)._phase,
-                  spin._tilt, spin._turn, AffineFamily(1.0, 1.0).centered]
+                  spin._tilt, spin._turn]
         assert [c.cache_info().currsize for c in caches] == [0] * len(caches)
 
     def test_families_hold_no_reference_cycle(self):
@@ -522,26 +510,8 @@ class TestFactorCaches:
                 ref = weakref.ref(fam)
                 del fam
                 assert ref() is None
-            fam = AffineFamily(1.0, 1.0)
-            fam.centered(1.2).state(0.3, 1.2)
-            ref = weakref.ref(fam)
-            del fam
-            assert ref() is None
         finally:
             gc.enable()
-
-    def test_affine_curvature_builds_one_grid_per_distinct_q(self, monkeypatch):
-        # the 18 metric stencils and the boundary check sit at 5 distinct q
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return grid(*args)
-
-        grid = enhq.coherent.gauss_gamma_grid
-        monkeypatch.setattr(enhq.coherent, "gauss_gamma_grid", counting)
-        gaussian_curvature(AffineFamily(1, 1), (0, 1))
-        assert len(calls) == 5
 
 
 # ------------------------------------------------------------------ overlap
@@ -557,7 +527,7 @@ class TestOverlap:
 
     def test_affine_overlap(self):
         # a grid centred at q = 1.2 resolves both states
-        fam = AffineFamily(1.0, 1.0).centered(1.2)
-        a, b = fam.fiducial(), fam.state(0.5, 1.2)
+        fam = AffineFamily(1.0, 1.0)
+        a, b = (sampled_affine_state(fam, p, q, center=1.2) for p, q in ((0.0, 1.0), (0.5, 1.2)))
         assert overlap(a, a).real == pytest.approx(1.0, abs=1e-8)
         assert abs(overlap(a, b)) <= 1.0 + 1e-10

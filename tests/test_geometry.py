@@ -32,14 +32,19 @@ class TestCanonicalMetric:
 
 
 class TestAffineMetric:
+    # the exact jet at the fiducial, far from it, at small hbar and near q = 0;
+    # grid-sampled states gave g_pp = 357158.6 at q = 1000 and could not resolve q = 0.01
+    POINTS = [(1.0, 1.0, 0.3, 0.5), (1.0, 1.0, 0.3, 1.0), (1.0, 1.0, 0.3, 2.0),
+              (1.0, 1.0, 0.0, 1000.0), (1.0, 0.01, 0.3, 1.0), (1.0, 0.01, 0.3, 2.0),
+              (1.0, 1.0, 0.0, 0.01), (0.5, 0.25, -0.4, 0.005), (2.0, 1.0, 0.0, 1e4)]
+
     def test_components(self):
-        beta = 1.0
-        fam = AffineFamily(beta, 1.0)
-        for q in (0.5, 1.0, 2.0):
-            m = fs_metric(fam, (0.3, q))
-            assert abs(m.g_pp - q * q / beta) < 1e-5
-            assert abs(m.g_qq - beta / (q * q)) < 1e-5
-            assert abs(m.g_pq) < 1e-5
+        # the Poincare half-plane (q^2/beta, 0, beta/q^2) to rounding
+        for beta, hbar, p, q in self.POINTS:
+            m = fs_metric(AffineFamily(beta, hbar), (p, q))
+            assert abs(m.g_pp - q * q / beta) <= 1e-12 * q * q / beta, (beta, hbar, p, q)
+            assert abs(m.g_qq - beta / (q * q)) <= 1e-12 * beta / (q * q), (beta, hbar, p, q)
+            assert m.g_pq == 0.0
 
     def test_beta_scaling(self):
         fam = AffineFamily(2.0, 1.0)
@@ -53,6 +58,10 @@ class TestAffineMetric:
             hbar = 0.25 if beta == 0.5 else 1.0
             rep = gaussian_curvature(AffineFamily(beta, hbar), (0.0, 1.0))
             assert abs(rep.K + 1.0 / beta) < 1e-3 / beta
+        # grid-sampled states gave K = -1.836, -0.99958 and -0.99337 at these points
+        for hbar, p, q, tol in ((1.0, 0.0, 1000.0, 1e-3), (0.01, 0.3, 1.0, 1e-6),
+                                (0.01, 0.3, 2.0, 1e-6)):
+            assert abs(gaussian_curvature(AffineFamily(1.0, hbar), (p, q)).K + 1.0) <= tol, q
 
     def test_curvature_point_independent(self):
         fam = AffineFamily(1.0, 1.0)
@@ -60,15 +69,12 @@ class TestAffineMetric:
         assert np.ptp(ks) / abs(np.mean(ks)) < 1e-3
 
     def test_boundary_rejected(self):
+        # the metric is exact up to q = 0; the curvature's 2 CURVATURE_STEP stencil is not
         fam = AffineFamily(1.0, 1.0)
         with pytest.raises(ChartBoundaryError):
-            fs_metric(fam, (0.0, 1e-4))
-
-    def test_unresolved_stencil_rejected(self):
-        # stencil states at q = 0.01 +- 0.002 on a grid centred at 0.01;
-        # unchecked, g_qq comes out 1e23 relative off
-        with pytest.raises(ValueError, match="does not resolve"):
-            fs_metric(AffineFamily(1.0, 1.0), (0.0, 0.01))
+            gaussian_curvature(fam, (0.0, 1e-4))
+        with pytest.raises(ChartBoundaryError):
+            fs_metric(fam, (0.0, 0.0))
 
 
 class TestSpinMetric:

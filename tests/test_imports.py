@@ -40,9 +40,10 @@ def test_cli_import_loads_no_scipy(tmp_path):
     ["dynamics", "--model", "oscillator", "--t-end", "1"],
     ["dynamics", "--hbar", "0.5", "--beta", "2", "--p0=-2", "--t-end", "1"],
     ["wcp"],
+    ["metric", "--family", "affine"],
 ])
 def test_scipy_free_subcommands(tmp_path, argv):
-    # C' and affine surfaces are exact moments: no quadrature grid, no scipy;
+    # C', affine surfaces and the affine metric are exact Gamma moments: no scipy;
     # canonical words act on the fiducial, and a family reads no spectrum until a state
     code = f"from enhq.cli import run\nassert run({argv!r}) == 0"
     assert _scipy_modules(code, tmp_path) == []

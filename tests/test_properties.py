@@ -6,7 +6,7 @@ reproducible point.
 
 import numpy as np
 import pytest
-from references import squeezed_ground_state
+from references import sampled_affine_state, squeezed_ground_state
 
 from enhq.coherent import AffineFamily, CanonicalFamily, SpinFamily
 from enhq.geometry import fs_metric
@@ -40,10 +40,10 @@ class TestNormalization:
                 assert abs(np.linalg.norm(fam.state(p, q).coeffs) - 1.0) < 1e-12
 
     def test_affine(self):
-        # on a grid centred at q, as the charts build them
+        # the sampled reference state on a grid centred at q
         for beta, hbar, p, q in _affine_points(np.random.default_rng(102), 12):
-            fam = AffineFamily(beta, hbar).centered(q)
-            assert abs(fam.state(p, q).norm() - 1.0) < 1e-12
+            st = sampled_affine_state(AffineFamily(beta, hbar), p, q, center=q)
+            assert abs(st.norm() - 1.0) < 1e-12
 
     def test_spin(self):
         for s, hbar, theta, phi in _spin_points(np.random.default_rng(103), 12):
@@ -61,11 +61,11 @@ def test_canonical_expectations_track_labels(canonical_families):
 
 
 def test_affine_grid_moments_match_exact_moments():
-    # the grid the states are sampled on against the exact Gamma moments;
+    # the grid of the sampled reference states against the exact Gamma moments;
     # x^-1 is left out: at k = 2 the state grid integrates it only to 5e-3
     for beta, hbar, p, q in _affine_points(np.random.default_rng(108), 12):
-        fam = AffineFamily(beta, hbar).centered(q)
-        st = fam.state(p, q)
+        fam = AffineFamily(beta, hbar)
+        st = sampled_affine_state(fam, p, q, center=q)
         x, density = st.grid.nodes, np.abs(st.samples) ** 2
         for e in range(5):
             got = st.grid.integrate(density * x**e).real

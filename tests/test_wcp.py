@@ -5,7 +5,6 @@ import pytest
 from references import dense_enhanced_hamiltonian, squeezed_ground_state
 
 from enhq import coherent
-from enhq._quadrature import _genlaguerre_rule
 from enhq.coherent import AffineFamily, CanonicalFamily, SpinFamily
 from enhq.hilbert import StateVector, basis_state, expectation, make_fock_space
 from enhq.wcp import (
@@ -267,28 +266,6 @@ class TestScaling:
         with pytest.raises(ValueError, match=r"hbar fit at \(p, q\) = \(.*\): .* not above the rounding"):
             hbar_scaling_fit(parse_hamiltonian(text, kind), fam, (p, 1.0),
                              [1.0, 0.5, 0.25, 0.1, 0.05])
-
-    def test_moments_build_no_grid(self, monkeypatch):
-        # C' and the affine surface are exact Gamma moments; the quadrature
-        # grid serves the states only, so they must not build it
-        made = []
-        init = AffineFamily.__init__
-
-        def recording_init(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            made.append(self)
-
-        monkeypatch.setattr(AffineFamily, "__init__", recording_init)
-        misses = _genlaguerre_rule.cache_info().misses
-        assert cprime(2.0, 0.7) == pytest.approx(cprime_closed_form(2.0, 0.7), rel=1e-13, abs=0.0)
-        fam = AffineFamily(2.0, 0.7)
-        hbar_scaling_fit(parse_hamiltonian("D.Qinv.D", "affine"), fam, (1.0, 1.0),
-                         [1.0, 0.5, 0.25, 0.1, 0.05])
-        assert _genlaguerre_rule.cache_info().misses == misses
-        assert len(made) == 7
-        assert not any("_sampled" in vars(f) for f in made)
-        st = fam.state(0.0, 1.0)
-        assert "_sampled" in vars(fam) and st.grid is fam._sampled[0]
 
     def test_position_word_exact(self):
         fam = CanonicalFamily(N=100)

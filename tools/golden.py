@@ -57,6 +57,9 @@ EDGE = [
     ["metric", "--p=-0.0,0.0"],
     ["metric", "--p=-0.01,0,0.01", "--q=0.99,1,1.01"],
     ["metric", "--family", "affine", "--p=0", "--q=0.5,1,2"],
+    ["metric", "--family", "affine", "--p", "0", "--q", "1000"],
+    ["metric", "--family", "affine", "--hbar", "0.01", "--p", "0.3", "--q", "2"],
+    ["metric", "--family", "affine", "--hbar", "0.01", "--p", "0.3", "--q", "1"],
     ["metric", "--family", "spin", "--s", "2", "--p=1,1.01", "--q=0.3,0.31"],
     ["wcp", "--N", "40"],
     ["wcp", "--s", "1"],
