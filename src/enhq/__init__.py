@@ -4,8 +4,9 @@ geometry, symplectic dynamics and a radial inequality explorer.
 
 Names are imported from their modules (`from enhq.coherent import
 CanonicalFamily`); the package itself holds only `__version__`, so
-`import enhq.cli` loads numpy and nothing heavier.  scipy is imported only
-where a computation calls it, so a run loads only what it uses.
+`import enhq.cli` loads numpy and nothing heavier.  `enhq.inequality`, for
+its special functions, is the one module that imports more than numpy, so
+every subcommand but `inequality` and `selftest` runs on numpy alone.
 """
 
 __version__ = "0.1.0"

@@ -279,14 +279,16 @@ def _shared_flags(parser, defaults=("enhq_out", "csv", None)):
 
 @cache
 def _parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="enhq", description=__doc__.splitlines()[0])
+    # no abbreviated flags: a config value yields only to a flag spelled in full
+    ap = argparse.ArgumentParser(prog="enhq", description=__doc__.splitlines()[0],
+                                 allow_abbrev=False)
     _shared_flags(ap)
     # the shared flags also parse after the subcommand; there they default
     # to SUPPRESS, so a flag given before the subcommand is kept
-    shared = argparse.ArgumentParser(add_help=False)
+    shared = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     _shared_flags(shared, defaults=(argparse.SUPPRESS,) * 3)
     sub = ap.add_subparsers(dest="command", required=True)
-    add = partial(sub.add_parser, parents=[shared])
+    add = partial(sub.add_parser, parents=[shared], allow_abbrev=False)
 
     def fam(p, kinds=("canonical", "affine", "spin")):
         p.add_argument("--family", choices=kinds, default=kinds[0])
@@ -420,7 +422,7 @@ def run(argv=None) -> int:
     except (ValueError, OSError) as exc:  # a JSONDecodeError is a ValueError
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 1
-    except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (RuntimeError, ArithmeticError, MemoryError, np.linalg.LinAlgError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         try:
             os.makedirs(args.out, exist_ok=True)

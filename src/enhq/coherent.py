@@ -5,7 +5,8 @@ Canonical states live in a truncated Fock basis and spin states in a
 Gamma moments: an expectation of a Laurent word, and every entry of the
 affine jet, is a finite sum of them, so the affine family holds no sampled
 wavefunction.  Canonical and spin states step on one cached eigensystem
-(x, V) per dimension, of the real tridiagonal Q/sqrt(hbar) or S1/hbar, since
+(x, V) per dimension, numpy's `eigh` of the real tridiagonal Q/sqrt(hbar) or
+S1/hbar (the Golub-Welsch matrix of the Hermite or Krawtchouk nodes), since
 P and S2 are phase-rotated copies: P = -U^dag Q U, U = diag(i^n).  With it
 are cached vu = U^dag V and w = V^T U V; `with_hbar` and later families reuse
 it.  A canonical state is vu e^(iqx) w e^(ipx) V^T fiducial; each family
@@ -92,11 +93,9 @@ def _ladder_spectrum(kind: str, dim: int) -> tuple[np.ndarray, ...]:
     vu = U^dag V and w = V^T U V, U = diag(i^n): P or S2 is -U^dag X U.
     v is complex, so products need no cast; every family of this size shares
     the arrays, so they are read-only."""
-    from scipy.linalg import eigh_tridiagonal
-
     j = np.arange(1.0, dim)
     off = np.sqrt(j / 2.0) if kind == "fock" else 0.5 * np.sqrt(j * (dim - j))
-    x, v = eigh_tridiagonal(np.zeros(dim), off)
+    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     v = v.astype(complex)
     u = np.array([1, 1j, -1, -1j])[np.arange(dim) % 4]
     spectrum = x, v, u.conj()[:, None] * v, v.T @ (u[:, None] * v)
@@ -133,22 +132,15 @@ class CanonicalFamily:
         self.fiducial = fiducial if fiducial is not None else basis_state(space, 0)
         if self.fiducial.space != space:
             raise ValueError("fiducial lives on a different space")
-
-    def __getattr__(self, name):
-        """Builds the factor caches and fiducial moments with the first state or jet;
-        threads that race here build equal copies, so no lock is needed."""
-        if name not in ("_x", "_vu", "_phase", "_half", "_dhalf", "_levels", "_moments"):
-            raise AttributeError(name)
-        x, v, self._vu, w = _ladder_spectrum(self.space.kind, self.space.dim)
+        x, v, self._vu, w = _ladder_spectrum(space.kind, space.dim)
         x = self._x = x / math.sqrt(self.hbar)  # eigenvalues of Q / hbar
-        n, c = np.arange(self.space.dim), self.fiducial.coeffs
+        n, c = np.arange(space.dim), self.fiducial.coeffs
         m = np.vdot(c[:-1], np.sqrt(n[1:]) * c[1:]) * math.sqrt(2.0 / self.hbar)  # (<Q> + i<P>)/h
         self._levels, self._moments = n, (np.vdot(c, n * c).real, m.real, m.imag)
         a = v.T @ c
         phase = self._phase = _factor_cache(lambda t: np.exp(1j * t * x))
         self._half = _factor_cache(lambda p: w @ (phase(p) * a))
         self._dhalf = _factor_cache(lambda p: w @ (1j * x * phase(p) * a))
-        return getattr(self, name)
 
     @cached_property
     def Q(self):
@@ -286,8 +278,6 @@ def affine_moment(beta: float, hbar: float, n: int) -> float:
     Independent of `expect_laurent` (log-Gamma, not a product of factors), it
     serves as the oracle for those exact sums.
     """
-    from scipy.special import gammaln
-
     if not (0 < beta < math.inf and 0 < hbar < math.inf):
         raise ValueError(f"beta and hbar must be positive and finite, got {beta}, {hbar}")
     k = 2.0 * beta / hbar
@@ -295,7 +285,7 @@ def affine_moment(beta: float, hbar: float, n: int) -> float:
         raise ValueError("moments below n = -1 are not supported")
     if k + n <= 0:
         raise ValueError(f"Gamma pole: shape k + n = {k + n} <= 0")
-    return float(np.exp(gammaln(k + n) - gammaln(k) - n * np.log(k)))
+    return math.exp(math.lgamma(k + n) - math.lgamma(k) - n * math.log(k))
 
 
 # ---------------------------------------------------------------------------

@@ -56,8 +56,11 @@ __all__ = [
     "toy_gravity_solution",
 ]
 
-# a toy-gravity run's chart floor is Q_FLOOR q0, q0 its initial q
+# a toy-gravity run's chart floor is Q_FLOOR q0, q0 its initial q; while q
+# falls a step is throttled to dt <= THROTTLE q / |qdot|, but never below DT_MIN
 Q_FLOOR = 1e-12
+THROTTLE = 5e-5
+DT_MIN = 1e-12
 # rotsym's Newton solve for kappa stops once its last step is below
 # NEWTON_TOL relative, and fails after NEWTON_MAX_ITER steps
 NEWTON_TOL = 1e-13
@@ -391,10 +394,10 @@ def _run_scalar(flow, p, q, t_end, h, stride):
     status, hit = "completed", None
     end = t_end - 1e-15
     # a contracting collapsing run steps until the throttle binds, where
-    # the exact flow p0 / (1 + p0 t) passes |p| = 2.5e-5 / h (a little past
-    # it), takes the throttled steps in closed form, and steps again
+    # the exact flow p0 / (1 + p0 t) passes |p| = (THROTTLE / 2) / h (a little
+    # past it), takes the throttled steps in closed form, and steps again
     tail = collapses and p < 0
-    stop = min(1.0 / -p - h / 2.5e-5 / 1.001, end) if tail else end
+    stop = min(1.0 / -p - h / (THROTTLE / 2) / 1.001, end) if tail else end
     while True:
         while hit is None and t < stop:
             # at most the chunk's room per pass; a full chunk is flushed
@@ -406,7 +409,7 @@ def _run_scalar(flow, p, q, t_end, h, stride):
                     # is localized to ~sqrt(Q_FLOOR/E) in time
                     v = 2.0 * q * p  # qdot = dH/dp of H = q p^2 + c / q
                     if v < 0:
-                        dt = min(dt, max(5e-5 * q / -v, 1e-12))
+                        dt = min(dt, max(THROTTLE * q / -v, DT_MIN))
                 p1, q1, ok = solve(p, q, dt)
                 if dt == rest:
                     t = t_end
@@ -432,7 +435,7 @@ def _run_scalar(flow, p, q, t_end, h, stride):
                 rows.flush()
         if not tail or hit is not None:
             break
-        p, q, t = _self_similar_run(p, q, t, 5e-5 * q / -(2.0 * q * p), h, t_end, floor, rows)
+        p, q, t = _self_similar_run(p, q, t, THROTTLE * q / -(2.0 * q * p), h, t_end, floor, rows)
         tail, lost, stop = False, 0.0, end
     return rows.trajectory(status, hit)
 
@@ -440,13 +443,13 @@ def _run_scalar(flow, p, q, t_end, h, stride):
 def _self_similar_run(p, q, t, dt, h, t_end, floor, rows):
     """Throttled steps of H = q p^2 from (p, q) at time t, in closed form.
 
-    dt is the throttled step 5e-5 q / |qdot| = 2.5e-5 / |p|.  Every such
-    step has dt p = -2.5e-5, so it maps (p, q) to (rho p, sigma q) with
+    dt is the throttled step THROTTLE q / |qdot| = (THROTTLE / 2) / |p|.  Every
+    such step has dt p = -THROTTLE / 2, so it maps (p, q) to (rho p, sigma q) with
     fixed rho, sigma from one quadratic solve (`_toy_gravity_midpoint` at
     c = 0), and the step lengths fall geometrically by 1 / rho.  Builds
     steps 1..K chunk by chunk, hands them to `rows` after its buffered
     steps, and returns the state after them; K stops 8 steps short of where
-    the q floor, the 1e-12 step clamp or the t_end landing could act, so
+    the q floor, the DT_MIN step clamp or the t_end landing could act, so
     the stepping loop handles all three.
     """
     if not dt < h:
@@ -454,13 +457,13 @@ def _self_similar_run(p, q, t, dt, h, t_end, floor, rows):
     # rho - 1 = 2 (2 - D) / D and sigma - 1 = 2 (1 - u) / u, free of
     # cancellation, from the floats D = 1 + sqrt(1 + 2 dt p) and
     # u = 1 - dt pm, which every stepped throttled step rounds alike
-    x = -2.5e-5
+    x = -THROTTLE / 2
     D = 1.0 + math.sqrt(1.0 + 2.0 * x)  # pm = 2 p / D
     u = 1.0 - x * (2.0 / D)
     lr = math.log1p(2.0 * (2.0 - D) / D)  # log rho
     ls = math.log1p(2.0 * (1.0 - u) / u)  # log sigma
     k_floor = math.ceil((math.log(floor) - math.log(q)) / ls) if floor > 0 else math.inf
-    k_clamp = math.log(dt / 1e-12) / lr
+    k_clamp = math.log(dt / DT_MIN) / lr
     # t_k = t + dt (1 - rho^-k) / (1 - rho^-1) stays 2h short of t_end
     room = (t_end - 2.0 * h - t) * -math.expm1(-lr) / dt
     k_land = -math.log1p(-room) / lr if room < 1.0 else math.inf

@@ -92,11 +92,9 @@ def _checks():
         return ok and traj.status == "singularity", f"status {traj.status}, {detail}", residuals
 
     def inequality_gaussian():
-        from scipy.special import gamma
-
         f = inequality.RadialField(alpha=0.0, n=3)
         got = inequality.lhs(f, 1e-8)
-        ref = float(np.sqrt(inequality.sphere_area(3) * gamma(1.5) / (2 * 4**1.5)))
+        ref = math.sqrt(inequality.sphere_area(3) * math.gamma(1.5) / (2 * 4**1.5))
         return _below(1e-8, {"Gaussian closed form error": abs(got - ref)})
 
     return [

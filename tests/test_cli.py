@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import enhq
+import enhq.coherent
 from enhq import cli
 from enhq.cli import run
 from enhq.dynamics import Trajectory, toy_gravity_flow, toy_gravity_solution
@@ -189,6 +190,18 @@ class TestBadControls:
         assert "numerical failure: implicit midpoint solve failed at t = 0.0001" in err
         assert json.loads(_read(tmp_path / "failure.json"))["type"] == "RuntimeError"
         assert not (tmp_path / "rotsym.csv").exists()
+
+    @pytest.mark.parametrize("family", ["canonical", "spin"])
+    def test_out_of_memory_is_numerical_failure(self, tmp_path, capsys, monkeypatch, family):
+        # an eigensystem too large for memory used to end in a traceback and exit 1
+        def no_memory(kind, dim):
+            raise MemoryError(f"no room for a {dim} x {dim} eigensystem")
+
+        monkeypatch.setattr(enhq.coherent, "_ladder_spectrum", no_memory)
+        assert run(["--out", str(tmp_path), "metric", "--family", family]) == 2
+        assert "numerical failure: no room" in capsys.readouterr().err
+        assert json.loads(_read(tmp_path / "failure.json"))["type"] == "MemoryError"
+        assert not (tmp_path / "metric.csv").exists()
 
     def test_s_is_a_metric_flag(self, tmp_path, capsys):
         # no wcp family reads the spin
@@ -547,6 +560,18 @@ class TestSharedFlags:
         summary = json.loads(_read(tmp_path / "inequality_summary.json"))
         assert summary["config"]["alphas"] == [0.3]
         assert summary["config"]["format"] == "csv"
+
+    def test_config_yields_only_to_a_full_flag(self, tmp_path, capsys):
+        # argparse used to take --hb for --hbar while the config scan did not,
+        # so the config's hbar won; an abbreviated flag is now refused
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"hbar": 0.5}))
+        argv = ["--out", str(tmp_path), "--config", str(cfg), "dynamics", "--t-end", "0.1"]
+        assert run([*argv, "--hb", "0.7"]) == 1
+        assert "unrecognized arguments: --hb 0.7" in capsys.readouterr().err
+        for flag in (["--hbar", "0.7"], ["--hbar=0.7"]):
+            assert run([*argv, *flag]) == 0
+            assert json.loads(_read(tmp_path / "dynamics_summary.json"))["config"]["hbar"] == 0.7
 
 
 class TestNegativeLists:

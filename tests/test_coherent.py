@@ -1,6 +1,7 @@
 """Coherent-state family checks, with analytic oracles where available."""
 
 import gc
+import math
 import weakref
 
 import mpmath
@@ -439,9 +440,22 @@ class TestLadderSpectrum:
                    @ unitary_from_hermitian(s2, -theta / hbar) @ fam.fiducial.coeffs)
             assert np.max(np.abs(fam.state(theta, phi).coeffs - ref)) <= 1e-12
 
+    @pytest.mark.parametrize("s", [10.0, 50.0])
+    def test_large_spin_state_matches_closed_form(self, s):
+        # |<s,m|theta,phi>| = sqrt(C(2s, s-m)) cos^(s+m)(theta/2) sin^(s-m)(theta/2),
+        # at sizes the dense reference is not run at; row k holds m = s - k
+        fam = SpinFamily(s)
+        n = int(2 * s)
+        rng = np.random.default_rng(int(s))
+        for theta, phi in rng.uniform(0.0, 1.0, size=(8, 2)) * (np.pi, 2.0 * np.pi):
+            lc, ls = math.log(math.cos(theta / 2)), math.log(math.sin(theta / 2))
+            ref = [math.exp(0.5 * (math.lgamma(n + 1) - math.lgamma(n - k + 1) - math.lgamma(k + 1))
+                            + (n - k) * lc + k * ls) for k in range(n + 1)]
+            assert np.max(np.abs(np.abs(fam.state(theta, phi).coeffs) - ref)) <= 1e-12
+
     def test_families_share_one_spectrum_per_size(self, monkeypatch):
         canonical, spin = CanonicalFamily(N=37), SpinFamily(18.0)  # both dim 37
-        canonical.state(0.5, 0.5)  # a canonical family reads the spectrum with its first state
+        canonical.state(0.5, 0.5)  # each family reads the spectrum when it is built
         misses = _ladder_spectrum.cache_info().misses
         # shared by every family of the size, so no caller may write to it
         assert not any(a.flags.writeable for kind in ("fock", "spin")

@@ -1,6 +1,5 @@
-"""Import graph: the CLI starts on numpy alone, a run loads only the scipy modules its
-computation calls, no module imports a name it never uses, and every name a module
-exports exists."""
+"""Import graph: the CLI starts on numpy alone, only the inequality module loads scipy,
+no module imports a name it never uses, and every name a module exports exists."""
 
 import ast
 import importlib
@@ -41,18 +40,14 @@ def test_cli_import_loads_no_scipy(tmp_path):
     ["dynamics", "--hbar", "0.5", "--beta", "2", "--p0=-2", "--t-end", "1"],
     ["wcp"],
     ["metric", "--family", "affine"],
+    ["metric"],
+    ["metric", "--family", "spin", "--s", "1.5"],
 ])
 def test_scipy_free_subcommands(tmp_path, argv):
-    # C', affine surfaces and the affine metric are exact Gamma moments: no scipy;
-    # canonical words act on the fiducial, and a family reads no spectrum until a state
+    # C', affine surfaces and the affine metric are exact Gamma moments, and the
+    # canonical and spin spectra are numpy's eigh: only inequality loads scipy
     code = f"from enhq.cli import run\nassert run({argv!r}) == 0"
     assert _scipy_modules(code, tmp_path) == []
-
-
-def test_canonical_metric_loads_no_special_functions(tmp_path):
-    code = "from enhq.cli import run\nassert run(['metric', '--family', 'canonical']) == 0"
-    loaded = _scipy_modules(code, tmp_path)
-    assert "scipy.linalg" in loaded and "scipy.special" not in loaded
 
 
 def _unused_imports(path: pathlib.Path) -> list[str]:
