@@ -1,8 +1,9 @@
 """Classical and enhanced classical Hamiltonian flows.
 
 The integrator is the implicit midpoint rule (symmetric, symplectic): every
-flow supplies its exact midpoint step, `FlowSpec.midpoint`, and a scalar
-flow its exact solution, `FlowSpec.exact`, which a run is checked against.
+flow supplies its exact midpoint map, `FlowSpec.midpoint` (a scalar flow
+one step, a vector flow its whole run), and a scalar flow its exact
+solution, `FlowSpec.exact`, which a run is checked against.
 
 Scalar flows step on Python floats.  The oscillator's midpoint equations
 are linear and solved directly.  Toy gravity is one flow, H = q p^2 + c / q,
@@ -28,13 +29,16 @@ Vector flows are O(N)-invariant: H depends on p and q only through
 midpoint rule keeps every iterate in the plane span{p0, q0} (it conserves
 the quadratic invariant p ^ q; Hairer, Lubich and Wanner, Geometric
 Numerical Integration, ch. IV).  A run from initial arrays of shape (N,)
-is stepped on the four coefficients of p and q on (p0, q0), with the 2x2
-Gram matrix of (p0, q0) supplying the inner products.  The run stores
+is taken on the four coefficients of p and q on (p0, q0), with the 2x2
+Gram matrix of (p0, q0) supplying the inner products: the flow's plane
+run hands back the coefficients of all its steps at once.  The run stores
 those coefficients, not the (T, N) states: H is read on the isometric
 image of the plane in R^2, and states are expanded only at the steps that
-are read.  The rotationally symmetric quartic flow's plane step reduces
-the midpoint equations to one scalar equation for the radial factor
-kappa, solved by Newton's method.
+are read.  For the rotationally symmetric quartic flow at g0 > 0 each
+plane step reduces the midpoint equations to one scalar equation for the
+radial factor kappa, solved by Newton's method; at g0 = 0 (the free
+field) every step is one fixed rotation, and the run is its powers in
+closed form.
 """
 
 from __future__ import annotations
@@ -77,9 +81,10 @@ class FlowSpec:
     # any length, since runs evaluate it on 2-D images of their planes
     hamiltonian: object
     # exact midpoint step (p, q, dt) -> (p1, q1, ok) on Python floats; a
-    # vector flow's is its plane step (c, gram, dt) -> (c1, ok) on the
-    # coefficients c of p = c0 p0 + c1 q0, q = c2 p0 + c3 q0, with
-    # gram = (p0.p0, p0.q0, q0.q0)
+    # vector flow's is its plane run (gram, dt, n) -> (plane, failed) of n
+    # steps from p = p0, q = q0, gram = (p0.p0, p0.q0, q0.q0): plane[k] of
+    # shape (n + 1, 2, 2) holds the coefficients of p and q on (p0, q0) at
+    # step k, or plane is None and failed the first step with no solution
     midpoint: object
     params: dict = field(default_factory=dict)  # holding a length "N" makes a vector flow
     # exact flow (p0, q0, t) -> (p, q) of a scalar flow, None where none is known
@@ -225,8 +230,9 @@ def rotsym_flow(N: int, m0: float, g0: float) -> FlowSpec:
     """H = sum(p_n^2 + m0^2 q_n^2) + g0 (sum q_n^2)^2.
 
     The Hamiltonian carries no 1/2 factors, so qdot_n = 2 p_n and the
-    decoupled (g0 = 0) oscillation frequency is 2 m0.  H and its gradient
-    act row-wise on (..., N) arrays.
+    decoupled (g0 = 0) oscillation frequency is 2 m0.  H acts row-wise on
+    (..., N) arrays.  The plane run steps Newton solves for kappa at
+    g0 > 0 and is `_rotation_run`, in closed form, at g0 = 0.
     """
     if not 1 <= N <= 64:
         raise ValueError(f"N must lie in [1, 64], got {N}")
@@ -237,7 +243,7 @@ def rotsym_flow(N: int, m0: float, g0: float) -> FlowSpec:
         s2 = _sumsq(q)
         return _sumsq(p) + m0**2 * s2 + g0 * s2 * s2
 
-    def midpoint(c, gram, dt):
+    def newton_run(gram, dt, n):
         # With a = q + dt p the midpoint equations give qm = a / (1 + kappa),
         # kappa = dt^2 (m0^2 + 2 g0 |qm|^2): one scalar equation,
         #   F(kappa) = kappa - k0 - A / (1 + kappa)^2 = 0,
@@ -249,35 +255,71 @@ def rotsym_flow(N: int, m0: float, g0: float) -> FlowSpec:
         # would lose the digits of kappa ~ dt^2.  The step is
         # p1 = p - 2 f a, q1 = q + 2 dt (p - f a), f = kappa / (dt (1 + kappa)),
         # on plane coefficients: a = ap p0 + aq q0, |a|^2 from the Gram matrix.
-        pp, pq, qp, qq = c
         gpp, gpq, gqq = gram
-        ap, aq = qp + dt * pp, qq + dt * pq
         k0 = dt * dt * m0 * m0
-        A = (2.0 * dt * dt * g0) * (ap * ap * gpp + 2.0 * ap * aq * gpq + aq * aq * gqq)
-        try:
-            kappa = k0 + A / (1.0 + k0 + A) ** 2
-        except OverflowError:  # a float power raises where a product gives inf
-            return c, False
-        for _ in range(NEWTON_MAX_ITER):
-            s = 1.0 + kappa
-            g = A / (s * s)
-            step = (kappa - k0 - g) / (1.0 + 2.0 * g / s)
-            kappa -= step
-            if abs(step) <= NEWTON_TOL * kappa:
-                break
-        else:
-            return c, False
-        f = kappa / (dt * (1.0 + kappa))
-        fp, fq = f * ap, f * aq
-        return (pp - 2.0 * fp, pq - 2.0 * fq,
-                qp + 2.0 * dt * (pp - fp), qq + 2.0 * dt * (pq - fq)), True
+        w = 2.0 * dt * dt * g0
+        pp, pq, qp, qq = 1.0, 0.0, 0.0, 1.0  # p = p0, q = q0
+        coefs = array("d", (pp, pq, qp, qq))
+        put = coefs.extend
+        for k in range(1, n + 1):
+            ap, aq = qp + dt * pp, qq + dt * pq
+            A = w * (ap * ap * gpp + 2.0 * ap * aq * gpq + aq * aq * gqq)
+            try:
+                kappa = k0 + A / (1.0 + k0 + A) ** 2
+            except OverflowError:  # a float power raises where a product gives inf
+                return None, k
+            for _ in range(NEWTON_MAX_ITER):
+                s = 1.0 + kappa
+                g = A / (s * s)
+                step = (kappa - k0 - g) / (1.0 + 2.0 * g / s)
+                kappa -= step
+                if abs(step) <= NEWTON_TOL * kappa:
+                    break
+            else:
+                return None, k
+            f = kappa / (dt * (1.0 + kappa))
+            fp, fq = f * ap, f * aq
+            pp, pq, qp, qq = (pp - 2.0 * fp, pq - 2.0 * fq,
+                              qp + 2.0 * dt * (pp - fp), qq + 2.0 * dt * (pq - fq))
+            put((pp, pq, qp, qq))
+        return np.frombuffer(coefs).reshape(n + 1, 2, 2), None
 
     return FlowSpec(
         name="rotsym",
         hamiltonian=ham,
         params={"N": N, "m0": m0, "g0": g0},
-        midpoint=midpoint,
+        midpoint=newton_run if g0 else lambda gram, dt, n: (_rotation_run(m0, dt, n), None),
     )
+
+
+def _rotation_run(m0, dt, n):
+    """Plane of the free field's run: n midpoint steps in closed form.
+
+    At g0 = 0 one step maps (p, m0 q) to its rotation by theta = 2 atan(u),
+    u = m0 dt, so step k holds M^k = [[cos k theta, -m0 sin k theta],
+    [sin k theta / m0, cos k theta]].  Past u = 1, theta = pi - x with
+    x = 2 atan(1 / u), and k theta = k pi - k x keeps the digits that
+    pi - theta would lose.  sin k theta / m0 is taken as
+    (sin k theta / sin theta) 2 dt / (1 + u^2), dividing by no tiny m0,
+    and the ratio as +-k once x^2 underflows (its relative correction is
+    below k^2 x^2 / 6).
+    """
+    k = np.arange(n + 1.0)
+    u = m0 * dt
+    if u > 1.0:
+        x = 2.0 * math.atan(1.0 / u)
+        sign = 1.0 - 2.0 * (k % 2)  # cos k theta = (-1)^k cos kx, sin k theta = -(-1)^k sin kx
+        cos_sign, sin_sign = sign, -sign
+    else:
+        x, cos_sign, sin_sign = 2.0 * math.atan(u), 1.0, 1.0
+    sin_kx = np.sin(k * x)
+    ratio = sin_sign * (sin_kx / math.sin(x) if x * x > 0.0 else k)
+    plane = np.empty((n + 1, 2, 2))
+    plane[:, 0, 0] = plane[:, 1, 1] = cos_sign * np.cos(k * x)
+    plane[:, 0, 1] = -m0 * (sin_sign * sin_kx)
+    plane[:, 1, 0] = ratio * (2.0 * dt / (1.0 + u * u))
+    plane[0] = np.eye(2)  # the sign factors leave a -0.0 there
+    return plane
 
 
 def integrate(flow: FlowSpec, initial, t_end: float, *, dt: float = 1e-4,
@@ -390,6 +432,7 @@ def _run_scalar(flow, p, q, t_end, h, stride):
     h_last = h * (1.0 + 1e-9)  # a remainder under 1e-9 h joins the last step
     rows = _Rows(flow.hamiltonian, stride, 0.0, p, q)
     times, ps, qs = rows.buffers
+    add_t, add_p, add_q = times.append, ps.append, qs.append
     t = lost = 0.0
     status, hit = "completed", None
     end = t_end - 1e-15
@@ -409,7 +452,11 @@ def _run_scalar(flow, p, q, t_end, h, stride):
                     # is localized to ~sqrt(Q_FLOOR/E) in time
                     v = 2.0 * q * p  # qdot = dH/dp of H = q p^2 + c / q
                     if v < 0:
-                        dt = min(dt, max(THROTTLE * q / -v, DT_MIN))
+                        cap = THROTTLE * q / -v
+                        if cap < DT_MIN:
+                            cap = DT_MIN
+                        if cap < dt:
+                            dt = cap
                 p1, q1, ok = solve(p, q, dt)
                 if dt == rest:
                     t = t_end
@@ -426,9 +473,9 @@ def _run_scalar(flow, p, q, t_end, h, stride):
                         break
                     raise RuntimeError(f"implicit midpoint solve failed at t = {t}")
                 p, q = p1, q1
-                times.append(t)
-                ps.append(p)
-                qs.append(q)
+                add_t(t)
+                add_p(p)
+                add_q(q)
                 if t >= stop:
                     break
             else:
@@ -494,20 +541,14 @@ def _run_vector(flow, p0, q0, t_end, h):
     times = t_end * np.arange(n + 1) / n
     times[-1] = t_end
     dt = t_end / n
-    # the run stays in the plane of (p0, q0): step the coefficients of p and
-    # q on (p0, q0) with the plane's Gram matrix
+    # the run stays in the plane of (p0, q0): the flow's plane run gives the
+    # coefficients of p and q on (p0, q0) from the plane's Gram matrix
     basis = np.stack([p0, q0])
     gram = basis @ basis.T
-    gram = (float(gram[0, 0]), float(gram[0, 1]), float(gram[1, 1]))
-    step = flow.midpoint
-    c = (1.0, 0.0, 0.0, 1.0)  # p = p0, q = q0
-    coefs = array("d", c) * (n + 1)
-    for i in range(4, 4 * (n + 1), 4):
-        c, ok = step(c, gram, dt)
-        if not ok:
-            raise RuntimeError(f"implicit midpoint solve failed at t = {times[i // 4]}")
-        coefs[i], coefs[i + 1], coefs[i + 2], coefs[i + 3] = c
-    plane = np.frombuffer(coefs).reshape(n + 1, 2, 2)
+    plane, failed = flow.midpoint((float(gram[0, 0]), float(gram[0, 1]), float(gram[1, 1])),
+                                  dt, n)
+    if failed is not None:
+        raise RuntimeError(f"implicit midpoint solve failed at t = {times[failed]}")
     # H is O(N)-invariant, so it reads each state on the isometric image of
     # the plane: with basis^T = Q R (R is 2x2, or 1x2 at N = 1), p = basis^T c
     # maps to R c, and a singular R is never inverted

@@ -310,6 +310,14 @@ class TestArtifacts:
         header = _read(tmp_path / "rotsym.csv").splitlines()[0]
         assert header == "t,p_1,p_2,p_3,q_1,q_2,q_3,H,drift"
 
+    @pytest.mark.parametrize("m0", ["1", "1e150"])
+    def test_free_rotsym_is_exactly_shuffle_symmetric(self, tmp_path, capsys, m0):
+        # at g0 = 0 both runs share one closed-form plane, whatever the
+        # Gram matrix; m0 = 1e150 used to fail its first Newton start
+        assert run(["--out", str(tmp_path), "rotsym", "--g0", "0", "--m0", m0]) == 0
+        summary = json.loads(_read(tmp_path / "rotsym_summary.json"))
+        assert summary["shuffle_deviation"] == 0.0
+
     def test_rotsym_reads_states_only_where_written(self, tmp_path, capsys, monkeypatch):
         reads, states = [], Trajectory.states
 

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -386,10 +387,11 @@ def _reference_run(flow, p0, q0, t_end, step=_kappa_step, dt=1e-4):
 
 
 def _plane_step(flow, p, q, dt):
-    """One production plane step from (p, q), expanded to vectors."""
-    c, ok = flow.midpoint((1.0, 0.0, 0.0, 1.0), (p @ p, p @ q, q @ q), dt)
-    assert ok
-    return c[0] * p + c[1] * q, c[2] * p + c[3] * q
+    """The first step of a production plane run from (p, q), expanded to vectors."""
+    plane, failed = flow.midpoint((p @ p, p @ q, q @ q), dt, 1)
+    assert failed is None
+    (cpp, cpq), (cqp, cqq) = plane[1]
+    return cpp * p + cpq * q, cqp * p + cqq * q
 
 
 def _max_dev(traj, ps, qs):
@@ -431,7 +433,7 @@ class TestRadialMidpoint:
         p, q = _random_state(np.random.default_rng(2), 32, 0.5 / np.sqrt(32))
         traj = integrate(rotsym_flow(32, 1.0, 0.0), (p, q), 2.0)
         assert traj.times.size > 20_000
-        assert traj.drift <= 1e-12
+        assert traj.drift <= 2e-15
 
     def test_time_grid_ends_on_t_end(self):
         p, q = _random_state(np.random.default_rng(6), 6, 0.2)
@@ -442,11 +444,10 @@ class TestRadialMidpoint:
 
     @pytest.mark.parametrize("m0,g0", [(1.0, 1e200), (1e150, 1.0)])
     def test_overflowing_step_fails_the_solve(self, m0, g0):
-        # (1 + k0 + A) ** 2 overflows in the plane step's starting point; it
+        # (1 + k0 + A) ** 2 overflows in the first step's Newton start; it
         # used to escape as a bare OverflowError
         flow = rotsym_flow(6, m0, g0)
-        c = (1.0, 0.0, 0.0, 1.0)
-        assert flow.midpoint(c, (0.25, 0.0, 0.25), 1e-4) == (c, False)
+        assert flow.midpoint((0.25, 0.0, 0.25), 1e-4, 1) == (None, 1)
         p0, q0 = np.full(6, 0.2), np.full(6, 0.2)
         with pytest.raises(RuntimeError, match="solve failed at t = 0.0001"):
             integrate(flow, (p0, q0), 0.01)
@@ -468,6 +469,35 @@ class TestRadialMidpoint:
                               (oscillator_flow(), (1.0, 0.0))):
             with pytest.raises(ValueError, match="has no midpoint step"):
                 integrate(dataclasses.replace(flow, midpoint=None), initial, 1.0)
+
+
+class TestFreeFieldRun:
+    """rotsym's g0 = 0 plane run, M^k in closed form, against mpmath."""
+
+    @staticmethod
+    def _reference(m0, dt, n):
+        # M^k = [[cos k theta, -m0 sin k theta], [sin k theta / m0, cos k theta]],
+        # theta = 2 atan(m0 dt); 200 digits resolve pi - theta ~ 2e-146 at
+        # m0 = 1e150 and keep sin k theta / m0 at m0 = 1e-320
+        with mpmath.workdps(200):
+            m = mpmath.mpf(m0)
+            theta = 2 * mpmath.atan(m * mpmath.mpf(dt))
+            out = np.empty((n + 1, 2, 2))
+            for k in range(n + 1):
+                c, s = mpmath.cos(k * theta), mpmath.sin(k * theta)
+                out[k] = [[float(c), float(-m * s)], [float(s / m), float(c)]]
+        return out
+
+    @pytest.mark.parametrize("m0", [1e-320, 1e-200, 1e-8, 1.0, 1e4, 1e6, 1e9, 1e150])
+    def test_matches_mpmath(self, m0):
+        # fl(2 atan(u)) loses pi - theta as u grows: at m0 = 1e150 a form on
+        # that one angle is off by 7e137 in the q0 column, whose peak is 4e7
+        plane, failed = rotsym_flow(2, m0, 0.0).midpoint((1.0, 0.0, 1.0), 1e-4, 2000)
+        assert failed is None
+        ref = self._reference(m0, 1e-4, 2000)
+        for col in (0, 1):
+            scale = np.max(np.abs(ref[..., col])) or 1.0
+            assert np.max(np.abs(plane[..., col] - ref[..., col])) <= 1e-12 * scale
 
 
 class TestPlaneReduction:
@@ -499,7 +529,8 @@ class TestPlaneReduction:
     @pytest.mark.parametrize("n", [6, 32])
     def test_plane_run_matches_reference(self, n):
         # acceptance 6 and the rotsym benchmark: base and shuffled runs at
-        # g0 in {0, 1} to t = 2
+        # g0 in {0, 1} to t = 2; at g0 = 0 the closed-form run against
+        # 20,000 stepped Newton solves
         rng = np.random.default_rng(11)
         amp = 0.5 / np.sqrt(n)
         for g0 in (0.0, 1.0):
