@@ -1,17 +1,19 @@
 """Classical and enhanced classical Hamiltonian flows.
 
 The integrator is the implicit midpoint rule (symmetric, symplectic): every
-flow supplies its exact midpoint map, `FlowSpec.midpoint` (a scalar flow
-one step, a vector flow its whole run), and a scalar flow its exact
-solution, `FlowSpec.exact`, which a run is checked against.
+flow supplies its whole run of exact midpoint steps, `FlowSpec.midpoint`,
+and a scalar flow its exact solution, `FlowSpec.exact`, which a run is
+checked against.  `integrate` checks the inputs, refuses a run of more than
+MAX_STEPS steps of dt before taking any, and hands the flow its run.
 
-Scalar flows step on Python floats.  The oscillator's midpoint equations
-are linear and solved directly.  Toy gravity is one flow, H = q p^2 + c / q,
-whose barrier c >= 0 (`FlowSpec.barrier`) decides how it runs.  It lives
-on q > Q_FLOOR q0, a floor relative to its initial q0, and near that floor
-its step is throttled so that a crossing is resolved far below the
-reporting tolerance.  Its exact step reduces the midpoint equations to one
-quadratic in p.  At c = 0 it collapses at t = -1/p0 for every q0, since
+Scalar flows step on Python floats.  The oscillator's midpoint map is one
+fixed rotation by 2 atan(dt / 2), so its run is the powers of that rotation
+in closed form.  Toy gravity is one flow, H = q p^2 + c / q, whose barrier
+c >= 0 (`FlowSpec.barrier`) decides how it runs.  It lives on
+q > Q_FLOOR q0, a floor relative to its initial q0, and near that floor its
+step is throttled so that a crossing is resolved far below the reporting
+tolerance.  Its exact step reduces the midpoint equations to one quadratic
+in p.  At c = 0 it collapses at t = -1/p0 for every q0, since
 (p, q) -> (p, mu q) maps solutions to solutions with the same times, and
 only then does a run end in a "singularity": when q reaches the floor or a
 step has no midpoint solution.  This flow is also invariant under
@@ -20,9 +22,9 @@ the same map (p, q) -> (rho p, sigma q): that stretch is written in closed
 form, and the stepping loop takes the first steps, the last steps before
 the floor and any step near t_end.  At c > 0 the flow bounces at q = c / E
 and never collapses, so such a step fails the run.  A scalar run keeps every
-stride-th step only: it takes its steps in chunks of CHUNK, folds the
-drift and the lowest q over every step, and holds one chunk at a time
-besides the kept rows.
+stride-th step only: it hands its steps to a `_Rows` fold in chunks of
+CHUNK, which folds the drift and the lowest q over every step and holds one
+chunk at a time besides the kept rows.
 
 Vector flows are O(N)-invariant: H depends on p and q only through
 |p|^2, p.q and |q|^2, so both gradients lie in span{p, q} and the
@@ -46,7 +48,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -72,6 +74,9 @@ NEWTON_MAX_ITER = 100
 # a scalar run takes its steps in chunks of CHUNK, so it holds at most one
 # chunk of steps besides its kept rows
 CHUNK = 4096
+# integrate refuses a run of more than MAX_STEPS steps of dt, so that no
+# run of a finite t_end and a tiny dt steps on for hours
+MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -80,11 +85,12 @@ class FlowSpec:
     # H(p, q) -> float; a vector flow's acts row-wise over the last axis, of
     # any length, since runs evaluate it on 2-D images of their planes
     hamiltonian: object
-    # exact midpoint step (p, q, dt) -> (p1, q1, ok) on Python floats; a
-    # vector flow's is its plane run (gram, dt, n) -> (plane, failed) of n
-    # steps from p = p0, q = q0, gram = (p0.p0, p0.q0, q0.q0): plane[k] of
-    # shape (n + 1, 2, 2) holds the coefficients of p and q on (p0, q0) at
-    # step k, or plane is None and failed the first step with no solution
+    # the whole run of exact midpoint steps: a scalar flow's (rows, p, q,
+    # t_end, h) -> (status, hit_time) hands its float steps to the `_Rows` rows
+    # and raises RuntimeError on a failed step; a vector flow's (gram, dt, n)
+    # -> (plane, failed) takes n steps from p0, q0 with gram = (p0.p0, p0.q0,
+    # q0.q0): plane[k] of shape (n + 1, 2, 2) holds the coefficients of p and
+    # q on (p0, q0) at step k, or plane is None and failed the first step
     midpoint: object
     params: dict = field(default_factory=dict)  # holding a length "N" makes a vector flow
     # exact flow (p0, q0, t) -> (p, q) of a scalar flow, None where none is known
@@ -105,9 +111,10 @@ class Trajectory:
     """Stored steps of one run, read through `states(k)`.
 
     Every run builds its own, with `drift`, `status`, `hit_time` and `end`
-    (t, p, q) folded over every step it took.  A scalar run holds its kept
-    steps (every stride-th, step 0 first) as times, ps, qs and energies of
-    shape (T,), and folds `min_q` too.  A vector run keeps every step and
+    (t, p, q) folded over every step it took, and `steps`, the number of
+    midpoint steps it took, stepped or in closed form.  A scalar run holds
+    its kept steps (every stride-th, step 0 first) as times, ps, qs and
+    energies of shape (T,), and folds `min_q` too.  A vector run keeps every step and
     holds its plane instead: `coefs` of shape (T, 2, 2), indexed
     [step, (p, q), (p0, q0)], on the `basis` (p0, q0) of shape (2, N); its
     ps, qs and `min_q` are None.  `states(k)` returns the (p, q) of the
@@ -125,6 +132,7 @@ class Trajectory:
     qs: np.ndarray | None = None
     coefs: np.ndarray | None = None
     basis: np.ndarray | None = None
+    steps: int | None = None
 
     def states(self, k):
         """(p, q) at the stored steps k, an index or a slice."""
@@ -152,24 +160,31 @@ def oscillator_flow() -> FlowSpec:
     return FlowSpec(
         name="oscillator",
         hamiltonian=lambda p, q: 0.5 * (p * p + q * q),
-        midpoint=_oscillator_midpoint,
+        midpoint=_oscillator_run,
         # (p, q) rotates by the angle t
         exact=lambda p0, q0, t: (p0 * np.cos(t) - q0 * np.sin(t), q0 * np.cos(t) + p0 * np.sin(t)),
     )
 
 
-def _oscillator_midpoint(p, q, dt):
-    """Exact midpoint step of H = (p^2 + q^2) / 2 on Python floats.
-
-    pm = p - a qm and qm = q + a pm, a = dt/2, are linear.  The step is
-    taken as increments p - dt qm, q + dt pm: the Cayley form
-    ((1 - a^2) p - dt q) / (1 + a^2) drifts 1.4e-11 in H over 1e5 steps of 1e-3.
-    """
-    a = 0.5 * dt
-    d = 1.0 + a * a
-    pm = (p - a * q) / d
-    qm = (q + a * p) / d
-    return p - dt * qm, q + dt * pm, True
+def _oscillator_run(rows, p, q, t_end, h):
+    """The oscillator's run: steps of h to t_k = k h until t_end lies within
+    h_last of t_k, then one step of the rest onto t_end.  A step of dt is the
+    free field's at m0 = 1 and step dt / 2, a rotation by 2 atan(dt / 2), so
+    the steps of h are `_rotation_run` in closed form."""
+    h_last = h * (1.0 + 1e-9)  # a remainder under 1e-9 h joins the last step
+    m = max(0, math.ceil((t_end - h_last) / h) - 1)  # no later than the first such t_m
+    while t_end - m * h > h_last:
+        m += 1
+    rows.flush()
+    for first in range(1, m + 1, CHUNK):
+        last = min(first + CHUNK - 1, m)
+        c = _rotation_run(1.0, 0.5 * h, last, first)
+        rows.take(np.arange(first, last + 1.0) * h,
+                  c[:, 0, 0] * p + c[:, 0, 1] * q, c[:, 1, 0] * p + c[:, 1, 1] * q)
+    t, p, q = rows.end
+    ((cpp, cpq), (cqp, cqq)), = _rotation_run(1.0, 0.5 * (t_end - t), 1, 1)
+    rows.take([t_end], [cpp * p + cpq * q], [cqp * p + cqq * q])
+    return "completed", None
 
 
 def toy_gravity_flow(hbar: float = 0.0, beta: float = 1.0) -> FlowSpec:
@@ -188,37 +203,92 @@ def toy_gravity_flow(hbar: float = 0.0, beta: float = 1.0) -> FlowSpec:
     return FlowSpec(
         name="toygravity-classical" if c == 0.0 else "toygravity-enhanced",
         hamiltonian=lambda p, q: q * p * p + c / q,
-        midpoint=_toy_gravity_midpoint(c),
+        midpoint=partial(_toy_gravity_run, c),
         barrier=c,
         exact=lambda p0, q0, t: toy_gravity_solution(p0, q0, c, t),
     )
 
 
-def _toy_gravity_midpoint(c: float):
-    """Exact midpoint step of H = q p^2 + c / q on Python floats."""
-
-    def midpoint(p, q, dt):
-        # The q-equation qm = q + dt qm pm gives qm = q / (1 - dt pm).  With
-        # r = c / q^2 the p-equation pm = p - (dt/2)(pm^2 - c / qm^2) becomes
-        #   (dt/2)(1 - r dt^2) pm^2 + (1 + r dt^2) pm - (p + dt r / 2) = 0,
-        # and its root that tends to p as dt -> 0 is 2k / (b + sqrt(b^2 + 4ak)),
-        # free of cancellation.  A negative discriminant or 1 - dt pm <= 0
-        # leaves the step without a midpoint solution.
-        r = c / q / q
-        rdt2 = r * dt * dt
-        a = 0.5 * dt * (1.0 - rdt2)
-        b = 1.0 + rdt2
-        k = p + 0.5 * dt * r
-        disc = b * b + 4.0 * a * k
-        if disc < 0.0:
-            return p, q, False
-        pm = 2.0 * k / (b + math.sqrt(disc))
-        u = 1.0 - dt * pm
-        if u <= 0.0:
-            return p, q, False
-        return 2.0 * pm - p, 2.0 * q / u - q, True
-
-    return midpoint
+def _toy_gravity_run(c, rows, p, q, t_end, h):
+    """Toy gravity's run: exact midpoint steps of H = q p^2 + c / q on floats."""
+    collapses = c == 0.0
+    sqrt, inf, throttle, dt_min = math.sqrt, math.inf, THROTTLE, DT_MIN
+    floor = Q_FLOOR * q
+    h_last = h * (1.0 + 1e-9)  # a remainder under 1e-9 h joins the last step
+    times, ps, qs = rows.buffers
+    add_t, add_p, add_q = times.append, ps.append, qs.append
+    t = lost = 0.0
+    hit = None
+    end = t_end - 1e-15
+    # a contracting collapsing run steps until the throttle binds, where the
+    # exact flow p0 / (1 + p0 t) passes |p| = (THROTTLE / 2) / h (a little past
+    # it), takes the throttled steps in closed form, and steps again
+    tail = collapses and p < 0
+    stop = min(1.0 / -p - h / (THROTTLE / 2) / 1.001, end) if tail else end
+    while True:
+        while t < stop:
+            # steps take at most h, so the next n can neither land on t_end
+            # nor pass stop and go unchecked; near either, one at a time
+            rest = t_end - t
+            dt0 = h if rest > h_last else rest
+            n = max(1, min(CHUNK - len(qs), int((min(stop, t_end - h_last) - t) / h) - 2))
+            for _ in range(n):
+                dt = dt0
+                if p < 0.0:
+                    # keep the relative shrink of q modest so the floor crossing
+                    # is localized to ~sqrt(Q_FLOOR/E) in time
+                    v = -2.0 * q * p  # -qdot, qdot = dH/dp = 2 q p
+                    if v > 0.0:  # q p can underflow
+                        cap = throttle * q / v
+                        if cap < dt_min:
+                            cap = dt_min
+                        if cap < dt:
+                            dt = cap
+                # compensated (Kahan) sum: a plain running sum of 20,000 steps
+                # of 1e-4 ends 2e-13 short of 2, too far for h_last to absorb
+                y = dt - lost
+                s = t + y
+                lost = (s - t) - y
+                t = s
+                # qm = q + dt qm pm gives qm = q / (1 - dt pm).  With r = c / q^2,
+                # pm = p - (dt/2)(pm^2 - c / qm^2) becomes
+                #   (dt/2)(1 - r dt^2) pm^2 + (1 + r dt^2) pm - (p + dt r / 2) = 0,
+                # whose root that tends to p as dt -> 0 is 2k / (b + sqrt(b^2 + 4ak)),
+                # free of cancellation.  A negative discriminant or 1 - dt pm <= 0
+                # leaves the step without a midpoint solution.
+                r = c / q / q
+                rdt2 = r * dt * dt
+                a = 0.5 * dt * (1.0 - rdt2)
+                b = 1.0 + rdt2
+                k = p + 0.5 * dt * r
+                disc = b * b + 4.0 * a * k
+                if disc < 0.0:
+                    break
+                pm = 2.0 * k / (b + sqrt(disc))
+                u = 1.0 - dt * pm
+                if u <= 0.0:
+                    break
+                q1 = 2.0 * q / u - q
+                if not floor < q1 < inf:
+                    break
+                p, q = 2.0 * pm - p, q1
+                add_t(t)
+                add_p(p)
+                add_q(q)
+            else:
+                if dt == rest:  # the one step landed
+                    t = times[-1] = t_end
+                if len(qs) == CHUNK:
+                    rows.flush()
+                continue
+            hit = t_end if dt == rest else t
+            if not collapses:
+                raise RuntimeError(f"implicit midpoint solve failed at t = {hit}")
+            break
+        if not tail or hit is not None:
+            return "completed" if hit is None else "singularity", hit
+        p, q, t = _self_similar_run(p, q, t, THROTTLE * q / -(2.0 * q * p), h, t_end, floor, rows)
+        tail, lost, stop = False, 0.0, end
 
 
 def _sumsq(x):
@@ -292,8 +362,8 @@ def rotsym_flow(N: int, m0: float, g0: float) -> FlowSpec:
     )
 
 
-def _rotation_run(m0, dt, n):
-    """Plane of the free field's run: n midpoint steps in closed form.
+def _rotation_run(m0, dt, n, first=0):
+    """Plane of the free field's run: its steps first..n in closed form.
 
     At g0 = 0 one step maps (p, m0 q) to its rotation by theta = 2 atan(u),
     u = m0 dt, so step k holds M^k = [[cos k theta, -m0 sin k theta],
@@ -304,7 +374,7 @@ def _rotation_run(m0, dt, n):
     and the ratio as +-k once x^2 underflows (its relative correction is
     below k^2 x^2 / 6).
     """
-    k = np.arange(n + 1.0)
+    k = np.arange(first, n + 1.0)
     u = m0 * dt
     if u > 1.0:
         x = 2.0 * math.atan(1.0 / u)
@@ -314,11 +384,11 @@ def _rotation_run(m0, dt, n):
         x, cos_sign, sin_sign = 2.0 * math.atan(u), 1.0, 1.0
     sin_kx = np.sin(k * x)
     ratio = sin_sign * (sin_kx / math.sin(x) if x * x > 0.0 else k)
-    plane = np.empty((n + 1, 2, 2))
+    plane = np.empty((k.size, 2, 2))
     plane[:, 0, 0] = plane[:, 1, 1] = cos_sign * np.cos(k * x)
     plane[:, 0, 1] = -m0 * (sin_sign * sin_kx)
     plane[:, 1, 0] = ratio * (2.0 * dt / (1.0 + u * u))
-    plane[0] = np.eye(2)  # the sign factors leave a -0.0 there
+    plane[k == 0] = np.eye(2)  # the sign factors leave a -0.0 there
     return plane
 
 
@@ -331,13 +401,15 @@ def integrate(flow: FlowSpec, initial, t_end: float, *, dt: float = 1e-4,
     every step.  Vector flows take initial arrays of shape (N,), N the
     flow's params["N"], and keep every step, so they take stride 1 only;
     the run is stepped in its plane span{p0, q0} and stored as plane
-    coefficients.  A flow with a barrier c (toy gravity) lives on
-    q > Q_FLOOR q0 and throttles the step once q heads for that floor.  At
-    c = 0 a floor crossing or a step without a midpoint solution stops the
-    run with status "singularity" and the crossing time; at c > 0, where
-    the exact flow never collapses, either raises RuntimeError, as a failed
-    midpoint step of any flow does.  A dt that is
-    not finite and positive, a stride that is not an integer of at least 1,
+    coefficients.  Either kind hands its start to the flow's run,
+    `FlowSpec.midpoint`, and takes back its steps.  A flow with a barrier c
+    (toy gravity) lives on q > Q_FLOOR q0 and throttles the step once q
+    heads for that floor.  At c = 0 a floor crossing or a step without a
+    midpoint solution stops the run with status "singularity" and the
+    crossing time; at c > 0, where the exact flow never collapses, either
+    raises RuntimeError, as a failed midpoint step of any flow does.  A dt
+    that is not finite and positive, a run of more than MAX_STEPS steps of
+    dt (t_end / dt > MAX_STEPS), a stride that is not an integer of at least 1,
     a flow without a midpoint step, a non-finite or wrongly shaped initial
     state, one where H is not finite, or a vector flow given a stride other
     than 1 raise ValueError.
@@ -348,6 +420,8 @@ def integrate(flow: FlowSpec, initial, t_end: float, *, dt: float = 1e-4,
         raise ValueError(f"stride must be an integer of at least 1, got {stride!r}")
     if not 0 < t_end < math.inf:
         raise ValueError(f"t_end must be finite and positive, got {t_end}")
+    if t_end / dt > MAX_STEPS:
+        raise ValueError(f"t_end / dt = {t_end / dt:.6g} steps exceed MAX_STEPS = {MAX_STEPS}")
     if flow.midpoint is None:
         raise ValueError(f"flow {flow.name!r} has no midpoint step")
     if not all(np.isfinite(x).all() for x in initial):
@@ -373,16 +447,18 @@ def integrate(flow: FlowSpec, initial, t_end: float, *, dt: float = 1e-4,
         raise ValueError(f"flow {flow.name!r}: initial energy H = {energy} is not finite")
     if flow.vector:
         return _run_vector(flow, p, q, t_end, dt)
-    return _run_scalar(flow, p, q, t_end, dt, stride)
+    rows = _Rows(flow.hamiltonian, stride, 0.0, p, q)
+    return rows.trajectory(*flow.midpoint(rows, p, q, t_end, dt))
 
 
 class _Rows:
     """The steps of a scalar run, taken in chunk by chunk in step order.
 
-    The stepping loop appends to `buffers` (t, p, q) and flushes them when
-    they hold CHUNK steps.  A chunk's H is evaluated on its arrays, which
-    applies the per-step float operations in the same order, so each
-    energy is bit-identical to a per-step evaluation.  Its largest drift
+    A run appends its steps to `buffers` (t, p, q) and flushes them when
+    they hold CHUNK steps, or hands `take` whole arrays of steps.  A
+    chunk's H is evaluated on its arrays, which applies the per-step float
+    operations in the same order, so each energy is bit-identical to a
+    per-step evaluation.  Its largest drift
     against H at step 0 and its lowest q are folded in, and its steps
     k = 0 mod stride are kept.
     """
@@ -422,69 +498,7 @@ class _Rows:
         times, ps, qs, energies = (np.asarray(x) for x in self.kept)
         return Trajectory(times=times, energies=energies, ps=ps, qs=qs, end=self.end,
                           drift=float(np.max(self.peaks)), min_q=float(np.min(self.lows)),
-                          status=status, hit_time=hit_time)
-
-
-def _run_scalar(flow, p, q, t_end, h, stride):
-    chart, collapses = flow.barrier is not None, flow.barrier == 0
-    solve = flow.midpoint
-    floor = Q_FLOOR * q
-    h_last = h * (1.0 + 1e-9)  # a remainder under 1e-9 h joins the last step
-    rows = _Rows(flow.hamiltonian, stride, 0.0, p, q)
-    times, ps, qs = rows.buffers
-    add_t, add_p, add_q = times.append, ps.append, qs.append
-    t = lost = 0.0
-    status, hit = "completed", None
-    end = t_end - 1e-15
-    # a contracting collapsing run steps until the throttle binds, where
-    # the exact flow p0 / (1 + p0 t) passes |p| = (THROTTLE / 2) / h (a little
-    # past it), takes the throttled steps in closed form, and steps again
-    tail = collapses and p < 0
-    stop = min(1.0 / -p - h / (THROTTLE / 2) / 1.001, end) if tail else end
-    while True:
-        while hit is None and t < stop:
-            # at most the chunk's room per pass; a full chunk is flushed
-            for _ in range(CHUNK - len(qs)):
-                rest = t_end - t
-                dt = h if rest > h_last else rest
-                if chart:
-                    # keep the relative shrink of q modest so the floor crossing
-                    # is localized to ~sqrt(Q_FLOOR/E) in time
-                    v = 2.0 * q * p  # qdot = dH/dp of H = q p^2 + c / q
-                    if v < 0:
-                        cap = THROTTLE * q / -v
-                        if cap < DT_MIN:
-                            cap = DT_MIN
-                        if cap < dt:
-                            dt = cap
-                p1, q1, ok = solve(p, q, dt)
-                if dt == rest:
-                    t = t_end
-                else:
-                    # compensated (Kahan) sum: a plain running sum of 20,000 steps
-                    # of 1e-4 ends 2e-13 short of 2, too far for h_last to absorb
-                    y = dt - lost
-                    s = t + y
-                    lost = (s - t) - y
-                    t = s
-                if not ok or chart and not floor < q1 < math.inf:
-                    if collapses:
-                        status, hit = "singularity", t
-                        break
-                    raise RuntimeError(f"implicit midpoint solve failed at t = {t}")
-                p, q = p1, q1
-                add_t(t)
-                add_p(p)
-                add_q(q)
-                if t >= stop:
-                    break
-            else:
-                rows.flush()
-        if not tail or hit is not None:
-            break
-        p, q, t = _self_similar_run(p, q, t, THROTTLE * q / -(2.0 * q * p), h, t_end, floor, rows)
-        tail, lost, stop = False, 0.0, end
-    return rows.trajectory(status, hit)
+                          status=status, hit_time=hit_time, steps=self.taken - 1)
 
 
 def _self_similar_run(p, q, t, dt, h, t_end, floor, rows):
@@ -492,7 +506,7 @@ def _self_similar_run(p, q, t, dt, h, t_end, floor, rows):
 
     dt is the throttled step THROTTLE q / |qdot| = (THROTTLE / 2) / |p|.  Every
     such step has dt p = -THROTTLE / 2, so it maps (p, q) to (rho p, sigma q) with
-    fixed rho, sigma from one quadratic solve (`_toy_gravity_midpoint` at
+    fixed rho, sigma from one quadratic solve (toy gravity's step at
     c = 0), and the step lengths fall geometrically by 1 / rho.  Builds
     steps 1..K chunk by chunk, hands them to `rows` after its buffered
     steps, and returns the state after them; K stops 8 steps short of where
@@ -556,7 +570,7 @@ def _run_vector(flow, p0, q0, t_end, h):
     energies = flow.hamiltonian(plane[:, 0] @ rt, plane[:, 1] @ rt)
     return Trajectory(times=times, energies=energies, coefs=plane, basis=basis,
                       drift=float(np.max(_drifts(energies, energies[0]))),
-                      end=(times[-1], *_plane_states(plane[-1], basis)))
+                      end=(times[-1], *_plane_states(plane[-1], basis)), steps=n)
 
 
 def toy_gravity_solution(p0: float, q0: float, c: float, t):

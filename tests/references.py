@@ -9,11 +9,14 @@ expectations, which the exact Gamma moments are checked against, the dense per-c
 Hamiltonians, the power-counting slopes of the radial inequality, the
 canonical and spin state maps written out without the families' factor
 caches, the gradients of the dynamics flows, which the midpoint residuals
-read, the spin family relabelled by a (p, q) chart, which the
+read, the scalar flows' single midpoint steps and the stepping loop that
+took them one call at a time, which the flows' own runs are checked
+against, the spin family relabelled by a (p, q) chart, which the
 chart-covariance checks read, and the canonical state map differenced by
 the stencil jet, which the exact canonical jet is checked against.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,7 +32,8 @@ from enhq.coherent import (
     _ladder_spectrum,
     _stencil_jet,
 )
-from enhq.dynamics import _sumsq
+from enhq import dynamics
+from enhq.dynamics import CHUNK, DT_MIN, THROTTLE, _Rows, _sumsq
 from enhq.hilbert import (
     StateVector,
     _frozen,
@@ -268,6 +272,132 @@ def flow_gradients(flow):
                 lambda p, q: 2.0 * m0**2 * q + 4.0 * g0 * _sumsq(q)[..., None] * q)
     c = flow.barrier
     return lambda p, q: 2.0 * q * p, lambda p, q: p * p - c / (q * q)
+
+
+
+# The scalar flows' single midpoint steps on Python floats and the stepping
+# loop that took them one call at a time, before each flow took its own run.
+
+
+def _oscillator_midpoint(p, q, dt):
+    """Exact midpoint step of H = (p^2 + q^2) / 2 on Python floats.
+
+    pm = p - a qm and qm = q + a pm, a = dt/2, are linear.  The step is
+    taken as increments p - dt qm, q + dt pm: the Cayley form
+    ((1 - a^2) p - dt q) / (1 + a^2) drifts 1.4e-11 in H over 1e5 steps of 1e-3.
+    """
+    a = 0.5 * dt
+    d = 1.0 + a * a
+    pm = (p - a * q) / d
+    qm = (q + a * p) / d
+    return p - dt * qm, q + dt * pm, True
+
+
+def _toy_gravity_midpoint(c: float):
+    """Exact midpoint step of H = q p^2 + c / q on Python floats."""
+
+    def midpoint(p, q, dt):
+        # The q-equation qm = q + dt qm pm gives qm = q / (1 - dt pm).  With
+        # r = c / q^2 the p-equation pm = p - (dt/2)(pm^2 - c / qm^2) becomes
+        #   (dt/2)(1 - r dt^2) pm^2 + (1 + r dt^2) pm - (p + dt r / 2) = 0,
+        # and its root that tends to p as dt -> 0 is 2k / (b + sqrt(b^2 + 4ak)),
+        # free of cancellation.  A negative discriminant or 1 - dt pm <= 0
+        # leaves the step without a midpoint solution.
+        r = c / q / q
+        rdt2 = r * dt * dt
+        a = 0.5 * dt * (1.0 - rdt2)
+        b = 1.0 + rdt2
+        k = p + 0.5 * dt * r
+        disc = b * b + 4.0 * a * k
+        if disc < 0.0:
+            return p, q, False
+        pm = 2.0 * k / (b + math.sqrt(disc))
+        u = 1.0 - dt * pm
+        if u <= 0.0:
+            return p, q, False
+        return 2.0 * pm - p, 2.0 * q / u - q, True
+
+    return midpoint
+
+
+def _run_scalar(flow, p, q, t_end, h, stride):
+    """The stepping loop of a scalar run, one `flow.midpoint(p, q, dt)` step
+    per pass: the reference that the flows' own runs are checked against.
+    It reads the floor and the closed-form stretch off `dynamics` at run
+    time, as the runs do."""
+    chart, collapses = flow.barrier is not None, flow.barrier == 0
+    solve = flow.midpoint
+    floor = dynamics.Q_FLOOR * q
+    h_last = h * (1.0 + 1e-9)  # a remainder under 1e-9 h joins the last step
+    rows = _Rows(flow.hamiltonian, stride, 0.0, p, q)
+    times, ps, qs = rows.buffers
+    add_t, add_p, add_q = times.append, ps.append, qs.append
+    t = lost = 0.0
+    status, hit = "completed", None
+    end = t_end - 1e-15
+    # a contracting collapsing run steps until the throttle binds, where
+    # the exact flow p0 / (1 + p0 t) passes |p| = (THROTTLE / 2) / h (a little
+    # past it), takes the throttled steps in closed form, and steps again
+    tail = collapses and p < 0
+    stop = min(1.0 / -p - h / (THROTTLE / 2) / 1.001, end) if tail else end
+    while True:
+        while hit is None and t < stop:
+            # at most the chunk's room per pass; a full chunk is flushed
+            for _ in range(CHUNK - len(qs)):
+                rest = t_end - t
+                dt = h if rest > h_last else rest
+                if chart:
+                    # keep the relative shrink of q modest so the floor crossing
+                    # is localized to ~sqrt(Q_FLOOR/E) in time
+                    v = 2.0 * q * p  # qdot = dH/dp of H = q p^2 + c / q
+                    if v < 0:
+                        cap = THROTTLE * q / -v
+                        if cap < DT_MIN:
+                            cap = DT_MIN
+                        if cap < dt:
+                            dt = cap
+                p1, q1, ok = solve(p, q, dt)
+                if dt == rest:
+                    t = t_end
+                else:
+                    # compensated (Kahan) sum: a plain running sum of 20,000 steps
+                    # of 1e-4 ends 2e-13 short of 2, too far for h_last to absorb
+                    y = dt - lost
+                    s = t + y
+                    lost = (s - t) - y
+                    t = s
+                if not ok or chart and not floor < q1 < math.inf:
+                    if collapses:
+                        status, hit = "singularity", t
+                        break
+                    raise RuntimeError(f"implicit midpoint solve failed at t = {t}")
+                p, q = p1, q1
+                add_t(t)
+                add_p(p)
+                add_q(q)
+                if t >= stop:
+                    break
+            else:
+                rows.flush()
+        if not tail or hit is not None:
+            break
+        p, q, t = dynamics._self_similar_run(p, q, t, THROTTLE * q / -(2.0 * q * p), h, t_end,
+                                             floor, rows)
+        tail, lost, stop = False, 0.0, end
+    return rows.trajectory(status, hit)
+
+
+def reference_step(flow):
+    """The single midpoint step (p, q, dt) -> (p1, q1, ok) of a scalar flow."""
+    return _oscillator_midpoint if flow.barrier is None else _toy_gravity_midpoint(flow.barrier)
+
+
+def reference_run(flow, initial, t_end, dt=1e-4, stride=1, step=None):
+    """integrate(flow, initial, t_end, dt=dt, stride=stride) by the stepping
+    loop, its steps taken by `step`, the flow's reference step by default."""
+    p, q = (float(x) for x in initial)
+    stepped = dataclasses.replace(flow, midpoint=step or reference_step(flow))
+    return _run_scalar(stepped, p, q, t_end, dt, stride)
 
 
 class SpinPQChart:

@@ -171,6 +171,17 @@ class TestBadControls:
         assert not (tmp_path / "dynamics.csv").exists()
 
     @pytest.mark.parametrize("argv", [
+        ["dynamics", "--model", "oscillator", "--dt", "1e-12", "--t-end", "1"],
+        ["dynamics", "--hbar", "0", "--dt", "1e-8", "--t-end", "1"],
+        ["rotsym", "--t-end", "1000.0001"],
+    ], ids=["oscillator", "toygravity", "rotsym"])
+    def test_run_past_the_step_cap_exits_1(self, tmp_path, capsys, argv):
+        # the oscillator run used to step on without end
+        assert run(["--out", str(tmp_path), *argv]) == 1
+        assert "steps exceed MAX_STEPS = 10000000" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
         ["--hbar", "0.01", "--p0=-100", "--t-end", "0.1"],
         ["--hbar", "1", "--q0", "1e-300", "--t-end", "0.01"],
     ], ids=["near-bounce", "overflow"])

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from references import flow_gradients
+from references import flow_gradients, reference_run, reference_step
 
 from enhq import dynamics
 from enhq.dynamics import (
     CHUNK,
+    MAX_STEPS,
     Q_FLOOR,
     Trajectory,
     integrate,
@@ -138,6 +139,34 @@ class TestControls:
             integrate(flow, initial, 0.01)
 
 
+class TestStepCap:
+    """integrate refuses a run of more than MAX_STEPS steps before it starts."""
+
+    @staticmethod
+    def _unstarted(flow):
+        def run(*args):
+            raise AssertionError("the run started")
+
+        return dataclasses.replace(flow, midpoint=run)
+
+    @pytest.mark.parametrize("flow,initial", [
+        (oscillator_flow(), (1.0, 0.0)),
+        (toy_gravity_flow(hbar=0.5, beta=2.0), (-1.0, 1.0)),
+        (rotsym_flow(3, 1.0, 1.0), (np.full(3, 0.1), np.full(3, 0.2))),
+    ], ids=["oscillator", "toygravity", "rotsym"])
+    def test_cap(self, flow, initial):
+        # one step past the cap is refused and the cap itself is taken, both
+        # without a step; dt = 1e-12 to t_end = 1 used to step without end.
+        # A vector run lays out its time grid before it starts, so only the
+        # scalar runs are started at the cap.
+        for t_end, dt in ((MAX_STEPS + 1.0, 1.0), (1.0, 1e-12), (1e300, 1e-300)):
+            with pytest.raises(ValueError, match=f"exceed MAX_STEPS = {MAX_STEPS}"):
+                integrate(self._unstarted(flow), initial, t_end, dt=dt)
+        if not flow.vector:
+            with pytest.raises(AssertionError, match="the run started"):
+                integrate(self._unstarted(flow), initial, float(MAX_STEPS), dt=1.0)
+
+
 class TestOscillator:
     def test_period_return(self):
         flow = oscillator_flow()
@@ -170,6 +199,21 @@ class TestOscillator:
         assert traj.times.size == 20_001
         assert traj.times[-1] == 2.0
 
+    @pytest.mark.parametrize("t_end,dt", [
+        (2.0, 1e-4), (10.0, 1e-3), (2.0 * np.pi, 1e-4), (1.00015, 1e-4), (5e-5, 1e-4),
+        (7.0, 3.0), (1.0, 0.3),
+    ])
+    def test_closed_form_matches_reference_loop(self, t_end, dt):
+        # the same grid and landing as the stepped loop, bit for bit; the
+        # states within a few rounding errors of the loop's
+        run = integrate(oscillator_flow(), (0.6, -0.8), t_end, dt=dt)
+        ref = reference_run(oscillator_flow(), (0.6, -0.8), t_end, dt)
+        assert run.times.tobytes() == ref.times.tobytes() and run.steps == ref.steps
+        assert run.end[0] == ref.end[0] == t_end and run.status == "completed"
+        for a, b in ((run.ps, ref.ps), (run.qs, ref.qs)):
+            assert np.max(np.abs(a - b)) <= 1e-13
+        assert run.drift <= 1e-15
+
 
 class TestToyGravity:
     def test_classical_singularity_hit(self):
@@ -197,9 +241,14 @@ class TestToyGravity:
     ], ids=["overflow", "near-bounce"])
     def test_enhanced_failed_step_raises(self, hbar, initial, t_end):
         # the enhanced flow never collapses; these used to end in a
-        # "singularity" at t = 2.5e-5 and 0.0102
-        with pytest.raises(RuntimeError, match="implicit midpoint solve failed at t = "):
-            integrate(toy_gravity_flow(hbar=hbar), initial, t_end)
+        # "singularity" at t = 2.5e-5 and 0.0102; the run fails where the
+        # reference loop does
+        messages = []
+        for run in (integrate, reference_run):
+            with pytest.raises(RuntimeError, match="implicit midpoint solve failed at t = ") as err:
+                run(toy_gravity_flow(hbar=hbar), initial, t_end)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
 
     def test_classical_tracks_closed_form(self):
         flow = toy_gravity_flow(hbar=0.0)
@@ -589,9 +638,10 @@ class TestPlaneStorage:
 
 
 class TestToyGravityMidpoint:
-    """The exact midpoint steps of toy_gravity_flow (and of the oscillator)
-    against their defining equations; the enhanced flow's barrier is
-    c = C'(2, 1) at hbar = 1."""
+    """The exact midpoint steps of toy_gravity_flow (and of the oscillator),
+    which the flows' runs take, against their defining equations, on the
+    reference steps and loop; the enhanced flow's barrier is c = C'(2, 1) at
+    hbar = 1."""
 
     @pytest.mark.parametrize("flow", [
         toy_gravity_flow(hbar=0.0), toy_gravity_flow(hbar=1.0, beta=2.0), oscillator_flow(),
@@ -600,8 +650,9 @@ class TestToyGravityMidpoint:
     def test_midpoint_residuals_at_roundoff(self, flow, dt):
         rng = np.random.default_rng(8)
         dH_dp, dH_dq = flow_gradients(flow)
+        step = reference_step(flow)
         for p, q in zip(rng.uniform(-2.0, 2.0, 200), rng.uniform(0.5, 2.0, 200)):
-            p1, q1, ok = flow.midpoint(float(p), float(q), dt)
+            p1, q1, ok = step(float(p), float(q), dt)
             assert ok
             pm, qm = 0.5 * (p + p1), 0.5 * (q + q1)
             kick, drift = dt * dH_dq(pm, qm), dt * dH_dp(pm, qm)
@@ -618,8 +669,8 @@ class TestToyGravityMidpoint:
         def fixed_point(p, q, h):
             return _fixed_point_step(flow, p, q, h, 1e-13, 100)
 
-        fixed = _stepped(monkeypatch, dataclasses.replace(flow, midpoint=fixed_point),
-                         initial, t_end, dt=dt)
+        fixed = _stepped(monkeypatch, flow, initial, t_end, dt=dt, run=reference_run,
+                         step=fixed_point)
         assert exact.status == fixed.status == "completed"
         assert exact.times.size == fixed.times.size
         for a, b in ((exact.ps, fixed.ps), (exact.qs, fixed.qs), (exact.times, fixed.times)):
@@ -630,12 +681,12 @@ class TestToyGravityMidpoint:
         (toy_gravity_flow(hbar=1.0, beta=2.0), 20.0, 0.01, 0.1),
     ], ids=["classical", "enhanced"])
     def test_no_real_root_fails_the_step(self, flow, p, q, dt):
-        assert flow.midpoint(p, q, dt) == (p, q, False)
+        assert reference_step(flow)(p, q, dt) == (p, q, False)
 
     def test_failed_step_is_the_singularity(self):
         # the throttle's 1e-12 step floor leaves 1 + 2 dt p = -1 at p = -1e12
         flow = toy_gravity_flow(hbar=0.0)
-        assert not flow.midpoint(-1e12, 1.0, 1e-12)[2]
+        assert not reference_step(flow)(-1e12, 1.0, 1e-12)[2]
         traj = integrate(flow, (-1e12, 1.0), 1.0)
         assert traj.status == "singularity"
         assert traj.hit_time == 1e-12
@@ -652,13 +703,13 @@ class TestToyGravityMidpoint:
         assert traj.energies.tolist() == per_step
 
 
-def _stepped(monkeypatch, *args, **kwargs):
-    """integrate(*args, **kwargs) with every step taken by the stepping loop: the
-    closed-form stretch returns its input state, as it does when the
-    throttle does not bind."""
+def _stepped(monkeypatch, *args, run=integrate, **kwargs):
+    """run(*args, **kwargs), integrate by default, with every step taken by
+    the stepping loop: the closed-form stretch returns its input state, as
+    it does when the throttle does not bind."""
     with monkeypatch.context() as m:
         m.setattr(dynamics, "_self_similar_run", lambda p, q, t, *_: (p, q, t))
-        return integrate(*args, **kwargs)
+        return run(*args, **kwargs)
 
 
 def _assert_same_run(fast, loop, rtol=1e-9):
@@ -709,19 +760,27 @@ class TestSelfSimilarTail:
         _assert_same_run(fast, _stepped(monkeypatch, flow, (-2e7, 1.0), 1.0))
 
     @pytest.mark.parametrize("p0,stepped", [(-1.0, 100), (-0.2, 10_100)])
-    def test_throttled_stretch_is_not_stepped(self, p0, stepped):
+    def test_throttled_stretch_is_not_stepped(self, monkeypatch, p0, stepped):
         # p0 = -0.2 steps unthrottled (dt = 1e-4) until t = 1.004, where |p|
         # passes 0.25; then the closed form takes over
-        flow = toy_gravity_flow(hbar=0.0)
-        calls = []
+        # the stepped steps are the run's steps less the closed form's, and
+        # one more midpoint solve ends the run without a stored step
+        closed = []
+        real = dynamics._self_similar_run
 
-        def counted(*args):
-            calls.append(args)
-            return flow.midpoint(*args)
+        def spy(*args):
+            rows = args[-1]
+            rows.flush()
+            before = rows.taken
+            out = real(*args)
+            closed.append(rows.taken - before)
+            return out
 
-        traj = integrate(dataclasses.replace(flow, midpoint=counted), (p0, 1.0), 6.0)
+        monkeypatch.setattr(dynamics, "_self_similar_run", spy)
+        traj = integrate(toy_gravity_flow(hbar=0.0), (p0, 1.0), 6.0)
         assert traj.status == "singularity" and traj.times.size > 550_000
-        assert len(calls) < stepped
+        assert len(closed) == 1 and traj.steps == traj.times.size - 1
+        assert traj.steps - closed[0] + 1 < stepped
 
     def test_only_the_classical_flow_is_self_similar(self):
         # the barrier c of H = q p^2 + c / q; only c = 0 takes the closed form
@@ -737,6 +796,64 @@ class TestSelfSimilarTail:
 # bounces; t_end lands anywhere in a chunk
 _toy_runs = st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(-2.0, -1.0),
                       st.floats(0.4, 3.0))
+
+
+def _bits(x):
+    return None if x is None else np.asarray(x, dtype=float).tobytes()
+
+
+def _assert_identical(run, ref):
+    for name in ("times", "ps", "qs", "energies", "drift", "min_q", "end", "hit_time"):
+        assert _bits(getattr(run, name)) == _bits(getattr(ref, name)), name
+    assert (run.status, run.steps) == (ref.status, ref.steps)
+
+
+# (hbar, beta, p0, t_end, dt) of toy-gravity runs from q0 = 1
+_REFERENCE_RUNS = {
+    # the toygravity benchmark's bounces at seed 1
+    "bounce-0.599": (0.598618, 2.0, -1.899472, 4.0, 5e-5),
+    "bounce-1.47": (1.472647, 2.0, -1.653887, 4.0, 5e-5),
+    "bounce-1.64": (1.640964, 2.0, -1.117967, 4.0, 5e-5),
+    # classical hits through the closed-form stretch; the first starts
+    # unthrottled
+    "hit-0.2": (0.0, 1.0, -0.2, 6.0, 1e-4),
+    "hit-1.07": (0.0, 1.0, -1.070266, 3.0, 1e-4),
+    "landing-0.9": (0.0, 1.0, -1.0, 0.9, 1e-4),
+    "clamp": (0.0, 1.0, -2e7, 1.0, 1e-4),
+    "failed-first-step": (0.0, 1.0, -1e12, 1.0, 1e-4),
+    "small-c/E": (0.02, 1.0, -30.0, 0.1, 1e-4),
+}
+
+
+class TestRunMatchesReference:
+    """Toy gravity's run against the reference stepping loop, one reference
+    step per call, bit for bit."""
+
+    @pytest.mark.parametrize("case", list(_REFERENCE_RUNS))
+    def test_run_is_the_stepped_loop(self, case):
+        hbar, beta, p0, t_end, dt = _REFERENCE_RUNS[case]
+        flow = toy_gravity_flow(hbar=hbar, beta=beta)
+        _assert_identical(integrate(flow, (p0, 1.0), t_end, dt=dt),
+                          reference_run(flow, (p0, 1.0), t_end, dt))
+
+    @pytest.mark.parametrize("stride", [7, 100, CHUNK - 1, CHUNK + 1])
+    @pytest.mark.parametrize("hbar,p0,t_end", [(1.0, -1.5, 4.0), (0.0, -1.0, 0.9),
+                                               (0.0, -1.5, 3.0)])
+    def test_strided_run_is_the_strided_loop(self, stride, hbar, p0, t_end):
+        flow = toy_gravity_flow(hbar=hbar, beta=2.0)
+        dt = 5e-4 if hbar else 1e-4
+        _assert_identical(integrate(flow, (p0, 1.0), t_end, dt=dt, stride=stride),
+                          reference_run(flow, (p0, 1.0), t_end, dt, stride))
+
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(run=st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(-2.0, -1.0),
+                         st.floats(0.4, 3.0), st.sampled_from([1, 7, CHUNK + 1])))
+    def test_swept_runs_are_the_stepped_loop(self, run):
+        hbar, p0, t_end, stride = run
+        flow = toy_gravity_flow(hbar=hbar, beta=2.0)
+        dt = 1e-4 if hbar == 0.0 else 5e-4
+        _assert_identical(integrate(flow, (p0, 1.0), t_end, dt=dt, stride=stride),
+                          reference_run(flow, (p0, 1.0), t_end, dt, stride))
 
 
 class TestStride:
@@ -756,8 +873,21 @@ class TestStride:
             for name in ("times", "ps", "qs", "energies", "drifts"):
                 kept = getattr(traj, name)
                 assert kept.tobytes() == getattr(full, name)[::stride].tobytes(), name
-            assert (traj.drift, traj.min_q, traj.status, traj.hit_time, traj.end) == (
-                full.drift, full.min_q, full.status, full.hit_time, full.end)
+            assert (traj.drift, traj.min_q, traj.status, traj.hit_time, traj.end, traj.steps) == (
+                full.drift, full.min_q, full.status, full.hit_time, full.end, full.steps)
+
+    @pytest.mark.parametrize("flow,initial,t_end", [
+        (toy_gravity_flow(hbar=0.5, beta=2.0), (-1.0, 1.0), 4.0),
+        (toy_gravity_flow(hbar=0.0), (-1.5, 1.0), 3.0),
+        (oscillator_flow(), (1.0, 0.0), 2.0),
+        (rotsym_flow(3, 1.0, 1.0), (np.full(3, 0.1), np.full(3, 0.2)), 0.5),
+    ], ids=["bounce", "hit", "oscillator", "rotsym"])
+    def test_steps_count_every_step(self, flow, initial, t_end):
+        # a classical hit takes most of its steps in closed form
+        full = integrate(flow, initial, t_end)
+        assert full.steps == full.times.size - 1 > 0
+        if not flow.vector:
+            assert integrate(flow, initial, t_end, stride=100).steps == full.steps
 
     def test_folds_reach_past_the_kept_rows(self):
         # the classical hit's lowest q and largest drift lie at steps that a
