@@ -30,6 +30,8 @@ from . import __version__
 __all__ = ["main", "run"]
 
 _FMT = "%.17g"
+# an array table's CSV is formatted this many rows per `%`
+_BLOCK = 256
 
 
 def _worker_count() -> int:
@@ -70,14 +72,24 @@ def _write_json(path: str, doc) -> str:
 
 
 def _write_table(path_base: str, header, rows, fmt: str) -> str:
-    """Write rows (tuples) under header as CSV or JSON; all-float CSV rows take one template."""
+    """Write rows under header as CSV or JSON: tuples cell by cell (all-float
+    CSV rows take one template), or a float64 (T, len(header)) array with no
+    per-row scan, its CSV a block of _BLOCK rows per `%` of the template and
+    its JSON through `.tolist()`; the same rows give the same bytes either way."""
     path = f"{path_base}.{fmt}"
+    is_array = isinstance(rows, np.ndarray)
     if fmt == "json":
-        return _write_json(path, {"columns": list(header),
-                                  "rows": [list(map(_cell, r)) for r in rows]})
+        return _write_json(path, {"columns": list(header), "rows": (
+            [[_FMT % x for x in r] for r in rows.tolist()] if is_array
+            else [list(map(_cell, r)) for r in rows])})
     floats = ",".join([_FMT] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
+        if is_array:
+            for first in range(0, len(rows), _BLOCK):
+                cells = rows[first:first + _BLOCK].ravel().tolist()
+                fh.write(floats * (len(cells) // len(header)) % tuple(cells))
+            return path
         for r in rows:
             fh.write(floats % r if all([isinstance(x, float) for x in r])
                      else ",".join(map(_cell, r)) + "\n")
@@ -110,19 +122,16 @@ def _sweep(args, value):
 
 
 def _trajectory_table(traj, stride: int):
-    """Header and rows of every stride-th stored step: t, p, q, H and its
-    relative drift; a vector trajectory spreads p and q over columns
-    p_1..p_N, q_1..q_N.  A scalar run is already thinned, so it is read
-    at stride 1."""
+    """Header and rows of every stride-th stored step, the rows one float64
+    array of columns t, p, q, H and its relative drift; a vector trajectory
+    spreads p and q over columns p_1..p_N, q_1..q_N.  A scalar run is
+    already thinned, so it is read at stride 1."""
     k = slice(None, None, stride)
     ps, qs = traj.states(k)
-    if ps.ndim == 1:
-        names, cols = ["p", "q"], [ps, qs]
-    else:
-        names = [f"{c}_{i + 1}" for c in "pq" for i in range(ps.shape[1])]
-        cols = [*ps.T, *qs.T]
-    cols = [traj.times[k], *cols, traj.energies[k], traj.drifts[k]]
-    return ["t", *names, "H", "drift"], zip(*(c.tolist() for c in cols))
+    names = ["p", "q"] if ps.ndim == 1 else [
+        f"{c}_{i + 1}" for c in "pq" for i in range(ps.shape[1])]
+    return (["t", *names, "H", "drift"],
+            np.column_stack([traj.times[k], ps, qs, traj.energies[k], traj.drifts[k]]))
 
 
 # ---------------------------------------------------------------- subcommands
@@ -205,7 +214,7 @@ def _cmd_dynamics(args):
 
 
 def _cmd_rotsym(args):
-    from .dynamics import integrate, rotsym_flow
+    from .dynamics import CHUNK, integrate, rotsym_flow
 
     if args.stride < 1:
         raise ValueError(f"stride must be at least 1, got {args.stride}")
@@ -219,13 +228,16 @@ def _cmd_rotsym(args):
     shuffled = integrate(flow, (p0[perm], q0[perm]), args.t_end)
     # the shuffled run's basis is the base run's with its columns permuted,
     # so the permuted base states less the shuffled ones are the runs'
-    # coefficient difference expanded on that basis
-    diff = np.empty((traj.times.size, args.N))
+    # coefficient difference expanded on that basis; folded CHUNK steps at
+    # a time, past blocks where the runs agree exactly (every block at g0 = 0)
     dev = 0.0
-    for side in (0, 1):
-        np.einsum("tk,kn->tn", traj.coefs[:, side] - shuffled.coefs[:, side],
-                  shuffled.basis, out=diff)
-        dev = max(dev, float(np.max(np.abs(diff, out=diff))))
+    for first in range(0, traj.times.size, CHUNK):
+        block = slice(first, first + CHUNK)
+        for side in (0, 1):
+            d = traj.coefs[block, side] - shuffled.coefs[block, side]
+            if d.any():
+                x = np.einsum("tk,kn->tn", d, shuffled.basis)
+                dev = max(dev, float(np.max(np.abs(x, out=x))))
     return (*_trajectory_table(traj, args.stride), {
         "shuffle_deviation": dev, "drift": traj.drift, "permutation": perm.tolist(),
     }, f"rotsym: N={args.N} g0={args.g0} shuffle deviation {dev:.3g}, drift {traj.drift:.3g}")

@@ -4,7 +4,8 @@ The integrator is the implicit midpoint rule (symmetric, symplectic): every
 flow supplies its whole run of exact midpoint steps, `FlowSpec.midpoint`,
 and a scalar flow its exact solution, `FlowSpec.exact`, which a run is
 checked against.  `integrate` checks the inputs, refuses a run of more than
-MAX_STEPS steps of dt before taking any, and hands the flow its run.
+MAX_STEPS steps of dt before taking any, and hands the flow its run, which
+fails once it has taken more than MAX_STEPS (throttled steps included).
 
 Scalar flows step on Python floats.  The oscillator's midpoint map is one
 fixed rotation by 2 atan(dt / 2), so its run is the powers of that rotation
@@ -74,8 +75,8 @@ NEWTON_MAX_ITER = 100
 # a scalar run takes its steps in chunks of CHUNK, so it holds at most one
 # chunk of steps besides its kept rows
 CHUNK = 4096
-# integrate refuses a run of more than MAX_STEPS steps of dt, so that no
-# run of a finite t_end and a tiny dt steps on for hours
+# integrate refuses a run of more than MAX_STEPS steps of dt, and a scalar
+# run fails once it has taken more, so that no run steps on for hours
 MAX_STEPS = 10**7
 
 
@@ -325,32 +326,40 @@ def rotsym_flow(N: int, m0: float, g0: float) -> FlowSpec:
         # would lose the digits of kappa ~ dt^2.  The step is
         # p1 = p - 2 f a, q1 = q + 2 dt (p - f a), f = kappa / (dt (1 + kappa)),
         # on plane coefficients: a = ap p0 + aq q0, |a|^2 from the Gram matrix.
+        # This loop is the run's Python work: it reads its constants from
+        # locals and makes no call or iterator per step.  A start whose
+        # square overflows to inf fails the step.
         gpp, gpq, gqq = gram
         k0 = dt * dt * m0 * m0
         w = 2.0 * dt * dt * g0
+        dt2, inf, tol, max_iter = 2.0 * dt, math.inf, NEWTON_TOL, NEWTON_MAX_ITER
         pp, pq, qp, qq = 1.0, 0.0, 0.0, 1.0  # p = p0, q = q0
         coefs = array("d", (pp, pq, qp, qq))
         put = coefs.extend
         for k in range(1, n + 1):
             ap, aq = qp + dt * pp, qq + dt * pq
             A = w * (ap * ap * gpp + 2.0 * ap * aq * gpq + aq * aq * gqq)
-            try:
-                kappa = k0 + A / (1.0 + k0 + A) ** 2
-            except OverflowError:  # a float power raises where a product gives inf
+            s = 1.0 + k0 + A
+            s *= s
+            if s == inf:
                 return None, k
-            for _ in range(NEWTON_MAX_ITER):
+            kappa = k0 + A / s
+            left = max_iter
+            while left:
+                left -= 1
                 s = 1.0 + kappa
                 g = A / (s * s)
                 step = (kappa - k0 - g) / (1.0 + 2.0 * g / s)
                 kappa -= step
-                if abs(step) <= NEWTON_TOL * kappa:
+                bound = tol * kappa
+                if -bound <= step <= bound:  # |step| <= bound, and False on a NaN
                     break
             else:
                 return None, k
             f = kappa / (dt * (1.0 + kappa))
             fp, fq = f * ap, f * aq
             pp, pq, qp, qq = (pp - 2.0 * fp, pq - 2.0 * fq,
-                              qp + 2.0 * dt * (pp - fp), qq + 2.0 * dt * (pq - fq))
+                              qp + dt2 * (pp - fp), qq + dt2 * (pq - fq))
             put((pp, pq, qp, qq))
         return np.frombuffer(coefs).reshape(n + 1, 2, 2), None
 
@@ -412,7 +421,8 @@ def integrate(flow: FlowSpec, initial, t_end: float, *, dt: float = 1e-4,
     dt (t_end / dt > MAX_STEPS), a stride that is not an integer of at least 1,
     a flow without a midpoint step, a non-finite or wrongly shaped initial
     state, one where H is not finite, or a vector flow given a stride other
-    than 1 raise ValueError.
+    than 1 raise ValueError.  A scalar run that takes more than MAX_STEPS
+    steps raises RuntimeError.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be finite and positive, got {dt}")
@@ -460,7 +470,8 @@ class _Rows:
     operations in the same order, so each energy is bit-identical to a
     per-step evaluation.  Its largest drift
     against H at step 0 and its lowest q are folded in, and its steps
-    k = 0 mod stride are kept.
+    k = 0 mod stride are kept.  `take` raises RuntimeError once more than
+    MAX_STEPS steps are in, a check made once a chunk, not once a step.
     """
 
     def __init__(self, hamiltonian, stride, t, p, q):
@@ -491,6 +502,9 @@ class _Rows:
             kept.frombytes(x[k].tobytes())
         self.taken += t.size
         self.end = float(t[-1]), float(p[-1]), float(q[-1])
+        if self.taken - 1 > MAX_STEPS:
+            raise RuntimeError(f"run took more than MAX_STEPS = {MAX_STEPS} steps by "
+                               f"t = {self.end[0]}")
 
     def trajectory(self, status, hit_time):
         """The run's Trajectory: its kept steps and its folds."""

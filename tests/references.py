@@ -11,13 +11,16 @@ canonical and spin state maps written out without the families' factor
 caches, the gradients of the dynamics flows, which the midpoint residuals
 read, the scalar flows' single midpoint steps and the stepping loop that
 took them one call at a time, which the flows' own runs are checked
-against, the spin family relabelled by a (p, q) chart, which the
-chart-covariance checks read, and the canonical state map differenced by
-the stencil jet, which the exact canonical jet is checked against.
+against, rotsym's Newton plane run as it was first written, which the
+program's run must match bit for bit, the spin family relabelled by a
+(p, q) chart, which the chart-covariance checks read, and the canonical
+state map differenced by the stencil jet, which the exact canonical jet is
+checked against.
 """
 
 import dataclasses
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,7 +36,7 @@ from enhq.coherent import (
     _stencil_jet,
 )
 from enhq import dynamics
-from enhq.dynamics import CHUNK, DT_MIN, THROTTLE, _Rows, _sumsq
+from enhq.dynamics import CHUNK, DT_MIN, NEWTON_MAX_ITER, NEWTON_TOL, THROTTLE, _Rows, _sumsq
 from enhq.hilbert import (
     StateVector,
     _frozen,
@@ -398,6 +401,45 @@ def reference_run(flow, initial, t_end, dt=1e-4, stride=1, step=None):
     p, q = (float(x) for x in initial)
     stepped = dataclasses.replace(flow, midpoint=step or reference_step(flow))
     return _run_scalar(stepped, p, q, t_end, dt, stride)
+
+
+def reference_plane_run(m0: float, g0: float):
+    """rotsym's plane run at g0 > 0, (gram, dt, n) -> (plane, failed), as it
+    was written before its loop was trimmed: the Newton solve for kappa per
+    step, with every float operation of the program's run in the same order,
+    so the two must agree bit for bit."""
+
+    def newton_run(gram, dt, n):
+        gpp, gpq, gqq = gram
+        k0 = dt * dt * m0 * m0
+        w = 2.0 * dt * dt * g0
+        pp, pq, qp, qq = 1.0, 0.0, 0.0, 1.0  # p = p0, q = q0
+        coefs = array("d", (pp, pq, qp, qq))
+        put = coefs.extend
+        for k in range(1, n + 1):
+            ap, aq = qp + dt * pp, qq + dt * pq
+            A = w * (ap * ap * gpp + 2.0 * ap * aq * gpq + aq * aq * gqq)
+            try:
+                kappa = k0 + A / (1.0 + k0 + A) ** 2
+            except OverflowError:  # a float power raises where a product gives inf
+                return None, k
+            for _ in range(NEWTON_MAX_ITER):
+                s = 1.0 + kappa
+                g = A / (s * s)
+                step = (kappa - k0 - g) / (1.0 + 2.0 * g / s)
+                kappa -= step
+                if abs(step) <= NEWTON_TOL * kappa:
+                    break
+            else:
+                return None, k
+            f = kappa / (dt * (1.0 + kappa))
+            fp, fq = f * ap, f * aq
+            pp, pq, qp, qq = (pp - 2.0 * fp, pq - 2.0 * fq,
+                              qp + 2.0 * dt * (pp - fp), qq + 2.0 * dt * (pq - fq))
+            put((pp, pq, qp, qq))
+        return np.frombuffer(coefs).reshape(n + 1, 2, 2), None
+
+    return newton_run
 
 
 class SpinPQChart:

@@ -15,7 +15,13 @@ import enhq
 import enhq.coherent
 from enhq import cli
 from enhq.cli import run
-from enhq.dynamics import Trajectory, toy_gravity_flow, toy_gravity_solution
+from enhq.dynamics import (
+    Trajectory,
+    integrate,
+    rotsym_flow,
+    toy_gravity_flow,
+    toy_gravity_solution,
+)
 from enhq.wcp import cprime_closed_form
 
 
@@ -202,6 +208,17 @@ class TestBadControls:
         assert json.loads(_read(tmp_path / "failure.json"))["type"] == "RuntimeError"
         assert not (tmp_path / "rotsym.csv").exists()
 
+    def test_run_past_the_step_cap_in_its_steps_exits_2(self, tmp_path, capsys, monkeypatch):
+        # 228,618 throttled steps for a nominal 1,000: the cap is checked on
+        # the steps the run takes, so it fails once past 50,000
+        monkeypatch.setattr(enhq.dynamics, "MAX_STEPS", 50_000)
+        assert run(["--out", str(tmp_path), "dynamics", "--hbar", "0.02", "--p0=-30",
+                    "--t-end", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert "numerical failure: run took more than MAX_STEPS = 50000 steps" in err
+        assert json.loads(_read(tmp_path / "failure.json"))["type"] == "RuntimeError"
+        assert not (tmp_path / "dynamics.csv").exists()
+
     @pytest.mark.parametrize("family", ["canonical", "spin"])
     def test_out_of_memory_is_numerical_failure(self, tmp_path, capsys, monkeypatch, family):
         # an eigensystem too large for memory used to end in a traceback and exit 1
@@ -353,6 +370,19 @@ class TestArtifacts:
             tracemalloc.stop()
         assert peak < 20_001 * 2 * 32 * 8
 
+    def test_rotsym_holds_no_deviation_array(self, tmp_path, capsys):
+        # the shuffle deviation is folded a block of steps at a time, so the
+        # run at N = 64 peaks below one (T, N) float64 array of 10.24 MB,
+        # which the fold over the whole run used to allocate
+        assert run(["--out", str(tmp_path), "rotsym", "--N", "2", "--t-end", "0.01"]) == 0
+        tracemalloc.start()
+        try:
+            assert run(["--out", str(tmp_path), "rotsym", "--N", "64", "--t-end", "2"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_001 * 64 * 8
+
     def test_dynamics_holds_only_the_written_rows(self, tmp_path, capsys):
         # the classical hit takes 552,614 steps for a 5,527-row table, and
         # peaks below one float64 array of its steps
@@ -481,6 +511,46 @@ class TestArtifacts:
             assert open(path).read() == expected
         else:
             assert json.load(open(path)) == {"columns": header, "rows": cells}
+
+
+class TestArrayTable:
+    """A float64 array table writes the bytes its rows write as tuples."""
+
+    @staticmethod
+    def _same_bytes(tmp_path, header, table, fmt):
+        rows = [tuple(r) for r in table.tolist()]
+        a = cli._write_table(str(tmp_path / "array"), header, table, fmt)
+        b = cli._write_table(str(tmp_path / "rows"), header, rows, fmt)
+        assert open(a, "rb").read() == open(b, "rb").read()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("stride", [1, 7, 100])
+    def test_scalar_runs(self, tmp_path, fmt, stride):
+        traj = integrate(toy_gravity_flow(hbar=0.5, beta=2.0), (-1.0, 1.0), 1.0, stride=stride)
+        header, table = cli._trajectory_table(traj, 1)
+        assert table.shape == (traj.times.size, 5) and table.shape[0] % cli._BLOCK
+        self._same_bytes(tmp_path, header, table, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n", [1, 3, 64])
+    def test_vector_runs(self, tmp_path, fmt, n):
+        rng = np.random.default_rng(n)
+        p0, q0 = 0.5 / np.sqrt(n) * rng.normal(size=(2, n))
+        traj = integrate(rotsym_flow(n, 1.0, 1.0), (p0, q0), 0.05)
+        header, table = cli._trajectory_table(traj, 1)
+        assert table.shape == (501, 2 * n + 3)
+        self._same_bytes(tmp_path, header, table, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("rows", [1, 2, cli._BLOCK, cli._BLOCK + 1])
+    def test_edge_values(self, tmp_path, fmt, rows):
+        cells = [-0.0, 0.0, 0.1, -1e-300, 5e-324, np.inf, -np.inf, np.nan, 1 / 3, -2.5e17]
+        table = np.resize(np.array(cells), (rows, 4))
+        self._same_bytes(tmp_path, ["a", "b", "c", "d"], table, fmt)
+        path = tmp_path / f"array.{fmt}"
+        first = (_read(path).splitlines()[1].split(",") if fmt == "csv"
+                 else json.loads(_read(path))["rows"][0])
+        assert first == ["-0", "0", "0.10000000000000001", "-1e-300"]
 
 
 class TestRunWritesArtifacts:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from references import flow_gradients, reference_run, reference_step
+from references import flow_gradients, reference_plane_run, reference_run, reference_step
 
 from enhq import dynamics
 from enhq.dynamics import (
@@ -165,6 +165,15 @@ class TestStepCap:
         if not flow.vector:
             with pytest.raises(AssertionError, match="the run started"):
                 integrate(self._unstarted(flow), initial, float(MAX_STEPS), dt=1.0)
+
+    def test_cap_on_the_steps_a_run_takes(self, monkeypatch):
+        # a throttled approach takes steps that t_end / dt does not count:
+        # this bounce takes 228,618 steps for a nominal 1,000
+        flow = toy_gravity_flow(hbar=0.02)
+        assert integrate(flow, (-30.0, 1.0), 0.1).steps == 228_618
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 50_000)
+        with pytest.raises(RuntimeError, match="run took more than MAX_STEPS = 50000 steps"):
+            integrate(flow, (-30.0, 1.0), 0.1)
 
 
 class TestOscillator:
@@ -598,6 +607,62 @@ class TestPlaneReduction:
         flow = rotsym_flow(4, 1.0, 2.0)
         traj = integrate(flow, (p0, q0), 1.0, dt=1e-3)
         assert _max_dev(traj, *_reference_run(flow, p0, q0, 1.0, dt=1e-3)) <= 1e-12
+
+
+def _gram(p0, q0):
+    """The plane's Gram matrix (p0.p0, p0.q0, q0.q0), as a vector run takes it."""
+    basis = np.stack([p0, q0])
+    g = basis @ basis.T
+    return float(g[0, 0]), float(g[0, 1]), float(g[1, 1])
+
+
+class TestNewtonPlaneRun:
+    """rotsym's plane run at g0 > 0 against the reference loop, bit for bit."""
+
+    @staticmethod
+    def _same_run(m0, g0, gram, dt, n):
+        plane, failed = rotsym_flow(1, m0, g0).midpoint(gram, dt, n)
+        ref, ref_failed = reference_plane_run(m0, g0)(gram, dt, n)
+        assert failed == ref_failed
+        assert (plane is None) == (ref is None)
+        if ref is not None:
+            assert plane.tobytes() == ref.tobytes()
+        return failed
+
+    @pytest.mark.parametrize("n", [1, 6, 32, 64])
+    def test_cli_starts(self, n):
+        # the base and shuffled starts of `enhq rotsym --N n --seed s` to t = 2
+        for seed in (0, 1, 7):
+            rng = np.random.default_rng(seed)
+            amp = 0.5 / np.sqrt(n)
+            p0, q0 = amp * rng.normal(size=n), amp * rng.normal(size=n)
+            perm = rng.permutation(n)
+            for p, q in ((p0, q0), (p0[perm], q0[perm])):
+                assert self._same_run(1.0, 1.0, _gram(p, q), 1e-4, 20_000) is None
+
+    @pytest.mark.parametrize("dt", [1e-4, 1e-2])
+    @pytest.mark.parametrize("g0", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("plane", ["p0 = 0", "p0 || q0"])
+    def test_degenerate_planes(self, plane, g0, dt):
+        q0 = np.array([0.4, -0.3, 0.2, 0.1])
+        p0 = np.zeros(4) if plane == "p0 = 0" else -0.7 * q0
+        assert self._same_run(1.3, g0, _gram(p0, q0), dt, 1000) is None
+
+    @pytest.mark.parametrize("m0,g0", [(1e150, 1.0), (1.0, 1e200)])
+    def test_overflowing_start_fails_the_first_step(self, m0, g0):
+        # dt^2 m0^2 = 1e292, or A ~ 1e191: the start's square is inf
+        rng = np.random.default_rng(0)
+        gram = _gram(0.2 * rng.normal(size=6), 0.2 * rng.normal(size=6))
+        assert self._same_run(m0, g0, gram, 1e-4, 100) == 1
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(m0=st.floats(1e-3, 1e3), g0=st.floats(1e-3, 1e3), dt=st.floats(1e-5, 0.5),
+           amp=st.floats(1e-3, 10.0), n=st.integers(1, 400), seed=st.integers(0, 2**16))
+    def test_sweep(self, m0, g0, dt, amp, n, seed):
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 65))
+        self._same_run(m0, g0, _gram(amp * rng.normal(size=size), amp * rng.normal(size=size)),
+                       dt, n)
 
 
 class TestPlaneStorage:

@@ -1,5 +1,6 @@
-"""The gain rule of tools/pairs.py on synthetic paired runs."""
+"""The gain rule and the workload list of tools/pairs.py on synthetic paired runs."""
 
+import argparse
 import importlib.util
 import pathlib
 
@@ -58,3 +59,40 @@ def test_direction():
 def test_unpaired_runs_rejected():
     with pytest.raises(ValueError):
         pairs.judge(PARENT, PARENT[:-1], "lower")
+
+
+def test_workload_list():
+    assert pairs.workload_list("rotsym") == ["rotsym"]
+    assert pairs.workload_list("toygravity,rotsym,geometry,surfaces") == [
+        "toygravity", "rotsym", "geometry", "surfaces"]
+    assert pairs.workload_list("rotsym, geometry") == ["rotsym", "geometry"]
+    for bad in ("", "rotsym,", "rotsym,,geometry", "rotsym,rotsym"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            pairs.workload_list(bad)
+
+
+def test_a_comma_list_runs_every_workload_in_each_pair(monkeypatch, capsys):
+    # each pair runs the workloads in the order given, each side once, the
+    # parent first in even pairs; one table per workload follows the runs
+    calls = []
+
+    def run_once(root, workload, seed, seconds):
+        side = "parent" if root == pathlib.Path("parent") else "change"
+        calls.append((workload, side))
+        value = 100.0 if side == "parent" else 80.0 + len(calls) / 100
+        return {"failed": 0, "attempted": 4,
+                "metrics": {m: {"value": value} for m in
+                            ("wall_ref", "cpu_ref", "setup_s", "peak_rss_mb")}}
+
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    assert pairs.main(["parent", str(ROOT), "--workload", "rotsym,geometry", "--pairs", "2",
+                       "--seed", "7"]) == 0
+    assert calls == [("rotsym", "parent"), ("rotsym", "change"),
+                     ("geometry", "parent"), ("geometry", "change"),
+                     ("rotsym", "change"), ("rotsym", "parent"),
+                     ("geometry", "change"), ("geometry", "parent")]
+    out = capsys.readouterr().out
+    assert "\nrotsym, seed 7, 2 pairs\n" in out and "\ngeometry, seed 7, 2 pairs\n" in out
+    assert out.index("\nrotsym, seed 7") < out.index("\ngeometry, seed 7")
+    assert out.count("wall_ref | 100 [100, 100] |") == 2
+    assert out.count("parent: failed 0 of 8 tasks") == 2
