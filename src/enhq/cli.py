@@ -79,9 +79,8 @@ def _write_table(path_base: str, header, rows, fmt: str) -> str:
     path = f"{path_base}.{fmt}"
     is_array = isinstance(rows, np.ndarray)
     if fmt == "json":
-        return _write_json(path, {"columns": list(header), "rows": (
-            [[_FMT % x for x in r] for r in rows.tolist()] if is_array
-            else [list(map(_cell, r)) for r in rows])})
+        return _write_json(path, {"columns": list(header), "rows": [
+            list(map(_cell, r)) for r in (rows.tolist() if is_array else rows)]})
     floats = ",".join([_FMT] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")

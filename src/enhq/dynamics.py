@@ -5,7 +5,8 @@ flow supplies its whole run of exact midpoint steps, `FlowSpec.midpoint`,
 and a scalar flow its exact solution, `FlowSpec.exact`, which a run is
 checked against.  `integrate` checks the inputs, refuses a run of more than
 MAX_STEPS steps of dt before taking any, and hands the flow its run, which
-fails once it has taken more than MAX_STEPS (throttled steps included).
+fails once it has stepped more than MAX_STEPS times (throttled steps
+included, steps written in closed form not).
 
 Scalar flows step on Python floats.  The oscillator's midpoint map is one
 fixed rotation by 2 atan(dt / 2), so its run is the powers of that rotation
@@ -76,7 +77,7 @@ NEWTON_MAX_ITER = 100
 # chunk of steps besides its kept rows
 CHUNK = 4096
 # integrate refuses a run of more than MAX_STEPS steps of dt, and a scalar
-# run fails once it has taken more, so that no run steps on for hours
+# run fails once it has stepped more times, so that no run steps on for hours
 MAX_STEPS = 10**7
 
 
@@ -421,8 +422,8 @@ def integrate(flow: FlowSpec, initial, t_end: float, *, dt: float = 1e-4,
     dt (t_end / dt > MAX_STEPS), a stride that is not an integer of at least 1,
     a flow without a midpoint step, a non-finite or wrongly shaped initial
     state, one where H is not finite, or a vector flow given a stride other
-    than 1 raise ValueError.  A scalar run that takes more than MAX_STEPS
-    steps raises RuntimeError.
+    than 1 raise ValueError.  A scalar run that steps more than MAX_STEPS
+    times, not counting steps written in closed form, raises RuntimeError.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be finite and positive, got {dt}")
@@ -471,14 +472,16 @@ class _Rows:
     per-step evaluation.  Its largest drift
     against H at step 0 and its lowest q are folded in, and its steps
     k = 0 mod stride are kept.  `take` raises RuntimeError once more than
-    MAX_STEPS steps are in, a check made once a chunk, not once a step.
+    MAX_STEPS stepped steps are in, a check made once a chunk, not once a
+    step; steps handed in with `closed=True`, written in closed form and
+    cheap at any count, do not count toward it.
     """
 
     def __init__(self, hamiltonian, stride, t, p, q):
         self.hamiltonian, self.stride = hamiltonian, stride
         self.buffers = array("d", [t]), array("d", [p]), array("d", [q])
         self.kept = tuple(array("d") for _ in range(4))  # t, p, q, H
-        self.taken = 0
+        self.taken = self.closed = 0
         self.e0 = self.end = None
         self.peaks, self.lows = [], []
 
@@ -487,7 +490,7 @@ class _Rows:
         for buf in self.buffers:
             del buf[:]
 
-    def take(self, t, p, q):
+    def take(self, t, p, q, closed=False):
         """Take in the next steps, given as arrays of t, p and q."""
         t, p, q = np.asarray(t), np.asarray(p), np.asarray(q)
         if not t.size:
@@ -501,8 +504,10 @@ class _Rows:
         for kept, x in zip(self.kept, (t, p, q, e)):
             kept.frombytes(x[k].tobytes())
         self.taken += t.size
+        if closed:
+            self.closed += t.size
         self.end = float(t[-1]), float(p[-1]), float(q[-1])
-        if self.taken - 1 > MAX_STEPS:
+        if self.taken - self.closed - 1 > MAX_STEPS:
             raise RuntimeError(f"run took more than MAX_STEPS = {MAX_STEPS} steps by "
                                f"t = {self.end[0]}")
 
@@ -558,7 +563,7 @@ def _self_similar_run(p, q, t, dt, h, t_end, floor, rows):
     for first in range(1, K + 1, CHUNK):
         k = np.arange(first, min(first + CHUNK, K + 1), dtype=float)
         rows.take(stretch(k, -lr, dt / math.expm1(-lr), t, np.expm1),
-                  stretch(k, lr, p), stretch(k, ls, q))
+                  stretch(k, lr, p), stretch(k, ls, q), closed=True)
     t, p, q = rows.end
     return p, q, t
 

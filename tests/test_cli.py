@@ -219,6 +219,15 @@ class TestBadControls:
         assert json.loads(_read(tmp_path / "failure.json"))["type"] == "RuntimeError"
         assert not (tmp_path / "dynamics.csv").exists()
 
+    def test_closed_form_steps_do_not_count_toward_the_cap(self, tmp_path, capsys, monkeypatch):
+        # the classical hit's 552,613 steps are nearly all written in closed
+        # form, so a cap just above t_end / dt lets it end in a singularity
+        monkeypatch.setattr(enhq.dynamics, "MAX_STEPS", 20_001)
+        assert run(["--out", str(tmp_path), "dynamics", "--hbar", "0", "--p0=-1",
+                    "--t-end", "2"]) == 0
+        summary = json.loads(_read(tmp_path / "dynamics_summary.json"))
+        assert summary["status"] == "singularity"
+
     @pytest.mark.parametrize("family", ["canonical", "spin"])
     def test_out_of_memory_is_numerical_failure(self, tmp_path, capsys, monkeypatch, family):
         # an eigensystem too large for memory used to end in a traceback and exit 1

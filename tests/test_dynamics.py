@@ -175,6 +175,16 @@ class TestStepCap:
         with pytest.raises(RuntimeError, match="run took more than MAX_STEPS = 50000 steps"):
             integrate(flow, (-30.0, 1.0), 0.1)
 
+    def test_cap_leaves_out_closed_form_steps(self, monkeypatch):
+        # a classical hit writes most of its throttled approach in closed
+        # form: 552,613 steps of which 7 are stepped, so a cap just above
+        # t_end / dt = 20,000 passes the pre-check and the run still ends
+        flow = toy_gravity_flow(hbar=0.0)
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 20_001)
+        traj = integrate(flow, (-1.0, 1.0), 2.0)
+        assert traj.status == "singularity"
+        assert traj.steps == 552_613
+
 
 class TestOscillator:
     def test_period_return(self):
