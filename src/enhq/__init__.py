@@ -4,9 +4,9 @@ geometry, symplectic dynamics and a radial inequality explorer.
 
 Names are imported from their modules (`from enhq.coherent import
 CanonicalFamily`); the package itself holds only `__version__`, so
-`import enhq.cli` loads numpy and nothing heavier.  `enhq.inequality`, for
-its special functions, is the one module that imports more than numpy, so
-every subcommand but `inequality` and `selftest` runs on numpy alone.
+`import enhq.cli` loads numpy and nothing heavier.  Every module, the
+radial inequality's incomplete Gamma function included, runs on numpy and
+the standard library alone, so every subcommand does.
 """
 
 __version__ = "0.1.0"

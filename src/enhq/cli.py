@@ -30,6 +30,9 @@ from . import __version__
 __all__ = ["main", "run"]
 
 _FMT = "%.17g"
+# the largest Hilbert space `metric` builds: a family's first build of a
+# size takes one dense eigh, O(dim^3) time and dim^2 floats
+MAX_DIM = 1001
 # an array table's CSV is formatted this many rows per `%`
 _BLOCK = 256
 
@@ -279,6 +282,18 @@ def _floats(text: str):
     return [float(x) for x in text.split(",") if x.strip()]
 
 
+def _at_most(convert, cap):
+    """A flag type: `convert`, refusing values above `cap`."""
+    def parse(text: str):
+        value = convert(text)
+        if value > cap:
+            raise argparse.ArgumentTypeError(f"{value} is above the cap {cap}")
+        return value
+
+    parse.__name__ = convert.__name__  # a malformed value still reads "invalid int value"
+    return parse
+
+
 def _shared_flags(parser, defaults=("enhq_out", "csv", None)):
     out, fmt, config = defaults
     parser.add_argument("--out", default=out, help="output directory")
@@ -306,11 +321,13 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--hbar", type=float, default=1.0)
         p.add_argument("--beta", type=float, default=1.0)
         if "spin" in kinds:
-            p.add_argument("--s", type=float, default=0.5)
+            p.add_argument("--s", type=_at_most(float, (MAX_DIM - 1) / 2), default=0.5,
+                           help=f"spin, at most {(MAX_DIM - 1) // 2} (dimension 2s + 1)")
 
     p = add("metric", help="metric and curvature sweep")
     fam(p)
-    p.add_argument("--N", type=int, default=100, help="canonical Fock truncation")
+    p.add_argument("--N", type=_at_most(int, MAX_DIM), default=100,
+                   help=f"canonical Fock truncation, at most {MAX_DIM} levels")
     p.add_argument("--p", type=_floats, default=None,
                    help=_LIST_HELP.format("first coords", "p")
                    + " (default 0, or pi/2 on the spin family's equator)")
@@ -398,7 +415,7 @@ def _apply_config_file(args, argv) -> None:
             continue
         try:
             value = _flag_value(action, value)
-        except ValueError as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             problems.append(f"config key {key!r}: {exc}")
             continue
         if not any(a.split("=", 1)[0] in action.option_strings for a in argv):

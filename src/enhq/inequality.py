@@ -4,6 +4,9 @@ The witness family is phi(r) = r^(-alpha) exp(-r^2) in n space dimensions.
 Both sides are sums of int_eps^inf r^(s-1) e^(-c r^2) dr = 1/2 c^(-s/2)
 Gamma(s/2, c eps^2) with an inner cutoff eps; sweeping eps down exposes
 whether the quartic side diverges while the gradient side stays finite.
+Gamma(a, x) comes from two evaluators on `math` alone, Gautschi's series
+for x < 1 and Legendre's continued fraction for x >= 1, each joined to the
+order a by the recurrence in a.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1, gamma, gammaincc, gammaln, zeta
 
 __all__ = [
     "RadialField",
@@ -26,8 +28,10 @@ __all__ = [
 
 def sphere_area(n: int) -> float:
     """Area of the unit (n-1)-sphere in R^n; 0 once Gamma(n/2) overflows."""
-    with np.errstate(over="ignore"):
-        return float(2.0 * np.pi ** (n / 2.0) / np.exp(gammaln(n / 2.0)))
+    try:
+        return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    except OverflowError:  # Gamma(n/2) is inf from n = 344 on
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -46,63 +50,86 @@ class RadialField:
             )
 
 
+def _zeta(k: int) -> float:
+    """zeta(k) for k >= 2: the terms below n = 1000, then Euler-Maclaurin from
+    n on, n^(1-k)/(k-1) + n^(-k)/2 + k n^(-k-1)/12, whose first dropped term
+    k(k+1)(k+2) n^(-k-3)/720 is below 4e-17."""
+    n = 1000.0
+    head = (np.arange(n - 1.0, 0.0, -1.0) ** -k).tolist()
+    return math.fsum([*head, n ** (1 - k) / (k - 1), 0.5 * n ** -k, k / 12 * n ** (-k - 1)])
+
+
 # zeta(k)/k, k = 63 down to 2 (Horner order), of ln Gamma(1 + b) =
-# -euler_gamma b + sum_k zeta(k)/k (-b)^k, whose terms are below 2^-k at |b| < 1/2
-_ZETA_OVER_K = tuple(float(zeta(k)) / k for k in range(63, 1, -1))
+# -euler_gamma b + sum_k zeta(k)/k (-b)^k, whose terms are below 2^-k at |b| <= 1/2
+_ZETA_OVER_K = tuple(_zeta(k) / k for k in range(63, 1, -1))
 
 
-def _small_order_gamma(b: float, x: float) -> float:
-    """Gamma(b, x) for 0 < |b| < 1/2 and 0 < x < 1 (Gautschi, ACM TOMS 5 (1979) 466).
+def _series_gamma(b: float, x: float) -> float:
+    """Gamma(b, x) for b >= -1/2 and 0 < x < 1 (Gautschi, ACM TOMS 5 (1979) 466).
 
     (Gamma(1+b) - 1)/b - expm1(b ln x)/b - x^b sum_{k>=1} (-x)^k / (k! (b+k)),
-    with Gamma(1+b) from its zeta series, since 1 + b itself rounds.
+    whose limit at b = 0 is E1(x) = -euler_gamma - ln x - sum.  The first
+    term is expm1 of the zeta series of ln Gamma(1+b), over b, for |b| < 1/2,
+    where 1 + b itself rounds; from b = 1/2 on it is Gamma(b) - 1/b, finite
+    wherever Gamma(b) is.
     """
-    s = 0.0
-    for c in _ZETA_OVER_K:
-        s = c - b * s
-    ln_g1 = b * (b * s - np.euler_gamma)
     term, tail, k = 1.0, 0.0, 0
     while abs(term) > 1e-17:  # |term| <= x^k / k!, and x < 1
         k += 1
         term *= -x / k
         tail += term / (b + k)
-    return (math.expm1(ln_g1) - math.expm1(b * math.log(x))) / b - x**b * tail
+    if b == 0.0:
+        return -np.euler_gamma - math.log(x) - tail
+    if b < 0.5:
+        s = 0.0
+        for c in _ZETA_OVER_K:
+            s = c - b * s
+        head = math.expm1(b * (b * s - np.euler_gamma)) / b
+    else:
+        head = math.gamma(b) - 1.0 / b
+    return head - math.expm1(b * math.log(x)) / b - x**b * tail
 
 
 def _upper_gamma(a: float, x: float) -> float:
-    """Gamma(a, x) for real a and x > 0.
+    """Gamma(a, x) for real a and x > 0; Gamma(a, inf) = 0.
 
-    For x >= 1 and a < 1/2 it is Legendre's continued fraction.  Otherwise
-    Gamma(a, x) = (Gamma(a+1, x) - x^a e^(-x)) / a runs down from a start
-    order a + j, j >= 0.  For x < 1 the subtracted term is the larger one,
-    so a step through an order 0 < |a + j| << 1 would cancel digits: there
-    the start is the order a + j nearest 0 when 0 < |a + j| < 1/2, by the
-    small-order series.  Otherwise it is the first a + j >= 0, by
-    gamma * gammaincc, or E1 at 0.
+    For x < 1 it is the series at a, or for a < -1/2 at the order a + j
+    nearest 0, from which Gamma(s, x) = (Gamma(s+1, x) - x^s e^(-x)) / s runs
+    down j steps: a step through an order 0 < |s| << 1 would cancel digits,
+    since the subtracted term is the larger one.  For x >= 1 it is Legendre's
+    continued fraction at b = a - m <= 1/2, m = max(0, ceil(a - 1/2)), from
+    which Gamma(s+1, x) = s Gamma(s, x) + x^s e^(-x) runs up m steps.  Each
+    step adds two positive terms, except a first step from b < 0, whose
+    b Gamma(b, x) >= -x^b e^(-x)/2 costs at most one bit.
     """
-    if x >= 1.0 and a < 0.5:
-        # x^a e^(-x) / (x + 1 - a - 1 (1 - a) / (x + 3 - a - 2 (2 - a) / ...)) by
-        # the modified Lentz method (Numerical Recipes, sec. 6.2); by induction
+    if x == math.inf:
+        return 0.0
+    if x >= 1.0:
+        # Gamma(b, x) / (x^b e^(-x)) = 1 / (x + 1 - b - 1 (1 - b) / (x + 3 - b - ...))
+        # by the modified Lentz method (Numerical Recipes, sec. 6.2); by induction
         # its denominators 1/d and c stay >= i + 1 at step i
-        b = x + 1.0 - a
-        f = d = 1.0 / b
+        m = max(0, math.ceil(a - 0.5))
+        b = a - m
+        t = x + 1.0 - b
+        f = d = 1.0 / t
         c = math.inf
         for i in range(1, 1000):
-            an, b = -i * (i - a), b + 2.0
-            d = 1.0 / (b + an * d)
-            c = b + an / c
+            an, t = -i * (i - b), t + 2.0
+            d = 1.0 / (t + an * d)
+            c = t + an / c
             f *= c * d
             if abs(c * d - 1.0) <= math.ulp(1.0):
-                return math.exp(a * math.log(x) - x) * f
-        raise ArithmeticError(f"continued fraction for Gamma({a}, {x}) did not converge")
+                break
+        else:
+            raise ArithmeticError(f"continued fraction for Gamma({b}, {x}) did not converge")
+        for i in range(m):  # f = Gamma(s, x) / (x^s e^(-x)) at s = b + i, then b + i + 1
+            f = ((b + i) * f + 1.0) / x
+        # x^a e^(-x) as a product wherever neither factor leaves the float
+        # range; exp(a ln x - x) carries the rounding of its argument, |a ln x - x| ulps
+        y = a * math.log(x)
+        return f * (x**a * math.exp(-x) if y < 709.0 and x < 708.0 else math.exp(y - x))
     j = max(0, round(-a))
-    b = a + j
-    if x < 1.0 and 0.0 < abs(b) < 0.5:
-        g = _small_order_gamma(b, x)
-    else:
-        j = max(0, math.ceil(-a))
-        b = a + j
-        g = float(exp1(x)) if b == 0 else float(gamma(b) * gammaincc(b, x))
+    g = _series_gamma(a + j, x)
     for i in range(j - 1, -1, -1):
         g = (g - x ** (a + i) * math.exp(-x)) / (a + i)
     return g
@@ -118,17 +145,20 @@ def _radial(s: float, c: float, eps: float) -> float:
         return math.inf
 
 
-def _in_range(v: float, side: str, field: RadialField, eps: float) -> float:
-    """v, a positive integral; 0, inf or nan means it over- or underflowed."""
+def _side(name: str, field: RadialField, eps: float, integral: float) -> float:
+    """omega_n times a side's radial integral; 0, inf or nan means it over- or
+    underflowed.  An area that underflowed to 0 makes the side 0, whatever
+    the integral, which may itself have overflowed."""
+    area = sphere_area(field.n)
+    v = area * integral if area else 0.0
     if not 0.0 < v < math.inf:
-        raise ArithmeticError(f"{side} = {v} left the float range at {field}, eps = {eps}")
+        raise ArithmeticError(f"{name} = {v} left the float range at {field}, eps = {eps}")
     return v
 
 
 def lhs(field: RadialField, eps: float) -> float:
     """{ omega_n int_eps^inf phi^4 r^(n-1) dr }^(1/2)."""
-    v = sphere_area(field.n) * _radial(field.n - 4.0 * field.alpha, 4.0, eps)
-    return math.sqrt(_in_range(v, "lhs", field, eps))
+    return math.sqrt(_side("lhs", field, eps, _radial(field.n - 4.0 * field.alpha, 4.0, eps)))
 
 
 def rhs(field: RadialField, m0: float, eps: float) -> float:
@@ -139,10 +169,9 @@ def rhs(field: RadialField, m0: float, eps: float) -> float:
     if not math.isfinite(m0):
         raise ValueError(f"mass m0 must be finite, got {m0}")
     n, a = field.n, field.alpha
-    v = (a * a * _radial(n - 2.0 - 2.0 * a, 2.0, eps)
-         + (4.0 * a + m0 * m0) * _radial(n - 2.0 * a, 2.0, eps)
-         + 4.0 * _radial(n + 2.0 - 2.0 * a, 2.0, eps))
-    return _in_range(sphere_area(n) * v, "rhs", field, eps)
+    return _side("rhs", field, eps, a * a * _radial(n - 2.0 - 2.0 * a, 2.0, eps)
+                 + (4.0 * a + m0 * m0) * _radial(n - 2.0 * a, 2.0, eps)
+                 + 4.0 * _radial(n + 2.0 - 2.0 * a, 2.0, eps))
 
 
 @dataclass(frozen=True)

@@ -148,7 +148,7 @@ class TestBadControls:
         assert "invalid configuration" in capsys.readouterr().err
 
     def test_out_of_range_inequality_is_numerical_failure(self, tmp_path, capsys):
-        # n = 400 overflows Gamma(200); the run stops instead of writing NaN
+        # n = 400 underflows omega_n to 0; the run stops instead of writing NaN
         assert run(["--out", str(tmp_path), "inequality", "--n", "400", "--alphas", "0"]) == 2
         assert "numerical failure" in capsys.readouterr().err
         assert json.loads(_read(tmp_path / "failure.json"))["type"] == "ArithmeticError"
@@ -239,6 +239,48 @@ class TestBadControls:
         assert "numerical failure: no room" in capsys.readouterr().err
         assert json.loads(_read(tmp_path / "failure.json"))["type"] == "MemoryError"
         assert not (tmp_path / "metric.csv").exists()
+
+    @pytest.mark.parametrize("argv,cfg", [
+        (["--N", "1002"], None),
+        (["--family", "spin", "--s", "500.5"], None),
+        ([], {"N": 1002}),
+        (["--family", "spin"], {"s": 501}),
+    ])
+    def test_sizes_above_the_cap_exit_1(self, tmp_path, capsys, monkeypatch, argv, cfg):
+        # a family's first build of a size is a dense eigh; the parser refuses
+        # a size past the cap before anything is built
+        def no_build(kind, dim):
+            raise AssertionError(f"built a {kind} spectrum of dimension {dim}")
+
+        monkeypatch.setattr(enhq.coherent, "_ladder_spectrum", no_build)
+        config = []
+        if cfg is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+            config = ["--config", str(tmp_path / "cfg.json")]
+        assert run(["--out", str(tmp_path), *config, "metric", *argv]) == 1
+        assert "above the cap" in capsys.readouterr().err
+        assert not (tmp_path / "metric.csv").exists()
+
+    @pytest.mark.parametrize("argv", [["--N", "1001"], ["--family", "spin", "--s", "500"]])
+    def test_sizes_at_the_cap_are_built(self, tmp_path, capsys, monkeypatch, argv):
+        def no_memory(kind, dim):
+            raise MemoryError(f"asked for dimension {dim}")
+
+        monkeypatch.setattr(enhq.coherent, "_ladder_spectrum", no_memory)
+        assert run(["--out", str(tmp_path), "metric", *argv]) == 2
+        assert "numerical failure: asked for dimension 1001" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "1300", "--alphas", "0"],
+        ["--eps=1e300,1e299"],
+    ], ids=["sphere-area", "infinite-argument"])
+    def test_side_underflows_to_zero(self, tmp_path, capsys, argv):
+        # omega_n is 0 once Gamma(n/2) overflows (n = 1300 used to stop with a
+        # bare "(34, 'Numerical result out of range')" from pi^(n/2)), and
+        # Gamma(a, c eps^2) is 0 once c eps^2 overflows to inf
+        assert run(["--out", str(tmp_path), "inequality", *argv]) == 2
+        assert "numerical failure: lhs = 0.0 left the float range" in capsys.readouterr().err
+        assert json.loads(_read(tmp_path / "failure.json"))["type"] == "ArithmeticError"
 
     def test_s_is_a_metric_flag(self, tmp_path, capsys):
         # no wcp family reads the spin

@@ -1,11 +1,13 @@
-"""Import graph: the CLI starts on numpy alone, only the inequality module loads scipy,
-no module imports a name it never uses, and every name a module exports exists."""
+"""Import graph: the package and every subcommand run on numpy alone, the
+third-party modules it imports are its declared dependencies, no module
+imports a name it never uses, and every name a module exports exists."""
 
 import ast
 import importlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -29,6 +31,10 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert _scipy_modules("import enhq.cli", tmp_path) == []
 
 
+def test_inequality_import_loads_no_scipy(tmp_path):
+    assert _scipy_modules("import enhq.inequality", tmp_path) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["rotsym", "--N", "6", "--t-end", "0.01"],
     ["dynamics", "--hbar", "0", "--t-end", "0.5"],
@@ -42,12 +48,34 @@ def test_cli_import_loads_no_scipy(tmp_path):
     ["metric", "--family", "affine"],
     ["metric"],
     ["metric", "--family", "spin", "--s", "1.5"],
+    ["inequality"],
+    ["selftest"],
 ])
 def test_scipy_free_subcommands(tmp_path, argv):
-    # C', affine surfaces and the affine metric are exact Gamma moments, and the
-    # canonical and spin spectra are numpy's eigh: only inequality loads scipy
+    # C', affine surfaces and the affine metric are exact Gamma moments, the
+    # canonical and spin spectra are numpy's eigh, and the inequality's
+    # Gamma(a, x) is its own series and continued fraction
     code = f"from enhq.cli import run\nassert run({argv!r}) == 0"
     assert _scipy_modules(code, tmp_path) == []
+
+
+def _third_party_imports() -> set[str]:
+    """Top-level modules that src/enhq imports from outside the standard library."""
+    names = set()
+    for path in (SRC / "enhq").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names |= {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"__future__", "enhq"}
+
+
+def test_imports_are_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    with open(SRC.parent / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    assert _third_party_imports() == {re.match(r"[A-Za-z0-9_.-]+", d)[0] for d in deps}
 
 
 def _unused_imports(path: pathlib.Path) -> list[str]:

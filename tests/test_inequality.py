@@ -11,6 +11,7 @@ from scipy.special import gamma
 from references import lhs_slope_expected, rhs_slope_expected
 
 from enhq.inequality import (
+    _ZETA_OVER_K,
     RadialField,
     _upper_gamma,
     lhs,
@@ -149,10 +150,10 @@ class TestSmallOrderGamma:
                         assert abs(_upper_gamma(a, x) - ref) <= 1e-14 * abs(ref), (a, x)
 
     def test_both_sides_of_the_series_window(self):
-        # for x < 1 the start order is the one nearest 0 when it lies within
-        # 1/2 of it (series), else the first a + j >= 0 (gammaincc or E1)
+        # for x < 1 the series starts at a from a > -1/2 on (E1 at a = 0), and
+        # below that at the order a + j nearest 0, from which the recurrence runs down
         with mpmath.workdps(40):
-            for a in (-2.7, -2.0, -1.5, -0.5001, -0.4999, -0.3, 0.2, 0.4999, 0.5, 1.3):
+            for a in (-2.7, -2.0, -1.5, -0.5001, -0.4999, -0.3, 0.0, 0.2, 0.4999, 0.5, 1.3):
                 for x in (1e-10, 0.3, 0.999):
                     ref = mpmath.gammainc(a, x)
                     assert abs(_upper_gamma(a, x) - ref) <= 1e-13 * abs(ref), (a, x)
@@ -173,6 +174,58 @@ class TestSmallOrderGamma:
                 for x in (1.0, 1.2, 4.0, 30.0, 100.0):
                     ref = mpmath.gammainc(a, x)
                     assert abs(_upper_gamma(a, x) - ref) <= 1e-13 * abs(ref), (a, x)
+
+
+class TestGammaEvaluators:
+    """The series and the continued fraction each reach every order through
+    the recurrence; mpmath at 40 digits is the reference."""
+
+    @staticmethod
+    def _worst(cells):
+        worst = 0.0
+        with mpmath.workdps(40):
+            for a, x in cells:
+                ref = mpmath.gammainc(a, x)
+                worst = max(worst, float(abs((_upper_gamma(a, x) - ref) / ref)))
+        return worst
+
+    def test_upward_recurrence_past_x_one(self):
+        # the continued fraction at b = a - m <= 1/2, then m steps up
+        orders = (0.5, 0.75, 1.0, 1.5, 2.3, 5.0, 10.25, 17.5, 25.0, 33.3, 40.0)
+        args = (1.0, 1.5, 4.0, 10.0, 30.0, 100.0, 250.0, 400.0)
+        assert self._worst([(a, x) for a in orders for x in args]) <= 1e-13
+
+    def test_series_from_order_one_half(self):
+        # x < 1 and b >= 1/2: the series' first term is Gamma(b) - 1/b
+        orders = (0.5, 0.7, 1.0, 1.5, 3.3, 10.0, 40.0)
+        args = (1e-16, 1e-8, 4e-4, 0.04, 0.5, 0.99, 0.999999)
+        assert self._worst([(a, x) for a in orders for x in args]) <= 1e-13
+
+    def test_zeta_constants(self):
+        # zeta(k)/k for k = 63 down to 2, by Euler-Maclaurin past n = 1000
+        with mpmath.workdps(40):
+            for k, c in zip(range(63, 1, -1), _ZETA_OVER_K):
+                ref = mpmath.zeta(k)
+                assert abs(c * k - ref) <= 4.2e-16 * ref, k
+
+    def test_infinite_argument(self):
+        # c eps^2 overflows to inf for a cutoff past 1e154
+        assert all(_upper_gamma(a, math.inf) == 0.0 for a in (-2.5, -1.0, 0.0, 0.3, 7.0))
+
+
+class TestSphereArea:
+    def test_matches_mpmath(self):
+        with mpmath.workdps(40):
+            for n in range(2, 344):
+                h = mpmath.mpf(n) / 2
+                ref = 2 * mpmath.pi**h / mpmath.gamma(h)
+                assert abs(sphere_area(n) - ref) <= 1e-14 * ref, n
+
+    @pytest.mark.parametrize("n", [344, 1240, 1242, 1300, 10**6])
+    def test_zero_once_gamma_overflows(self, n):
+        # n = 1240 gave nan with a RuntimeWarning, and n >= 1242 raised a bare
+        # OverflowError from pi^(n/2)
+        assert sphere_area(n) == 0.0
 
 
 class TestGaussianOracles:
