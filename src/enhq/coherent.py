@@ -228,19 +228,33 @@ class AffineFamily:
         """(jet, inner) of the (p, q) chart on q > 0.  Exact jet of Laurent multipliers
         of |p,q>: psi -> 1, d_p psi -> ix/hbar, d_q psi -> k(x - q)/(2q^2); the inner
         product <R psi|S psi> is the Gamma moment sum of conj(R) S at `point`, so the
-        jet is read there."""
+        jet is read there.  A jet entry or inner product that leaves the float range
+        raises ArithmeticError naming the point."""
         p0, q0 = point
         if q0 - margin <= 0:
             raise ChartBoundaryError(f"affine chart at q = {q0} with extent {margin} crosses q = 0")
         k, h = self.k, self.hbar
-        jet = lambda p, q: ({0: 1.0}, {1: 1j / h}, {1: k / (2 * q * q), 0: -k / (2 * q)})  # noqa: E731
+        # the products scale as q^2 and q^-4 (g_pp = q^2 / beta, g_qq = beta / q^2)
+        def jet(p, q):
+            try:
+                return {0: 1.0}, {1: 1j / h}, {1: k / (2 * q * q), 0: -k / (2 * q)}
+            except ZeroDivisionError:  # q * q underflowed
+                raise ArithmeticError(f"affine jet at (p, q) = ({p}, {q}) leaves the float "
+                                      "range") from None
 
         def inner(r, s):
             rs: dict[int, complex] = {}
             for e, c in r.items():
                 for f, d in s.items():
                     rs[e + f] = rs.get(e + f, 0.0) + c.conjugate() * d
-            return self.expect_laurent(rs, p0, q0)
+            try:
+                v = self.expect_laurent(rs, p0, q0)
+            except OverflowError:  # a float ** raises where * and / would give inf
+                v = math.inf
+            if v - v:  # 0 exactly when v is finite
+                raise ArithmeticError(f"affine jet at (p, q) = ({p0}, {q0}) leaves the float "
+                                      "range")
+            return v
 
         return jet, inner
 

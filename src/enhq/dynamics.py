@@ -24,9 +24,10 @@ the same map (p, q) -> (rho p, sigma q): that stretch is written in closed
 form, and the stepping loop takes the first steps, the last steps before
 the floor and any step near t_end.  At c > 0 the flow bounces at q = c / E
 and never collapses, so such a step fails the run.  A scalar run keeps every
-stride-th step only: it hands its steps to a `_Rows` fold in chunks of
-CHUNK, which folds the drift and the lowest q over every step and holds one
-chunk at a time besides the kept rows.
+stride-th step only, and folds the drift and the lowest q over every step
+into a `_Rows`: toy gravity's stepping loop folds them as it steps and
+stores no other step, while the closed forms hand `_Rows` arrays of at
+most CHUNK steps.
 
 Vector flows are O(N)-invariant: H depends on p and q only through
 |p|^2, p.q and |q|^2, so both gradients lie in span{p, q} and the
@@ -73,8 +74,8 @@ DT_MIN = 1e-12
 # NEWTON_TOL relative, and fails after NEWTON_MAX_ITER steps
 NEWTON_TOL = 1e-13
 NEWTON_MAX_ITER = 100
-# a scalar run takes its steps in chunks of CHUNK, so it holds at most one
-# chunk of steps besides its kept rows
+# a scalar run's steps are folded in bulks of at most CHUNK steps, and a
+# closed form builds at most CHUNK steps at a time besides the kept rows
 CHUNK = 4096
 # integrate refuses a run of more than MAX_STEPS steps of dt, and a scalar
 # run fails once it has stepped more times, so that no run steps on for hours
@@ -88,8 +89,8 @@ class FlowSpec:
     # any length, since runs evaluate it on 2-D images of their planes
     hamiltonian: object
     # the whole run of exact midpoint steps: a scalar flow's (rows, p, q,
-    # t_end, h) -> (status, hit_time) hands its float steps to the `_Rows` rows
-    # and raises RuntimeError on a failed step; a vector flow's (gram, dt, n)
+    # t_end, h) -> (status, hit_time) folds its float steps into the `_Rows`
+    # rows and raises RuntimeError on a failed step; a vector flow's (gram, dt, n)
     # -> (plane, failed) takes n steps from p0, q0 with gram = (p0.p0, p0.q0,
     # q0.q0): plane[k] of shape (n + 1, 2, 2) holds the coefficients of p and
     # q on (p0, q0) at step k, or plane is None and failed the first step
@@ -177,7 +178,6 @@ def _oscillator_run(rows, p, q, t_end, h):
     m = max(0, math.ceil((t_end - h_last) / h) - 1)  # no later than the first such t_m
     while t_end - m * h > h_last:
         m += 1
-    rows.flush()
     for first in range(1, m + 1, CHUNK):
         last = min(first + CHUNK - 1, m)
         c = _rotation_run(1.0, 0.5 * h, last, first)
@@ -212,12 +212,16 @@ def toy_gravity_flow(hbar: float = 0.0, beta: float = 1.0) -> FlowSpec:
 
 
 def _toy_gravity_run(c, rows, p, q, t_end, h):
-    """Toy gravity's run: exact midpoint steps of H = q p^2 + c / q on floats."""
+    """Toy gravity's run: exact midpoint steps of H = q p^2 + c / q on floats.
+
+    The loop folds as it steps: the range of H, the lowest q and, into
+    `rows.kept`, every step k = 0 mod stride; `rows.fold` takes in each
+    bulk of steps once it is done."""
     collapses = c == 0.0
-    sqrt, inf, throttle, dt_min = math.sqrt, math.inf, THROTTLE, DT_MIN
+    sqrt, inf, throttle, dt_min, stride = math.sqrt, math.inf, THROTTLE, DT_MIN, rows.stride
     floor = Q_FLOOR * q
     h_last = h * (1.0 + 1e-9)  # a remainder under 1e-9 h joins the last step
-    times, ps, qs = rows.buffers
+    times, ps, qs = rows.kept
     add_t, add_p, add_q = times.append, ps.append, qs.append
     t = lost = 0.0
     hit = None
@@ -228,13 +232,18 @@ def _toy_gravity_run(c, rows, p, q, t_end, h):
     tail = collapses and p < 0
     stop = min(1.0 / -p - h / (THROTTLE / 2) / 1.001, end) if tail else end
     while True:
+        cq = c / q  # H's c / q, and the next step's r = c / q^2 = cq / q
+        hi, lo, low = rows.hi, rows.lo, rows.min_q
         while t < stop:
             # steps take at most h, so the next n can neither land on t_end
-            # nor pass stop and go unchecked; near either, one at a time
+            # nor pass stop and go unchecked; near either, one at a time.  A
+            # bulk ends where the step count reaches a multiple of CHUNK.
             rest = t_end - t
             dt0 = h if rest > h_last else rest
-            n = max(1, min(CHUNK - len(qs), int((min(stop, t_end - h_last) - t) / h) - 2))
-            for _ in range(n):
+            taken = rows.taken
+            n = max(1, min(CHUNK - taken % CHUNK, int((min(stop, t_end - h_last) - t) / h) - 2))
+            left = -taken % stride + 1  # steps to the next kept one, itself included
+            for i in range(n):
                 dt = dt0
                 if p < 0.0:
                     # keep the relative shrink of q modest so the floor crossing
@@ -246,19 +255,13 @@ def _toy_gravity_run(c, rows, p, q, t_end, h):
                             cap = dt_min
                         if cap < dt:
                             dt = cap
-                # compensated (Kahan) sum: a plain running sum of 20,000 steps
-                # of 1e-4 ends 2e-13 short of 2, too far for h_last to absorb
-                y = dt - lost
-                s = t + y
-                lost = (s - t) - y
-                t = s
                 # qm = q + dt qm pm gives qm = q / (1 - dt pm).  With r = c / q^2,
                 # pm = p - (dt/2)(pm^2 - c / qm^2) becomes
                 #   (dt/2)(1 - r dt^2) pm^2 + (1 + r dt^2) pm - (p + dt r / 2) = 0,
                 # whose root that tends to p as dt -> 0 is 2k / (b + sqrt(b^2 + 4ak)),
                 # free of cancellation.  A negative discriminant or 1 - dt pm <= 0
                 # leaves the step without a midpoint solution.
-                r = c / q / q
+                r = cq / q
                 rdt2 = r * dt * dt
                 a = 0.5 * dt * (1.0 - rdt2)
                 b = 1.0 + rdt2
@@ -274,18 +277,39 @@ def _toy_gravity_run(c, rows, p, q, t_end, h):
                 if not floor < q1 < inf:
                     break
                 p, q = 2.0 * pm - p, q1
-                add_t(t)
-                add_p(p)
-                add_q(q)
+                # compensated (Kahan) sum: a plain running sum of 20,000 steps
+                # of 1e-4 ends 2e-13 short of 2, too far for h_last to absorb
+                y = dt - lost
+                s = t + y
+                lost = (s - t) - y
+                t = s
+                # H in the flow's own float order, so equal to flow.hamiltonian
+                cq = c / q
+                e = q * p * p + cq
+                if e > hi:
+                    hi = e
+                elif e < lo:
+                    lo = e
+                if q < low:
+                    low = q
+                left -= 1
+                if not left:
+                    left = stride
+                    add_t(t)
+                    add_p(p)
+                    add_q(q)
             else:
                 if dt == rest:  # the one step landed
-                    t = times[-1] = t_end
-                if len(qs) == CHUNK:
-                    rows.flush()
+                    t = t_end
+                    if left == stride:  # and is kept
+                        times[-1] = t_end
+                rows.fold(n, (t, p, q), hi, lo, low)
                 continue
-            hit = t_end if dt == rest else t
+            # a failed step leaves (t, p, q) at the last good one
+            hit = t_end if dt == rest else t + (dt - lost)
             if not collapses:
                 raise RuntimeError(f"implicit midpoint solve failed at t = {hit}")
+            rows.fold(i, (t, p, q), hi, lo, low)
             break
         if not tail or hit is not None:
             return "completed" if hit is None else "singularity", hit
@@ -463,61 +487,60 @@ def integrate(flow: FlowSpec, initial, t_end: float, *, dt: float = 1e-4,
 
 
 class _Rows:
-    """The steps of a scalar run, taken in chunk by chunk in step order.
+    """The steps of a scalar run, taken in one bulk at a time in step order.
 
-    A run appends its steps to `buffers` (t, p, q) and flushes them when
-    they hold CHUNK steps, or hands `take` whole arrays of steps.  A
-    chunk's H is evaluated on its arrays, which applies the per-step float
-    operations in the same order, so each energy is bit-identical to a
-    per-step evaluation.  Its largest drift
-    against H at step 0 and its lowest q are folded in, and its steps
-    k = 0 mod stride are kept.  `take` raises RuntimeError once more than
-    MAX_STEPS stepped steps are in, a check made once a chunk, not once a
-    step; steps handed in with `closed=True`, written in closed form and
-    cheap at any count, do not count toward it.
+    Step 0 is in from the start.  A stepping run appends its steps
+    k = 0 mod stride to `kept` (t, p, q) itself, keeps the range of H and
+    the lowest q as it steps, and hands `fold` each bulk of at most CHUNK
+    steps once it is done; `take` does the same for whole arrays of steps.
+    The drift is folded from the range [lo, hi] of H: rounding is
+    monotone, so max(hi - e0, e0 - lo) is the largest |H - e0| bit for
+    bit.  The kept rows' H is evaluated on their arrays, which applies the
+    per-step float operations in the same order, so each energy is
+    bit-identical to a per-step evaluation.  `fold` raises RuntimeError
+    once more than MAX_STEPS stepped steps are in, a check made once a
+    bulk, not once a step; steps folded with `closed=True`, written in
+    closed form and cheap at any count, do not count toward it.
     """
 
     def __init__(self, hamiltonian, stride, t, p, q):
         self.hamiltonian, self.stride = hamiltonian, stride
-        self.buffers = array("d", [t]), array("d", [p]), array("d", [q])
-        self.kept = tuple(array("d") for _ in range(4))  # t, p, q, H
-        self.taken = self.closed = 0
-        self.e0 = self.end = None
-        self.peaks, self.lows = [], []
+        self.kept = array("d", [t]), array("d", [p]), array("d", [q])
+        self.e0 = self.hi = self.lo = hamiltonian(p, q)
+        self.min_q = q
+        self.end = t, p, q
+        self.taken, self.closed = 1, 0
 
-    def flush(self):
-        self.take(*self.buffers)
-        for buf in self.buffers:
-            del buf[:]
+    def fold(self, n, end, hi, lo, min_q, closed=False):
+        """Take in the next n steps: the last of them, end = (t, p, q), the
+        range [lo, hi] of their H and their lowest q."""
+        self.hi, self.lo, self.min_q = max(self.hi, hi), min(self.lo, lo), min(self.min_q, min_q)
+        self.taken += n
+        if closed:
+            self.closed += n
+        self.end = end
+        if self.taken - self.closed - 1 > MAX_STEPS:
+            raise RuntimeError(f"run took more than MAX_STEPS = {MAX_STEPS} steps by "
+                               f"t = {end[0]}")
 
     def take(self, t, p, q, closed=False):
         """Take in the next steps, given as arrays of t, p and q."""
         t, p, q = np.asarray(t), np.asarray(p), np.asarray(q)
-        if not t.size:
-            return
-        e = self.hamiltonian(p, q)
-        if self.e0 is None:
-            self.e0 = e[0]
-        self.peaks.append(np.max(_drifts(e, self.e0)))
-        self.lows.append(np.min(q))
         k = slice(-self.taken % self.stride, None, self.stride)
-        for kept, x in zip(self.kept, (t, p, q, e)):
+        for kept, x in zip(self.kept, (t, p, q)):
             kept.frombytes(x[k].tobytes())
-        self.taken += t.size
-        if closed:
-            self.closed += t.size
-        self.end = float(t[-1]), float(p[-1]), float(q[-1])
-        if self.taken - self.closed - 1 > MAX_STEPS:
-            raise RuntimeError(f"run took more than MAX_STEPS = {MAX_STEPS} steps by "
-                               f"t = {self.end[0]}")
+        e = self.hamiltonian(p, q)
+        self.fold(t.size, (float(t[-1]), float(p[-1]), float(q[-1])), float(e.max()),
+                  float(e.min()), float(q.min()), closed)
 
     def trajectory(self, status, hit_time):
         """The run's Trajectory: its kept steps and its folds."""
-        self.flush()
-        times, ps, qs, energies = (np.asarray(x) for x in self.kept)
-        return Trajectory(times=times, energies=energies, ps=ps, qs=qs, end=self.end,
-                          drift=float(np.max(self.peaks)), min_q=float(np.min(self.lows)),
-                          status=status, hit_time=hit_time, steps=self.taken - 1)
+        times, ps, qs = (np.asarray(x) for x in self.kept)
+        e0 = self.e0
+        drift = max(self.hi - e0, e0 - self.lo) / (abs(e0) if e0 != 0 else 1.0)
+        return Trajectory(times=times, energies=self.hamiltonian(ps, qs), ps=ps, qs=qs,
+                          end=self.end, drift=drift, min_q=self.min_q, status=status,
+                          hit_time=hit_time, steps=self.taken - 1)
 
 
 def _self_similar_run(p, q, t, dt, h, t_end, floor, rows):
@@ -527,8 +550,8 @@ def _self_similar_run(p, q, t, dt, h, t_end, floor, rows):
     such step has dt p = -THROTTLE / 2, so it maps (p, q) to (rho p, sigma q) with
     fixed rho, sigma from one quadratic solve (toy gravity's step at
     c = 0), and the step lengths fall geometrically by 1 / rho.  Builds
-    steps 1..K chunk by chunk, hands them to `rows` after its buffered
-    steps, and returns the state after them; K stops 8 steps short of where
+    steps 1..K chunk by chunk, hands them to `rows` after the steps it
+    holds, and returns the state after them; K stops 8 steps short of where
     the q floor, the DT_MIN step clamp or the t_end landing could act, so
     the stepping loop handles all three.
     """
@@ -559,7 +582,6 @@ def _self_similar_run(p, q, t, dt, h, t_end, floor, rows):
         x += shift
         return x
 
-    rows.flush()
     for first in range(1, K + 1, CHUNK):
         k = np.arange(first, min(first + CHUNK, K + 1), dtype=float)
         rows.take(stretch(k, -lr, dt / math.expm1(-lr), t, np.expm1),

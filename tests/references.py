@@ -326,15 +326,24 @@ def _toy_gravity_midpoint(c: float):
 def _run_scalar(flow, p, q, t_end, h, stride):
     """The stepping loop of a scalar run, one `flow.midpoint(p, q, dt)` step
     per pass: the reference that the flows' own runs are checked against.
-    It reads the floor and the closed-form stretch off `dynamics` at run
-    time, as the runs do."""
+    It collects its steps in its own arrays and hands them to `_Rows.take`
+    a chunk at a time, ending where the step count reaches a multiple of
+    CHUNK, so the drift, lowest q and kept rows come from a per-step numpy
+    fold.  It reads the floor and the closed-form stretch off `dynamics` at
+    run time, as the runs do."""
     chart, collapses = flow.barrier is not None, flow.barrier == 0
     solve = flow.midpoint
     floor = dynamics.Q_FLOOR * q
     h_last = h * (1.0 + 1e-9)  # a remainder under 1e-9 h joins the last step
     rows = _Rows(flow.hamiltonian, stride, 0.0, p, q)
-    times, ps, qs = rows.buffers
-    add_t, add_p, add_q = times.append, ps.append, qs.append
+    times, ps, qs = [], [], []
+
+    def hand_over():
+        if times:
+            rows.take(times, ps, qs)
+            for buf in (times, ps, qs):
+                del buf[:]
+
     t = lost = 0.0
     status, hit = "completed", None
     end = t_end - 1e-15
@@ -345,8 +354,9 @@ def _run_scalar(flow, p, q, t_end, h, stride):
     stop = min(1.0 / -p - h / (THROTTLE / 2) / 1.001, end) if tail else end
     while True:
         while hit is None and t < stop:
-            # at most the chunk's room per pass; a full chunk is flushed
-            for _ in range(CHUNK - len(qs)):
+            # up to the next multiple of CHUNK steps per pass; a full chunk
+            # is handed over
+            for _ in range(CHUNK - (rows.taken + len(qs)) % CHUNK):
                 rest = t_end - t
                 dt = h if rest > h_last else rest
                 if chart:
@@ -375,13 +385,14 @@ def _run_scalar(flow, p, q, t_end, h, stride):
                         break
                     raise RuntimeError(f"implicit midpoint solve failed at t = {t}")
                 p, q = p1, q1
-                add_t(t)
-                add_p(p)
-                add_q(q)
+                times.append(t)
+                ps.append(p)
+                qs.append(q)
                 if t >= stop:
                     break
             else:
-                rows.flush()
+                hand_over()
+        hand_over()
         if not tail or hit is not None:
             break
         p, q, t = dynamics._self_similar_run(p, q, t, THROTTLE * q / -(2.0 * q * p), h, t_end,

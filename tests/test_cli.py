@@ -199,6 +199,23 @@ class TestBadControls:
         assert json.loads(_read(tmp_path / "failure.json"))["type"] == "RuntimeError"
         assert not (tmp_path / "dynamics.csv").exists()
 
+    @pytest.mark.parametrize("q", ["1e155", "1e-300", "1e-80"])
+    def test_affine_far_field_leaves_the_float_range(self, tmp_path, capsys, q):
+        # g_uu = q^2 / beta overflows at 1e155, g_vv = beta / q^2 at 1e-300:
+        # these used to exit 2 with a bare "(34, 'Numerical result out of
+        # range')" and "float division by zero"; at 1e-80 the jet's q^-4
+        # overflowed quietly to g_vv = inf before the chart check exited 1
+        assert run(["--out", str(tmp_path), "metric", "--family", "affine", "--q", q]) == 2
+        err = capsys.readouterr().err
+        assert f"affine jet at (p, q) = (0.0, {float(q)!r}) leaves the float range" in err
+        assert json.loads(_read(tmp_path / "failure.json"))["type"] == "ArithmeticError"
+        assert not (tmp_path / "metric.csv").exists()
+
+    def test_affine_metric_inside_the_float_range_completes(self, tmp_path):
+        assert run(["--out", str(tmp_path), "metric", "--family", "affine", "--q", "1e153"]) == 0
+        (row,) = list(csv.DictReader(_read(tmp_path / "metric.csv").splitlines()))
+        assert float(row["g_uu"]) == pytest.approx(1e306, rel=1e-12)
+
     @pytest.mark.parametrize("flag", ["--g0=1e200", "--m0=1e150"])
     def test_rotsym_step_overflow_is_a_failed_solve(self, tmp_path, capsys, flag):
         # used to exit with a bare "(34, 'Numerical result out of range')"

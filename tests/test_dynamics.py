@@ -844,11 +844,9 @@ class TestSelfSimilarTail:
         real = dynamics._self_similar_run
 
         def spy(*args):
-            rows = args[-1]
-            rows.flush()
-            before = rows.taken
+            before = args[-1].taken
             out = real(*args)
-            closed.append(rows.taken - before)
+            closed.append(args[-1].taken - before)
             return out
 
         monkeypatch.setattr(dynamics, "_self_similar_run", spy)
@@ -943,8 +941,11 @@ class TestStride:
         flow = toy_gravity_flow(hbar=hbar, beta=2.0)
         dt = 1e-4 if hbar == 0.0 else 5e-4
         full = integrate(flow, (p0, 1.0), t_end, dt=dt)
-        for stride in (1, 7, 100, CHUNK - 1, CHUNK + 1, full.times.size):
+        for stride in (1, 7, 100, CHUNK - 1, CHUNK + 1, full.steps, full.times.size):
             traj = integrate(flow, (p0, 1.0), t_end, dt=dt, stride=stride)
+            if stride == full.steps:
+                # step 0 and the landing step, or the last step before a hit
+                assert traj.times.size == 2 and traj.times[-1] == full.end[0]
             for name in ("times", "ps", "qs", "energies", "drifts"):
                 kept = getattr(traj, name)
                 assert kept.tobytes() == getattr(full, name)[::stride].tobytes(), name
@@ -973,6 +974,55 @@ class TestStride:
         assert traj.min_q == full.min_q < traj.qs.min()
         assert traj.drift == full.drift > traj.drifts.max()
         assert traj.end == (full.times[-1], full.ps[-1], full.qs[-1])
+
+    def test_bounce_folds_reach_past_the_kept_rows(self):
+        # the bounce's lowest q and largest drift lie at steps that a stride
+        # of 100 does not keep; the run folds them as the reference does
+        flow = toy_gravity_flow(hbar=0.5, beta=2.0)
+        full = integrate(flow, (-1.0, 1.0), 4.0)
+        traj = integrate(flow, (-1.0, 1.0), 4.0, stride=100)
+        assert np.argmin(full.qs) % 100 and np.argmax(full.drifts) % 100
+        assert traj.min_q == full.min_q < traj.qs.min()
+        assert traj.drift == full.drift > traj.drifts.max()
+        _assert_identical(traj, reference_run(flow, (-1.0, 1.0), 4.0, stride=100))
+
+    def test_step_cap_trips_mid_bulk(self, monkeypatch):
+        # the cap is checked once a bulk: this bounce takes 91,927 steps for a
+        # nominal 80,000, and past 85,000 stepped steps the bulk that ends at
+        # step 21 CHUNK - 1 = 86,015 fails the run, naming the time of that
+        # last folded step
+        flow = toy_gravity_flow(hbar=1.0, beta=2.0)
+        full = integrate(flow, (-1.5, 1.0), 4.0, dt=5e-5)
+        monkeypatch.setattr(dynamics, "MAX_STEPS", 85_000)
+        assert full.steps == 91_927 and (85_000 + 1) % CHUNK
+        messages = []
+        for run in (integrate, reference_run):
+            with pytest.raises(RuntimeError, match="run took more than MAX_STEPS = 85000") as err:
+                run(flow, (-1.5, 1.0), 4.0, dt=5e-5, stride=100)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0].endswith(f"by t = {full.times[21 * CHUNK - 1]}")
+
+    def test_kept_landing_step_carries_t_end(self):
+        # this bounce's compensated time sum puts its landing step at
+        # t_end + 5.6e-17; the step lands on t_end itself, kept or not
+        flow = toy_gravity_flow(hbar=0.5, beta=2.0)
+        full = integrate(flow, (-2.0, 1.0), 0.45, dt=5e-4)
+        for stride in (1, 7, full.steps):
+            traj = integrate(flow, (-2.0, 1.0), 0.45, dt=5e-4, stride=stride)
+            assert traj.end[0] == 0.45 and (traj.times[-1] == 0.45) == (full.steps % stride == 0)
+            _assert_identical(traj, reference_run(flow, (-2.0, 1.0), 0.45, 5e-4, stride))
+
+    def test_failed_step_ends_at_the_last_good_step(self):
+        # the clamped hit ends in a step without a midpoint solution; at
+        # stride 7 its last good step is not kept, and the run still ends there
+        flow = toy_gravity_flow(hbar=0.0)
+        full = integrate(flow, (-2e7, 1.0), 1.0)
+        traj = integrate(flow, (-2e7, 1.0), 1.0, stride=7)
+        assert traj.status == "singularity" and full.steps % 7
+        assert traj.end == full.end == (full.times[-1], full.ps[-1], full.qs[-1])
+        assert traj.times[-1] < traj.end[0] < traj.hit_time
+        _assert_identical(traj, reference_run(flow, (-2e7, 1.0), 1.0, stride=7))
 
 
 class TestFoldedValues:
