@@ -75,10 +75,10 @@ def _write_json(path: str, doc) -> str:
 
 
 def _write_table(path_base: str, header, rows, fmt: str) -> str:
-    """Write rows under header as CSV or JSON: tuples cell by cell (all-float
-    CSV rows take one template), or a float64 (T, len(header)) array with no
-    per-row scan, its CSV a block of _BLOCK rows per `%` of the template and
-    its JSON through `.tolist()`; the same rows give the same bytes either way."""
+    """Write rows under header as CSV or JSON: tuples cell by cell, or a float64
+    (T, len(header)) array with no per-row scan, its CSV a block of _BLOCK rows
+    per `%` of an all-float template and its JSON through `.tolist()`; the same
+    rows give the same bytes either way."""
     path = f"{path_base}.{fmt}"
     is_array = isinstance(rows, np.ndarray)
     if fmt == "json":
@@ -92,9 +92,7 @@ def _write_table(path_base: str, header, rows, fmt: str) -> str:
                 cells = rows[first:first + _BLOCK].ravel().tolist()
                 fh.write(floats * (len(cells) // len(header)) % tuple(cells))
             return path
-        for r in rows:
-            fh.write(floats % r if all([isinstance(x, float) for x in r])
-                     else ",".join(map(_cell, r)) + "\n")
+        fh.writelines(",".join(map(_cell, r)) + "\n" for r in rows)
     return path
 
 

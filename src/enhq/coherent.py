@@ -18,9 +18,10 @@ Coordinates only label the states, so each family has one chart, named by
 `family.chart_name`: `family.chart(point, margin)` checks that the points
 within `margin` of `point`, and the states their jets read, stay inside it
 (`ChartBoundaryError` otherwise) and returns `(jet, inner)`: the jet
-(u, v) -> (psi, d_u psi, d_v psi) and the inner product of its entries.  The
-canonical jet is exact on Fock arrays, the affine jet exact on Laurent
-multipliers, and only the spin jet is differenced (`_stencil_jet`).
+(u, v) -> (psi, d_u psi, d_v psi) of bare arrays and the inner product of its
+entries.  The canonical jet is exact on Fock arrays, the affine jet exact on
+Laurent multipliers, and only the spin jet is differenced (`_stencil_jet`, its
+step shrunk as 1/sqrt(s) past s = 1).  Only `state` builds a `StateVector`.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ TAIL_LEVELS = 5
 # largest relative gap between a canonical state's mean Fock level and the
 # exact one; more means the truncation has folded part of the state back
 LEVEL_TOL = 1e-8
-METRIC_STEP = 1e-3  # difference step of the spin stencil jet
+METRIC_STEP = 1e-3  # spin stencil-jet step; over sqrt(s) past s = 1, as d psi grows as sqrt(s)
 
 
 class ChartBoundaryError(ValueError):
@@ -160,36 +161,35 @@ class CanonicalFamily:
         return CanonicalFamily(space, StateVector(self.fiducial.coeffs, space))
 
     def state(self, p: float, q: float) -> StateVector:
+        c = self._vu @ self._jet(p, q)[0]
+        return StateVector(c / np.linalg.norm(c), self.space)
+
+    def _jet(self, p: float, q: float):
+        """(b, d_p b, d_q b) of the state vu b, b = e^(iqx) _half(p), after the guards:
+        e^(ipQ/h) = V e^(ipx) V^T, e^(-iqP/h) = U^dag V e^(iqx) V^T U, and
+        d_p b = e^(iqx) _dhalf(p), d_q b = ixb.  b has unit norm, as every factor is unitary."""
         if not (math.isfinite(p) and math.isfinite(q)):
             raise ValueError(f"canonical chart requires finite p and q, got ({p}, {q})")
-        # e^(ipQ/h) = V e^(ipx) V^T and e^(-iqP/h) = U^dag V e^(iqx) V^T U
-        c = self._vu @ (self._phase(q) * self._half(p))
+        b = self._phase(q) * self._half(p)
+        c = self._vu @ b
         norm = np.linalg.norm(c)
         top = c[-TAIL_LEVELS:]
         tail = np.vdot(top, top).real / (norm * norm)
         if not tail <= TAIL_MASS_MAX:
-            raise ValueError(
-                f"canonical state at (p, q) = ({p}, {q}), hbar = {self.hbar}, holds {tail:.2g} "
-                f"of its norm in the top {TAIL_LEVELS} of {c.size} Fock levels "
-                f"(limit {TAIL_MASS_MAX:g}); use a larger truncation"
-            )
+            raise ValueError(f"canonical state at (p, q) = ({p}, {q}), hbar = {self.hbar}, holds "
+                             f"{tail:.2g} of its norm in the top {TAIL_LEVELS} of {c.size} Fock "
+                             f"levels (limit {TAIL_MASS_MAX:g}); use a larger truncation")
         n0, q0, p0 = self._moments  # the fiducial's <n>, <Q>/h and <P>/h
         level = np.vdot(c, self._levels * c).real / (norm * norm)
         exact = n0 + (p * p + q * q) / (2.0 * self.hbar) + p * p0 + q * q0
         if not abs(level - exact) <= LEVEL_TOL * (1.0 + exact):
             raise ValueError(f"canonical state at (p, q) = ({p}, {q}), hbar = {self.hbar}: mean "
                              f"Fock level {level:.6g}, not {exact:.6g}; use a larger truncation")
-        return StateVector(c / norm, self.space)
+        return b, self._phase(q) * self._dhalf(p), 1j * self._x * b
 
     def chart(self, point, margin: float):
-        """(jet, inner) of the (p, q) chart, the whole plane.  Exact jet: a state is vu b,
-        b = e^(iqx) _half(p), d_q b = ixb, d_p b = e^(iqx) _dhalf(p); unitary vu is left out."""
-        def jet(p, q):
-            self.state(p, q)  # the tail and mean-level guards
-            b = self._phase(q) * self._half(p)  # of unit norm, as every factor is unitary
-            return b, self._phase(q) * self._dhalf(p), 1j * self._x * b
-
-        return jet, _vdot
+        """(jet, inner) of the (p, q) chart, the whole plane, with the exact jet `_jet`."""
+        return self._jet, _vdot
 
 
 # ---------------------------------------------------------------------------
@@ -331,18 +331,19 @@ class SpinFamily:
             raise ValueError(f"theta must lie in [0, pi], got {theta}")
         if not 0.0 <= phi < 2.0 * np.pi:
             raise ValueError(f"phi must lie in [0, 2*pi), got {phi}")
-        return self._state_unchecked(theta, phi)
+        return StateVector(self._state_unchecked(theta, phi), self.space)
 
-    def _state_unchecked(self, theta: float, phi: float) -> StateVector:
+    def _state_unchecked(self, theta: float, phi: float) -> np.ndarray:
         c = self._turn(phi) * self._tilt(theta)
-        return StateVector(c / np.linalg.norm(c), self.space)
+        return c / np.linalg.norm(c)
 
     def chart(self, point, margin: float):
-        """(jet, inner) of the (theta, phi) chart, which does not cover the
-        poles; phi is not reduced mod 2*pi.  The jet is a stencil jet."""
-        u, margin = point[0], margin + 2.0 * METRIC_STEP
+        """(jet, inner) of the (theta, phi) chart, which does not cover the poles; phi is not
+        reduced mod 2*pi.  The stencil jet's step is METRIC_STEP / sqrt(max(1, s))."""
+        h = METRIC_STEP / math.sqrt(max(1.0, self.s))
+        u, margin = point[0], margin + 2.0 * h
         if not margin < u < np.pi - margin:
             raise ChartBoundaryError(
                 f"spin stencil at theta = {u} with extent {margin} crosses a pole"
             )
-        return _stencil_jet(lambda a, b: self._state_unchecked(a, b).coeffs), _vdot
+        return _stencil_jet(self._state_unchecked, h), _vdot

@@ -101,7 +101,8 @@ def gaussian_curvature(family, point) -> CurvatureReport:
     (affine family: K = -1/beta, R = -2/beta).  Needs the metric on a
     5x5 neighborhood (3x3 stencils at spacings CURVATURE_STEP and half
     of it) of `family.chart`, as `fs_metric`; rejects stencils crossing
-    the chart boundary, and spin points with theta outside [0.2, pi - 0.2].
+    the chart boundary, and spin points with theta outside [0.2, pi - 0.2];
+    a stencil metric that is not positive-definite raises ArithmeticError.
     """
     u, v = point
     family.chart(point, 2.0 * CURVATURE_STEP)  # boundary check
@@ -117,7 +118,7 @@ def gaussian_curvature(family, point) -> CurvatureReport:
             for j, sv in enumerate((-1, 0, 1)):
                 m = fs_metric(family, (u + su * h, v + sv * h))
                 if not m.is_positive_definite():
-                    raise ValueError(f"metric not positive-definite at {m.point}")
+                    raise ArithmeticError(f"metric not positive-definite at {m.point}")
                 e[i][j], f[i][j], g[i][j] = m.g_pp, m.g_pq, m.g_qq
         return _brioschi(e, f, g, h)
 

@@ -473,7 +473,7 @@ class SpinPQChart:
                 f"spin pq-chart stencil at p = {u} crosses |p| = sqrt(s*hbar)"
             )
         state = self.family._state_unchecked
-        return _stencil_jet(lambda a, b: state(float(np.arccos(a / r)), b / r).coeffs), np.vdot
+        return _stencil_jet(lambda a, b: state(float(np.arccos(a / r)), b / r)), np.vdot
 
 
 def canonical_stencil_jet(family):

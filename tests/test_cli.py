@@ -211,6 +211,16 @@ class TestBadControls:
         assert json.loads(_read(tmp_path / "failure.json"))["type"] == "ArithmeticError"
         assert not (tmp_path / "metric.csv").exists()
 
+    @pytest.mark.parametrize("q", ["1e100", "1e154"])
+    def test_affine_lost_metric_is_a_numerical_failure(self, tmp_path, capsys, q):
+        # cancellation in g_vv leaves a curvature-stencil metric that is not
+        # positive-definite; this used to exit 1 as an invalid configuration
+        assert run(["--out", str(tmp_path), "metric", "--family", "affine", "--q", q]) == 2
+        err = capsys.readouterr().err
+        assert f"numerical failure: metric not positive-definite at (-0.01, {float(q)!r})" in err
+        assert json.loads(_read(tmp_path / "failure.json"))["type"] == "ArithmeticError"
+        assert not (tmp_path / "metric.csv").exists()
+
     def test_affine_metric_inside_the_float_range_completes(self, tmp_path):
         assert run(["--out", str(tmp_path), "metric", "--family", "affine", "--q", "1e153"]) == 0
         (row,) = list(csv.DictReader(_read(tmp_path / "metric.csv").splitlines()))

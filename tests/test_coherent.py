@@ -356,10 +356,16 @@ class TestSpin:
 
     def test_angle_validation(self):
         fam = SpinFamily(1.0, 1.0)
-        with pytest.raises(ValueError):
-            fam.state(-0.1, 0.0)
-        with pytest.raises(ValueError):
-            fam.state(1.0, 7.0)
+        for theta, phi in ((-0.1, 0.0), (-1e-300, 0.0), (np.nextafter(np.pi, 4.0), 0.0),
+                           (math.nan, 0.0), (1.0, 7.0), (1.0, -1e-300), (1.0, 2.0 * np.pi),
+                           (1.0, math.nan)):
+            with pytest.raises(ValueError, match="must lie in"):
+                fam.state(theta, phi)
+
+    def test_chart_edges_are_states(self):
+        fam = SpinFamily(1.0, 1.0)
+        for theta, phi in ((0.0, 0.0), (np.pi, 0.0), (1.0, np.nextafter(2.0 * np.pi, 0.0))):
+            assert abs(np.linalg.norm(fam.state(theta, phi).coeffs) - 1.0) < 1e-12
 
     def test_pq_chart_consistency(self):
         fam = SpinFamily(1.0, 1.0)
@@ -369,6 +375,25 @@ class TestSpin:
         jet, _ = SpinPQChart(fam).chart(point, 0.0)
         a = fam.state(theta, phi).coeffs
         assert abs(abs(np.vdot(a, jet(*point)[0])) - 1.0) < 1e-12
+
+
+class TestStateMatchesJet:
+    """`state` wraps the coefficients the chart's jet reads, bit for bit."""
+
+    @pytest.mark.parametrize("hbar", [1.0, 0.25])
+    @pytest.mark.parametrize("point", [(0.0, 0.0), (0.3, -1.2), (-2.0, 0.7)])
+    def test_canonical(self, hbar, point):
+        fam = CanonicalFamily(N=60, hbar=hbar)
+        jet, _ = fam.chart(point, 0.0)
+        c = fam._vu @ jet(*point)[0]  # the jet leaves out the unitary vu
+        assert fam.state(*point).coeffs.tobytes() == (c / np.linalg.norm(c)).tobytes()
+
+    @pytest.mark.parametrize("s, hbar", [(0.5, 1.0), (3.0, 0.25), (250.0, 1.0)])
+    @pytest.mark.parametrize("point", [(0.3, 0.0), (1.5, 4.0), (2.9, 6.2)])
+    def test_spin(self, s, hbar, point):
+        fam = SpinFamily(s, hbar)
+        jet, _ = fam.chart(point, 0.0)
+        assert fam.state(*point).coeffs.tobytes() == jet(*point)[0].tobytes()
 
 
 # ---------------------------------------------------------- ladder spectrum

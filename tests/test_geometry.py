@@ -9,6 +9,7 @@ from references import (
     squeezed_ground_state,
 )
 
+import enhq.coherent
 from enhq.coherent import AffineFamily, CanonicalFamily, ChartBoundaryError, SpinFamily
 from enhq.geometry import fs_metric, gaussian_curvature
 from enhq.hilbert import basis_state, make_fock_space
@@ -120,12 +121,45 @@ class TestSpinMetric:
         k_pq = gaussian_curvature(SpinPQChart(fam), pq).K
         assert abs(k_pq - k_angles) < 1e-3
 
+    @pytest.mark.parametrize("hbar", [1.0, 0.25])
+    @pytest.mark.parametrize("s", [1.5, 10.0, 50.0, 250.0, 500.0])
+    def test_large_spin_round_sphere(self, s, hbar):
+        # the stencil jet's step shrinks as 1/sqrt(s): with a fixed step,
+        # s = 500 read g_vv 1.8% and K 10% low at theta = 0.2
+        fam = SpinFamily(s, hbar)
+        r = s * hbar
+        for theta in (0.2, 0.7, 1.5, 2.9):
+            m = fs_metric(fam, (theta, 0.4))
+            w = np.sin(theta) ** 2
+            assert abs(m.g_pp - r) <= 1e-6 * r and abs(m.g_qq - r * w) <= 1e-6 * r * w
+            assert abs(m.g_pq) <= 1e-6 * r
+            rep = gaussian_curvature(fam, (theta, 0.4))
+            assert abs(rep.K - 1.0 / r) <= min(1e-5 / r, rep.error)
+
     def test_pole_rejected(self):
         fam = SpinFamily(1.0, 1.0)
         with pytest.raises(ChartBoundaryError):
             fs_metric(fam, (1e-4, 0.0))
         with pytest.raises(ChartBoundaryError):
             gaussian_curvature(fam, (0.1, 0.0))
+
+
+class TestNoStateVectorInGeometry:
+    """The metric and curvature read bare coefficient arrays: no family builds
+    a validated `StateVector` on their path."""
+
+    @pytest.mark.parametrize("make, point", [
+        (lambda: CanonicalFamily(N=60, hbar=0.5), (0.4, -0.3)),
+        (lambda: SpinFamily(2.0, 1.0), (1.1, 0.6)),
+    ], ids=["canonical", "spin"])
+    def test_geometry_builds_no_state_vector(self, monkeypatch, make, point):
+        def refuse(*args, **kwargs):
+            raise AssertionError("StateVector built on the geometry path")
+
+        family = make()
+        monkeypatch.setattr(enhq.coherent, "StateVector", refuse)
+        assert fs_metric(family, point).is_positive_definite()
+        assert np.isfinite(gaussian_curvature(family, point).K)
 
 
 class TestCanonicalJet:

@@ -61,6 +61,8 @@ EDGE = [
     ["metric", "--family", "affine", "--hbar", "0.01", "--p", "0.3", "--q", "2"],
     ["metric", "--family", "affine", "--hbar", "0.01", "--p", "0.3", "--q", "1"],
     ["metric", "--family", "spin", "--s", "2", "--p=1,1.01", "--q=0.3,0.31"],
+    ["metric", "--family", "spin", "--s", "250", "--p=0.2", "--q=0.4"],
+    ["metric", "--family", "affine", "--q", "1e100"],
     ["wcp", "--N", "40"],
     ["wcp", "--s", "1"],
     ["wcp", "--family"],
