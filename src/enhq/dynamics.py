@@ -8,9 +8,13 @@ MAX_STEPS steps of dt before taking any, and hands the flow its run, which
 fails once it has stepped more than MAX_STEPS times (throttled steps
 included, steps written in closed form not).
 
-Scalar flows step on Python floats.  The oscillator's midpoint map is one
-fixed rotation by 2 atan(dt / 2), so its run is the powers of that rotation
-in closed form.  Toy gravity is one flow, H = q p^2 + c / q, whose barrier
+The two stepping loops, toy gravity's midpoint steps and rotsym's Newton
+plane steps, run in bulks of at most CHUNK steps in the compiled kernels
+of `enhq.kernels`, built on first use; where they cannot be built, the
+same loops run in Python (`_toy_gravity_bulk`, `_newton_bulk`) with the
+same bits.  The oscillator's midpoint map is one fixed rotation by
+2 atan(dt / 2), so its run is the powers of that rotation in closed form.
+Toy gravity is one flow, H = q p^2 + c / q, whose barrier
 c >= 0 (`FlowSpec.barrier`) decides how it runs.  It lives on
 q > Q_FLOOR q0, a floor relative to its initial q0, and near that floor its
 step is throttled so that a crossing is resolved far below the reporting
@@ -26,8 +30,8 @@ the floor and any step near t_end.  At c > 0 the flow bounces at q = c / E
 and never collapses, so such a step fails the run.  A scalar run keeps every
 stride-th step only, and folds the drift and the lowest q over every step
 into a `_Rows`: toy gravity's stepping loop folds them as it steps and
-stores no other step, while the closed forms hand `_Rows` arrays of at
-most CHUNK steps.
+stores no other step, and hands `_Rows` each bulk once it is done, while
+the closed forms hand it arrays of at most CHUNK steps.
 
 Vector flows are O(N)-invariant: H depends on p and q only through
 |p|^2, p.q and |q|^2, so both gradients lie in span{p, q} and the
@@ -41,9 +45,9 @@ those coefficients, not the (T, N) states: H is read on the isometric
 image of the plane in R^2, and states are expanded only at the steps that
 are read.  For the rotationally symmetric quartic flow at g0 > 0 each
 plane step reduces the midpoint equations to one scalar equation for the
-radial factor kappa, solved by Newton's method; at g0 = 0 (the free
-field) every step is one fixed rotation, and the run is its powers in
-closed form.
+radial factor kappa, solved by Newton's method in the stepping loop; at
+g0 = 0 (the free field) every step is one fixed rotation, and the run is
+its powers in closed form.
 """
 
 from __future__ import annotations
@@ -54,6 +58,8 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
+
+from . import kernels as _kernels
 
 __all__ = [
     "FlowSpec",
@@ -214,15 +220,15 @@ def toy_gravity_flow(hbar: float = 0.0, beta: float = 1.0) -> FlowSpec:
 def _toy_gravity_run(c, rows, p, q, t_end, h):
     """Toy gravity's run: exact midpoint steps of H = q p^2 + c / q on floats.
 
-    The loop folds as it steps: the range of H, the lowest q and, into
-    `rows.kept`, every step k = 0 mod stride; `rows.fold` takes in each
-    bulk of steps once it is done."""
+    The steps are taken in bulks of at most CHUNK by the compiled kernel,
+    or by `_toy_gravity_bulk` where none could be built, the same bits
+    either way; `rows.fold` takes in each bulk once it is done."""
+    kernels = _kernels.load()
+    bulk = _toy_gravity_bulk if kernels is None else kernels.toy_gravity_bulk
     collapses = c == 0.0
-    sqrt, inf, throttle, dt_min, stride = math.sqrt, math.inf, THROTTLE, DT_MIN, rows.stride
+    stride = rows.stride
     floor = Q_FLOOR * q
     h_last = h * (1.0 + 1e-9)  # a remainder under 1e-9 h joins the last step
-    times, ps, qs = rows.kept
-    add_t, add_p, add_q = times.append, ps.append, qs.append
     t = lost = 0.0
     hit = None
     end = t_end - 1e-15
@@ -232,8 +238,6 @@ def _toy_gravity_run(c, rows, p, q, t_end, h):
     tail = collapses and p < 0
     stop = min(1.0 / -p - h / (THROTTLE / 2) / 1.001, end) if tail else end
     while True:
-        cq = c / q  # H's c / q, and the next step's r = c / q^2 = cq / q
-        hi, lo, low = rows.hi, rows.lo, rows.min_q
         while t < stop:
             # steps take at most h, so the next n can neither land on t_end
             # nor pass stop and go unchecked; near either, one at a time.  A
@@ -243,66 +247,15 @@ def _toy_gravity_run(c, rows, p, q, t_end, h):
             taken = rows.taken
             n = max(1, min(CHUNK - taken % CHUNK, int((min(stop, t_end - h_last) - t) / h) - 2))
             left = -taken % stride + 1  # steps to the next kept one, itself included
-            for i in range(n):
-                dt = dt0
-                if p < 0.0:
-                    # keep the relative shrink of q modest so the floor crossing
-                    # is localized to ~sqrt(Q_FLOOR/E) in time
-                    v = -2.0 * q * p  # -qdot, qdot = dH/dp = 2 q p
-                    if v > 0.0:  # q p can underflow
-                        cap = throttle * q / v
-                        if cap < dt_min:
-                            cap = dt_min
-                        if cap < dt:
-                            dt = cap
-                # qm = q + dt qm pm gives qm = q / (1 - dt pm).  With r = c / q^2,
-                # pm = p - (dt/2)(pm^2 - c / qm^2) becomes
-                #   (dt/2)(1 - r dt^2) pm^2 + (1 + r dt^2) pm - (p + dt r / 2) = 0,
-                # whose root that tends to p as dt -> 0 is 2k / (b + sqrt(b^2 + 4ak)),
-                # free of cancellation.  A negative discriminant or 1 - dt pm <= 0
-                # leaves the step without a midpoint solution.
-                r = cq / q
-                rdt2 = r * dt * dt
-                a = 0.5 * dt * (1.0 - rdt2)
-                b = 1.0 + rdt2
-                k = p + 0.5 * dt * r
-                disc = b * b + 4.0 * a * k
-                if disc < 0.0:
-                    break
-                pm = 2.0 * k / (b + sqrt(disc))
-                u = 1.0 - dt * pm
-                if u <= 0.0:
-                    break
-                q1 = 2.0 * q / u - q
-                if not floor < q1 < inf:
-                    break
-                p, q = 2.0 * pm - p, q1
-                # compensated (Kahan) sum: a plain running sum of 20,000 steps
-                # of 1e-4 ends 2e-13 short of 2, too far for h_last to absorb
-                y = dt - lost
-                s = t + y
-                lost = (s - t) - y
-                t = s
-                # H in the flow's own float order, so equal to flow.hamiltonian
-                cq = c / q
-                e = q * p * p + cq
-                if e > hi:
-                    hi = e
-                elif e < lo:
-                    lo = e
-                if q < low:
-                    low = q
-                left -= 1
-                if not left:
-                    left = stride
-                    add_t(t)
-                    add_p(p)
-                    add_q(q)
-            else:
+            # past n, left and stride act as n + 1, which a C long holds
+            i, n_kept, dt, t, lost, p, q, hi, lo, low = bulk(
+                rows.kept, n, min(left, n + 1), min(stride, n + 1), c, floor, THROTTLE, DT_MIN,
+                dt0, t, lost, p, q, rows.hi, rows.lo, rows.min_q)
+            if i == n:
                 if dt == rest:  # the one step landed
                     t = t_end
-                    if left == stride:  # and is kept
-                        times[-1] = t_end
+                    if n_kept:  # and is kept
+                        rows.kept[0][-1] = t_end
                 rows.fold(n, (t, p, q), hi, lo, low)
                 continue
             # a failed step leaves (t, p, q) at the last good one
@@ -315,6 +268,86 @@ def _toy_gravity_run(c, rows, p, q, t_end, h):
             return "completed" if hit is None else "singularity", hit
         p, q, t = _self_similar_run(p, q, t, THROTTLE * q / -(2.0 * q * p), h, t_end, floor, rows)
         tail, lost, stop = False, 0.0, end
+
+
+def _toy_gravity_bulk(kept, n, left, stride, c, floor, throttle, dt_min, dt0, t, lost, p, q,
+                      hi, lo, low):
+    """Up to n exact midpoint steps of H = q p^2 + c / q from (t, p, q), each of
+    dt0 or less, in Python: the loop that `kernels.c` compiles, bit for bit.
+
+    A step is throttled to dt <= throttle q / |qdot| while q falls, but never
+    below dt_min.  The loop folds as it steps: the range [lo, hi] of H, the
+    lowest q and, into the arrays `kept` (t, p, q), every step that `left`
+    counts down to, and every stride-th after it.  A step without a
+    midpoint solution, or one that leaves floor < q < inf, ends the bulk
+    at the last good step.  Returns (i, m, dt, t, lost, p, q, hi, lo, low):
+    the number of good steps, the number of steps kept, the dt of the last
+    step tried, the last good step with its compensation `lost`, and the folds.
+    """
+    sqrt, inf = math.sqrt, math.inf
+    times, ps, qs = kept
+    add_t, add_p, add_q = times.append, ps.append, qs.append
+    m = 0
+    cq = c / q  # H's c / q, and the next step's r = c / q^2 = cq / q
+    for i in range(n):
+        dt = dt0
+        if p < 0.0:
+            # keep the relative shrink of q modest so the floor crossing
+            # is localized to ~sqrt(Q_FLOOR/E) in time
+            v = -2.0 * q * p  # -qdot, qdot = dH/dp = 2 q p
+            if v > 0.0:  # q p can underflow
+                cap = throttle * q / v
+                if cap < dt_min:
+                    cap = dt_min
+                if cap < dt:
+                    dt = cap
+        # qm = q + dt qm pm gives qm = q / (1 - dt pm).  With r = c / q^2,
+        # pm = p - (dt/2)(pm^2 - c / qm^2) becomes
+        #   (dt/2)(1 - r dt^2) pm^2 + (1 + r dt^2) pm - (p + dt r / 2) = 0,
+        # whose root that tends to p as dt -> 0 is 2k / (b + sqrt(b^2 + 4ak)),
+        # free of cancellation.  A negative discriminant or 1 - dt pm <= 0
+        # leaves the step without a midpoint solution.
+        r = cq / q
+        rdt2 = r * dt * dt
+        a = 0.5 * dt * (1.0 - rdt2)
+        b = 1.0 + rdt2
+        k = p + 0.5 * dt * r
+        disc = b * b + 4.0 * a * k
+        if disc < 0.0:
+            break
+        pm = 2.0 * k / (b + sqrt(disc))
+        u = 1.0 - dt * pm
+        if u <= 0.0:
+            break
+        q1 = 2.0 * q / u - q
+        if not floor < q1 < inf:
+            break
+        p, q = 2.0 * pm - p, q1
+        # compensated (Kahan) sum: a plain running sum of 20,000 steps
+        # of 1e-4 ends 2e-13 short of 2, too far for h_last to absorb
+        y = dt - lost
+        s = t + y
+        lost = (s - t) - y
+        t = s
+        # H in the flow's own float order, so equal to flow.hamiltonian
+        cq = c / q
+        e = q * p * p + cq
+        if e > hi:
+            hi = e
+        elif e < lo:
+            lo = e
+        if q < low:
+            low = q
+        left -= 1
+        if not left:
+            left = stride
+            add_t(t)
+            add_p(p)
+            add_q(q)
+            m += 1
+    else:
+        i = n
+    return i, m, dt, t, lost, p, q, hi, lo, low
 
 
 def _sumsq(x):
@@ -343,50 +376,22 @@ def rotsym_flow(N: int, m0: float, g0: float) -> FlowSpec:
         # With a = q + dt p the midpoint equations give qm = a / (1 + kappa),
         # kappa = dt^2 (m0^2 + 2 g0 |qm|^2): one scalar equation,
         #   F(kappa) = kappa - k0 - A / (1 + kappa)^2 = 0,
-        # k0 = dt^2 m0^2, A = 2 dt^2 g0 |a|^2, with one root in [k0, k0 + A].
-        # F is increasing and concave, so Newton started below the root
-        # climbs to it monotonically and never leaves that bracket; the start
-        # is the fixed-point map k0 + A / (1 + kappa)^2 at the upper end.
-        # kappa itself is the unknown: recovering it as (1 + kappa) - 1
-        # would lose the digits of kappa ~ dt^2.  The step is
-        # p1 = p - 2 f a, q1 = q + 2 dt (p - f a), f = kappa / (dt (1 + kappa)),
-        # on plane coefficients: a = ap p0 + aq q0, |a|^2 from the Gram matrix.
-        # This loop is the run's Python work: it reads its constants from
-        # locals and makes no call or iterator per step.  A start whose
-        # square overflows to inf fails the step.
-        gpp, gpq, gqq = gram
+        # k0 = dt^2 m0^2, A = 2 dt^2 g0 |a|^2, with one root in [k0, k0 + A]
+        # (see _newton_bulk).  The steps are taken in bulks of at most CHUNK by
+        # the compiled kernel, or by `_newton_bulk` where none could be built,
+        # the same bits either way.
+        kernels = _kernels.load()
+        bulk = _newton_bulk if kernels is None else kernels.newton_bulk
         k0 = dt * dt * m0 * m0
         w = 2.0 * dt * dt * g0
-        dt2, inf, tol, max_iter = 2.0 * dt, math.inf, NEWTON_TOL, NEWTON_MAX_ITER
-        pp, pq, qp, qq = 1.0, 0.0, 0.0, 1.0  # p = p0, q = q0
-        coefs = array("d", (pp, pq, qp, qq))
-        put = coefs.extend
-        for k in range(1, n + 1):
-            ap, aq = qp + dt * pp, qq + dt * pq
-            A = w * (ap * ap * gpp + 2.0 * ap * aq * gpq + aq * aq * gqq)
-            s = 1.0 + k0 + A
-            s *= s
-            if s == inf:
-                return None, k
-            kappa = k0 + A / s
-            left = max_iter
-            while left:
-                left -= 1
-                s = 1.0 + kappa
-                g = A / (s * s)
-                step = (kappa - k0 - g) / (1.0 + 2.0 * g / s)
-                kappa -= step
-                bound = tol * kappa
-                if -bound <= step <= bound:  # |step| <= bound, and False on a NaN
-                    break
-            else:
-                return None, k
-            f = kappa / (dt * (1.0 + kappa))
-            fp, fq = f * ap, f * aq
-            pp, pq, qp, qq = (pp - 2.0 * fp, pq - 2.0 * fq,
-                              qp + dt2 * (pp - fp), qq + dt2 * (pq - fq))
-            put((pp, pq, qp, qq))
-        return np.frombuffer(coefs).reshape(n + 1, 2, 2), None
+        plane = np.empty((n + 1, 2, 2))
+        plane[0] = np.eye(2)  # p = p0, q = q0
+        for first in range(1, n + 1, CHUNK):
+            size = min(CHUNK, n + 1 - first)
+            good = bulk(plane, first, size, *gram, dt, k0, w, NEWTON_TOL, NEWTON_MAX_ITER)
+            if good < size:
+                return None, first + good
+        return plane, None
 
     return FlowSpec(
         name="rotsym",
@@ -394,6 +399,57 @@ def rotsym_flow(N: int, m0: float, g0: float) -> FlowSpec:
         params={"N": N, "m0": m0, "g0": g0},
         midpoint=newton_run if g0 else lambda gram, dt, n: (_rotation_run(m0, dt, n), None),
     )
+
+
+def _newton_bulk(plane, first, n, gpp, gpq, gqq, dt, k0, w, tol, max_iter):
+    """Up to n of rotsym's Newton plane steps in Python: the loop that
+    `kernels.c` compiles, bit for bit.
+
+    Reads the coefficients of step first - 1 from plane and writes those of
+    steps first, first + 1, ... after it; returns the number of good steps,
+    n or fewer where a step fails.  F(kappa) = kappa - k0 - A / (1 + kappa)^2
+    is increasing and concave, so Newton started below the root climbs to
+    it monotonically and never leaves [k0, k0 + A]; the start is the
+    fixed-point map k0 + A / (1 + kappa)^2 at the upper end.  kappa itself is
+    the unknown: recovering it as (1 + kappa) - 1 would lose the digits of
+    kappa ~ dt^2.  The step is p1 = p - 2 f a, q1 = q + 2 dt (p - f a),
+    f = kappa / (dt (1 + kappa)), on plane coefficients: a = ap p0 + aq q0,
+    |a|^2 from the Gram matrix (gpp, gpq, gqq) of (p0, q0).  A start whose
+    square overflows to inf, or a solve whose step is not below tol kappa
+    within max_iter iterations, fails the step.
+    """
+    dt2, inf = 2.0 * dt, math.inf
+    pp, pq, qp, qq = plane[first - 1].ravel().tolist()
+    coefs = array("d")
+    put = coefs.extend
+    for _ in range(n):
+        ap, aq = qp + dt * pp, qq + dt * pq
+        A = w * (ap * ap * gpp + 2.0 * ap * aq * gpq + aq * aq * gqq)
+        s = 1.0 + k0 + A
+        s *= s
+        if s == inf:
+            break
+        kappa = k0 + A / s
+        left = max_iter
+        while left:
+            left -= 1
+            s = 1.0 + kappa
+            g = A / (s * s)
+            step = (kappa - k0 - g) / (1.0 + 2.0 * g / s)
+            kappa -= step
+            bound = tol * kappa
+            if -bound <= step <= bound:  # |step| <= bound, and False on a NaN
+                break
+        else:
+            break
+        f = kappa / (dt * (1.0 + kappa))
+        fp, fq = f * ap, f * aq
+        pp, pq, qp, qq = (pp - 2.0 * fp, pq - 2.0 * fq,
+                          qp + dt2 * (pp - fp), qq + dt2 * (pq - fq))
+        put((pp, pq, qp, qq))
+    good = len(coefs) // 4
+    plane[first:first + good] = np.frombuffer(coefs).reshape(good, 2, 2)
+    return good
 
 
 def _rotation_run(m0, dt, n, first=0):

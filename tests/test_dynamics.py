@@ -6,7 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from references import flow_gradients, reference_plane_run, reference_run, reference_step
 
@@ -23,6 +23,12 @@ from enhq.dynamics import (
     toy_gravity_solution,
 )
 from enhq.wcp import cprime_closed_form
+
+# settings of the property tests that a class shares with its subclass on the
+# Python loops (end of file): with no example database the two cannot replay
+# each other's draws, so the differing-executors check guards nothing here
+_SHARED_DRAWS = dict(deadline=None, derandomize=True, database=None,
+                     suppress_health_check=[HealthCheck.differing_executors])
 
 # (hbar, p0) of enhanced toy-gravity runs at beta = 2, q0 = 1
 ENHANCED_RUNS = [(0.5, -1.0), (1.0, -1.5), (2.0, -2.0)]
@@ -665,7 +671,7 @@ class TestNewtonPlaneRun:
         gram = _gram(0.2 * rng.normal(size=6), 0.2 * rng.normal(size=6))
         assert self._same_run(m0, g0, gram, 1e-4, 100) == 1
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60, **_SHARED_DRAWS)
     @given(m0=st.floats(1e-3, 1e3), g0=st.floats(1e-3, 1e3), dt=st.floats(1e-5, 0.5),
            amp=st.floats(1e-3, 10.0), n=st.integers(1, 400), seed=st.integers(0, 2**16))
     def test_sweep(self, m0, g0, dt, amp, n, seed):
@@ -918,7 +924,7 @@ class TestRunMatchesReference:
         _assert_identical(integrate(flow, (p0, 1.0), t_end, dt=dt, stride=stride),
                           reference_run(flow, (p0, 1.0), t_end, dt, stride))
 
-    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=8, **_SHARED_DRAWS)
     @given(run=st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(-2.0, -1.0),
                          st.floats(0.4, 3.0), st.sampled_from([1, 7, CHUNK + 1])))
     def test_swept_runs_are_the_stepped_loop(self, run):
@@ -934,7 +940,7 @@ class TestStride:
     bit for bit, and folds the same drift, min q, status, hit time and last
     step over every step."""
 
-    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=8, **_SHARED_DRAWS)
     @given(run=_toy_runs)
     def test_strided_run_is_the_sliced_run(self, run):
         hbar, p0, t_end = run
@@ -1024,6 +1030,14 @@ class TestStride:
         assert traj.times[-1] < traj.end[0] < traj.hit_time
         _assert_identical(traj, reference_run(flow, (-2e7, 1.0), 1.0, stride=7))
 
+    @pytest.mark.parametrize("stride", [2**63, 2**64 + 3])
+    def test_stride_past_a_c_long(self, stride):
+        # no C long holds these strides; the run keeps step 0 alone
+        flow = toy_gravity_flow(1.0, 2.0)
+        traj = integrate(flow, (-1.5, 1.0), 0.01, dt=5e-5, stride=stride)
+        assert traj.times.size == 1 and traj.steps > 200
+        _assert_identical(traj, reference_run(flow, (-1.5, 1.0), 0.01, 5e-5, stride))
+
 
 class TestFoldedValues:
     """A run hands over its drift and last step; at stride 1 they equal
@@ -1048,3 +1062,41 @@ class TestFoldedValues:
         assert drift == float(np.max(traj.drifts))
         p_end, q_end = traj.states(-1)
         assert t == traj.times[-1] and np.array_equal(p, p_end) and np.array_equal(q, q_end)
+
+
+# The classes above step on the compiled kernels wherever they can be built
+# (tests/test_kernels.py checks that they are built here).  Their checks of
+# the stepping loops run again below on dynamics' Python loops, the
+# fallback, so both paths must equal the references bit for bit.
+
+
+@pytest.mark.usefixtures("python_loops")
+class TestRunMatchesReferenceOnPythonLoops(TestRunMatchesReference):
+    pass
+
+
+@pytest.mark.usefixtures("python_loops")
+class TestStrideOnPythonLoops(TestStride):
+    pass
+
+
+@pytest.mark.usefixtures("python_loops")
+class TestSelfSimilarTailOnPythonLoops(TestSelfSimilarTail):
+    pass
+
+
+@pytest.mark.usefixtures("python_loops")
+class TestToyGravityMidpointOnPythonLoops(TestToyGravityMidpoint):
+    pass
+
+
+@pytest.mark.usefixtures("python_loops")
+class TestNewtonPlaneRunOnPythonLoops(TestNewtonPlaneRun):
+    pass
+
+
+@pytest.mark.usefixtures("python_loops")
+class TestFailuresOnPythonLoops:
+    test_cap_on_the_steps_a_run_takes = TestStepCap.test_cap_on_the_steps_a_run_takes
+    test_enhanced_failed_step_raises = TestToyGravity.test_enhanced_failed_step_raises
+    test_overflowing_step_fails_the_solve = TestRadialMidpoint.test_overflowing_step_fails_the_solve

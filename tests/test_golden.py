@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+from enhq import kernels
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("golden", ROOT / "tools" / "golden.py")
 golden = importlib.util.module_from_spec(_spec)
@@ -20,7 +22,13 @@ UNREACHED = {
     "coherent.CanonicalFamily.P": "perfbench's tracing test pins coherent.position_operator",
     "coherent.CanonicalFamily.Q": "the same perfbench pin",
     "coherent.SpinFamily.state": "the validated API entry; the CLI builds spin states unchecked",
+    "dynamics._newton_bulk": "the Python loop run where the compiled kernels cannot be built; "
+                             "tests/test_dynamics.py runs it against the references",
+    "dynamics._toy_gravity_bulk": "the same, for toy gravity's loop",
 }
+# where the kernels cannot be built, the Python loops run in their place
+COMPILED = {"kernels.Kernels.__init__", "kernels.Kernels.toy_gravity_bulk",
+            "kernels.Kernels.newton_bulk"}
 
 
 def test_argv_list_holds_defaults_tasks_and_edges():
@@ -59,4 +67,17 @@ def test_reach_matches_allowlist():
     out = subprocess.run([sys.executable, str(ROOT / "tools" / "golden.py"), "--src",
                           str(ROOT / "src"), "--reach"],
                          capture_output=True, text=True, check=True, timeout=600).stdout
-    assert set(out.split()) == set(UNREACHED)
+    expected = set(UNREACHED)
+    if kernels.load() is None:
+        expected ^= COMPILED | {"dynamics._newton_bulk", "dynamics._toy_gravity_bulk"}
+    assert set(out.split()) == expected
+
+
+def test_flow_records_are_the_same_on_both_paths(monkeypatch):
+    # the golden runs of `dynamics` and `rotsym`, on the compiled kernels
+    # and on the Python loops
+    argvs = [a for a in golden.argv_list() if {"dynamics", "rotsym"} & set(a)]
+    assert len(argvs) > 40
+    compiled = golden.record(argvs)
+    monkeypatch.setattr(kernels, "load", lambda: None)
+    assert golden.record(argvs) == compiled
